@@ -10,8 +10,8 @@ from .control import (LqrController, MlpPolicy, ScriptedOrbitController,
                       lqr_control, lqr_design, mlp_act, mlp_load, mlp_save,
                       random_policy, scripted_orbit)
 from .dynamics import (DynamicsParams, LabPose, RelativeState,
-                       analytic_propagate, cw_derivative, cw_matrices, cw_stm,
-                       lab_to_space, space_to_lab, step, sun_vector)
+                       analytic_propagate, cw_matrices, cw_stm, lab_to_space,
+                       space_to_lab, step, sun_vector)
 from .env import (EnvConfig, InspectionEnv, build_observation, delta_v,
                   normalize_state)
 from .harness import (ExperimentConfig, NoiseModel, TrajectoryLog,

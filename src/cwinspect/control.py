@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from .dynamics import DynamicsParams, RelativeState, cw_matrices
 
@@ -63,6 +62,10 @@ def lqr_design(dyn: DynamicsParams, Q=None, R=None) -> LqrController:
     Solves the algebraic Riccati equation and enforces that the closed loop
     A - B K is Hurwitz.
     """
+    # imported here: scipy.linalg costs ~0.2 s and tens of MB at import,
+    # and only the gain design needs it
+    from scipy.linalg import solve_continuous_are
+
     Q = DEFAULT_LQR_Q if Q is None else np.asarray(Q, dtype=float)
     R = DEFAULT_LQR_R if R is None else np.asarray(R, dtype=float)
     A, B = cw_matrices(dyn)

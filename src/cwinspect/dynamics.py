@@ -1,10 +1,17 @@
 """Relative-motion dynamics of a deputy spacecraft about a chief in Hill's frame.
 
 Implements the linearized Clohessy-Wiltshire equations with thrust forcing,
-sun-line kinematics, fixed-step RK4 propagation under zero-order-hold control,
-the closed-form free-motion state transition matrix (used as an oracle for the
-integrator), and the scaling between the space frame and a laboratory flight
+sun-line kinematics, propagation under zero-order-hold control, the
+closed-form free-motion state transition matrix (used as an oracle for the
+propagation), and the scaling between the space frame and a laboratory flight
 volume.
+
+The system is linear, so a hold of constant thrust is one affine map of the
+state.  One RK4 substep of the linear system, written as its matrix
+polynomial (:func:`rk4_zoh_map`), is the only definition of a propagation
+substep: :func:`step` and :func:`step_vector` apply the cached end-of-hold
+map built from its power, and :func:`hold_maps` gives every substep state
+of a hold.
 
 Axes follow the usual Hill/RIC convention: x radial (away from Earth),
 y in-track, z cross-track.  SI units throughout (m, m/s, s, rad).
@@ -24,7 +31,6 @@ __all__ = [
     "LabPose",
     "DEFAULT_SUBSTEP",
     "cw_matrices",
-    "cw_derivative",
     "step",
     "step_vector",
     "rk4_zoh_map",
@@ -38,8 +44,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Default inner RK4 step in space-frame seconds.  Far below the error floor
-#: for this linear system; chosen to divide typical control periods evenly.
+#: Default propagation substep in space-frame seconds.  Far below the error
+#: floor for this linear system; chosen to divide typical control periods
+#: evenly.
 DEFAULT_SUBSTEP = 0.2
 
 
@@ -139,59 +146,98 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def cw_derivative(state: RelativeState, u, params: DynamicsParams) -> np.ndarray:
-    """Time derivative [xd, yd, zd, xdd, ydd, zdd, theta_dot] at ``state``.
+def _rk4_increment(params: DynamicsParams,
+                   h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 substep of the linear system as x(t+h) = x + D @ x + N @ a.
 
-    ``u`` is the thrust force vector [N]; the sun angle rate is -n.
-    Raises ``ValueError`` on non-finite input.
+    For linear dynamics the classic four-stage RK4 step collapses to the
+    degree-4 Taylor polynomial of the matrix exponential.  D excludes the
+    identity so that its small entries keep full relative precision.
     """
-    u = _require_finite(u, "control").reshape(3)
-    x = _require_finite(state.vector(), "state")
     A, _ = cw_matrices(params)
-    dx = A @ x
-    dx[3:] += u / params.mass
-    return np.concatenate([dx, [-params.mean_motion]])
+    I = np.eye(6)
+    A2 = A @ A
+    A3 = A2 @ A
+    D = h * A + (h**2 / 2.0) * A2 + (h**3 / 6.0) * A3 + (h**4 / 24.0) * (A3 @ A)
+    E = np.zeros((6, 3))
+    E[3:, :] = np.eye(3)
+    N = (h * I + (h**2 / 2.0) * A + (h**3 / 6.0) * A2 + (h**4 / 24.0) * A3) @ E
+    return D, N
 
 
-def _accel_vector(u, params: DynamicsParams) -> np.ndarray:
-    u = _require_finite(u, "control").reshape(3)
-    return u / params.mass
+def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One propagation substep of the linear system as an affine map.
+
+    Returns (M, N) such that x(t+h) = M @ x(t) + N @ a for constant
+    acceleration input a [m/s^2]: the classic RK4 step of the linear
+    system.  Every propagation in the package is built from powers of this
+    substep.
+    """
+    D, N = _rk4_increment(params, h)
+    return np.eye(6) + D, N
+
+
+@lru_cache(maxsize=32)
+def _end_map(params: DynamicsParams, dt: float,
+             substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """End state of a ``dt``-second hold of ``substeps`` equal substeps as
+    x + D @ x + G @ u (u in N), i.e. Phi = I + D and Gamma = G.
+
+    The power is taken by repeated squaring of the augmented 9x9 map, kept
+    as its difference from the identity so no precision is lost to the
+    unit diagonal; time grows with log(substeps) and memory not at all.
+    The pair is cached and read-only.
+    """
+    D, N = _rk4_increment(params, dt / substeps)
+    base = np.zeros((9, 9))
+    base[:6, :6] = D
+    base[:6, 6:] = N / params.mass
+    power = np.zeros((9, 9))
+    k = substeps
+    while k:
+        if k & 1:  # (I + power)(I + base) = I + power + base + base @ power
+            power = power + base + base @ power
+        base = 2.0 * base + base @ base
+        k >>= 1
+    D_end, G = power[:6, :6].copy(), power[:6, 6:].copy()
+    D_end.setflags(write=False)
+    G.setflags(write=False)
+    return D_end, G
 
 
 def step_vector(x, u, dt: float, params: DynamicsParams,
                 max_substep: float = DEFAULT_SUBSTEP) -> np.ndarray:
-    """RK4 propagation of the 6-state under zero-order-hold thrust.
+    """Propagate the 6-state ``dt`` seconds under zero-order-hold thrust.
 
     ``x`` may be a single state of shape (6,) or a batch of shape (6, N);
-    the same integration map is applied column-wise.  ``dt`` is subdivided
-    into equal substeps no longer than ``max_substep``.
+    the same affine map is applied column-wise.  ``dt`` is split into
+    J = ceil(dt / max_substep) equal substeps of :func:`rk4_zoh_map`, applied
+    as the one cached end-of-hold affine map x+ = Phi x + Gamma u.  Raises
+    ``ValueError`` on non-finite input or a ``dt`` or ``max_substep`` that is
+    not positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    x = _require_finite(x, "state").astype(float, copy=True)
-    a = _accel_vector(u, params)
-    A, _ = cw_matrices(params)
-    n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
-    h = dt / n_sub
-    b = np.zeros(6)
-    b[3:] = a
-    if x.ndim == 2:
-        b = b[:, None]
-    for _ in range(n_sub):
-        k1 = A @ x + b
-        k2 = A @ (x + 0.5 * h * k1) + b
-        k3 = A @ (x + 0.5 * h * k2) + b
-        k4 = A @ (x + h * k3) + b
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(max_substep) and max_substep > 0.0):
+        raise ValueError("max_substep must be positive and finite")
+    x = _require_finite(x, "state")
+    u = _require_finite(u, "control").reshape(3)
+    ratio = dt / max_substep
+    if not math.isfinite(ratio):
+        raise ValueError("dt / max_substep must be finite")
+    substeps = max(1, math.ceil(ratio - 1e-12))
+    D, G = _end_map(params, float(dt), substeps)
+    b = G @ u
+    return x + (D @ x + (b[:, None] if x.ndim == 2 else b))
 
 
 def step(state: RelativeState, u, dt: float, params: DynamicsParams,
          max_substep: float = DEFAULT_SUBSTEP) -> RelativeState:
     """Advance ``state`` by ``dt`` seconds under constant thrust ``u``.
 
-    Position/velocity integrate with fixed-step RK4; the sun angle and clock
-    advance exactly (theta -= n*dt, t += dt).
+    Position and velocity take the cached affine zero-order-hold map of
+    :func:`step_vector`; the sun angle and clock advance exactly
+    (theta -= n*dt, t += dt).
     """
     x = step_vector(state.vector(), u, dt, params, max_substep)
     return RelativeState(
@@ -201,34 +247,13 @@ def step(state: RelativeState, u, dt: float, params: DynamicsParams,
     )
 
 
-def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 substep of the linear system as an affine map.
-
-    Returns (M, N) such that x(t+h) = M @ x(t) + N @ a for constant
-    acceleration input a [m/s^2].  For linear dynamics the classic RK4
-    stage sum collapses to the degree-4 Taylor polynomial of the matrix
-    exponential, so applying this map repeatedly reproduces
-    :func:`step_vector` to rounding error.
-    """
-    A, _ = cw_matrices(params)
-    I = np.eye(6)
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A3 @ A
-    M = I + h * A + (h**2 / 2.0) * A2 + (h**3 / 6.0) * A3 + (h**4 / 24.0) * A4
-    E = np.zeros((6, 3))
-    E[3:, :] = np.eye(3)
-    N = (h * I + (h**2 / 2.0) * A + (h**3 / 6.0) * A2 + (h**4 / 24.0) * A3) @ E
-    return M, N
-
-
 @lru_cache(maxsize=16)
 def hold_maps(params: DynamicsParams, period: float,
               substeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 
-    A hold of ``period`` seconds split into J = ``substeps`` equal RK4
-    substeps (:func:`rk4_zoh_map`) under constant thrust u [N] reaches the
+    A hold of ``period`` seconds split into J = ``substeps`` equal substeps
+    (:func:`rk4_zoh_map`) under constant thrust u [N] reaches the
     state P[j] @ x + S[j] @ u after substep j + 1.  Returns (P, S) of shapes
     (J, 6, 6) and (J, 6, 3); the arrays are cached and read-only.
     """
@@ -254,7 +279,7 @@ def cw_stm(n: float, t: float) -> np.ndarray:
 
     Maps a free-motion (u = 0) state [x, y, z, xd, yd, zd] at time 0 to the
     state at time ``t``.  Exact to machine precision; serves as the oracle
-    for the RK4 integrator.
+    for the propagation substep.
     """
     nt = n * t
     c = math.cos(nt)

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import DynamicsParams, RelativeState, hold_maps
 from .safety import (NUM_HOLD_CONDITIONS, SafetyParams, cbf_rows,
@@ -217,6 +216,10 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     to |u_j| <= u_max.  Coincides with :func:`solve_qp` to about 1e-6 when
     the rows are actually feasible.
     """
+    # imported here: scipy.optimize costs ~0.3 s and tens of MB at import,
+    # and the fallback is the only user of it
+    from scipy.optimize import minimize
+
     u_des = np.asarray(u_des, dtype=float).reshape(3)
     C, b = _row_arrays(rows)
 

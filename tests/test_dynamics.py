@@ -1,16 +1,17 @@
-"""Dynamics: derivative arithmetic, RK4 vs the closed-form transition
-matrix, sun kinematics, and frame scaling."""
+"""Dynamics: the CW system matrices, propagation against a classic RK4
+oracle and the closed-form transition matrix, sun kinematics, and frame
+scaling."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cwinspect.dynamics import (DynamicsParams, LabPose,
+from cwinspect.dynamics import (DEFAULT_SUBSTEP, DynamicsParams, LabPose,
                                 RelativeState, analytic_propagate,
-                                cw_derivative, cw_matrices, cw_stm, hold_maps,
-                                lab_to_space, rk4_zoh_map, space_to_lab, step,
-                                step_vector, sun_vector)
+                                cw_matrices, cw_stm, hold_maps, lab_to_space,
+                                rk4_zoh_map, space_to_lab, step, step_vector,
+                                sun_vector)
 
 P = DynamicsParams()
 N = P.mean_motion
@@ -21,35 +22,79 @@ def make_state(vec, theta=0.0, t=0.0):
     return RelativeState(vec[:3], vec[3:], theta, t)
 
 
+def derivative(x, u):
+    A, B = cw_matrices(P)
+    return A @ np.asarray(x, dtype=float) + B @ np.asarray(u, dtype=float)
+
+
+def rk4_oracle(x, u, dt, max_substep=DEFAULT_SUBSTEP):
+    """Reference: the classic four-stage RK4 loop over equal substeps no
+    longer than ``max_substep``.  Returns the state after every substep,
+    shape (J,) + x.shape."""
+    A, B = cw_matrices(P)
+    x = np.asarray(x, dtype=float)
+    n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
+    h = dt / n_sub
+    b = B @ np.asarray(u, dtype=float)
+    if x.ndim == 2:
+        b = b[:, None]
+    out = []
+    for _ in range(n_sub):
+        k1 = A @ x + b
+        k2 = A @ (x + 0.5 * h * k1) + b
+        k3 = A @ (x + 0.5 * h * k2) + b
+        k4 = A @ (x + h * k3) + b
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    err = np.abs(np.asarray(got) - ref).max()
+    assert err <= rel * np.abs(ref).max(), f"error {err:.2e}"
+
+
+def random_pair(rng):
+    x = np.concatenate([rng.normal(0, 300, 3), rng.normal(0, 0.5, 3)])
+    return x, rng.uniform(-1, 1, 3)
+
+
 class TestDerivative:
+    """The CW derivative A @ x + B @ u from :func:`cw_matrices`."""
+
     def test_equilibrium_at_origin(self):
-        d = cw_derivative(make_state(np.zeros(6)), np.zeros(3), P)
-        assert np.allclose(d[:6], 0.0)
-        assert d[6] == pytest.approx(-0.001027)
+        assert np.allclose(derivative(np.zeros(6), np.zeros(3)), 0.0)
+        s = make_state(np.zeros(6), theta=0.5)
+        out = step(s, np.zeros(3), 1.0, P)
+        assert np.allclose(out.vector(), 0.0)
+        assert out.sun_angle - s.sun_angle == pytest.approx(-0.001027)
 
     def test_radial_offset_acceleration(self):
-        d = cw_derivative(make_state([100, 0, 0, 0, 0, 0]), np.zeros(3), P)
+        d = derivative([100, 0, 0, 0, 0, 0], np.zeros(3))
         assert d[3] == pytest.approx(3 * N**2 * 100)  # 3.164e-4 m/s^2
         assert d[3] == pytest.approx(3.164e-4, rel=1e-3)
         assert d[4] == d[5] == 0.0
 
     def test_radial_velocity_coupling(self):
-        d = cw_derivative(make_state([0, 0, 0, 1, 0, 0]), np.zeros(3), P)
+        d = derivative([0, 0, 0, 1, 0, 0], np.zeros(3))
         assert d[3] == 0.0
         assert d[4] == pytest.approx(-2 * N)  # -2.054e-3 m/s^2
         assert d[4] == pytest.approx(-2.054e-3, rel=1e-4)
 
     def test_thrust_enters_over_mass(self):
-        d = cw_derivative(make_state(np.zeros(6)), [1.2, 0, -0.6], P)
+        d = derivative(np.zeros(6), [1.2, 0, -0.6])
         assert np.allclose(d[3:6], np.array([1.2, 0, -0.6]) / P.mass)
+        assert np.all(d[:3] == 0.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            cw_derivative(make_state(np.zeros(6)), [np.nan, 0, 0], P)
+            step(make_state(np.zeros(6)), [np.nan, 0, 0], 10.0, P)
         bad = make_state(np.zeros(6))
         bad.position[0] = np.inf
         with pytest.raises(ValueError):
-            cw_derivative(bad, np.zeros(3), P)
+            step(bad, np.zeros(3), 10.0, P)
+        with pytest.raises(ValueError):
+            step_vector(np.full((6, 2), np.nan), np.zeros(3), 10.0, P)
 
 
 class TestStep:
@@ -63,6 +108,26 @@ class TestStep:
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError):
                 step(s, np.zeros(3), dt, P)
+
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(ValueError):
+            step(make_state(np.zeros(6)), np.zeros(3), math.inf, P)
+        with pytest.raises(ValueError):
+            step_vector(np.zeros(6), np.zeros(3), math.inf, P)
+        with pytest.raises(ValueError):  # substep count overflows
+            step_vector(np.zeros(6), np.zeros(3), 1e308, P, max_substep=1e-3)
+
+    def test_zero_substep_rejected(self):
+        with pytest.raises(ValueError):
+            step(make_state(np.zeros(6)), np.zeros(3), 10.0, P, max_substep=0.0)
+        with pytest.raises(ValueError):
+            step_vector(np.zeros((6, 3)), np.zeros(3), 10.0, P, max_substep=0.0)
+
+    def test_negative_substep_rejected(self):
+        with pytest.raises(ValueError):
+            step(make_state(np.zeros(6)), np.zeros(3), 10.0, P, max_substep=-1.0)
+        with pytest.raises(ValueError):
+            step_vector(np.zeros(6), np.zeros(3), 10.0, P, max_substep=-1.0)
 
     def test_matches_analytic_over_10s(self):
         s = make_state([100, 0, 0, 0, 0, 0])
@@ -100,14 +165,46 @@ class TestStep:
     def test_zoh_map_reproduces_rk4(self):
         M, Nmat = rk4_zoh_map(P, 0.2)
         rng = np.random.default_rng(5)
-        x = rng.normal(0, 80, 6)
-        u = rng.uniform(-1, 1, 3)
-        a = u / P.mass
+        x, u = random_pair(rng)
         y = x.copy()
         for _ in range(10):
-            y = M @ y + Nmat @ a
-        ref = step_vector(x, u, 2.0, P, max_substep=0.2)
-        assert np.all(np.abs(y - ref) < 1e-12)
+            y = M @ y + Nmat @ (u / P.mass)
+        assert_rel_close(y, rk4_oracle(x, u, 2.0, max_substep=0.2)[-1])
+
+    @pytest.mark.parametrize("dt", [7.0, 25.0])
+    def test_step_matches_rk4_oracle(self, dt):
+        rng = np.random.default_rng(int(dt))
+        for _ in range(10):
+            x, u = random_pair(rng)
+            ref = rk4_oracle(x, u, dt)[-1]
+            s = step(make_state(x, theta=1.0, t=3.0), u, dt, P)
+            assert_rel_close(s.vector(), ref)
+            assert_rel_close(step_vector(x, u, dt, P), ref)
+
+    @pytest.mark.parametrize("dt", [7.0, 25.0])
+    def test_batch_matches_rk4_oracle(self, dt):
+        rng = np.random.default_rng(100 + int(dt))
+        X = np.array([random_pair(rng)[0] for _ in range(8)]).T
+        u = rng.uniform(-1, 1, 3)
+        assert_rel_close(step_vector(X, u, dt, P), rk4_oracle(X, u, dt)[-1])
+
+    @pytest.mark.parametrize("dt", [7.0, 25.0])
+    def test_hold_maps_match_rk4_oracle(self, dt):
+        substeps = math.ceil(dt / DEFAULT_SUBSTEP)
+        Ph, S = hold_maps(P, dt, substeps)
+        rng = np.random.default_rng(200 + int(dt))
+        x, u = random_pair(rng)
+        ref = rk4_oracle(x, u, dt)
+        assert len(ref) == substeps
+        for j in range(substeps):
+            assert_rel_close(Ph[j] @ x + S[j] @ u, ref[j])
+
+    def test_long_step_matches_rk4_oracle(self):
+        # 5000 substeps in one call: the end map is a power, not a loop
+        rng = np.random.default_rng(9)
+        x, u = random_pair(rng)
+        assert_rel_close(step_vector(x, u, 1000.0, P),
+                         rk4_oracle(x, u, 1000.0)[-1])
 
     def test_hold_maps_give_every_substep(self):
         Ph, S = hold_maps(P, 2.0, 10)
