@@ -183,22 +183,18 @@ def _end_map(params: DynamicsParams, dt: float,
     """End state of a ``dt``-second hold of ``substeps`` equal substeps as
     x + D @ x + G @ u (u in N), i.e. Phi = I + D and Gamma = G.
 
-    The power is taken by repeated squaring of the augmented 9x9 map, kept
-    as its difference from the identity so no precision is lost to the
-    unit diagonal; time grows with log(substeps) and memory not at all.
-    The pair is cached and read-only.
+    The substeps of the augmented 9x9 map are composed one by one, kept as
+    their difference from the identity so no precision is lost to the unit
+    diagonal; memory does not grow with ``substeps``.  The pair is cached
+    and read-only.
     """
     D, N = _rk4_increment(params, dt / substeps)
     base = np.zeros((9, 9))
     base[:6, :6] = D
     base[:6, 6:] = N / params.mass
     power = np.zeros((9, 9))
-    k = substeps
-    while k:
-        if k & 1:  # (I + power)(I + base) = I + power + base + base @ power
-            power = power + base + base @ power
-        base = 2.0 * base + base @ base
-        k >>= 1
+    for _ in range(substeps):  # (I + base)(I + power) - I
+        power = power + base + base @ power
     D_end, G = power[:6, :6].copy(), power[:6, 6:].copy()
     D_end.setflags(write=False)
     G.setflags(write=False)
