@@ -8,7 +8,7 @@ controllers safe over every zero-order hold.
 
 from .control import (LqrController, MlpPolicy, ScriptedOrbitController,
                       lqr_control, lqr_design, mlp_act, mlp_load, mlp_save,
-                      random_policy, scripted_orbit)
+                      random_policy)
 from .dynamics import (DynamicsParams, LabPose, RelativeState,
                        analytic_propagate, cw_matrices, cw_stm, lab_to_space,
                        space_to_lab, step, sun_vector)
@@ -22,7 +22,6 @@ from .inspection import (ClusterResult, InspectionSphere, generate_points,
                          update_inspected)
 from .rta import (FilterResult, filter_control, filter_control_batch,
                   infeasible_fallback, solve_qp)
-from .safety import (CbfRow, SafetyParams, cbf_rows, grad_h, h_values,
-                     is_safe)
+from .safety import SafetyParams, cbf_rows, h_values, is_safe
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ __all__ = [
     "mlp_act",
     "random_policy",
     "ScriptedOrbitController",
-    "scripted_orbit",
 ]
 
 VALID_INPUT_DIMS = (6, 11)
@@ -255,11 +254,3 @@ class ScriptedOrbitController:
         a_cmd = a_ref + self.kv * (v_ref - v) + self.gain * (p_ref - p) - a_nat
         return np.clip(self.params.mass * a_cmd,
                        -self.params.u_max, self.params.u_max)
-
-
-def scripted_orbit(state, radius: float, plane_normal=(0.0, 1.0, 0.0),
-                   gain: float = 0.002, params: DynamicsParams | None = None,
-                   rate: float | None = None) -> np.ndarray:
-    """Single-call form of :class:`ScriptedOrbitController`."""
-    ctrl = ScriptedOrbitController(radius, plane_normal, rate, gain, params)
-    return ctrl(state)

@@ -114,14 +114,17 @@ class ExperimentConfig:
         if self.controller not in CONTROLLER_CHOICES:
             raise ValueError(f"unknown controller {self.controller!r}; "
                              f"choose from {CONTROLLER_CHOICES}")
-        if not (self.position_scale > 0.0 and self.time_scale > 0.0):
-            raise ValueError("scales must be positive")
-        if not (self.control_rate > 0.0 and self.sim_rate > 0.0):
-            raise ValueError("rates must be positive")
+        if not all(0.0 < v < math.inf for v in (self.position_scale, self.time_scale)):
+            raise ValueError("scales must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.control_rate, self.sim_rate)):
+            raise ValueError("rates must be positive and finite")
         if self.control_rate > self.sim_rate:
             raise ValueError("control_rate must not exceed sim_rate")
-        if self.max_duration <= 0.0:
-            raise ValueError("max_duration must be positive")
+        if not 0.0 < self.max_duration < math.inf:
+            raise ValueError("max_duration must be positive and finite")
+        if self.max_steps is not None and not (
+                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError("max_steps must be a positive integer or None")
         state = tuple(float(v) for v in self.initial_state)
         if len(state) != 7:
             raise ValueError("initial_state must have 7 entries (pos, vel, sun angle)")
@@ -235,29 +238,25 @@ def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
     if name == "lqr":
         ctrl = lqr_design(dyn)
         return (lambda state, sphere: lqr_control(ctrl, state, dyn)), "lqr"
-    if name == "scripted":
+    if name == "scripted" or not cfg.weights_path:
+        # an NNC without trained weights flies the scripted circumnavigation
         ctrl = ScriptedOrbitController(
             cfg.scripted_radius, cfg.scripted_plane_normal,
             gain=cfg.scripted_gain, params=dyn)
-        return (lambda state, sphere: ctrl(state)), "scripted"
+        label = "scripted" if name == "scripted" else f"scripted (stand-in for {name})"
+        return (lambda state, sphere: ctrl(state)), label
     mode = _NNC_MODES[name]
-    if cfg.weights_path:
-        policy = mlp_load(cfg.weights_path)
-        if (mode == OBS_NO_SENSORS) != (policy.input_dim == 6):
-            raise ValueError(
-                f"weights input_dim {policy.input_dim} does not match "
-                f"controller {name!r}")
+    policy = mlp_load(cfg.weights_path)
+    if (mode == OBS_NO_SENSORS) != (policy.input_dim == 6):
+        raise ValueError(
+            f"weights input_dim {policy.input_dim} does not match "
+            f"controller {name!r}")
 
-        def nnc(state, sphere):
-            obs = build_observation(state, sphere, mode)
-            return mlp_act(policy, obs, dyn.u_max)
+    def nnc(state, sphere):
+        obs = build_observation(state, sphere, mode)
+        return mlp_act(policy, obs, dyn.u_max)
 
-        return nnc, f"mlp:{cfg.weights_path}"
-    # no trained weights available: scripted circumnavigation stand-in
-    ctrl = ScriptedOrbitController(
-        cfg.scripted_radius, cfg.scripted_plane_normal,
-        gain=cfg.scripted_gain, params=dyn)
-    return (lambda state, sphere: ctrl(state)), f"scripted (stand-in for {name})"
+    return nnc, f"mlp:{cfg.weights_path}"
 
 
 def run(cfg: ExperimentConfig, closed_loop: bool | None = None,

@@ -43,8 +43,7 @@ import numpy as np
 
 from .dynamics import DynamicsParams, RelativeState, hold_maps
 from .safety import (NUM_HOLD_CONDITIONS, SafetyParams, cbf_rows,
-                     cbf_rows_batch, hold_gradients, hold_values,
-                     keep_in_guard)
+                     hold_gradients, hold_values, keep_in_guard)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -96,12 +95,8 @@ class FilterResult:
 
 
 def _row_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(rows, tuple) and len(rows) == 2:
-        C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
-        b = np.asarray(rows[1], dtype=float).reshape(-1)
-    else:
-        C = np.array([r.c for r in rows], dtype=float).reshape(-1, 3)
-        b = np.array([r.b for r in rows], dtype=float)
+    C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
+    b = np.asarray(rows[1], dtype=float).reshape(-1)
     if not (np.isfinite(C).all() and np.isfinite(b).all()):
         raise ValueError("constraint rows must be finite")
     return C, b
@@ -192,9 +187,9 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
 def solve_qp(u_des, rows, u_max: float):
     """Exact minimizer of ||u - u_des|| over the rows and the thrust box.
 
-    ``rows`` is a list of :class:`CbfRow` or a tuple (C, b) with C (N, 3)
-    and b (N,).  Returns (u, active_set, feasible); ``u`` is None when the
-    intersection is empty.  Constraint indices in ``active_set`` are the row
+    ``rows`` is a tuple (C, b) with C (N, 3) and b (N,).  Returns
+    (u, active_set, feasible); ``u`` is None when the intersection is
+    empty.  Constraint indices in ``active_set`` are the row
     index for barrier rows, then N..N+2 for the upper box faces (+x,+y,+z)
     and N+3..N+5 for the lower faces.  A request that already satisfies
     every constraint is returned unchanged with an empty active set.
@@ -390,7 +385,7 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
         np.asarray(state, dtype=float).reshape(6)
     if not np.isfinite(x).all():
         raise ValueError("state must be finite")
-    C, b = _row_arrays(cbf_rows(x, params, dyn, alphas))
+    C, b = cbf_rows(x, params, dyn, alphas)
     U, active, feasible = _filter_states(x[None, :], u_des[None, :], C[None],
                                          b[None], params, dyn, period, substeps)
     u = U[0]
@@ -419,7 +414,7 @@ def filter_control_batch(states, u_des, params: SafetyParams,
     U = _clamped_requests(np.reshape(u_des, (-1, 3)), dyn)
     if len(U) != len(X):
         raise ValueError("states and u_des must have the same length")
-    C, b, _ = cbf_rows_batch(X, params, dyn, alphas)
+    C, b = cbf_rows(X, params, dyn, alphas)
     U_act, _, feasible = _filter_states(X, U, C, b, params, dyn, period, substeps)
     intervened = np.linalg.norm(U_act - U, axis=1) > _INTERVENTION_TOL
     return U_act, intervened, feasible

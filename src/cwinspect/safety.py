@@ -9,7 +9,8 @@ Six barrier functions define the joint safe set:
 
 with rdot = p.v/|p| the range rate (negative when approaching the chief).
 Each constraint linearizes into a control-affine row c.u + b >= 0 with
-c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h.
+c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h; :func:`cbf_rows`
+returns the six rows of a state as arrays (C, b).
 
 Outside their nominal domains the square roots extend as odd functions,
 sign(s)*sqrt(2 a_max |s|), so a violated constraint reports a meaningful
@@ -53,16 +54,13 @@ from .dynamics import DynamicsParams, RelativeState, cw_matrices
 
 __all__ = [
     "SafetyParams",
-    "CbfRow",
     "DEFAULT_ALPHA_GAINS",
     "NUM_CONSTRAINTS",
     "NUM_HOLD_CONDITIONS",
     "h_values",
     "h_values_batch",
-    "grad_h",
     "grad_h_batch",
     "cbf_rows",
-    "cbf_rows_batch",
     "keep_in_guard",
     "hold_values",
     "hold_gradients",
@@ -115,23 +113,17 @@ class SafetyParams:
         return self.r_d + self.r_c
 
 
-@dataclass
-class CbfRow:
-    """One linearized constraint c . u + b >= 0 on the thrust vector."""
-
-    c: np.ndarray  # (3,)
-    b: float
-    smoothed: bool = False  # True when a singularity floor was applied
-
-
 def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """Normalize input to shape (N, 6); returns (array, was_single)."""
+    """States of shape (6,), (N, 6) or a RelativeState as an (N, 6) array;
+    returns (array, was_single)."""
     if isinstance(x, RelativeState):
         return x.vector()[None, :], True
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr.reshape(1, 6), True
-    return arr.reshape(-1, 6), False
+    if arr.shape == (6,):
+        return arr[None, :], True
+    if arr.ndim == 2 and arr.shape[1] == 6:
+        return arr, False
+    raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
 
 
 def _signed_sqrt(s: np.ndarray, a_max: float) -> np.ndarray:
@@ -161,21 +153,17 @@ def h_values(state, params: SafetyParams) -> np.ndarray:
     return h_values_batch(state, params)[0]
 
 
-def grad_h_batch(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients dh_i/dx for states (N, 6).
-
-    Returns (grads, smoothed) with grads of shape (N, 6, 6) indexed
-    [state, constraint, component] and smoothed of shape (N, 6) flagging
-    constraints where a singularity floor was applied.
-    """
+def grad_h_batch(states, params: SafetyParams) -> np.ndarray:
+    """Analytic gradients dh_i/dx for states (N, 6), of shape (N, 6, 6)
+    indexed [state, constraint, component].  Norms and square roots are
+    floored at singular points."""
     X, _ = _as_state_matrix(states)
     N = X.shape[0]
     p = X[:, :3]
     v = X[:, 3:]
     rho_raw = np.linalg.norm(p, axis=1)
-    speed_raw = np.linalg.norm(v, axis=1)
     rho = np.maximum(rho_raw, _SMOOTH_FLOOR)
-    speed = np.maximum(speed_raw, _SMOOTH_FLOOR)
+    speed = np.maximum(np.linalg.norm(v, axis=1), _SMOOTH_FLOOR)
     p_hat = p / rho[:, None]
     v_hat = v / speed[:, None]
     rdot = np.einsum("ij,ij->i", p, v) / rho
@@ -198,52 +186,33 @@ def grad_h_batch(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
     G[:, 2, 3:] = -v_hat
     for axis in range(3):
         G[:, 3 + axis, 3 + axis] = -2.0 * v[:, axis]
-
-    smoothed = np.zeros((N, NUM_CONSTRAINTS), dtype=bool)
-    rho_floor = rho_raw < _SMOOTH_FLOOR
-    smoothed[:, 0] = rho_floor | (np.sqrt(2.0 * params.a_max * s1_raw) < _SMOOTH_FLOOR)
-    smoothed[:, 1] = rho_floor | (np.sqrt(2.0 * params.a_max * s2_raw) < _SMOOTH_FLOOR)
-    smoothed[:, 2] = rho_floor | (speed_raw < _SMOOTH_FLOOR)
-    return G, smoothed
+    return G
 
 
-def grad_h(state, params: SafetyParams, i: int) -> np.ndarray:
-    """Analytic gradient of h_i (i in 0..5) as a 6-vector."""
-    if not 0 <= i < NUM_CONSTRAINTS:
-        raise IndexError("constraint index out of range")
-    G, _ = grad_h_batch(state, params)
-    return G[0, i]
+def cbf_rows(states, params: SafetyParams, dyn: DynamicsParams,
+             alphas=None) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized constraint rows c_i . u + b_i >= 0 for one state (a (6,)
+    vector or a RelativeState) or states (N, 6).
 
-
-def cbf_rows_batch(states, params: SafetyParams, dyn: DynamicsParams,
-                   alphas=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linearized constraint rows for states (N, 6).
-
-    Returns (C, b, smoothed): C of shape (N, 6, 3) with c_i = L_g h_i,
-    b of shape (N, 6) with b_i = L_f h_i + gain_i * h_i.
+    Returns (C, b): C of shape (..., 6, 3) with c_i = L_g h_i and b of
+    shape (..., 6) with b_i = L_f h_i + gain_i * h_i, without the leading
+    axis for one state.  The gains ``alphas`` (default
+    :data:`DEFAULT_ALPHA_GAINS`) must be positive and finite.
     """
-    X, _ = _as_state_matrix(states)
+    X, single = _as_state_matrix(states)
     gains = DEFAULT_ALPHA_GAINS if alphas is None else np.asarray(alphas, dtype=float)
     if gains.shape != (NUM_CONSTRAINTS,):
         raise ValueError("alphas must provide one gain per constraint")
-    if np.any(gains <= 0.0):
-        raise ValueError("class-K gains must be positive")
+    if not (np.isfinite(gains).all() and (gains > 0.0).all()):
+        raise ValueError("class-K gains must be positive and finite")
     A, _ = cw_matrices(dyn)
     h = h_values_batch(X, params)
-    G, smoothed = grad_h_batch(X, params)
+    G = grad_h_batch(X, params)
     f = X @ A.T  # drift f(x) = A x, row-wise
     Lf = np.einsum("nij,nj->ni", G, f)
     C = G[:, :, 3:] / dyn.mass  # L_g h rows
     b = Lf + gains[None, :] * h
-    return C, b, smoothed
-
-
-def cbf_rows(state, params: SafetyParams, dyn: DynamicsParams,
-             alphas=None) -> list[CbfRow]:
-    """Constraint rows c . u + b >= 0 for a single state."""
-    C, b, smoothed = cbf_rows_batch(state, params, dyn, alphas)
-    return [CbfRow(C[0, i].copy(), float(b[0, i]), bool(smoothed[0, i]))
-            for i in range(NUM_CONSTRAINTS)]
+    return (C[0], b[0]) if single else (C, b)
 
 
 def keep_in_guard(params: SafetyParams, dyn: DynamicsParams) -> tuple[float, float]:

@@ -156,9 +156,7 @@ def test_criterion_3_qp_matches_lattice_search():
         if rng.random() < 0.5:
             v *= rng.uniform(0.8, 1.1) / max(np.linalg.norm(v), 1e-9)
         x = np.concatenate([p, v])
-        rows = cw.cbf_rows(x, SP, DP)
-        C = np.array([r.c for r in rows])
-        b = np.array([r.b for r in rows])
+        C, b = cw.cbf_rows(x, SP, DP)
         u_des = rng.uniform(-1.0, 1.0, 3)
 
         u_qp, _, qp_feasible = cw.solve_qp(u_des, (C, b), DP.u_max)
@@ -198,7 +196,7 @@ def test_criterion_4_gradients_match_finite_differences():
             continue
         X[got] = np.concatenate([p, v])
         got += 1
-    G, _ = grad_h_batch(X, SP)
+    G = grad_h_batch(X, SP)
     eps = 1e-5
     worst = 0.0
     for j in range(6):

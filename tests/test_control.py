@@ -9,7 +9,7 @@ import pytest
 
 from cwinspect.control import (ScriptedOrbitController, lqr_control,
                                lqr_design, mlp_act, mlp_load, mlp_loads,
-                               mlp_save, random_policy, scripted_orbit)
+                               mlp_save, random_policy)
 from cwinspect.dynamics import (DynamicsParams, RelativeState, cw_matrices,
                                 step)
 
@@ -187,8 +187,8 @@ class TestScriptedOrbit:
         assert np.linalg.norm(u) < 0.1
 
     def test_output_clamped(self):
-        u = scripted_orbit(np.array([500.0, 300, -200, 1, 1, -1]), 30.0,
-                           params=DP)
+        u = ScriptedOrbitController(30.0, params=DP)(
+            np.array([500.0, 300, -200, 1, 1, -1]))
         assert np.all(np.abs(u) <= DP.u_max)
 
     def test_tracks_radius_within_five_percent(self):

@@ -58,6 +58,23 @@ class TestDefaults:
         with pytest.raises(ValueError):
             ExperimentConfig(initial_state=(1, 2, 3))
 
+    # inputs `run` cannot fly are refused when the config is built
+    def test_infinite_max_duration_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_duration=math.inf)
+
+    def test_zero_max_steps_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_steps=0)
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_steps=-1)
+
+    def test_infinite_position_scale_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(position_scale=math.inf)
+
 
 class TestConfigFile:
     def test_overrides_reference_row(self, tmp_path):

@@ -43,9 +43,7 @@ def random_instance(rng):
     if rng.random() < 0.5:
         v = rng.uniform(0.8, 1.1) * v / max(np.linalg.norm(v), 1e-9)
     x = np.concatenate([p, v])
-    rows = cbf_rows(x, SP, DP)
-    C = np.array([r.c for r in rows])
-    b = np.array([r.b for r in rows])
+    C, b = cbf_rows(x, SP, DP)
     u_des = rng.uniform(-1.5, 1.5, 3)
     return C, b, u_des
 
@@ -193,9 +191,7 @@ class TestFilter:
             u_des = rng.uniform(-1, 1, 3)
             res = filter_control(x, u_des, SP, DP)
             if res.feasible:
-                rows = cbf_rows(x, SP, DP)
-                C = np.array([r.c for r in rows])
-                b = np.array([r.b for r in rows])
+                C, b = cbf_rows(x, SP, DP)
                 assert np.all(C @ res.u_act + b >= -1e-8)
                 assert np.all(np.abs(res.u_act) <= DP.u_max + 1e-12)
             assert res.intervened == (res.deviation > 1e-9)
@@ -212,9 +208,7 @@ class TestFilter:
                 continue
             x = np.concatenate([p, rng.normal(0, 0.3, 3)])
             u_des = rng.uniform(-1, 1, 3)
-            rows = cbf_rows(x, SP, DP)
-            C = np.array([r.c for r in rows])
-            b = np.array([r.b for r in rows])
+            C, b = cbf_rows(x, SP, DP)
             hold = P @ x + S @ u_des
             if np.all(C @ u_des + b >= 1e-9) and hold_values(hold, SP, GUARD).min() >= 0.0:
                 res = filter_control(x, u_des, SP, DP)
@@ -238,6 +232,18 @@ class TestFilter:
             filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP, DP)
         with pytest.raises(ValueError):
             filter_control_batch(np.full((2, 6), np.inf), np.zeros((2, 3)), SP, DP)
+
+    def test_overflowing_rows_rejected(self):
+        # finite states whose rows overflow are refused, as non-finite states are
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            filter_control([1e300, 1e300, 0, 1e300, 0, 0], np.zeros(3), SP, DP)
+
+    def test_nonfinite_gains_rejected(self):
+        x = np.array([100.0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError):
+            filter_control(x, np.zeros(3), SP, DP, alphas=[np.nan] * 6)
+        with pytest.raises(ValueError):
+            filter_control_batch(x[None], np.zeros((1, 3)), SP, DP, alphas=[np.nan] * 6)
 
 
 def fly_hold(x, u, period=DEFAULT_PERIOD, substeps=DEFAULT_SUBSTEPS):
@@ -269,8 +275,7 @@ class TestHold:
         # deputy passes the square-root corner of h1 during the hold
         x = np.array([10.3, 0.0, 0.0, -0.06, 0.0, 0.0])
         u_des = np.array([-0.5, 0.0, 0.0])
-        C = np.array([r.c for r in cbf_rows(x, SP, DP)])
-        b = np.array([r.b for r in cbf_rows(x, SP, DP)])
+        C, b = cbf_rows(x, SP, DP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 0].min() < 0.0
         self.check(x, u_des)
@@ -281,8 +286,7 @@ class TestHold:
         # it, but the velocity turns and grows over the hold
         x = np.array([100.0, 0.0, 0.0, 0.0, 0.40, 0.0])
         u_des = np.array([0.0, 0.0, 1.0])
-        C = np.array([r.c for r in cbf_rows(x, SP, DP)])
-        b = np.array([r.b for r in cbf_rows(x, SP, DP)])
+        C, b = cbf_rows(x, SP, DP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 2].min() < 0.0
         self.check(x, u_des)
@@ -295,8 +299,7 @@ class TestHold:
         x = np.concatenate([998.0 * p_hat, [-0.78, -0.999, 0.9]])
         u_des = np.array([-1.0, 0.0, 0.0])
         assert hold_values(x, SP, GUARD).min() >= 0.0  # inside the guarded set
-        C = np.array([r.c for r in cbf_rows(x, SP, DP)])
-        b = np.array([r.b for r in cbf_rows(x, SP, DP)])
+        C, b = cbf_rows(x, SP, DP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 1].min() < 0.0
         self.check(x, u_des)

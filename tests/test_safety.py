@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from cwinspect.dynamics import DynamicsParams, cw_matrices
+from cwinspect.dynamics import RelativeState
 from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, cbf_rows,
-                              cbf_rows_batch, grad_h, grad_h_batch, h_values,
-                              h_values_batch, hold_gradients, hold_values,
-                              is_safe, keep_in_guard)
+                              grad_h_batch, h_values, h_values_batch,
+                              hold_gradients, hold_values, is_safe,
+                              keep_in_guard)
 
 SP = SafetyParams()
 DP = DynamicsParams()
@@ -81,21 +82,31 @@ class TestBarrierValues:
             assert hi[0] < ho[0]  # approaching shrinks the keep-out margin
             assert hi[1] > ho[1]  # and grows the keep-in margin
 
+    def test_state_shapes_validated(self):
+        # only (6,) and (N, 6) are states; other sizes divisible by 6 are not
+        for bad in (np.zeros((3, 4)), np.zeros(12), np.zeros((2, 6, 1)),
+                    np.zeros((6, 2))):
+            with pytest.raises(ValueError):
+                h_values_batch(bad, SP)
+            with pytest.raises(ValueError):
+                cbf_rows(bad, SP, DP)
+        assert h_values_batch(np.zeros((0, 6)), SP).shape == (0, 6)
+
 
 class TestGradients:
     def test_axis_speed_gradient(self):
-        g = grad_h(state([3, 4, 5], [0.7, -0.1, 0.2]), SP, 3)
+        g = grad_h_batch(state([3, 4, 5], [0.7, -0.1, 0.2]), SP)[0, 3]
         assert np.allclose(g, [0, 0, 0, -1.4, 0, 0])
 
     def test_speed_allowance_partials(self):
-        g = grad_h(state([100, 0, 0], [1, 0, 0]), SP, 2)
+        g = grad_h_batch(state([100, 0, 0], [1, 0, 0]), SP)[0, 2]
         assert g[0] == pytest.approx(SP.nu1)
         assert g[0] == pytest.approx(2.054e-3, rel=1e-4)
         assert g[3] == pytest.approx(-1.0)
 
     def test_finite_difference_agreement(self):
         X = random_nonsingular_states(200, seed=17)
-        G, _ = grad_h_batch(X, SP)
+        G = grad_h_batch(X, SP)
         eps = 1e-5
         for j in range(6):
             Xp = X.copy()
@@ -108,52 +119,45 @@ class TestGradients:
                 scale = np.maximum(np.linalg.norm(G[:, i, :], axis=1), 1e-8)
                 assert np.all(err / scale < 1e-5)
 
-    def test_singular_point_smoothed_and_flagged(self):
-        G, flags = grad_h_batch(state([0, 0, 0], [0, 0, 0]), SP)
+    def test_singular_point_smoothed(self):
+        G = grad_h_batch(state([0, 0, 0], [0, 0, 0]), SP)
         assert np.all(np.isfinite(G))
-        assert flags[0, 0] and flags[0, 1] and flags[0, 2]
-
-    def test_index_validated(self):
-        with pytest.raises(IndexError):
-            grad_h(state([100, 0, 0], [0, 0, 0]), SP, 6)
 
 
 class TestRows:
     def test_axis_row_at_drift_free_point(self):
         # p along y so the drift term of h4 vanishes; xd at the limit
-        rows = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP, DP)
-        assert np.allclose(rows[3].c, [-2.0 / DP.mass, 0, 0])
-        assert np.allclose(rows[3].c, [-1.0 / 6.0, 0, 0])
-        assert rows[3].b == pytest.approx(0.0, abs=1e-15)
+        C, b = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP, DP)
+        assert np.allclose(C[3], [-2.0 / DP.mass, 0, 0])
+        assert np.allclose(C[3], [-1.0 / 6.0, 0, 0])
+        assert b[3] == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_zero_at_boundary(self):
         # at h=0 the class-K term vanishes for any gain
         for gains in (None, np.full(6, 9.0)):
-            rows = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP, DP, gains)
-            assert rows[3].b == pytest.approx(0.0, abs=1e-15)
+            _, b = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP, DP, gains)
+            assert b[3] == pytest.approx(0.0, abs=1e-15)
 
     def test_deep_safe_rows_admit_zero_thrust(self):
-        rows = cbf_rows(state([100, 0, 0], [0, 0, 0]), SP, DP)
-        for r in rows:
-            assert r.b > 0.0
-            assert np.linalg.norm(r.c) < 10.0
+        C, b = cbf_rows(state([100, 0, 0], [0, 0, 0]), SP, DP)
+        assert np.all(b > 0.0)
+        assert np.all(np.linalg.norm(C, axis=1) < 10.0)
 
     def test_rows_time_invariant(self):
         x = state([80, -20, 30], [0.1, 0.2, -0.1])
-        a = cbf_rows(x, SP, DP)
-        b = cbf_rows(x, SP, DP)  # h depends on state only; no time input exists
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.c, rb.c) and ra.b == rb.b
+        Ca, ba = cbf_rows(x, SP, DP)
+        Cb, bb = cbf_rows(x, SP, DP)  # h depends on state only; no time input exists
+        assert np.array_equal(Ca, Cb) and np.array_equal(ba, bb)
 
     def test_boundary_equality_zeroes_hdot(self):
         # with h_i = 0, any u on row-i equality gives hdot_i = -alpha(0) = 0
         A, B = cw_matrices(DP)
         x = state([0, 500, 0], [1, 0, 0])  # h4 = 0 exactly
-        rows = cbf_rows(x, SP, DP)
-        c, b = rows[3].c, rows[3].b
+        C, b = cbf_rows(x, SP, DP)
+        c, b = C[3], b[3]
         u = np.array([-b / c[0] if c[0] else 0.0, 0.4, -0.2])
         assert c @ u + b == pytest.approx(0.0, abs=1e-12)
-        g = grad_h(x, SP, 3)
+        g = grad_h_batch(x, SP)[0, 3]
         hdot = g @ (A @ x + B @ u)
         assert hdot == pytest.approx(0.0, abs=1e-9)
 
@@ -164,13 +168,27 @@ class TestRows:
         with pytest.raises(ValueError):
             cbf_rows(x, SP, DP, np.array([1, 1, 1, 1, 1, -1.0]))
 
+    def test_nonfinite_gains_rejected(self):
+        x = state([100, 0, 0], [0, 0, 0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                cbf_rows(x, SP, DP, np.array([1, 1, bad, 1, 1, 1.0]))
+
     def test_batch_matches_scalar(self):
         X = random_nonsingular_states(20, seed=8)
-        C, b, _ = cbf_rows_batch(X, SP, DP)
+        C, b = cbf_rows(X, SP, DP)
+        assert C.shape == (20, 6, 3) and b.shape == (20, 6)
         for k in range(20):
-            rows = cbf_rows(X[k], SP, DP)
-            assert np.allclose(C[k], np.array([r.c for r in rows]))
-            assert np.allclose(b[k], np.array([r.b for r in rows]))
+            Ck, bk = cbf_rows(X[k], SP, DP)
+            assert Ck.shape == (6, 3) and bk.shape == (6,)
+            assert np.allclose(C[k], Ck)
+            assert np.allclose(b[k], bk)
+
+    def test_relative_state_is_one_state(self):
+        x = state([80, -20, 30], [0.1, 0.2, -0.1])
+        C, b = cbf_rows(RelativeState(x[:3], x[3:]), SP, DP)
+        Cx, bx = cbf_rows(x, SP, DP)
+        assert np.array_equal(C, Cx) and np.array_equal(b, bx)
 
 
 class TestSafeSet:
@@ -189,8 +207,8 @@ class TestSafeSet:
             x = np.concatenate([rng.normal(0, 150, 3), rng.normal(0, 0.6, 3)])
             base = is_safe(x, SP)
             for scale in (0.1, 10.0):
-                rows = cbf_rows(x, SP, DP, DEFAULT_ALPHA_GAINS * scale)
-                assert len(rows) == 6  # membership is alpha-independent
+                C, b = cbf_rows(x, SP, DP, DEFAULT_ALPHA_GAINS * scale)
+                assert C.shape == (6, 3) and b.shape == (6,)  # membership is alpha-independent
                 assert is_safe(x, SP) == base
 
     def test_default_gains_positive(self):
@@ -233,8 +251,8 @@ class TestHoldConditions:
         x = state([999.99, 0, 0], [math.sqrt(2 * SP.a_max * 0.01), 1.0, 1.0])
         h = h_values(x, SP)
         assert np.all(h >= -1e-12) and h[1] == pytest.approx(0.0, abs=1e-12)
-        row = cbf_rows(x, SP, DP)[1]  # c.u + b = dh2/dt since alpha(0) = 0
-        best = row.b + DP.u_max * np.abs(row.c).sum()
+        C, b = cbf_rows(x, SP, DP)  # c.u + b = dh2/dt since alpha(0) = 0
+        best = b[1] + DP.u_max * np.abs(C[1]).sum()
         assert best == pytest.approx(-0.0019, abs=1e-4)
         assert hold_values(x, SP, keep_in_guard(SP, DP))[1] < 0.0  # outside the guard
 
