@@ -80,8 +80,9 @@ def denormalize_state(obs6) -> np.ndarray:
 def build_observation(state: RelativeState, sphere, mode: str,
                       k: int = inspection.DEFAULT_CLUSTER_COUNT,
                       seed: int = inspection.KMEANS_SEED) -> np.ndarray:
-    """Observation vector for ``mode``; the cluster direction is recomputed
-    on every call with the module-fixed seed."""
+    """Observation vector for ``mode``; the cluster direction uses the
+    module-fixed seed, and its clustering is memoized on the uninspected set,
+    so only a call after newly inspected points reruns Lloyd's iteration."""
     base = normalize_state(state.vector())
     if mode == OBS_NO_SENSORS:
         return base

@@ -310,6 +310,7 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
     half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
     in_aviary = bool(np.all(np.abs(x[:3]) / cfg.position_scale <= half_box))
     interventions = 0
+    infeasible_steps = 0
     steps = 0
     complete = False
 
@@ -332,6 +333,7 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
             rows_int[k] = res.intervened
             rows_dev[k] = res.deviation
             interventions += int(res.intervened)
+            infeasible_steps += int(not res.feasible)
         else:
             u_act = u_des
 
@@ -399,6 +401,7 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
         "min_distance": min_distance,
         "min_h": float(rows_h[:steps].min()) if steps else float("nan"),
         "interventions": interventions,
+        "infeasible_steps": infeasible_steps,
         "in_aviary": in_aviary,
         "final_distance": float(np.linalg.norm(x[:3])),
         "controller_resolved": resolved,

@@ -5,11 +5,13 @@ inspected when the deputy sees it (hemisphere / field-of-view test) and,
 when illumination gating is enabled, the Sun lights it.  Inspected flags are
 monotone within an episode.  A k-means pass over the remaining points supplies
 the "nearest uninspected cluster" direction used by the richer observation
-vector.
+vector; the clustering is memoized on the uninspected point coordinates, so
+only a step that inspected something new runs Lloyd's iteration again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +74,18 @@ def generate_points(radius: float = SPHERE_RADIUS,
     return InspectionSphere(pts, np.zeros(count, dtype=bool), float(radius))
 
 
+def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
+    """The deputy position as a (3,) array and its norm, which is finite
+    exactly when every entry is (and the norm stays below ~1e154 m)."""
+    p = np.asarray(deputy_position, dtype=float)
+    if p.size == 3:
+        p = p.reshape(3)
+        dist = np.linalg.norm(p)
+        if math.isfinite(dist):
+            return p, dist
+    raise ValueError("deputy position must be 3 finite numbers")
+
+
 def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float,
                      illumination_enabled: bool,
                      fov_half_angle: float = 0.5 * math.pi) -> int:
@@ -82,8 +96,7 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     illumination enabled, r_i . r_sun > 0 (strict).  A deputy inside the
     sphere marks nothing.  Returns the number newly marked by this call.
     """
-    p = np.asarray(deputy_position, dtype=float).reshape(3)
-    dist = np.linalg.norm(p)
+    p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0
     p_hat = p / dist
@@ -115,34 +128,25 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
-                                k: int = DEFAULT_CLUSTER_COUNT,
-                                seed: int = KMEANS_SEED,
-                                tol: float = 1e-6,
-                                max_iter: int = 50) -> ClusterResult:
-    """Direction toward the k-means centroid of uninspected points nearest
-    the deputy.
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
-    Runs Lloyd's iteration with seeded k-means++ initialization on the
-    uninspected point coordinates, using k' = min(k, number uninspected).
-    Returns the zero vector with cluster_size 0 when everything is inspected.
-    Deterministic for identical inputs.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts = sphere.points[~sphere.inspected]
-    if len(pts) == 0:
-        return ClusterResult(np.zeros(3), 0, True)
-    p = np.asarray(deputy_position, dtype=float).reshape(3)
-    kk = min(k, len(pts))
+
+@functools.lru_cache(maxsize=32)
+def _kmeans(pts_bytes: bytes, k: int, seed: int, tol: float, max_iter: int):
+    """Seeded k-means++ and Lloyd's iteration on the (n, 3) float points
+    packed in ``pts_bytes``.  Keyed on point contents, not on a sphere, since
+    ``update_inspected`` mutates the inspected mask in place.  Returns
+    read-only (centers, labels) plus the converged flag."""
+    pts = np.frombuffer(pts_bytes).reshape(-1, 3)
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pts, kk, rng)
+    centers = _kmeans_pp_init(pts, k, rng)
     converged = False
     for _ in range(max_iter):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
-        for j in range(kk):
+        for j in range(k):
             members = pts[labels == j]
             if len(members):
                 new_centers[j] = members.mean(axis=0)
@@ -154,6 +158,41 @@ def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
     # final assignment against the settled centers
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1)
+    centers.setflags(write=False)
+    labels.setflags(write=False)
+    return centers, labels, converged
+
+
+def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
+                                k: int = DEFAULT_CLUSTER_COUNT,
+                                seed: int = KMEANS_SEED,
+                                tol: float = 1e-6,
+                                max_iter: int = 50) -> ClusterResult:
+    """Direction toward the k-means centroid of uninspected points nearest
+    the deputy.
+
+    Runs Lloyd's iteration with seeded k-means++ initialization on the
+    uninspected point coordinates, using k' = min(k, number uninspected).
+    The clustering is memoized on the uninspected coordinates and
+    (k, seed, tol, max_iter), so a call whose uninspected set is unchanged
+    redoes only the deputy-dependent nearest-centre pick.  Returns the zero
+    vector with cluster_size 0 when everything is inspected.
+    Deterministic for identical inputs.
+    """
+    p, _ = _deputy_position(deputy_position)
+    if not _is_int(k) or k < 1:
+        raise ValueError("k must be a positive integer")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if not _is_int(max_iter) or max_iter < 0:
+        raise ValueError("max_iter must be a non-negative integer")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be non-negative and finite")
+    pts = np.ascontiguousarray(sphere.points[~sphere.inspected], dtype=float)
+    if len(pts) == 0:
+        return ClusterResult(np.zeros(3), 0, True)
+    centers, labels, converged = _kmeans(pts.tobytes(), min(k, len(pts)),
+                                         seed, tol, max_iter)
     nearest = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
     centroid = centers[nearest]
     size = int(np.count_nonzero(labels == nearest))

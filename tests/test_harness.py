@@ -186,6 +186,18 @@ class TestRun:
         assert dist.min() >= 9.5
         assert np.any(log.intervened & (np.linalg.norm(log.u_des - log.u_act, axis=1) > 1e-6))
 
+    def test_infeasible_steps_counted(self):
+        cfg = default_experiment(2)
+        cfg.max_steps = 100
+        _, summary = run(cfg, closed_loop=True)
+        count = summary["infeasible_steps"]
+        assert isinstance(count, int)
+        # noisy sensing puts the sensed state outside the guarded set
+        assert 0 < count <= summary["steps"]
+        cfg.rta_enabled = False
+        _, summary = run(cfg, closed_loop=True)
+        assert summary["infeasible_steps"] == 0
+
     def test_nnc_without_weights_uses_stand_in(self):
         cfg = ExperimentConfig(controller="nnc_no_sensors", max_duration=20.0)
         log, summary = run(cfg)

@@ -6,10 +6,74 @@ import math
 import numpy as np
 import pytest
 
-from cwinspect.inspection import (SPHERE_POINT_COUNT, SPHERE_RADIUS,
-                                  generate_points, inspected_count,
+from cwinspect import inspection
+from cwinspect.control import mlp_save, random_policy
+from cwinspect.harness import default_experiment, run
+from cwinspect.inspection import (DEFAULT_CLUSTER_COUNT, KMEANS_SEED,
+                                  SPHERE_POINT_COUNT, SPHERE_RADIUS,
+                                  ClusterResult, generate_points,
+                                  inspected_count,
                                   nearest_uninspected_cluster,
                                   update_inspected)
+
+
+def _oracle_pp_init(pts, k, rng):
+    centers = np.empty((k, 3))
+    centers[0] = pts[rng.integers(len(pts))]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = pts[rng.integers(len(pts))]
+            continue
+        centers[j] = pts[rng.choice(len(pts), p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def kmeans_oracle(sphere, deputy_position, k=DEFAULT_CLUSTER_COUNT,
+                  seed=KMEANS_SEED, tol=1e-6, max_iter=50):
+    """Reference: the uncached cluster direction, seeded k-means++ and the
+    full Lloyd loop rerun on every call."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pts = sphere.points[~sphere.inspected]
+    if len(pts) == 0:
+        return ClusterResult(np.zeros(3), 0, True)
+    p = np.asarray(deputy_position, dtype=float).reshape(3)
+    kk = min(k, len(pts))
+    rng = np.random.default_rng(seed)
+    centers = _oracle_pp_init(pts, kk, rng)
+    converged = False
+    for _ in range(max_iter):
+        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(kk):
+            members = pts[labels == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < tol:
+            converged = True
+            break
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    nearest = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
+    centroid = centers[nearest]
+    size = int(np.count_nonzero(labels == nearest))
+    norm = np.linalg.norm(centroid)
+    if norm < 1e-9:
+        q = pts[np.argmin(np.linalg.norm(pts - p, axis=1))]
+        return ClusterResult(q / np.linalg.norm(q), size, converged)
+    return ClusterResult(centroid / norm, size, converged)
+
+
+def assert_same_cluster(got, ref):
+    assert got.direction.tobytes() == ref.direction.tobytes()
+    assert got.cluster_size == ref.cluster_size
+    assert got.converged == ref.converged
 
 
 class TestLattice:
@@ -170,3 +234,81 @@ class TestClusterDirection:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             nearest_uninspected_cluster(generate_points(), [50, 0, 0], k=0)
+
+    @pytest.mark.parametrize("kw", [
+        {"k": -1}, {"k": 2.5}, {"k": True},
+        {"max_iter": -1}, {"max_iter": 2.5},
+        {"tol": -1e-6}, {"tol": math.nan}, {"tol": math.inf},
+        {"seed": -1}, {"seed": None},
+    ])
+    def test_arguments_validated(self, kw):
+        with pytest.raises(ValueError):
+            nearest_uninspected_cluster(generate_points(), [50, 0, 0], **kw)
+
+    @pytest.mark.parametrize("pos", [
+        [math.nan, 1.0, 2.0], [50.0, math.inf, 0.0], [50.0, 0.0],
+        [50.0, 0.0, 0.0, 1.0],
+    ])
+    def test_deputy_position_validated(self, pos):
+        sph = generate_points()
+        with pytest.raises(ValueError, match="deputy position"):
+            nearest_uninspected_cluster(sph, pos)
+        with pytest.raises(ValueError, match="deputy position"):
+            update_inspected(sph, pos, 0.0, False)
+        assert inspected_count(sph) == 0
+
+
+class TestClusterMemo:
+    def test_matches_oracle_over_an_episode(self):
+        # the sphere's mask is mutated in place between calls, as in a run
+        sph = generate_points()
+        hits = inspection._kmeans.cache_info().hits
+        changes = 0
+        for i in range(120):
+            az = 0.05 * i
+            pos = 40.0 * np.array([math.cos(az), 0.3 * math.sin(3 * az),
+                                   math.sin(az)])
+            changes += update_inspected(sph, pos, 3.42 - 0.02 * i, True) > 0
+            assert_same_cluster(nearest_uninspected_cluster(sph, pos),
+                                kmeans_oracle(sph, pos))
+            assert_same_cluster(
+                nearest_uninspected_cluster(sph, pos, k=4, seed=7),
+                kmeans_oracle(sph, pos, k=4, seed=7))
+        assert changes > 3
+        assert 0 < inspected_count(sph) < SPHERE_POINT_COUNT
+        assert inspection._kmeans.cache_info().hits > hits
+
+    def test_same_mask_different_deputy_positions(self):
+        sph = generate_points()
+        sph.inspected[::3] = True
+        a = nearest_uninspected_cluster(sph, [50.0, 0.0, 0.0])
+        b = nearest_uninspected_cluster(sph, [-50.0, 0.0, 0.0])
+        assert not np.allclose(a.direction, b.direction)
+        assert_same_cluster(a, kmeans_oracle(sph, [50.0, 0.0, 0.0]))
+        assert_same_cluster(b, kmeans_oracle(sph, [-50.0, 0.0, 0.0]))
+
+    def test_writing_a_result_leaves_later_results_alone(self):
+        sph = generate_points()
+        sph.inspected[:30] = True
+        first = nearest_uninspected_cluster(sph, [0.0, 40.0, 10.0])
+        first.direction[:] = 99.0
+        assert_same_cluster(nearest_uninspected_cluster(sph, [0.0, 40.0, 10.0]),
+                            kmeans_oracle(sph, [0.0, 40.0, 10.0]))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_harness_logs_match_oracle(self, tmp_path, monkeypatch, closed):
+        # without weights no reference experiment observes the cluster
+        # direction, so fly seeded all-sensors policies
+        for s in (1, 2):
+            path = tmp_path / f"w{s}.json"
+            mlp_save(random_policy(11, seed=s), path)
+            cfg = default_experiment(4)
+            cfg.weights_path = str(path)
+            cfg.max_steps = 120
+            with monkeypatch.context() as m:
+                m.setattr(inspection, "nearest_uninspected_cluster",
+                          kmeans_oracle)
+                ref, _ = run(cfg, closed_loop=closed)
+            log, _ = run(cfg, closed_loop=closed)
+            assert len(np.unique(log.num_points)) > 2
+            assert log.row_matrix().tobytes() == ref.row_matrix().tobytes()
