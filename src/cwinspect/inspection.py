@@ -46,9 +46,6 @@ class InspectionSphere:
     inspected: np.ndarray  # (count,) bool
     radius: float  # [m]
 
-    def copy(self) -> "InspectionSphere":
-        return InspectionSphere(self.points.copy(), self.inspected.copy(), self.radius)
-
 
 @dataclass
 class ClusterResult:
@@ -95,7 +92,10 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     default half angle of 90 deg reduces to r_i . p > 0) and, with
     illumination enabled, r_i . r_sun > 0 (strict).  A deputy inside the
     sphere marks nothing.  Returns the number newly marked by this call.
+    Raises ValueError unless 0 < fov_half_angle <= pi.
     """
+    if not 0.0 < fov_half_angle <= math.pi:  # also refuses nan
+        raise ValueError("fov_half_angle must lie in (0, pi]")
     p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0

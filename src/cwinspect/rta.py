@@ -15,11 +15,13 @@ closest to u_des that
     (:func:`cwinspect.safety.keep_in_guard`),
   * lies in the per-axis thrust box |u_k| <= u_max.
 
-The axis-limit conditions are exact linear rows in u.  The others are
-linearized about the hold flown by the current iterate, starting from the
-optimum over the continuous rows alone, and the QP is solved again
-(sequential linearization) until the exact substep values hold.  Each QP is
-solved exactly by a dual active-set method (Goldfarb & Idnani 1983).
+The axis-limit conditions are exact linear rows in u, the same for every
+state and cached with the hold maps.  The others are linearized about the
+hold flown by the current iterate, starting from the optimum over the
+continuous rows alone, with the terms of the pass that evaluated that hold,
+and the QP is solved again (sequential linearization) until the exact
+substep values hold.  Each QP is solved exactly by a dual active-set method
+(Goldfarb & Idnani 1983).  One state and a batch take the same path.
 
 A condition already violated at x need only not get worse over the hold.
 When the linearized QP admits no thrust, or eight linearizations do not
@@ -38,12 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import DynamicsParams, RelativeState, hold_maps
-from .safety import (NUM_HOLD_CONDITIONS, SafetyParams, cbf_rows,
-                     hold_gradients, hold_values, keep_in_guard)
+from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
+                     _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -134,14 +137,13 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
     arithmetic in Python floats.  Returns (u, active indices, feasible).
     """
     slack = A @ u0 - d
-    p = int(np.argmin(slack))
+    p = int(slack.argmin())
     if slack[p] >= -_FEAS_TOL:
         return u0.copy(), (), True
-    rows = A.tolist()
     u = u0.tolist()
     active, lam, normals = [], [], []
     for _ in range(_MAX_QP_ITER):
-        a = rows[p]
+        a = A[p].tolist()
         aa = _dot(a, a)
         lam_p = 0.0
         while True:
@@ -178,7 +180,7 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
             del active[drop], lam[drop], normals[drop]
         u_arr = np.array(u)
         slack = A @ u_arr - d
-        p = int(np.argmin(slack))
+        p = int(slack.argmin())
         if slack[p] >= -_FEAS_TOL:
             return u_arr, tuple(sorted(active)), True
     return None, (), False  # cycling under rounding: treat as no solution
@@ -232,89 +234,119 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
-def _requested_holds(X, U, free, S2, idx, params, keep_in):
-    """Holds flown by the requests of the states ``idx`` (k, J, 6), their hold
-    conditions (k, J, 9) and the conditions at the states (k, 1, 9)."""
-    F = free[idx]
-    H = (F + U[idx] @ S2.T).reshape(len(F), len(S2) // 6, 6)
-    K = hold_values(np.concatenate([X[idx, None], H], axis=1), params, keep_in)
-    return H, K[:, 1:], K[:, :1]
+@lru_cache(maxsize=16)
+def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float,
+               substeps: int):
+    """Cached and read-only: the keep-in guard, the maps of
+    :func:`cwinspect.dynamics.hold_maps` as P2T (6, 6J) and S2T (3, 6J) for
+    row-wise states and thrusts, S (J, 6, 3), the exact rows (J, 6, 3) of
+    the axis-limit conditions k4..k9, the same for every state and thrust,
+    and the margins ramped over the hold (J, 9)."""
+    guard = keep_in_guard(params, dyn)
+    P, S = hold_maps(dyn, period, substeps)
+    axis_rows = np.einsum("njkd,jde->njke",
+                          np.tile(_AXIS_LIMIT_GRADIENTS, (1, substeps, 1, 1)), S)[0]
+    ramp = _MARGINS * (np.arange(1, substeps + 1)[:, None] / substeps)
+    axis_rows.setflags(write=False)
+    ramp.setflags(write=False)
+    return guard, P.reshape(-1, 6).T, S, S.reshape(-1, 3).T, axis_rows, ramp
 
 
-def _hold_qp(U, free, C6, b6, idx, stage, keep_in, H, K, K0, params, dyn, S,
-             S2, out):
+def _requested_holds(X, U, free, S2T, idx, params, keep_in):
+    """Holds (k, J, 6) flown by the requests of the states ``idx``, their
+    conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
+    and the conditions at the states (k, 1, 9)."""
+    H = (free[idx] + U[idx] @ S2T).reshape(-1, S2T.shape[1] // 6, 6)
+    K, T = _hold_pass(np.concatenate([X[idx, None], H], axis=1), params, keep_in)
+    return H, K[:, 1:], [t[:, 1:] for t in T], K[:, :1]
+
+
+def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
     """Sequential linearization of the hold conditions for the states
     ``idx`` at one stage of :data:`_STAGES`, with k2 on the keep-in cone
-    ``keep_in``, given the holds ``H`` flown by their requests and their
-    conditions ``K`` (see :func:`_requested_holds`).  Writes each result into
-    ``out`` = (U_act, active, feasible) and returns the states for which no
+    ``keep_in``, from ``hold`` of :func:`_requested_holds` and ``plan`` of
+    :func:`_hold_plan`.  Writes each result into ``out`` = (U_act, active,
+    feasible) and returns a mask over ``idx`` of the states for which no
     thrust was found: their linearized QP admits none, or no linearization
     reaches the exact hold conditions.  At the last stage those get the
     least-violation thrust instead."""
     U_act, active, feasible = out
-    with_rows = _STAGES[stage][1]
-    floor = np.minimum(0.0, K0)
-    ramp = np.arange(1, len(S) + 1)[:, None] / len(S)
-    target = np.minimum(_MARGINS, K0 + _MARGINS * ramp) + 2.0 * _FEAS_TOL
-    n_rows = C6.shape[1] + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
-    if with_rows:
+    H, K, T, K0 = hold
+    S, S2T, axis_rows, ramp = plan
+    n_cont = C6.shape[1]
+    n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
+    if _STAGES[stage][1]:
         C_cont, b_cont = C6[idx], b6[idx]
     else:  # rows that never bind, keeping the row numbering
         C_cont, b_cont = np.zeros_like(C6[idx]), np.ones_like(b6[idx])
-    u = U[idx].copy()
-    infeasible = []
+    u = U[idx]
+    failed = np.zeros(len(idx), dtype=bool)
 
     def unsolved(s, C, b):
-        """No thrust found for position ``s``: pass it to the next stage, or
-        at the last give it the least-violation thrust over the rows (C, b)
-        and the continuous rows."""
+        """No thrust for position ``s``: on to the next stage, or at the last
+        the least-violation thrust over (C, b) and the continuous rows."""
         i = idx[s]
+        active[i] = ()
         if stage < len(_STAGES) - 1:
-            infeasible.append(i)
-            active[i] = ()
+            failed[s] = True
         else:
-            C_all = np.vstack([C6[i], C])
-            b_all = np.concatenate([b6[i], b])
-            U_act[i] = infeasible_fallback(U[i], (C_all, b_all), dyn.u_max)
-            active[i], feasible[i] = (), False
+            U_act[i] = infeasible_fallback(
+                U[i], (np.vstack([C6[i], C]), np.concatenate([b6[i], b])), dyn.u_max)
+            feasible[i] = False
 
     def solved(s, C, b, rows) -> bool:
-        """Solve the QP over rows ``rows`` of (C, b) for position ``s``."""
+        """Solve the QP over the rows (C, b), numbered ``rows``, for ``s``."""
         i = idx[s]
-        u_new, act, ok = solve_qp(U[i], (C[rows], b[rows]), dyn.u_max)
+        u_new, act, ok = solve_qp(U[i], (C, b), dyn.u_max)
         if ok:
             u[s] = u_new
             active[i] = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
                               for a in act)
         else:
-            unsolved(s, C[rows], b[rows])
+            unsolved(s, C, b)
         return ok
 
-    def holds(todo):
-        H = (free[idx[todo]] + u[todo] @ S2.T).reshape(len(todo), len(S), 6)
-        return H, hold_values(H, params, keep_in)
+    # positions in idx still being solved, with their free flights, rows,
+    # floors and targets, cut down together
+    todo = np.arange(len(idx))
+    per = [free[idx], C_cont, b_cont, np.minimum(0.0, K0),
+           np.minimum(_MARGINS, K0 + ramp) + 2.0 * _FEAS_TOL]
 
-    todo = np.arange(len(idx))  # positions in idx still being solved
-    if with_rows:
+    def holds():
+        H = (per[0] + u[todo] @ S2T).reshape(len(todo), len(S), 6)
+        return (H,) + _hold_pass(H, params, keep_in)
+
+    if _STAGES[stage][1]:
         # The optimum over the continuous rows alone is the optimum over all
         # rows when its hold keeps the conditions, and otherwise a point to
         # linearize at that is closer to the solution than the request.
-        cont = np.arange(C6.shape[1])
-        todo = np.array([s for s in todo if solved(s, C_cont[s], b_cont[s], cont)],
-                        dtype=int)
-        H, K = holds(todo)
+        kept = [solved(s, C_cont[s], b_cont[s], range(n_cont)) for s in todo]
+        # an optimum with no active row is its request, whose hold is known
+        if not all(kept) or any(active[i] for i in idx):
+            todo, per = todo[kept], [a[kept] for a in per]
+            H, K, T = holds()
     for n_linearized in range(_MAX_LINEARIZATIONS + 1):
-        held = (K >= floor[todo]).all(axis=(1, 2))
-        U_act[idx[todo[held]]] = u[todo[held]]
-        todo, H, K = todo[~held], H[~held], K[~held]
+        held = (K >= per[3]).all(axis=(1, 2))
+        if held.any():
+            U_act[idx[todo[held]]] = u[todo[held]]
+            keep = ~held
+            todo = todo[keep]
+            if todo.size:
+                H, K, T = H[keep], K[keep], [t[keep] for t in T]
+                per = [a[keep] for a in per]
         if not todo.size:
             break
-        C_hold = np.einsum("njkd,jde->njke", hold_gradients(H, params, keep_in), S)
+        _, C_cont, b_cont, _, target = per
+        # rows of k1..k3 linearized at the hold, then the exact rows of k4..k9
+        C_hold = np.empty((len(todo), len(S), NUM_HOLD_CONDITIONS, 3))
+        C_hold[:, :, :3] = np.einsum("njkd,jde->njke",
+                                     _hold_jacobian(H, T, params, keep_in), S)
+        C_hold[:, :, 3:] = axis_rows
         C_hold = C_hold.reshape(len(todo), -1, 3)
-        b_hold = ((K - target[todo]).reshape(len(todo), -1)
+        b_hold = ((K - target).reshape(len(todo), -1)
                   - np.einsum("nrk,nk->nr", C_hold, u[todo]))
-        C = np.concatenate([C_cont[todo], C_hold], axis=1)
-        b = np.concatenate([b_cont[todo], b_hold], axis=1)
+        C = np.concatenate([C_cont, C_hold], axis=1)
+        b = np.concatenate([b_cont, b_hold], axis=1)
         # rows that no thrust in the box can violate never bind
         live = b < dyn.u_max * np.abs(C).sum(axis=2)
         if n_linearized == _MAX_LINEARIZATIONS:
@@ -322,10 +354,12 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, H, K, K0, params, dyn, S,
             for t, s in enumerate(todo):
                 unsolved(s, C[t, live[t]], b[t, live[t]])
             break
-        todo = np.array([s for t, s in enumerate(todo)
-                         if solved(s, C[t], b[t], np.flatnonzero(live[t]))], dtype=int)
-        H, K = holds(todo)
-    return np.array(infeasible, dtype=int)
+        rows = [r.nonzero()[0] for r in live]
+        kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
+        if not all(kept):
+            todo, per = todo[kept], [a[kept] for a in per]
+        H, K, T = holds()
+    return failed
 
 
 def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
@@ -333,42 +367,45 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
     feasible)."""
-    guard = keep_in_guard(params, dyn)
-    P, S = hold_maps(dyn, float(period), int(substeps))
-    S2 = S.reshape(-1, 3)
-    free = X @ P.reshape(-1, 6).T
-    H, K, K0 = _requested_holds(X, U, free, S2, slice(None), params, guard)
+    guard, P2T, *plan = _hold_plan(params, dyn, float(period), int(substeps))
+    free = X @ P2T
+    H, K, T, K0 = _requested_holds(X, U, free, plan[1], slice(None), params, guard)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
                   & (K >= np.minimum(0.0, K0)).all(axis=(1, 2)))
     out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
-    pending = np.flatnonzero(~admissible)
+    pending = (~admissible).nonzero()[0]
     if not pending.size:
         return out
     # The rows of a state outside the guarded set can demand more recovery
     # than the thrust box allows: such a state starts at the second stage.
     stage_of = (K0[pending] < 0.0).any(axis=(1, 2)).astype(int)
     for stage, (guarded, _) in enumerate(_STAGES):
-        idx = pending[stage_of == stage]
-        if not idx.size:
+        at = (stage_of == stage).nonzero()[0]  # positions in pending
+        if not at.size:
             continue
-        if guarded:
-            H_i, K_i, K0_i = H[idx], K[idx], K0[idx]
+        idx = pending[at]
+        if not guarded:
+            hold = _requested_holds(X, U, free, plan[1], idx, params, None)
+        elif len(idx) == len(X):  # every state
+            hold = H, K, T, K0
         else:
-            H_i, K_i, K0_i = _requested_holds(X, U, free, S2, idx, params, None)
+            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx]
         failed = _hold_qp(U, free, C6, b6, idx, stage, guard if guarded else None,
-                          H_i, K_i, K0_i, params, dyn, S, S2, out)
-        stage_of[np.isin(pending, failed)] = stage + 1
+                          hold, plan, params, dyn, out)
+        if failed.any():
+            stage_of[at[failed]] = stage + 1
+        elif len(at) == len(pending):
+            break  # every state has its thrust
+    # the admissible requests meet the continuous rows by the same test
     U_act, _, feasible = out
-    feasible[pending] &= (np.einsum("nij,nj->ni", C6[pending], U_act[pending])
-                          + b6[pending] >= -_FEAS_TOL).all(axis=1)
+    feasible &= (np.einsum("nij,nj->ni", C6, U_act) + b6 >= -_FEAS_TOL).all(axis=1)
     return out
 
 
-def _clamped_requests(u_des, dyn: DynamicsParams) -> np.ndarray:
-    U = np.asarray(u_des, dtype=float)
+def _clamped_requests(U, dyn: DynamicsParams) -> np.ndarray:
     if not np.isfinite(U).all():
         raise ValueError("u_des must be finite")
-    return np.clip(U, -dyn.u_max, dyn.u_max)
+    return U.clip(-dyn.u_max, dyn.u_max)
 
 
 def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
@@ -380,7 +417,7 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
     ``u_des`` is clamped to the thrust box first so the reported deviation
     measures distance from an admissible request.
     """
-    u_des = _clamped_requests(np.reshape(u_des, 3), dyn)
+    u_des = _clamped_requests(np.asarray(u_des, dtype=float).reshape(3), dyn)
     x = state.vector() if isinstance(state, RelativeState) else \
         np.asarray(state, dtype=float).reshape(6)
     if not np.isfinite(x).all():
@@ -389,7 +426,8 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
     U, active, feasible = _filter_states(x[None, :], u_des[None, :], C[None],
                                          b[None], params, dyn, period, substeps)
     u = U[0]
-    deviation = float(np.linalg.norm(u - u_des))
+    du = u - u_des
+    deviation = math.sqrt(du.dot(du))  # np.linalg.norm's arithmetic
     return FilterResult(
         u_act=u,
         intervened=deviation > _INTERVENTION_TOL,
@@ -411,7 +449,7 @@ def filter_control_batch(states, u_des, params: SafetyParams,
     X = np.asarray(states, dtype=float).reshape(-1, 6)
     if not np.isfinite(X).all():
         raise ValueError("states must be finite")
-    U = _clamped_requests(np.reshape(u_des, (-1, 3)), dyn)
+    U = _clamped_requests(np.asarray(u_des, dtype=float).reshape(-1, 3), dyn)
     if len(U) != len(X):
         raise ValueError("states and u_des must have the same length")
     C, b = cbf_rows(X, params, dyn, alphas)

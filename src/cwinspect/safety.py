@@ -10,7 +10,10 @@ Six barrier functions define the joint safe set:
 with rdot = p.v/|p| the range rate (negative when approaching the chief).
 Each constraint linearizes into a control-affine row c.u + b >= 0 with
 c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h; :func:`cbf_rows`
-returns the six rows of a state as arrays (C, b).
+returns the six rows of a state as arrays (C, b).  Values, gradients and
+rows come from one pass per state over the terms they share (range, speed,
+p.v, the braking-cone roots), as do the hold conditions below and the
+gradients the filter linearizes them with.
 
 Outside their nominal domains the square roots extend as odd functions,
 sign(s)*sqrt(2 a_max |s|), so a violated constraint reports a meaningful
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,6 +84,13 @@ NUM_HOLD_CONDITIONS = 9
 DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
 
 _SMOOTH_FLOOR = 1e-6  # floor on norms/radicands at singular points
+_SIGNS = np.array([1.0, -1.0])  # keep-out and keep-in sides of a pair
+# Gradients of the axis-limit hold conditions k4..k9 = v_max -+ (xd, yd, zd),
+# the same at every state.
+_VELOCITY = np.arange(3, 6)
+_AXIS_LIMIT_GRADIENTS = np.zeros((6, 6))
+_AXIS_LIMIT_GRADIENTS[np.arange(6), np.tile(_VELOCITY, 2)] = np.repeat([-1.0, 1.0], 3)
+_AXIS_LIMIT_GRADIENTS.setflags(write=False)
 # The guarded keep-in cone brakes this much below the braking bound of the
 # module docstring [m/s^2], so the linearized hold rows and the RK4
 # substeps plan with braking the box can deliver, and ends this far inside
@@ -126,26 +137,57 @@ def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
 
 
-def _signed_sqrt(s: np.ndarray, a_max: float) -> np.ndarray:
-    """Odd extension of sqrt(2 a_max s)."""
-    return np.sign(s) * np.sqrt(2.0 * a_max * np.abs(s))
+@lru_cache(maxsize=16)
+def _drift(dyn: DynamicsParams) -> np.ndarray:
+    """The drift matrix A of :func:`cw_matrices`, cached and read-only."""
+    A, _ = cw_matrices(dyn)
+    A.setflags(write=False)
+    return A
+
+
+def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
+    """Barrier values h (N, 6) of states X (N, 6) and, with ``grad``, their
+    gradients G (N, 6, 6), else None, from one pass over the shared terms:
+    range, speed, p.v and the two braking-cone roots.  The gradients floor
+    norms and roots at singular points."""
+    N = X.shape[0]
+    PV = X.reshape(N, 2, 3)
+    norms = np.linalg.norm(PV, axis=2)  # range, speed
+    rho = norms[:, 0]
+    v = X[:, 3:]
+    pv = np.einsum("ij,ij->i", X[:, :3], v)
+    # the braking-cone distances rho - (r_d + r_c) and r_max - rho
+    dev = rho[:, None] * _SIGNS + (-params.collision_radius, params.r_max)
+    root = np.sqrt(2.0 * params.a_max * np.abs(dev))
+    rdot = pv / np.where(rho > 0.0, rho, np.inf)  # 0 at the origin
+    h = np.empty((N, NUM_CONSTRAINTS))
+    h[:, :2] = np.sign(dev) * root + rdot[:, None] * _SIGNS
+    h[:, 2] = params.nu0 + params.nu1 * rho - norms[:, 1]
+    h[:, 3:] = params.v_max**2 - v**2
+    if not grad:
+        return h, None
+    floored = np.maximum(norms, _SMOOTH_FLOOR)
+    hats = PV / floored[:, :, None]  # p_hat, v_hat
+    p_hat = hats[:, 0]
+    rho_f = floored[:, :1]
+    # d(rdot)/dp = (v - rdot p_hat)/rho, d(rdot)/dv = p_hat
+    drdot_dp = (v - (pv / rho_f[:, 0])[:, None] * p_hat) / rho_f
+    # d/d rho of the signed roots (the same on both sides of the boundary)
+    q = params.a_max / np.maximum(root, _SMOOTH_FLOOR)
+    G = np.zeros((N, NUM_CONSTRAINTS, 6))
+    G[:, :2, :3] = (q * _SIGNS)[:, :, None] * p_hat[:, None] \
+        + _SIGNS[:, None] * drdot_dp[:, None]
+    G[:, :2, 3:] = _SIGNS[:, None] * p_hat[:, None]
+    G[:, 2, :3] = params.nu1 * p_hat
+    G[:, 2, 3:] = -hats[:, 1]
+    G[:, _VELOCITY, _VELOCITY] = -2.0 * v
+    return h, G
 
 
 def h_values_batch(states, params: SafetyParams) -> np.ndarray:
     """Barrier values for states of shape (N, 6); returns (N, 6)."""
     X, _ = _as_state_matrix(states)
-    p = X[:, :3]
-    v = X[:, 3:]
-    rho = np.linalg.norm(p, axis=1)
-    speed = np.linalg.norm(v, axis=1)
-    pv = np.einsum("ij,ij->i", p, v)
-    rdot = np.where(rho > 0.0, pv / np.where(rho > 0.0, rho, 1.0), 0.0)
-    h = np.empty((X.shape[0], NUM_CONSTRAINTS))
-    h[:, 0] = _signed_sqrt(rho - params.collision_radius, params.a_max) + rdot
-    h[:, 1] = _signed_sqrt(params.r_max - rho, params.a_max) - rdot
-    h[:, 2] = params.nu0 + params.nu1 * rho - speed
-    h[:, 3:] = params.v_max**2 - v**2
-    return h
+    return _barriers(X, params, grad=False)[0]
 
 
 def h_values(state, params: SafetyParams) -> np.ndarray:
@@ -158,35 +200,7 @@ def grad_h_batch(states, params: SafetyParams) -> np.ndarray:
     indexed [state, constraint, component].  Norms and square roots are
     floored at singular points."""
     X, _ = _as_state_matrix(states)
-    N = X.shape[0]
-    p = X[:, :3]
-    v = X[:, 3:]
-    rho_raw = np.linalg.norm(p, axis=1)
-    rho = np.maximum(rho_raw, _SMOOTH_FLOOR)
-    speed = np.maximum(np.linalg.norm(v, axis=1), _SMOOTH_FLOOR)
-    p_hat = p / rho[:, None]
-    v_hat = v / speed[:, None]
-    rdot = np.einsum("ij,ij->i", p, v) / rho
-    # d(rdot)/dp = (v - rdot p_hat)/rho, d(rdot)/dv = p_hat
-    drdot_dp = (v - rdot[:, None] * p_hat) / rho[:, None]
-
-    s1_raw = np.abs(rho_raw - params.collision_radius)
-    s2_raw = np.abs(params.r_max - rho_raw)
-    root1 = np.maximum(np.sqrt(2.0 * params.a_max * s1_raw), _SMOOTH_FLOOR)
-    root2 = np.maximum(np.sqrt(2.0 * params.a_max * s2_raw), _SMOOTH_FLOOR)
-    q1 = params.a_max / root1  # d/d rho of the signed sqrt (same both sides)
-    q2 = params.a_max / root2
-
-    G = np.zeros((N, NUM_CONSTRAINTS, 6))
-    G[:, 0, :3] = q1[:, None] * p_hat + drdot_dp
-    G[:, 0, 3:] = p_hat
-    G[:, 1, :3] = -q2[:, None] * p_hat - drdot_dp
-    G[:, 1, 3:] = -p_hat
-    G[:, 2, :3] = params.nu1 * p_hat
-    G[:, 2, 3:] = -v_hat
-    for axis in range(3):
-        G[:, 3 + axis, 3 + axis] = -2.0 * v[:, axis]
-    return G
+    return _barriers(X, params)[1]
 
 
 def cbf_rows(states, params: SafetyParams, dyn: DynamicsParams,
@@ -201,17 +215,16 @@ def cbf_rows(states, params: SafetyParams, dyn: DynamicsParams,
     """
     X, single = _as_state_matrix(states)
     gains = DEFAULT_ALPHA_GAINS if alphas is None else np.asarray(alphas, dtype=float)
-    if gains.shape != (NUM_CONSTRAINTS,):
-        raise ValueError("alphas must provide one gain per constraint")
-    if not (np.isfinite(gains).all() and (gains > 0.0).all()):
-        raise ValueError("class-K gains must be positive and finite")
-    A, _ = cw_matrices(dyn)
-    h = h_values_batch(X, params)
-    G = grad_h_batch(X, params)
-    f = X @ A.T  # drift f(x) = A x, row-wise
+    if alphas is not None:  # the defaults are valid
+        if gains.shape != (NUM_CONSTRAINTS,):
+            raise ValueError("alphas must provide one gain per constraint")
+        if not (np.isfinite(gains).all() and (gains > 0.0).all()):
+            raise ValueError("class-K gains must be positive and finite")
+    h, G = _barriers(X, params)
+    f = X @ _drift(dyn).T  # drift f(x) = A x, row-wise
     Lf = np.einsum("nij,nj->ni", G, f)
     C = G[:, :, 3:] / dyn.mass  # L_g h rows
-    b = Lf + gains[None, :] * h
+    b = Lf + gains * h
     return (C[0], b[0]) if single else (C, b)
 
 
@@ -238,13 +251,45 @@ def keep_in_guard(params: SafetyParams, dyn: DynamicsParams) -> tuple[float, flo
     return a_g, r_g
 
 
-def _norms(X: np.ndarray):
-    """Range, speed and p.v of states (..., 6)."""
-    p = X[..., :3]
-    v = X[..., 3:]
-    return (np.sqrt(np.einsum("...i,...i->...", p, p)),
-            np.sqrt(np.einsum("...i,...i->...", v, v)),
-            np.einsum("...i,...i->...", p, v))
+def _hold_pass(X: np.ndarray, params: SafetyParams, keep_in=None):
+    """Hold conditions K (..., 9) of states X (..., 6) and the terms T that
+    their gradients reuse: floored range and speed (..., 2), range rate."""
+    PV = X.reshape(X.shape[:-1] + (2, 3))
+    norms = np.sqrt(np.einsum("...i,...i->...", PV, PV))
+    rho = norms[..., 0]
+    floored = np.maximum(norms, _SMOOTH_FLOOR)
+    rdot = np.einsum("...i,...i->...", X[..., :3], X[..., 3:]) / floored[..., 0]
+    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
+    k = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS,))
+    k[..., 0] = 2.0 * params.a_max * (rho - params.collision_radius) \
+        - np.minimum(rdot, 0.0) ** 2
+    k[..., 1] = 2.0 * a_in * (r_in - rho) - np.maximum(rdot, 0.0) ** 2
+    k[..., 2] = params.nu0 + params.nu1 * rho - norms[..., 1]
+    k[..., 3:6] = params.v_max - X[..., 3:]
+    k[..., 6:9] = params.v_max + X[..., 3:]
+    return k, (floored, rdot)
+
+
+def _hold_jacobian(X: np.ndarray, T, params: SafetyParams,
+                   keep_in=None) -> np.ndarray:
+    """Gradients (..., 3, 6) of k1..k3 at states X (..., 6) from the terms T
+    of their :func:`_hold_pass` (those of k4..k9 are constant)."""
+    floored, rdot = T
+    hats = X.reshape(X.shape[:-1] + (2, 3)) / floored[..., None]  # p_hat, v_hat
+    p_hat = hats[..., 0, :]
+    rdot = rdot[..., None]
+    a_in = params.a_max if keep_in is None else keep_in[0]
+    drdot_dp = (X[..., 3:] - rdot * p_hat) / floored[..., :1]
+    w1 = -2.0 * np.minimum(rdot, 0.0)  # d(-min(rdot, 0)^2)/d(rdot)
+    w2 = -2.0 * np.maximum(rdot, 0.0)  # d(-max(rdot, 0)^2)/d(rdot)
+    G = np.empty(X.shape[:-1] + (3, 6))
+    G[..., 0, :3] = 2.0 * params.a_max * p_hat + w1 * drdot_dp
+    G[..., 0, 3:] = w1 * p_hat
+    G[..., 1, :3] = -2.0 * a_in * p_hat + w2 * drdot_dp
+    G[..., 1, 3:] = w2 * p_hat
+    G[..., 2, :3] = params.nu1 * p_hat
+    G[..., 2, 3:] = -hats[..., 1, :]
+    return G
 
 
 def hold_values(states, params: SafetyParams, keep_in=None) -> np.ndarray:
@@ -252,18 +297,7 @@ def hold_values(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     (..., 6); returns (..., 9).  k2 is evaluated on the keep-in cone
     ``keep_in`` = (a, r), by default the stated one (a_max, r_max); the
     filter passes :func:`keep_in_guard`."""
-    X = np.asarray(states, dtype=float)
-    rho, speed, pv = _norms(X)
-    rdot = pv / np.maximum(rho, _SMOOTH_FLOOR)
-    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
-    k = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS,))
-    k[..., 0] = 2.0 * params.a_max * (rho - params.collision_radius) \
-        - np.minimum(rdot, 0.0) ** 2
-    k[..., 1] = 2.0 * a_in * (r_in - rho) - np.maximum(rdot, 0.0) ** 2
-    k[..., 2] = params.nu0 + params.nu1 * rho - speed
-    k[..., 3:6] = params.v_max - X[..., 3:]
-    k[..., 6:9] = params.v_max + X[..., 3:]
-    return k
+    return _hold_pass(np.asarray(states, dtype=float), params, keep_in)[0]
 
 
 def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
@@ -271,27 +305,9 @@ def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     (..., 9, 6).  Norms are floored at singular points as in
     :func:`grad_h_batch`."""
     X = np.asarray(states, dtype=float)
-    p = X[..., :3]
-    v = X[..., 3:]
-    rho, speed, pv = _norms(X)
-    rho = np.maximum(rho, _SMOOTH_FLOOR)[..., None]
-    speed = np.maximum(speed, _SMOOTH_FLOOR)[..., None]
-    rdot = pv[..., None] / rho
-    a_in = params.a_max if keep_in is None else keep_in[0]
-    p_hat = p / rho
-    drdot_dp = (v - rdot * p_hat) / rho
-    w1 = -2.0 * np.minimum(rdot, 0.0)  # d(-min(rdot, 0)^2)/d(rdot)
-    w2 = -2.0 * np.maximum(rdot, 0.0)  # d(-max(rdot, 0)^2)/d(rdot)
-    G = np.zeros(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
-    G[..., 0, :3] = 2.0 * params.a_max * p_hat + w1 * drdot_dp
-    G[..., 0, 3:] = w1 * p_hat
-    G[..., 1, :3] = -2.0 * a_in * p_hat + w2 * drdot_dp
-    G[..., 1, 3:] = w2 * p_hat
-    G[..., 2, :3] = params.nu1 * p_hat
-    G[..., 2, 3:] = -v / speed
-    for axis in range(3):
-        G[..., 3 + axis, 3 + axis] = -1.0
-        G[..., 6 + axis, 3 + axis] = 1.0
+    G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
+    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, keep_in)[1], params, keep_in)
+    G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS
     return G
 
 

@@ -151,6 +151,15 @@ class TestVisibility:
                          fov_half_angle=math.radians(30.0))
         assert 0 < inspected_count(narrow) < inspected_count(wide)
 
+    @pytest.mark.parametrize("half_angle", [math.nan, 0.0, -0.1, 4.0, math.inf])
+    def test_fov_half_angle_validated(self, half_angle):
+        # nan used to mark nothing and 4.0 (beyond pi) 81 of 99 points,
+        # the chief's far side included
+        sph = generate_points()
+        with pytest.raises(ValueError, match="fov_half_angle"):
+            update_inspected(sph, [100.0, 0, 0], 0.0, False, fov_half_angle=half_angle)
+        assert inspected_count(sph) == 0
+
     def test_monotone_count(self):
         sph = generate_points()
         rng = np.random.default_rng(2)

@@ -11,7 +11,7 @@ from cwinspect.rta import (DEFAULT_PERIOD, DEFAULT_SUBSTEPS, FilterResult,
                            filter_control, filter_control_batch,
                            infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
-                              hold_values, keep_in_guard)
+                              hold_gradients, hold_values, keep_in_guard)
 
 SP = SafetyParams()
 DP = DynamicsParams()
@@ -227,6 +227,44 @@ class TestFilter:
             assert np.allclose(res.u_act, U_act[k], rtol=0.0, atol=1e-12)
             assert res.intervened == intervened[k] and res.feasible == feasible[k]
 
+    @pytest.mark.parametrize("linearizations", [rta._MAX_LINEARIZATIONS, 0])
+    def test_batch_stage_bookkeeping(self, monkeypatch, linearizations):
+        # one batch whose states start at the first stage (inside the
+        # guarded set) or the second (outside it), interleaved, and one that
+        # finds no thrust until the third; with no linearization allowed,
+        # some fall through every stage to the fallback.  Each state gets
+        # what it gets alone.
+        monkeypatch.setattr(rta, "_MAX_LINEARIZATIONS", linearizations)
+        rng = np.random.default_rng(53)
+        fixed = [([10.3, 0, 0, -0.06, 0, 0], [-0.5, 0, 0]),  # keep-out corner
+                 ([100.0, 0, 0, 0, 0.40, 0], [0, 0, 1.0]),  # thrust across the velocity
+                 ([100.0, 0, 0, 0.99, 0, 0], [1.0, 0, 0]),  # axis limit
+                 ([10.2, 0, 0, -0.25, 0, 0], [-0.3, 0.1, 0]),  # inside the braking cone
+                 ([50.0, 0, 0, 0, 0.5, 0], [0, 1.0, 0]),  # over the speed allowance
+                 # inside the guarded set at the keep-in sphere: no thrust
+                 # until the stage without the guard
+                 ([-982.9518472159704, 175.37289690467819, 32.39075210322616,
+                   -0.15968383971228636, -0.8130701081222101, -0.1597180868487526],
+                  [0, 0, 0])]
+        X = np.concatenate([rng.normal(0, 60, (25, 3)), rng.normal(0, 0.3, (25, 3))], axis=1)
+        X[:15, :3] *= rng.uniform(10.1, 11.0, (15, 1)) / np.linalg.norm(X[:15, :3], axis=1,
+                                                                         keepdims=True)
+        X = np.concatenate([X, [x for x, _ in fixed]])
+        U = np.concatenate([rng.uniform(-1, 1, (25, 3)), [u for _, u in fixed]])
+        order = rng.permutation(len(X))
+        X, U = X[order], U[order]
+        outside = hold_values(X, SP, GUARD).min(axis=1) < 0.0
+        U_act, intervened, feasible = filter_control_batch(X, U, SP, DP)
+        for k in range(len(X)):
+            res = filter_control(X[k], U[k], SP, DP)
+            assert np.allclose(res.u_act, U_act[k], rtol=0.0, atol=1e-12)
+            assert res.intervened == intervened[k] and res.feasible == feasible[k]
+        assert (intervened & ~outside).sum() >= 3 and (intervened & outside).sum() >= 3
+        if linearizations:
+            assert feasible[~outside].all()
+        else:
+            assert (intervened & feasible).any() and not feasible.all()
+
     def test_nonfinite_state_rejected(self):
         with pytest.raises(ValueError):
             filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP, DP)
@@ -315,3 +353,19 @@ class TestHold:
         res = filter_control(x, u_des, SP, DP)
         assert not res.feasible and res.intervened
         assert fly_hold(x, res.u_act).min() >= 0.0
+
+
+class TestHoldRows:
+    def test_split_hold_rows_equal_the_full_product(self):
+        # the filter multiplies only the gradients of k1..k3 with the hold
+        # map and takes the exact rows of k4..k9 from the cached plan: the
+        # rows equal those of the full product, bit for bit
+        _, _, S, _, axis_rows, _ = rta._hold_plan(SP, DP, DEFAULT_PERIOD, DEFAULT_SUBSTEPS)
+        rng = np.random.default_rng(59)
+        H = np.concatenate([rng.normal(0, 300, (5, DEFAULT_SUBSTEPS, 3)),
+                            rng.normal(0, 0.5, (5, DEFAULT_SUBSTEPS, 3))], axis=2)
+        H[0, :, 2:6:3] = 0.0  # motion in the orbital plane
+        G = hold_gradients(H, SP, GUARD)
+        full = np.einsum("njkd,jde->njke", G, S)
+        assert np.array_equal(full[:, :, :3], np.einsum("njkd,jde->njke", G[:, :, :3], S))
+        assert np.array_equal(full[:, :, 3:], np.broadcast_to(axis_rows, full[:, :, 3:].shape))

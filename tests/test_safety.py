@@ -190,6 +190,34 @@ class TestRows:
         Cx, bx = cbf_rows(x, SP, DP)
         assert np.array_equal(C, Cx) and np.array_equal(b, bx)
 
+    def test_rows_are_the_row_formula_bit_for_bit(self):
+        # the rows of the shared barrier pass equal, bit for bit, the row
+        # formula C = L_g h = G[:, :, 3:] / m, b = L_f h + gain h = G . (A x)
+        # + gain h evaluated from the public values, gradients and drift
+        rng = np.random.default_rng(29)
+        X = np.concatenate([rng.normal(0, 300, (600, 3)), rng.normal(0, 0.5, (600, 3))], axis=1)
+        X[:2, :3] = 0.0  # the origin, moving and at rest
+        X[1, 3:] = 0.0
+        unit = rng.normal(size=(200, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        unit[:3] = np.eye(3)
+        X[2:102, :3] = SP.collision_radius * unit[:100]  # on the keep-out sphere
+        X[102:202, :3] = SP.r_max * unit[100:]  # on the keep-in sphere
+        A, _ = cw_matrices(DP)
+
+        def row_formula(states, gains):
+            h, G = h_values_batch(states, SP), grad_h_batch(states, SP)
+            return G[:, :, 3:] / DP.mass, np.einsum("nij,nj->ni", G, states @ A.T) + gains * h
+
+        for gains in (DEFAULT_ALPHA_GAINS, np.array([0.3, 2.0, 0.1, 1.0, 0.5, 0.7])):
+            C_ref, b_ref = row_formula(X, gains)
+            C, b = cbf_rows(X, SP, DP, gains)
+            assert np.array_equal(C, C_ref) and np.array_equal(b, b_ref)
+            for x in X:
+                C_ref, b_ref = row_formula(x[None], gains)
+                C, b = cbf_rows(x, SP, DP, gains)
+                assert np.array_equal(C, C_ref[0]) and np.array_equal(b, b_ref[0])
+
 
 class TestSafeSet:
     def test_interior_point(self):
