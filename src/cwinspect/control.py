@@ -58,17 +58,28 @@ class LqrController:
 def lqr_design(dyn: DynamicsParams, Q=None, R=None) -> LqrController:
     """Continuous-time LQR gain for the relative-motion pair (A, B).
 
-    Solves the algebraic Riccati equation and enforces that the closed loop
-    A - B K is Hurwitz.
+    Solves the algebraic Riccati equation from the stable invariant subspace
+    of the Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]] (Laub 1979): P = U2 U1^-1
+    for the eigenvectors [U1; U2] of its six eigenvalues of negative real
+    part, and enforces that the closed loop A - B K is Hurwitz.
     """
-    # imported here: scipy.linalg costs ~0.2 s and tens of MB at import,
-    # and only the gain design needs it
-    from scipy.linalg import solve_continuous_are
-
-    Q = DEFAULT_LQR_Q if Q is None else np.asarray(Q, dtype=float)
-    R = DEFAULT_LQR_R if R is None else np.asarray(R, dtype=float)
+    Q = np.asarray(DEFAULT_LQR_Q if Q is None else Q, dtype=float)
+    R = np.asarray(DEFAULT_LQR_R if R is None else R, dtype=float)
+    for M, n, name in ((Q, 6, "Q"), (R, 3, "R")):
+        if M.shape != (n, n) or not np.isfinite(M).all() or not np.allclose(M, M.T):
+            raise ValueError(f"{name} must be a finite symmetric ({n}, {n}) matrix")
+    if np.linalg.eigvalsh(Q).min() < -1e-12 * np.abs(Q).max():
+        raise ValueError("Q must be positive semi-definite")
+    if np.linalg.eigvalsh(R).min() <= 0.0:
+        raise ValueError("R must be positive definite")
     A, B = cw_matrices(dyn)
-    P = solve_continuous_are(A, B, Q, R)
+    Z = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    lam, V = np.linalg.eig(Z)
+    stable = lam.real < -1e-9 * np.abs(Z).max()  # not a rounded imaginary one
+    if stable.sum() != 6:
+        raise ValueError("LQR design failed: the Hamiltonian has "
+                         f"{stable.sum()} stable eigenvalues, not 6")
+    P = np.linalg.solve(V[:6, stable].T, V[6:, stable].T).T.real
     K = np.linalg.solve(R, B.T @ P)
     eigs = np.linalg.eigvals(A - B @ K)
     if not np.all(eigs.real < 0.0):

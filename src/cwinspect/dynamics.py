@@ -103,11 +103,6 @@ class RelativeState:
         """Return the 6-vector [x, y, z, xd, yd, zd]."""
         return np.concatenate([self.position, self.velocity])
 
-    @classmethod
-    def from_vector(cls, vec, sun_angle: float = 0.0, t: float = 0.0) -> "RelativeState":
-        vec = np.asarray(vec, dtype=float).reshape(6)
-        return cls(vec[:3], vec[3:], sun_angle, t)
-
     def sun_angle_wrapped(self) -> float:
         """Sun angle wrapped to [0, 2pi)."""
         return self.sun_angle % TWO_PI

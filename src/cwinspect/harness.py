@@ -83,9 +83,9 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.position_sigma, self.velocity_sigma,
-               self.disturbance_sigma) < 0.0:
-            raise ValueError("noise sigmas must be non-negative")
+        if not all(0.0 <= v < math.inf for v in (
+                self.position_sigma, self.velocity_sigma, self.disturbance_sigma)):
+            raise ValueError("noise sigmas must be non-negative and finite")
 
 
 @dataclass
@@ -134,6 +134,8 @@ class ExperimentConfig:
                 self.noise = NoiseModel(**self.noise)
             except TypeError as exc:
                 raise ValueError(f"invalid noise model: {exc}") from exc
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError("noise must be a NoiseModel or a dict of its fields")
 
 
 @dataclass
@@ -175,8 +177,9 @@ _EXPERIMENT_TABLE = {
 
 def default_experiment(n: int) -> ExperimentConfig:
     """Reference configuration for experiment ``n`` (1..6)."""
-    if n not in _EXPERIMENT_TABLE:
-        raise ValueError(f"experiment number must be 1..6, got {n}")
+    # True and 2.0 would match the table's keys 1 and 2
+    if n is True or not isinstance(n, (int, np.integer)) or n not in _EXPERIMENT_TABLE:
+        raise ValueError(f"experiment number must be an integer 1..6, got {n!r}")
     controller, rta, illum, pos_scale, time_scale = _EXPERIMENT_TABLE[n]
     return ExperimentConfig(
         controller=controller,
@@ -208,15 +211,10 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if base is not None:
-        cfg = default_experiment(int(base))
+        cfg = default_experiment(base)
         merged = {**dataclasses.asdict(cfg), **doc}
     else:
         merged = doc
-    if "noise" in merged and isinstance(merged["noise"], dict):
-        try:
-            merged["noise"] = NoiseModel(**merged["noise"])
-        except TypeError as exc:
-            raise ValueError(f"invalid noise model in {path}: {exc}") from exc
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

@@ -209,29 +209,43 @@ def solve_qp(u_des, rows, u_max: float):
 def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     """Least-violation control over the thrust box.
 
-    Minimizes sum_i max(0, -(c_i.u + b_i))^2 + 1e-6 ||u - u_des||^2 subject
-    to |u_j| <= u_max.  Coincides with :func:`solve_qp` to about 1e-6 when
-    the rows are actually feasible.
+    Minimizes f(u) = sum_i max(0, -(c_i.u + b_i))^2 + 1e-6 ||u - u_des||^2
+    subject to |u_j| <= u_max by Newton steps from the clamped request: each
+    minimizes over the box the quadratic model of f on the rows violated at
+    the iterate and is halved until f descends; it stops when none does.
+    Coincides with :func:`solve_qp` to about 1e-6 when the rows are feasible.
     """
-    # imported here: scipy.optimize costs ~0.3 s and tens of MB at import,
-    # and the fallback is the only user of it
-    from scipy.optimize import minimize
-
     u_des = np.asarray(u_des, dtype=float).reshape(3)
     C, b = _row_arrays(rows)
 
-    def objective(u):
-        viol = np.maximum(0.0, -(C @ u + b))
-        du = u - u_des
-        f = np.dot(viol, viol) + _PENALTY_WEIGHT * np.dot(du, du)
-        g = -2.0 * (C.T @ viol) + 2.0 * _PENALTY_WEIGHT * du
-        return f, g
+    def objective(U):  # of thrusts (k, 3)
+        viol = np.minimum(0.0, U @ C.T + b)
+        return (viol * viol).sum(axis=1) + _PENALTY_WEIGHT * ((U - u_des) ** 2).sum(axis=1)
 
-    x0 = np.clip(u_des, -u_max, u_max)
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   bounds=[(-u_max, u_max)] * 3,
-                   options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
-    return np.asarray(res.x, dtype=float)
+    u = np.clip(u_des, -u_max, u_max)
+    f = objective(u[None])[0]
+    for _ in range(_MAX_QP_ITER):
+        V = C @ u + b < 0.0
+        # the model w.M w + 2 q.w, M = L L^T, is ||v + L^-1 q||^2 in v = L^T w,
+        # where the box rows are _BOX L^-T: the QP solver finds the active faces
+        M = C[V].T @ C[V] + _PENALTY_WEIGHT * np.eye(3)
+        q = C[V].T @ b[V] - _PENALTY_WEIGHT * u_des
+        L_inv = np.linalg.inv(np.linalg.cholesky(M))
+        _, active, ok = _dual_active_set(-L_inv @ q, _BOX @ L_inv.T, np.full(6, -u_max))
+        if not ok:
+            break
+        # M can be ill-conditioned: w is put on the active faces exactly
+        w, free = np.zeros(3), np.ones(3, dtype=bool)
+        for a in active:
+            w[a % 3], free[a % 3] = (u_max if a < 3 else -u_max), False
+        w[free] = np.linalg.solve(M[free][:, free], -q[free] - M[free][:, ~free] @ w[~free])
+        trial = u + 0.5 ** np.arange(40)[:, None] * (w.clip(-u_max, u_max) - u)
+        f_trial = objective(trial)
+        descends = (f_trial < f).nonzero()[0]
+        if not descends.size:
+            break
+        u, f = trial[descends[0]], f_trial[descends[0]]
+    return np.clip(u, -u_max, u_max)
 
 
 @lru_cache(maxsize=16)

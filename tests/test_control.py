@@ -24,14 +24,28 @@ class TestLqr:
         assert np.all(eigs.real < 0.0)
 
     def test_riccati_residual(self):
-        ctrl = lqr_design(DP)
-        A, B = cw_matrices(DP)
-        # recover P and check the Riccati equation residual independently
         from scipy.linalg import solve_continuous_are
-        P = solve_continuous_are(A, B, ctrl.Q, ctrl.R)
-        resid = A.T @ P + P @ A - P @ B @ np.linalg.solve(ctrl.R, B.T @ P) + ctrl.Q
-        assert np.linalg.norm(resid, "fro") < 1e-8
-        assert np.allclose(ctrl.K, np.linalg.solve(ctrl.R, B.T @ P))
+        A, B = cw_matrices(DP)
+        for Q, R in ((None, None),
+                     (np.diag([1.0, 2.0, 3.0, 0.1, 0.2, 0.3]), 5.0 * np.eye(3))):
+            ctrl = lqr_design(DP, Q, R)
+            # recover P and check the Riccati equation residual independently
+            P = solve_continuous_are(A, B, ctrl.Q, ctrl.R)
+            resid = A.T @ P + P @ A - P @ B @ np.linalg.solve(ctrl.R, B.T @ P) + ctrl.Q
+            assert np.linalg.norm(resid, "fro") < 1e-8
+            # the numpy Riccati solve gives SciPy's gain to rounding
+            K_scipy = np.linalg.solve(ctrl.R, B.T @ P)
+            assert np.abs(ctrl.K - K_scipy).max() <= 1e-12 * np.abs(K_scipy).max()
+
+    @pytest.mark.parametrize("Q, R, match", [
+        (np.zeros((6, 6)), None, "stable eigenvalues"),  # nothing to stabilize
+        (None, -np.eye(3), "R must be positive definite"),
+        (np.full((6, 6), np.nan), None, "Q must be a finite symmetric"),
+        (np.eye(3), None, "Q must be a finite symmetric"),
+    ])
+    def test_invalid_weights_rejected(self, Q, R, match):
+        with pytest.raises(ValueError, match=match):
+            lqr_design(DP, Q, R)
 
     def test_zero_state_zero_control(self):
         ctrl = lqr_design(DP)

@@ -110,6 +110,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="malformed"):
             load_config(path)
 
+    @pytest.mark.parametrize("number", [2.5, True])
+    def test_non_integer_experiment_rejected(self, tmp_path, number):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"experiment": number}))
+        with pytest.raises(ValueError, match="experiment number"):
+            load_config(path)
+
     def test_invalid_range_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"controller": "lqr", "time_scale": 0.0}))
@@ -148,6 +155,17 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(position_sigma=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("position_sigma", math.nan), ("velocity_sigma", math.inf),
+        ("disturbance_sigma", math.nan)])
+    def test_non_finite_sigma_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(**{field: value})
+
+    def test_noise_of_another_type_rejected(self):
+        with pytest.raises(ValueError, match="NoiseModel"):
+            ExperimentConfig(noise=[1, 2])
 
 
 class TestRun:

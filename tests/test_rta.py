@@ -4,6 +4,8 @@ fixed states."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwinspect import rta
 from cwinspect.dynamics import DynamicsParams, hold_maps, rk4_zoh_map
@@ -152,6 +154,59 @@ class TestFallback:
         u = infeasible_fallback([3.0, -0.2, -4.0],
                                 (np.zeros((0, 3)), np.zeros(0)), 1.0)
         assert np.allclose(u, [1.0, -0.2, -1.0], atol=1e-6)
+
+
+def lbfgsb_fallback(u_des, C, b, u_max):
+    """Oracle: the least-violation objective minimized by SciPy's L-BFGS-B
+    from the clamped request, to its tightest tolerances."""
+    from scipy.optimize import minimize
+
+    def objective(u):
+        viol = np.maximum(0.0, -(C @ u + b))
+        du = u - u_des
+        return (viol @ viol + 1e-6 * du @ du,
+                -2.0 * (C.T @ viol) + 2e-6 * du)
+
+    return minimize(objective, np.clip(u_des, -u_max, u_max), jac=True,
+                    method="L-BFGS-B", bounds=[(-u_max, u_max)] * 3,
+                    options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500}).x
+
+
+@st.composite
+def fallback_problems(draw):
+    """Requests, row sets of scale 1e-2..10 with zero, duplicate and
+    parallel rows appended, and a box half-width."""
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    n = draw(st.integers(1, 10))
+    C = np.array(draw(st.lists(st.lists(coord, min_size=3, max_size=3),
+                               min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 1.0), min_size=n,
+                                           max_size=n)))
+    C, b = C * scale[:, None], b * scale
+    for kind, i, factor, offset in draw(st.lists(st.tuples(
+            st.sampled_from(("zero", "duplicate", "parallel")),
+            st.integers(0, n - 1), st.floats(-3.0, 3.0), coord), max_size=4)):
+        row, b_row = {"zero": (0.0 * C[i], offset), "duplicate": (C[i], b[i]),
+                      "parallel": (factor * C[i], offset)}[kind]
+        C, b = np.vstack([C, row]), np.append(b, b_row)
+    u_des = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+    return u_des, C, b, draw(st.sampled_from((0.5, 1.0, 2.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fallback_problems())
+def test_fallback_no_worse_than_lbfgsb(problem):
+    u_des, C, b, u_max = problem
+    u = infeasible_fallback(u_des, (C, b), u_max)
+    assert np.all(np.abs(u) <= u_max)
+
+    def objective(u):
+        viol = np.maximum(0.0, -(C @ u + b))
+        return viol @ viol + 1e-6 * (u - u_des) @ (u - u_des)
+
+    f_oracle = objective(lbfgsb_fallback(u_des, C, b, u_max))
+    assert objective(u) <= f_oracle * (1.0 + 1e-9)
 
 
 class TestFilter:
