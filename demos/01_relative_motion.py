@@ -20,9 +20,9 @@ state = RelativeState([21.8, -11.3, 41.8], [0.0, 0.0, 0.0],
 print(f"initial range {np.linalg.norm(state.position):.2f} m, "
       f"sun direction {np.round(sun_vector(state.sun_angle), 3)}")
 
-# free drift for 30 minutes: each 10 s step applies one cached affine
-# zero-order-hold map (50 RK4 substeps as a matrix power), compared with
-# the exact transition matrix
+# free drift for 30 minutes: each 10 s step applies the cached end-of-hold
+# map of dynamics.hold_maps (50 RK4 substeps of 0.2 s, composed once),
+# compared with the exact transition matrix
 drift_rk4 = state
 for _ in range(180):
     drift_rk4 = step(drift_rk4, np.zeros(3), 10.0, params)

@@ -232,15 +232,21 @@ class ScriptedOrbitController:
                  rate: float | None = None, gain: float = 0.002,
                  params: DynamicsParams | None = None):
         self.params = params if params is not None else DynamicsParams()
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         normal = np.asarray(plane_normal, dtype=float).reshape(3)
+        if not np.isfinite(normal).all():
+            raise ValueError("plane_normal must be finite")
         norm = np.linalg.norm(normal)
         if norm == 0.0:
             raise ValueError("plane_normal must be nonzero")
         self.normal = normal / norm
         self.rate = 2.0 * self.params.mean_motion if rate is None else float(rate)
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
+        if not 0.0 < gain < math.inf:
+            raise ValueError("gain must be positive and finite")
         self.gain = float(gain)
         self.kv = 2.0 * math.sqrt(self.gain)
         # deterministic in-plane basis: reference axis least aligned with n

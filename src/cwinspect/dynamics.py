@@ -9,9 +9,10 @@ volume.
 The system is linear, so a hold of constant thrust is one affine map of the
 state.  One RK4 substep of the linear system, written as its matrix
 polynomial (:func:`rk4_zoh_map`), is the only definition of a propagation
-substep: :func:`step` and :func:`step_vector` apply the cached end-of-hold
-map built from its power, and :func:`hold_maps` gives every substep state
-of a hold.
+substep.  :func:`hold_maps`, the only builder of propagation maps, composes
+equal substeps (the augmented-matrix form of zero-order-hold discretisation,
+Van Loan 1978) into the cached map of every substep state of a hold;
+:func:`step` and :func:`step_vector` apply its last entry.
 
 Axes follow the usual Hill/RIC convention: x radial (away from Earth),
 y in-track, z cross-track.  SI units throughout (m, m/s, s, rad).
@@ -165,35 +166,11 @@ def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (M, N) such that x(t+h) = M @ x(t) + N @ a for constant
     acceleration input a [m/s^2]: the classic RK4 step of the linear
-    system.  Every propagation in the package is built from powers of this
-    substep.
+    system.  Every propagation in the package composes this substep in
+    :func:`hold_maps`.
     """
     D, N = _rk4_increment(params, h)
     return np.eye(6) + D, N
-
-
-@lru_cache(maxsize=32)
-def _end_map(params: DynamicsParams, dt: float,
-             substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """End state of a ``dt``-second hold of ``substeps`` equal substeps as
-    x + D @ x + G @ u (u in N), i.e. Phi = I + D and Gamma = G.
-
-    The substeps of the augmented 9x9 map are composed one by one, kept as
-    their difference from the identity so no precision is lost to the unit
-    diagonal; memory does not grow with ``substeps``.  The pair is cached
-    and read-only.
-    """
-    D, N = _rk4_increment(params, dt / substeps)
-    base = np.zeros((9, 9))
-    base[:6, :6] = D
-    base[:6, 6:] = N / params.mass
-    power = np.zeros((9, 9))
-    for _ in range(substeps):  # (I + base)(I + power) - I
-        power = power + base + base @ power
-    D_end, G = power[:6, :6].copy(), power[:6, 6:].copy()
-    D_end.setflags(write=False)
-    G.setflags(write=False)
-    return D_end, G
 
 
 def step_vector(x, u, dt: float, params: DynamicsParams,
@@ -201,25 +178,15 @@ def step_vector(x, u, dt: float, params: DynamicsParams,
     """Propagate the 6-state ``dt`` seconds under zero-order-hold thrust.
 
     ``x`` may be a single state of shape (6,) or a batch of shape (6, N);
-    the same affine map is applied column-wise.  ``dt`` is split into
-    J = ceil(dt / max_substep) equal substeps of :func:`rk4_zoh_map`, applied
-    as the one cached end-of-hold affine map x+ = Phi x + Gamma u.  Raises
-    ``ValueError`` on non-finite input or a ``dt`` or ``max_substep`` that is
-    not positive and finite.
+    the same affine map is applied column-wise: the end-of-hold entry of
+    :func:`hold_maps`, x + D @ x + S @ u.  Raises ``ValueError`` on
+    non-finite input and on the ``dt`` and ``max_substep`` that
+    :func:`hold_maps` refuses.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive and finite")
-    if not (math.isfinite(max_substep) and max_substep > 0.0):
-        raise ValueError("max_substep must be positive and finite")
+    D, S = hold_maps(params, float(dt), float(max_substep))
     x = _require_finite(x, "state")
-    u = _require_finite(u, "control").reshape(3)
-    ratio = dt / max_substep
-    if not math.isfinite(ratio):
-        raise ValueError("dt / max_substep must be finite")
-    substeps = max(1, math.ceil(ratio - 1e-12))
-    D, G = _end_map(params, float(dt), substeps)
-    b = G @ u
-    return x + (D @ x + (b[:, None] if x.ndim == 2 else b))
+    b = S[-1] @ _require_finite(u, "control").reshape(3)
+    return x + (D[-1] @ x + (b[:, None] if x.ndim == 2 else b))
 
 
 def step(state: RelativeState, u, dt: float, params: DynamicsParams,
@@ -238,31 +205,41 @@ def step(state: RelativeState, u, dt: float, params: DynamicsParams,
     )
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def hold_maps(params: DynamicsParams, period: float,
-              substeps: int) -> tuple[np.ndarray, np.ndarray]:
+              max_substep: float = DEFAULT_SUBSTEP) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 
-    A hold of ``period`` seconds split into J = ``substeps`` equal substeps
-    (:func:`rk4_zoh_map`) under constant thrust u [N] reaches the
-    state P[j] @ x + S[j] @ u after substep j + 1.  Returns (P, S) of shapes
-    (J, 6, 6) and (J, 6, 3); the arrays are cached and read-only.
+    A hold of ``period`` seconds split into J = max(1, ceil(period /
+    max_substep)) equal substeps (:func:`rk4_zoh_map`) under constant thrust
+    u [N] reaches the state x + D[j] @ x + S[j] @ u after substep j + 1.  The
+    substeps of the augmented 9x9 map are composed one by one, each kept as
+    its difference from the identity so no precision is lost to the unit
+    diagonal.  Returns (D, S) of shapes (J, 6, 6) and (J, 6, 3), cached and
+    read-only.  Raises ``ValueError`` unless ``period`` and ``max_substep``
+    are positive and finite with a finite ratio.
     """
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError("period must be positive and finite")
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-    M, N = rk4_zoh_map(params, period / substeps)
-    P = np.empty((substeps, 6, 6))
+    if not (math.isfinite(max_substep) and max_substep > 0.0):
+        raise ValueError("max_substep must be positive and finite")
+    ratio = period / max_substep
+    if not math.isfinite(ratio):
+        raise ValueError("period / max_substep must be finite")
+    substeps = max(1, math.ceil(ratio - 1e-12))
+    D_sub, N = _rk4_increment(params, period / substeps)
+    base = np.zeros((9, 9))
+    base[:6, :6] = D_sub
+    base[:6, 6:] = N / params.mass
+    D = np.empty((substeps, 6, 6))
     S = np.empty((substeps, 6, 3))
-    P_j, S_j = np.eye(6), np.zeros((6, 3))
-    for j in range(substeps):
-        P_j = M @ P_j
-        S_j = M @ S_j + N / params.mass
-        P[j], S[j] = P_j, S_j
-    P.setflags(write=False)
+    power = np.zeros((9, 9))
+    for j in range(substeps):  # (I + base)(I + power) - I
+        power = power + base + base @ power
+        D[j], S[j] = power[:6, :6], power[:6, 6:]
+    D.setflags(write=False)
     S.setflags(write=False)
-    return P, S
+    return D, S
 
 
 def cw_stm(n: float, t: float) -> np.ndarray:

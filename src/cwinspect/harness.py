@@ -96,7 +96,6 @@ class ExperimentConfig:
     position_scale: float = 65.0
     time_scale: float = 10.0
     control_rate: float = 0.5  # [Hz] space frame
-    sim_rate: float = 5.0  # [Hz] space frame inner integration
     max_duration: float = 6000.0  # [s] space frame
     max_steps: int | None = None
     closed_loop: bool = False
@@ -116,15 +115,20 @@ class ExperimentConfig:
                              f"choose from {CONTROLLER_CHOICES}")
         if not all(0.0 < v < math.inf for v in (self.position_scale, self.time_scale)):
             raise ValueError("scales must be positive and finite")
-        if not all(0.0 < v < math.inf for v in (self.control_rate, self.sim_rate)):
-            raise ValueError("rates must be positive and finite")
-        if self.control_rate > self.sim_rate:
-            raise ValueError("control_rate must not exceed sim_rate")
+        if not 0.0 < self.control_rate < math.inf:
+            raise ValueError("control_rate must be positive and finite")
         if not 0.0 < self.max_duration < math.inf:
             raise ValueError("max_duration must be positive and finite")
         if self.max_steps is not None and not (
                 isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
             raise ValueError("max_steps must be a positive integer or None")
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        box = np.asarray(self.aviary_box, dtype=float)
+        if box.shape != (3,) or not (np.isfinite(box) & (box > 0.0)).all():
+            raise ValueError("aviary_box must be three positive finite extents [m]")
+        self.aviary_box = tuple(box.tolist())
         state = tuple(float(v) for v in self.initial_state)
         if len(state) != 7:
             raise ValueError("initial_state must have 7 entries (pos, vel, sun angle)")
@@ -275,10 +279,9 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
     controller, resolved = _resolve_controller(cfg, dyn)
 
     dt_c = 1.0 / cfg.control_rate
-    n_sub = max(1, math.ceil(dt_c * cfg.sim_rate - 1e-9))
     # the plant flies each hold on the affine substep map the filter plans with
-    P, S = hold_maps(dyn, dt_c, n_sub)
-    P, S = P.reshape(-1, 6), S.reshape(-1, 3)
+    D, S = hold_maps(dyn, dt_c)
+    D, S = D.reshape(-1, 6), S.reshape(-1, 3)
 
     max_rows = int(math.ceil(cfg.max_duration * cfg.control_rate - 1e-9))
     if cfg.max_steps is not None:
@@ -325,8 +328,7 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
         u_des = np.clip(np.asarray(controller(sensed, sphere), dtype=float).reshape(3),
                         -dyn.u_max, dyn.u_max)
         if cfg.rta_enabled:
-            res = filter_control(sensed, u_des, safety, dyn, alphas,
-                                 period=dt_c, substeps=n_sub)
+            res = filter_control(sensed, u_des, safety, dyn, alphas, period=dt_c)
             u_act = res.u_act
             rows_int[k] = res.intervened
             rows_dev[k] = res.deviation
@@ -356,7 +358,7 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
         force = u_act
         if closed:
             force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
-        hold = (P @ x + S @ force).reshape(n_sub, 6)
+        hold = (D @ x + S @ force).reshape(-1, 6) + x
         pos = hold[:, :3]
         nearest = float(np.sqrt(np.min(np.einsum("ij,ij->i", pos, pos))))
         min_distance = min(min_distance, nearest)
@@ -384,7 +386,6 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
             "position_scale": cfg.position_scale,
             "time_scale": cfg.time_scale,
             "control_rate": cfg.control_rate,
-            "sim_rate": cfg.sim_rate,
             "columns": list(CSV_COLUMNS),
         },
     )

@@ -3,9 +3,9 @@
 The filtered thrust is held constant over one control period (zero-order
 hold) while the plant is integrated in equal RK4 substeps.  The
 Clohessy-Wiltshire system is linear, so every substep state of the hold is
-affine in the held thrust, x_j = P_j x + S_j u
-(:func:`cwinspect.dynamics.hold_maps`).  The filter returns the thrust
-closest to u_des that
+affine in the held thrust, x_j = x + D_j x + S_j u, on the same map the
+simulator flies (:func:`cwinspect.dynamics.hold_maps`, which also sets the
+substep count).  The filter returns the thrust closest to u_des that
 
   * satisfies the six continuous-time barrier rows c_i.u + b_i >= 0 at x
     (:func:`cwinspect.safety.cbf_rows`),
@@ -50,7 +50,6 @@ from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
 
 __all__ = [
     "DEFAULT_PERIOD",
-    "DEFAULT_SUBSTEPS",
     "FilterResult",
     "solve_qp",
     "infeasible_fallback",
@@ -58,9 +57,8 @@ __all__ = [
     "filter_control_batch",
 ]
 
-#: Hold of the default 0.5 Hz control rate [s] and its 5 Hz RK4 substeps.
+#: Hold of the default 0.5 Hz control rate [s].
 DEFAULT_PERIOD = 2.0
-DEFAULT_SUBSTEPS = 10
 
 _FEAS_TOL = 1e-9  # primal feasibility slack accepted by the QP
 _INTERVENTION_TOL = 1e-9
@@ -249,21 +247,22 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float,
-               substeps: int):
-    """Cached and read-only: the keep-in guard, the maps of
-    :func:`cwinspect.dynamics.hold_maps` as P2T (6, 6J) and S2T (3, 6J) for
-    row-wise states and thrusts, S (J, 6, 3), the exact rows (J, 6, 3) of
-    the axis-limit conditions k4..k9, the same for every state and thrust,
-    and the margins ramped over the hold (J, 9)."""
+def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
+    """Cached and read-only: the keep-in guard, the maps (D, S) of
+    :func:`cwinspect.dynamics.hold_maps` as P2T = (I + D) (6, 6J) and
+    S2T (3, 6J) for row-wise states and thrusts, S (J, 6, 3), the exact
+    rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for every
+    state and thrust, and the margins ramped over the hold (J, 9)."""
     guard = keep_in_guard(params, dyn)
-    P, S = hold_maps(dyn, period, substeps)
+    D, S = hold_maps(dyn, period)
+    J = len(D)
+    P2T = (D + np.eye(6)).reshape(-1, 6).T
     axis_rows = np.einsum("njkd,jde->njke",
-                          np.tile(_AXIS_LIMIT_GRADIENTS, (1, substeps, 1, 1)), S)[0]
-    ramp = _MARGINS * (np.arange(1, substeps + 1)[:, None] / substeps)
-    axis_rows.setflags(write=False)
-    ramp.setflags(write=False)
-    return guard, P.reshape(-1, 6).T, S, S.reshape(-1, 3).T, axis_rows, ramp
+                          np.tile(_AXIS_LIMIT_GRADIENTS, (1, J, 1, 1)), S)[0]
+    ramp = _MARGINS * (np.arange(1, J + 1)[:, None] / J)
+    for a in (P2T, axis_rows, ramp):
+        a.setflags(write=False)
+    return guard, P2T, S, S.reshape(-1, 3).T, axis_rows, ramp
 
 
 def _requested_holds(X, U, free, S2T, idx, params, keep_in):
@@ -377,11 +376,11 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out)
 
 
 def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
-                   period, substeps):
+                   period):
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
     feasible)."""
-    guard, P2T, *plan = _hold_plan(params, dyn, float(period), int(substeps))
+    guard, P2T, *plan = _hold_plan(params, dyn, float(period))
     free = X @ P2T
     H, K, T, K0 = _requested_holds(X, U, free, plan[1], slice(None), params, guard)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
@@ -423,10 +422,10 @@ def _clamped_requests(U, dyn: DynamicsParams) -> np.ndarray:
 
 
 def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
-                   alphas=None, period: float = DEFAULT_PERIOD,
-                   substeps: int = DEFAULT_SUBSTEPS) -> FilterResult:
-    """Filter ``u_des`` for one state and a hold of ``period`` seconds split
-    into ``substeps`` equal RK4 substeps.
+                   alphas=None, period: float = DEFAULT_PERIOD) -> FilterResult:
+    """Filter ``u_des`` for one state and a hold of ``period`` seconds, on
+    the substeps of :func:`cwinspect.dynamics.hold_maps` that the simulator
+    flies.
 
     ``u_des`` is clamped to the thrust box first so the reported deviation
     measures distance from an admissible request.
@@ -438,7 +437,7 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
         raise ValueError("state must be finite")
     C, b = cbf_rows(x, params, dyn, alphas)
     U, active, feasible = _filter_states(x[None, :], u_des[None, :], C[None],
-                                         b[None], params, dyn, period, substeps)
+                                         b[None], params, dyn, period)
     u = U[0]
     du = u - u_des
     deviation = math.sqrt(du.dot(du))  # np.linalg.norm's arithmetic
@@ -454,8 +453,7 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
 
 def filter_control_batch(states, u_des, params: SafetyParams,
                          dyn: DynamicsParams, alphas=None,
-                         period: float = DEFAULT_PERIOD,
-                         substeps: int = DEFAULT_SUBSTEPS):
+                         period: float = DEFAULT_PERIOD):
     """:func:`filter_control` for states (N, 6) and requests (N, 3).
 
     Returns (u_act (N, 3), intervened (N,), feasible (N,)).
@@ -467,6 +465,6 @@ def filter_control_batch(states, u_des, params: SafetyParams,
     if len(U) != len(X):
         raise ValueError("states and u_des must have the same length")
     C, b = cbf_rows(X, params, dyn, alphas)
-    U_act, _, feasible = _filter_states(X, U, C, b, params, dyn, period, substeps)
+    U_act, _, feasible = _filter_states(X, U, C, b, params, dyn, period)
     intervened = np.linalg.norm(U_act - U, axis=1) > _INTERVENTION_TOL
     return U_act, intervened, feasible

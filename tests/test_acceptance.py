@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cwinspect as cw
-from cwinspect.dynamics import cw_stm, rk4_zoh_map, step_vector
+from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step_vector
 from cwinspect.harness import default_experiment, emit, run
 from cwinspect.rta import filter_control_batch
 from cwinspect.safety import grad_h_batch, h_values_batch
@@ -82,21 +82,21 @@ def _sample_safe_states(count, seed, margin=0.05):
 
 
 def _invariance_min(states, controller, seed, duration=6000.0,
-                    control_rate=0.5, sim_rate=5.0):
+                    control_rate=0.5):
     """Filter a family of runs at ``control_rate`` with the library's batched
     filter and return the minimum barrier value seen at any inner
-    integration state."""
+    integration state, one RK4 substep of at most DEFAULT_SUBSTEP apart."""
     rng = np.random.default_rng(seed)
     X = states.T.copy()  # (6, N)
     n_runs = X.shape[1]
     dt_c = 1.0 / control_rate
-    n_sub = int(round(dt_c * sim_rate))
+    n_sub = math.ceil(dt_c / DEFAULT_SUBSTEP - 1e-12)
     M, Nmat = rk4_zoh_map(DP, dt_c / n_sub)
     steps = int(round(duration * control_rate))
     overall_min = np.inf
     for _ in range(steps):
         U = controller(X.T, rng)
-        U, _, _ = filter_control_batch(X.T, U, SP, DP, period=dt_c, substeps=n_sub)
+        U, _, _ = filter_control_batch(X.T, U, SP, DP, period=dt_c)
         A_in = (U / DP.mass).T  # (3, N)
         for _ in range(n_sub):
             X = M @ X + Nmat @ A_in

@@ -232,3 +232,13 @@ class TestScriptedOrbit:
             ScriptedOrbitController(0.0, params=DP)
         with pytest.raises(ValueError):
             ScriptedOrbitController(30.0, plane_normal=(0, 0, 0), params=DP)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(radius=math.nan), dict(radius=math.inf), dict(rate=math.inf),
+        dict(rate=math.nan), dict(plane_normal=(math.nan, 1, 0)),
+        dict(gain=math.nan), dict(gain=math.inf), dict(gain=-0.1), dict(gain=0.0),
+    ])
+    def test_non_finite_or_degenerate_arguments_rejected(self, kwargs):
+        kwargs = {"radius": 30.0, **kwargs}
+        with pytest.raises(ValueError):
+            ScriptedOrbitController(params=DP, **kwargs)

@@ -198,25 +198,24 @@ class TestStep:
 
     @pytest.mark.parametrize("dt", [7.0, 25.0])
     def test_hold_maps_match_rk4_oracle(self, dt):
-        substeps = math.ceil(dt / DEFAULT_SUBSTEP)
-        Ph, S = hold_maps(P, dt, substeps)
+        D, S = hold_maps(P, dt)
         rng = np.random.default_rng(200 + int(dt))
         x, u = random_pair(rng)
         ref = rk4_oracle(x, u, dt)
-        assert len(ref) == substeps
-        for j in range(substeps):
-            assert_rel_close(Ph[j] @ x + S[j] @ u, ref[j])
+        assert len(D) == len(ref) == math.ceil(dt / DEFAULT_SUBSTEP)
+        for j in range(len(D)):
+            assert_rel_close(x + D[j] @ x + S[j] @ u, ref[j])
 
     def test_long_step_matches_rk4_oracle(self):
-        # 5000 substeps in one call, composed into one cached end map
+        # 5000 substeps in one call, composed into one cached hold map
         rng = np.random.default_rng(9)
         x, u = random_pair(rng)
         assert_rel_close(step_vector(x, u, 1000.0, P),
                          rk4_oracle(x, u, 1000.0)[-1])
 
     def test_hold_maps_give_every_substep(self):
-        Ph, S = hold_maps(P, 2.0, 10)
-        assert Ph.shape == (10, 6, 6) and S.shape == (10, 6, 3)
+        D, S = hold_maps(P, 2.0)
+        assert D.shape == (10, 6, 6) and S.shape == (10, 6, 3)
         M, Nmat = rk4_zoh_map(P, 0.2)
         rng = np.random.default_rng(6)
         x = rng.normal(0, 80, 6)
@@ -224,16 +223,20 @@ class TestStep:
         y = x.copy()
         for j in range(10):
             y = M @ y + Nmat @ (u / P.mass)
-            assert np.all(np.abs(Ph[j] @ x + S[j] @ u - y) < 1e-10)
+            assert np.all(np.abs(x + D[j] @ x + S[j] @ u - y) < 1e-10)
 
     def test_hold_maps_validated_and_read_only(self):
-        Ph, S = hold_maps(P, 2.0, 10)
+        D, S = hold_maps(P, 2.0)
         with pytest.raises(ValueError):
-            Ph[0, 0, 0] = 1.0
+            D[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            hold_maps(P, 0.0, 10)
-        with pytest.raises(ValueError):
-            hold_maps(P, 2.0, 0)
+            S[0, 0, 0] = 1.0
+        for period, max_substep in [(0.0, 0.2), (-2.0, 0.2), (math.inf, 0.2),
+                                    (math.nan, 0.2), (2.0, 0.0), (2.0, -1.0),
+                                    (2.0, math.inf),
+                                    (1e308, 1e-3)]:  # the substep count overflows
+            with pytest.raises(ValueError):
+                hold_maps(P, period, max_substep)
 
 
 class TestAnalytic:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cwinspect.cli import main as cli_main
-from cwinspect.dynamics import RelativeState
+from cwinspect.dynamics import DynamicsParams, RelativeState, step_vector
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                default_experiment, emit, inject_noise,
                                load_config, run, run_batch)
@@ -41,7 +41,6 @@ class TestDefaults:
     def test_rates_default_to_lab_window(self):
         cfg = default_experiment(1)
         assert cfg.control_rate == 0.5  # 5 Hz lab at time scale 10
-        assert cfg.sim_rate == 5.0  # 50 Hz lab at time scale 10
 
     def test_out_of_range_rejected(self):
         for n in (0, 7):
@@ -54,7 +53,7 @@ class TestDefaults:
         with pytest.raises(ValueError):
             ExperimentConfig(position_scale=-1.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(control_rate=10.0, sim_rate=5.0)
+            ExperimentConfig(control_rate=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(initial_state=(1, 2, 3))
 
@@ -74,6 +73,17 @@ class TestDefaults:
     def test_infinite_position_scale_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(position_scale=math.inf)
+
+    @pytest.mark.parametrize("box", [(math.nan, 8, 4), (-1, 8, 4), (0, 0, 0),
+                                     (8, math.inf, 4), (8, 8)])
+    def test_invalid_aviary_box_rejected(self, box):
+        with pytest.raises(ValueError, match="aviary_box"):
+            ExperimentConfig(aviary_box=box)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=seed)
 
 
 class TestConfigFile:
@@ -101,6 +111,10 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"controller": "lqr", "thrust": 3}))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(path)
+        # the substep count follows from the hold; no rate sets it
+        path.write_text(json.dumps({"experiment": 2, "sim_rate": 5.0}))
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
@@ -188,6 +202,20 @@ class TestRun:
         cfg = short_config(max_duration=1000.0, max_steps=7)
         log, summary = run(cfg)
         assert len(log) == summary["steps"] == 7
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_plant_flies_step_vector(self, n):
+        # the simulator, the filter's plan and step_vector share one hold
+        # map: each logged state is the step of the one before, bit for bit
+        cfg = default_experiment(n)
+        cfg.max_steps = 200
+        log, _ = run(cfg)
+        dt = 1.0 / cfg.control_rate
+        dyn = DynamicsParams()
+        assert len(log) == 200
+        for k in range(len(log) - 1):
+            x_next = step_vector(log.states[k, :6], log.u_act[k], dt, dyn)
+            assert np.array_equal(log.states[k + 1, :6], x_next), k
 
     def test_rta_off_leaves_commands_untouched(self):
         cfg = short_config(rta_enabled=False)

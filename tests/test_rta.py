@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from cwinspect import rta
 from cwinspect.dynamics import DynamicsParams, hold_maps, rk4_zoh_map
-from cwinspect.rta import (DEFAULT_PERIOD, DEFAULT_SUBSTEPS, FilterResult,
-                           filter_control, filter_control_batch,
-                           infeasible_fallback, solve_qp)
+from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
+                           filter_control_batch, infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
                               hold_gradients, hold_values, keep_in_guard)
 
@@ -254,7 +253,7 @@ class TestFilter:
     def test_minimal_invasiveness(self):
         # a request is admissible when it meets the continuous rows and its
         # hold keeps every hold condition non-negative at every substep
-        P, S = hold_maps(DP, DEFAULT_PERIOD, DEFAULT_SUBSTEPS)
+        D, S = hold_maps(DP, DEFAULT_PERIOD)
         rng = np.random.default_rng(43)
         checked = 0
         for _ in range(300):
@@ -264,7 +263,7 @@ class TestFilter:
             x = np.concatenate([p, rng.normal(0, 0.3, 3)])
             u_des = rng.uniform(-1, 1, 3)
             C, b = cbf_rows(x, SP, DP)
-            hold = P @ x + S @ u_des
+            hold = x + D @ x + S @ u_des
             if np.all(C @ u_des + b >= 1e-9) and hold_values(hold, SP, GUARD).min() >= 0.0:
                 res = filter_control(x, u_des, SP, DP)
                 assert res.deviation == 0.0
@@ -339,12 +338,12 @@ class TestFilter:
             filter_control_batch(x[None], np.zeros((1, 3)), SP, DP, alphas=[np.nan] * 6)
 
 
-def fly_hold(x, u, period=DEFAULT_PERIOD, substeps=DEFAULT_SUBSTEPS):
-    """Barrier values (substeps, 6) at every substep of the hold of thrust
-    ``u``, integrated one RK4 substep at a time."""
-    M, N = rk4_zoh_map(DP, period / substeps)
+def fly_hold(x, u):
+    """Barrier values (10, 6) at every 0.2 s substep of the default hold of
+    thrust ``u``, integrated one RK4 substep at a time."""
+    M, N = rk4_zoh_map(DP, DEFAULT_PERIOD / 10)
     out = []
-    for _ in range(substeps):
+    for _ in range(10):
         x = M @ x + N @ (np.asarray(u) / DP.mass)
         out.append(h_values_batch(x, SP)[0])
     return np.array(out)
@@ -415,10 +414,10 @@ class TestHoldRows:
         # the filter multiplies only the gradients of k1..k3 with the hold
         # map and takes the exact rows of k4..k9 from the cached plan: the
         # rows equal those of the full product, bit for bit
-        _, _, S, _, axis_rows, _ = rta._hold_plan(SP, DP, DEFAULT_PERIOD, DEFAULT_SUBSTEPS)
+        _, _, S, _, axis_rows, _ = rta._hold_plan(SP, DP, DEFAULT_PERIOD)
         rng = np.random.default_rng(59)
-        H = np.concatenate([rng.normal(0, 300, (5, DEFAULT_SUBSTEPS, 3)),
-                            rng.normal(0, 0.5, (5, DEFAULT_SUBSTEPS, 3))], axis=2)
+        H = np.concatenate([rng.normal(0, 300, (5, len(S), 3)),
+                            rng.normal(0, 0.5, (5, len(S), 3))], axis=2)
         H[0, :, 2:6:3] = 0.0  # motion in the orbital plane
         G = hold_gradients(H, SP, GUARD)
         full = np.einsum("njkd,jde->njke", G, S)
