@@ -4,6 +4,8 @@ noisy closed-loop rerun.  Without trained policy weights the NNC rows run
 the scripted circumnavigation stand-in; point a config's weights_path at a
 weights JSON to use a real policy."""
 
+from dataclasses import replace
+
 from cwinspect import default_experiment, run
 
 print(f"{'exp':>3} {'controller':>22} {'rta':>4} {'illum':>5} "
@@ -12,9 +14,8 @@ print(f"{'exp':>3} {'controller':>22} {'rta':>4} {'illum':>5} "
 
 for n in range(1, 7):
     for closed in ([False, True] if n <= 3 else [False]):
-        cfg = default_experiment(n)
-        cfg.max_duration = 3000.0  # keep the demo quick
-        cfg.seed = n
+        # replace() checks the overridden fields; 3000 s keeps the demo quick
+        cfg = replace(default_experiment(n), max_duration=3000.0, seed=n)
         log, s = run(cfg, closed_loop=closed)
         scale = f"{cfg.position_scale:.0f}/{cfg.time_scale:.0f}"
         loop = "closed" if closed else "open"

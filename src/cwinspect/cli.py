@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,18 +48,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.experiment is not None:
-        cfg = default_experiment(args.experiment)
-    else:
-        cfg = load_config(args.config)
-    if args.closed_loop:
-        cfg.closed_loop = True
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.weights is not None:
-        cfg.weights_path = args.weights
-    if args.max_duration is not None:
-        cfg.max_duration = args.max_duration
+    given = {"closed_loop": args.closed_loop or None, "seed": args.seed,
+             "weights_path": args.weights, "max_duration": args.max_duration}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    try:
+        if args.experiment is not None:
+            cfg = default_experiment(args.experiment)
+        else:
+            cfg = load_config(args.config)
+        # replace() builds a new config, so its checks see the overrides
+        cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     bad = [f for f in formats if f not in _FORMATS]
@@ -81,7 +83,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    index = run_batch(args.configs, args.out, jobs=args.jobs)
+    try:
+        index = run_batch(args.configs, args.out, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for name, brief in index.items():
         print(f"{name}: inspected={brief['inspected']} "
               f"delta_v={brief['delta_v']:.2f} reward={brief['reward']:.2f} "

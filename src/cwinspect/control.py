@@ -5,8 +5,15 @@ The MLP weights travel in a JSON document:
 
     {"input_dim": 6,
      "layers": [{"rows": 256, "cols": 6,
-                 "weights": [...row-major floats...],
-                 "bias": [...], "activation": "tanh"}, ...]}
+                 "weights": "...", "bias": "...", "activation": "tanh"}, ...]}
+
+Each layer's ``weights`` (row-major) and ``bias`` are given in one of two
+encodings, and the loader takes either: a JSON list of numbers, or one
+string holding the standard padded base64 (RFC 4648) of the values'
+little-endian IEEE-754 float64 bytes.  ``mlp_save`` writes the base64 form,
+which round-trips bit for bit and loads without parsing a number per value;
+the shipped ``data/tiny_policy_*.json`` stay in list form as fixtures of the
+list path.
 
 The canonical policy architecture has two tanh hidden layers of width 256
 and a linear output layer of 6 nodes (mean and variance per thrust axis);
@@ -17,6 +24,8 @@ other hidden widths so small test policies stay cheap.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -138,6 +147,27 @@ def _validate_policy(layers, input_dim: int) -> MlpPolicy:
     return MlpPolicy(list(layers), input_dim)
 
 
+def _layer_values(value, count: int, what: str) -> np.ndarray:
+    """The ``count`` float64 values of one layer field, given as a JSON list
+    of numbers or as base64 of their little-endian float64 bytes."""
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"{what}: invalid base64: {exc}") from exc
+        if len(raw) != 8 * count:
+            raise ValueError(f"{what}: {len(raw)} bytes of base64, expected "
+                             f"{8 * count} (8 per value)")
+        return np.frombuffer(raw, "<f8").astype(float)  # a writable copy
+    try:
+        values = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: not a list of numbers: {exc}") from exc
+    if values.size != count:
+        raise ValueError(f"{what}: length {values.size} != {count}")
+    return values
+
+
 def _policy_from_dict(doc: dict) -> MlpPolicy:
     try:
         input_dim = int(doc["input_dim"])
@@ -149,15 +179,13 @@ def _policy_from_dict(doc: dict) -> MlpPolicy:
         try:
             rows = int(entry["rows"])
             cols = int(entry["cols"])
-            w = np.asarray(entry["weights"], dtype=float)
-            bias = np.asarray(entry["bias"], dtype=float)
+            w, bias = entry["weights"], entry["bias"]
             activation = str(entry["activation"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"layer {k}: malformed entry: {exc}") from exc
-        if w.size != rows * cols:
-            raise ValueError(
-                f"layer {k}: weights length {w.size} != rows*cols {rows * cols}")
-        layers.append(MlpLayer(w.reshape(rows, cols), bias.reshape(-1), activation))
+        w = _layer_values(w, rows * cols, f"layer {k}: weights")
+        bias = _layer_values(bias, rows, f"layer {k}: bias")
+        layers.append(MlpLayer(w.reshape(rows, cols), bias, activation))
     return _validate_policy(layers, input_dim)
 
 
@@ -175,15 +203,21 @@ def mlp_load(path) -> MlpPolicy:
     return mlp_loads(Path(path).read_text())
 
 
+def _b64(values: np.ndarray) -> str:
+    raw = np.ascontiguousarray(values, "<f8").tobytes()  # row-major
+    return base64.b64encode(raw).decode("ascii")
+
+
 def mlp_save(policy: MlpPolicy, path) -> None:
+    """Write ``policy`` as a weights document, each array in base64."""
     doc = {
         "input_dim": policy.input_dim,
         "layers": [
             {
                 "rows": int(layer.weights.shape[0]),
                 "cols": int(layer.weights.shape[1]),
-                "weights": layer.weights.ravel().tolist(),
-                "bias": layer.bias.tolist(),
+                "weights": _b64(layer.weights),
+                "bias": _b64(layer.bias),
                 "activation": layer.activation,
             }
             for layer in policy.layers

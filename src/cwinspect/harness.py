@@ -414,23 +414,14 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
 
 # -- emission -------------------------------------------------------------
 
-def _format_value(v: float) -> str:
-    # 9-digit precision, fixed scientific layout: bit-stable and parses back
-    # to within 5e-10 relative
-    return f"{v:.9e}"
-
-
 def _emit_csv(log: TrajectoryLog, path: Path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
+    # 9-digit precision, fixed scientific layout: bit-stable and parses back
+    # to within 5e-10 relative; the two count columns are written as integers
+    int_cols = ("intervened", "num_points")
+    row = ",".join("%d" if c in int_cols else "%.9e" for c in CSV_COLUMNS) + "\n"
     mat = log.row_matrix()
-    int_cols = {CSV_COLUMNS.index("intervened"), CSV_COLUMNS.index("num_points")}
-    for row in mat:
-        cells = [
-            str(int(val)) if j in int_cols else _format_value(val)
-            for j, val in enumerate(row)
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(",".join(CSV_COLUMNS) + "\n"
+                    + row * len(mat) % tuple(mat.ravel().tolist()))
 
 
 def _emit_json(log: TrajectoryLog, path: Path) -> None:
@@ -438,7 +429,7 @@ def _emit_json(log: TrajectoryLog, path: Path) -> None:
         "schema_version": JSON_SCHEMA_VERSION,
         "metadata": log.metadata,
         "columns": list(CSV_COLUMNS),
-        "rows": [[float(v) for v in row] for row in log.row_matrix()],
+        "rows": log.row_matrix().tolist(),
     }
     path.write_text(json.dumps(doc))
 
@@ -528,10 +519,13 @@ def run_batch(config_dir, out_dir, jobs: int = 1,
               formats=("csv", "json")) -> dict:
     """Run every ``*.json`` config under ``config_dir`` and merge summaries.
 
-    Runs execute in parallel worker processes; each config carries its own
-    seed so streams stay isolated.  Returns the merged index, also written
-    to ``out_dir``/index.json.
+    ``jobs=1`` runs the configs one after another in this process; a larger
+    positive integer runs them in that many worker processes.  Each config
+    carries its own seed so streams stay isolated.  Returns the merged index,
+    also written to ``out_dir``/index.json.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     paths = sorted(Path(config_dir).glob("*.json"))
     if not paths:
         raise ValueError(f"no *.json configs found in {config_dir}")

@@ -1,13 +1,18 @@
 """Controllers: LQR design/feedback, MLP loading and inference, and the
 scripted circumnavigation stand-in."""
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cwinspect.control import (ScriptedOrbitController, lqr_control,
+from cwinspect.control import (OUTPUT_DIM, MlpLayer, MlpPolicy,
+                               ScriptedOrbitController, lqr_control,
                                lqr_design, mlp_act, mlp_load, mlp_loads,
                                mlp_save, random_policy)
 from cwinspect.dynamics import (DynamicsParams, RelativeState, cw_matrices,
@@ -142,6 +147,78 @@ class TestMlpLoading:
                           ("tiny_policy_all_sensors.json", 11)):
             text = resources.files("cwinspect.data").joinpath(name).read_text()
             assert mlp_loads(text).input_dim == dim
+
+
+# finite float64 values with the edge cases of the byte encoding mixed in
+_EDGE_VALUES = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def policies(draw):
+    input_dim = draw(st.sampled_from((6, 11)))
+    hidden = draw(st.lists(st.integers(1, 16), min_size=1, max_size=2))
+    dims = [input_dim, *hidden, OUTPUT_DIM]
+    layers = [
+        MlpLayer(draw(arrays(np.float64, (dims[k + 1], dims[k]), elements=_EDGE_VALUES)),
+                 draw(arrays(np.float64, dims[k + 1], elements=_EDGE_VALUES)),
+                 "linear" if k == len(dims) - 2 else "tanh")
+        for k in range(len(dims) - 1)
+    ]
+    return MlpPolicy(layers, input_dim)
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _corrupt(text: str, how: str) -> str:
+    raw = base64.b64decode(text)
+    if how == "alphabet":  # a lenient decoder would skip the "*" and succeed
+        return text[:4] + "*" + text[4:]
+    if how == "partial":
+        return base64.b64encode(raw[:-1]).decode("ascii")
+    if how == "count":
+        return base64.b64encode(raw + bytes(8)).decode("ascii")
+    values = np.frombuffer(raw, "<f8").copy()
+    values[-1] = np.nan
+    return _b64(values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(policies(), st.data())
+def test_weights_round_trip_is_bit_exact(tmp_path_factory, policy, data):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    mlp_save(policy, path)
+    saved = mlp_load(path)
+    doc = json.loads(path.read_text())
+    as_lists = {**doc, "layers": [
+        {**entry, "weights": l.weights.ravel().tolist(), "bias": l.bias.tolist()}
+        for entry, l in zip(doc["layers"], policy.layers)]}
+    from_lists = mlp_loads(json.dumps(as_lists))
+    for src, a, b in zip(policy.layers, saved.layers, from_lists.layers):
+        for loaded in (a, b):
+            for x, y in ((src.weights, loaded.weights), (src.bias, loaded.bias)):
+                assert y.dtype == np.float64 and y.shape == x.shape
+                assert y.flags.writeable and y.tobytes() == x.tobytes()
+
+    k = data.draw(st.integers(0, len(doc["layers"]) - 1), label="layer")
+    field = data.draw(st.sampled_from(("weights", "bias")), label="field")
+    how = data.draw(st.sampled_from(("alphabet", "partial", "count", "nan")), label="how")
+    doc["layers"][k][field] = _corrupt(doc["layers"][k][field], how)
+    with pytest.raises(ValueError, match=f"layer {k}"):
+        mlp_loads(json.dumps(doc))
+
+
+def test_saved_document_is_base64(tmp_path):
+    path = tmp_path / "w.json"
+    policy = random_policy(6, hidden=(3,), seed=4)
+    mlp_save(policy, path)
+    entry = json.loads(path.read_text())["layers"][0]
+    assert entry["weights"] == _b64(policy.layers[0].weights)
+    assert entry["bias"] == _b64(policy.layers[0].bias)
+    assert (entry["rows"], entry["cols"]) == (3, 6)
 
 
 class TestMlpInference:

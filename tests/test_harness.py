@@ -1,6 +1,7 @@
 """Experiment runner: reference configurations, noise injection, logging,
 file emission, and the CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -10,8 +11,8 @@ import pytest
 from cwinspect.cli import main as cli_main
 from cwinspect.dynamics import DynamicsParams, RelativeState, step_vector
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
-                               default_experiment, emit, inject_noise,
-                               load_config, run, run_batch)
+                               TrajectoryLog, default_experiment, emit,
+                               inject_noise, load_config, run, run_batch)
 
 
 def short_config(**kw):
@@ -333,6 +334,61 @@ class TestEmission:
             emit(log, "parquet", tmp_path / "t.parquet")
 
 
+def _format_value(v: float) -> str:
+    return f"{v:.9e}"
+
+
+def oracle_csv(log) -> str:
+    """CSV text written cell by cell, the reference for the emitter."""
+    lines = [",".join(CSV_COLUMNS)]
+    int_cols = {CSV_COLUMNS.index("intervened"), CSV_COLUMNS.index("num_points")}
+    for row in log.row_matrix():
+        lines.append(",".join(str(int(v)) if j in int_cols else _format_value(v)
+                              for j, v in enumerate(row)))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(log) -> str:
+    """JSON text with the rows converted value by value."""
+    return json.dumps({
+        "schema_version": 1,
+        "metadata": log.metadata,
+        "columns": list(CSV_COLUMNS),
+        "rows": [[float(v) for v in row] for row in log.row_matrix()],
+    })
+
+
+def synthetic_log() -> TrajectoryLog:
+    edge = np.array([-0.0, 5e-324, 1e300, -1e300, 0.0, -5e-324, 1.5, -2.25e-7])
+    return TrajectoryLog(
+        t=np.array([0.0, 2.0, 4.0]), states=np.resize(edge, (3, 7)),
+        u_des=np.resize(edge[1:], (3, 3)), u_act=np.resize(edge[2:], (3, 3)),
+        h=np.resize(edge[3:], (3, 6)), intervened=np.array([False, True, True]),
+        deviation=edge[:3], num_points=np.array([0, 57, 99]), delta_v=edge[3:6],
+        metadata={"controller": "synthetic"})
+
+
+@pytest.fixture(scope="module")
+def reference_logs():
+    logs = {"synthetic": synthetic_log()}
+    for n in (1, 2, 4):
+        for closed in (False, True):
+            cfg = dataclasses.replace(default_experiment(n), max_steps=400)
+            logs[f"exp{n}-{'closed' if closed else 'open'}"] = run(cfg, closed)[0]
+    return logs
+
+
+def test_emission_matches_per_value_oracle(reference_logs, tmp_path):
+    for name, log in reference_logs.items():
+        csv_path = emit(log, "csv", tmp_path / f"{name}.csv")
+        json_path = emit(log, "json", tmp_path / f"{name}.json")
+        assert csv_path.read_bytes() == oracle_csv(log).encode(), name
+        assert json_path.read_bytes() == oracle_json(log).encode(), name
+    text = (tmp_path / "synthetic.csv").read_text()
+    assert "-0.000000000e+00" in text and "4.940656458e-324" in text
+    assert text.splitlines()[-1].split(",")[CSV_COLUMNS.index("num_points")] == "99"
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_csv(self, tmp_path):
         texts = []
@@ -371,6 +427,13 @@ class TestBatch:
         with pytest.raises(ValueError):
             run_batch(tmp_path, tmp_path / "out")
 
+    @pytest.mark.parametrize("jobs", [0, -3, 1.0, 2.5, True, "2", None])
+    def test_bad_jobs_rejected(self, tmp_path, jobs):
+        (tmp_path / "one.json").write_text(json.dumps({"controller": "lqr"}))
+        with pytest.raises(ValueError, match="jobs"):
+            run_batch(tmp_path, tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_run_experiment(self, tmp_path, capsys):
@@ -395,6 +458,14 @@ class TestCli:
         rc = cli_main(["run", "--experiment", "1", "--out", str(tmp_path),
                        "--format", "pdf", "--max-duration", "20"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--max-duration", "inf"], ["--max-duration", "-5"]])
+    def test_refused_override_exits_2(self, tmp_path, capsys, flags):
+        rc = cli_main(["run", "--experiment", "1", "--out", str(tmp_path), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "summary.json").exists()
 
     def test_run_with_weights_flag(self, tmp_path):
         from cwinspect.control import mlp_save, random_policy
@@ -428,3 +499,12 @@ class TestCli:
         rc = cli_main(["batch", "--configs", str(cfg_dir),
                        "--out", str(tmp_path / "out"), "--jobs", "1"])
         assert rc == 0
+
+    def test_batch_zero_jobs_exits_2(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "one.json").write_text(json.dumps({"controller": "lqr"}))
+        rc = cli_main(["batch", "--configs", str(cfg_dir),
+                       "--out", str(tmp_path / "out"), "--jobs", "0"])
+        assert rc == 2
+        assert "jobs must be a positive integer" in capsys.readouterr().err
