@@ -15,8 +15,9 @@ print(f"{'exp':>3} {'controller':>22} {'rta':>4} {'illum':>5} "
 for n in range(1, 7):
     for closed in ([False, True] if n <= 3 else [False]):
         # replace() checks the overridden fields; 3000 s keeps the demo quick
-        cfg = replace(default_experiment(n), max_duration=3000.0, seed=n)
-        log, s = run(cfg, closed_loop=closed)
+        cfg = replace(default_experiment(n), max_duration=3000.0, seed=n,
+                      closed_loop=closed)
+        log, s = run(cfg)
         scale = f"{cfg.position_scale:.0f}/{cfg.time_scale:.0f}"
         loop = "closed" if closed else "open"
         print(f"{n:>3} {cfg.controller:>22} {str(cfg.rta_enabled):>4} "

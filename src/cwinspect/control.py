@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsParams, RelativeState, cw_matrices
+from .dynamics import DynamicsParams, cw_matrices
 
 __all__ = [
     "LqrController",
@@ -96,15 +96,9 @@ def lqr_design(dyn: DynamicsParams, Q=None, R=None) -> LqrController:
     return LqrController(K, Q, R)
 
 
-def _state_vector(state) -> np.ndarray:
-    if isinstance(state, RelativeState):
-        return state.vector()
-    return np.asarray(state, dtype=float).reshape(6)
-
-
-def lqr_control(ctrl: LqrController, state, dyn: DynamicsParams) -> np.ndarray:
-    """u = clamp(-K x) to the per-axis thrust box."""
-    u = -ctrl.K @ _state_vector(state)
+def lqr_control(ctrl: LqrController, x, dyn: DynamicsParams) -> np.ndarray:
+    """u = clamp(-K x) to the per-axis thrust box for the 6-state ``x``."""
+    u = -ctrl.K @ np.asarray(x, dtype=float).reshape(6)
     return np.clip(u, -dyn.u_max, dyn.u_max)
 
 
@@ -291,8 +285,8 @@ class ScriptedOrbitController:
         self.e2 = np.cross(self.normal, self.e1)
         self._A, _ = cw_matrices(self.params)
 
-    def __call__(self, state) -> np.ndarray:
-        x = _state_vector(state)
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(6)
         p, v = x[:3], x[3:]
         p_in = p - np.dot(p, self.normal) * self.normal
         rho = np.linalg.norm(p_in)

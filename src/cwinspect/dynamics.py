@@ -43,12 +43,13 @@ __all__ = [
     "lab_to_space",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 #: Default propagation substep in space-frame seconds.  Far below the error
 #: floor for this linear system; chosen to divide typical control periods
 #: evenly.
 DEFAULT_SUBSTEP = 0.2
+
+# hold_maps stores 432 bytes per substep: at most 43 MB for one hold
+_MAX_SUBSTEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,9 @@ class DynamicsParams:
 class RelativeState:
     """Deputy state in Hill's frame plus sun geometry and clock.
 
-    ``sun_angle`` is stored unwrapped (monotone in time); use
-    :meth:`sun_angle_wrapped` at API boundaries that expect [0, 2pi).
+    ``sun_angle`` is stored unwrapped (monotone in time).  The library's
+    state format is the 6-vector :meth:`vector`; this record carries the
+    clock and sun angle with it where they travel together.
     """
 
     position: np.ndarray  # [m], shape (3,)
@@ -103,10 +105,6 @@ class RelativeState:
     def vector(self) -> np.ndarray:
         """Return the 6-vector [x, y, z, xd, yd, zd]."""
         return np.concatenate([self.position, self.velocity])
-
-    def sun_angle_wrapped(self) -> float:
-        """Sun angle wrapped to [0, 2pi)."""
-        return self.sun_angle % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -217,16 +215,16 @@ def hold_maps(params: DynamicsParams, period: float,
     its difference from the identity so no precision is lost to the unit
     diagonal.  Returns (D, S) of shapes (J, 6, 6) and (J, 6, 3), cached and
     read-only.  Raises ``ValueError`` unless ``period`` and ``max_substep``
-    are positive and finite with a finite ratio.
+    are positive and finite and J is at most 100,000.
     """
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError("period must be positive and finite")
     if not (math.isfinite(max_substep) and max_substep > 0.0):
         raise ValueError("max_substep must be positive and finite")
-    ratio = period / max_substep
-    if not math.isfinite(ratio):
-        raise ValueError("period / max_substep must be finite")
-    substeps = max(1, math.ceil(ratio - 1e-12))
+    ratio = period / max_substep - 1e-12
+    if not ratio <= _MAX_SUBSTEPS:  # refuses an infinite ratio too
+        raise ValueError(f"a hold of {ratio:.6g} substeps exceeds {_MAX_SUBSTEPS}")
+    substeps = max(1, math.ceil(ratio))
     D_sub, N = _rk4_increment(params, period / substeps)
     base = np.zeros((9, 9))
     base[:6, :6] = D_sub

@@ -77,23 +77,21 @@ def denormalize_state(obs6) -> np.ndarray:
     return out
 
 
-def build_observation(state: RelativeState, sphere, mode: str,
+def build_observation(x, sun_angle: float, sphere, mode: str,
                       k: int = inspection.DEFAULT_CLUSTER_COUNT,
                       seed: int = inspection.KMEANS_SEED) -> np.ndarray:
-    """Observation vector for ``mode``; the cluster direction uses the
-    module-fixed seed, and its clustering is memoized on the uninspected set,
-    so only a call after newly inspected points reruns Lloyd's iteration."""
-    base = normalize_state(state.vector())
+    """Observation for ``mode`` of the 6-state ``x``, ``sun_angle`` wrapped to
+    [0, 2pi); the cluster direction uses the module-fixed seed, and its
+    clustering is memoized on the uninspected set, so only a call after newly
+    inspected points reruns Lloyd's iteration."""
+    base = normalize_state(x)
     if mode == OBS_NO_SENSORS:
         return base
     if mode != OBS_ALL_SENSORS:
         raise ValueError(f"unknown observation mode {mode!r}")
-    cluster = inspection.nearest_uninspected_cluster(sphere, state.position, k, seed)
-    extra = np.empty(5)
-    extra[0] = inspection.inspected_count(sphere) / POINTS_NORM
-    extra[1] = state.sun_angle_wrapped()
-    extra[2:] = cluster.direction
-    return np.concatenate([base, extra])
+    cluster = inspection.nearest_uninspected_cluster(sphere, x[:3], k, seed)
+    return np.concatenate([base, (inspection.inspected_count(sphere) / POINTS_NORM,
+                                  sun_angle % (2.0 * np.pi)), cluster.direction])
 
 
 @dataclass
@@ -138,7 +136,8 @@ class InspectionEnv:
         return self.observe()
 
     def observe(self) -> np.ndarray:
-        return build_observation(self.state, self.sphere, self.config.mode,
+        return build_observation(self.state.vector(), self.state.sun_angle,
+                                 self.sphere, self.config.mode,
                                  self.config.cluster_k, self._seed)
 
     def step(self, action):

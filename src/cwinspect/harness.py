@@ -4,7 +4,8 @@ sensor-noise emulation, trajectory logging and file emission.
 Open loop feeds the simulated truth to the controller and filter; closed
 loop feeds a noise-corrupted copy and applies a random disturbance
 acceleration to the plant, standing in for the flight-volume hardware loop.
-Trajectories are logged once per control step and can be written as CSV
+The state is a plain 6-vector with the sun angle beside it.  Each control
+step is logged as one row in CSV column order and can be written as CSV
 (bit-stable), schema-versioned JSON, or a simple SVG plot.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import inspection
 from .control import (ScriptedOrbitController, lqr_control, lqr_design,
                       mlp_act, mlp_load)
-from .dynamics import DynamicsParams, RelativeState, hold_maps
+from .dynamics import DynamicsParams, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation, delta_v
 from .rta import filter_control
@@ -67,20 +68,28 @@ CSV_COLUMNS = (
 JSON_SCHEMA_VERSION = 1
 
 
+# where each quantity sits in a row of CSV_COLUMNS: one column by index,
+# a group of columns by slice
+_T, _SUN_ANGLE, _INTERVENED, _DEVIATION, _NUM_POINTS, _DELTA_V = map(
+    CSV_COLUMNS.index, ("t", "sun_angle", "intervened", "deviation", "num_points", "delta_v"))
+_X, _STATES, _U_DES, _U_ACT, _H = (
+    slice(CSV_COLUMNS.index(first), CSV_COLUMNS.index(last) + 1) for first, last in (
+        ("x", "zd"), ("x", "sun_angle"), ("u_des_x", "u_des_z"), ("u_act_x", "u_act_z"),
+        ("h1", "h6")))
+
+
 @dataclass
 class NoiseModel:
     """Gaussian sensing noise and plant disturbance for closed-loop runs.
 
     Magnitudes are modeling choices, calibrated only to produce visibly
     noisy but trackable runs; a zero-sigma model reproduces the open loop
-    record for record.  ``seed`` of None derives the stream from the
-    experiment seed.
+    record for record.  The experiment seed seeds the noise stream.
     """
 
     position_sigma: float = 0.5  # [m]
     velocity_sigma: float = 0.02  # [m/s]
     disturbance_sigma: float = 5e-5  # [m/s^2]
-    seed: int | None = None
 
     def __post_init__(self):
         if not all(0.0 <= v < math.inf for v in (
@@ -106,7 +115,6 @@ class ExperimentConfig:
     scripted_radius: float = 30.0
     scripted_plane_normal: tuple = (0.0, 1.0, 0.0)
     scripted_gain: float = 0.002
-    alpha_gains: tuple | None = None
     aviary_box: tuple = (8.0, 8.0, 4.0)  # [m] lab-frame extents, centered
 
     def __post_init__(self):
@@ -225,28 +233,27 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"invalid config in {path}: {exc}") from exc
 
 
-def inject_noise(state: RelativeState, model: NoiseModel,
-                 rng: np.random.Generator) -> RelativeState:
-    """Additive Gaussian noise on position and velocity (three draws each,
-    position first).  Deterministic under a fixed generator state."""
-    pos = state.position + rng.normal(0.0, model.position_sigma, 3)
-    vel = state.velocity + rng.normal(0.0, model.velocity_sigma, 3)
-    return RelativeState(pos, vel, state.sun_angle, state.t)
+def inject_noise(x: np.ndarray, model: NoiseModel,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The 6-state ``x`` plus Gaussian noise on position and velocity (three
+    draws each, position first).  Deterministic under a fixed generator."""
+    return x + np.concatenate([rng.normal(0.0, model.position_sigma, 3),
+                               rng.normal(0.0, model.velocity_sigma, 3)])
 
 
 def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
-    """Build the control callback (state, sphere) -> u_des and its label."""
+    """Build the control callback (x, theta, sphere) -> u_des and its label."""
     name = cfg.controller
     if name == "lqr":
         ctrl = lqr_design(dyn)
-        return (lambda state, sphere: lqr_control(ctrl, state, dyn)), "lqr"
+        return (lambda x, theta, sphere: lqr_control(ctrl, x, dyn)), "lqr"
     if name == "scripted" or not cfg.weights_path:
         # an NNC without trained weights flies the scripted circumnavigation
         ctrl = ScriptedOrbitController(
             cfg.scripted_radius, cfg.scripted_plane_normal,
             gain=cfg.scripted_gain, params=dyn)
         label = "scripted" if name == "scripted" else f"scripted (stand-in for {name})"
-        return (lambda state, sphere: ctrl(state)), label
+        return (lambda x, theta, sphere: ctrl(x)), label
     mode = _NNC_MODES[name]
     policy = mlp_load(cfg.weights_path)
     if (mode == OBS_NO_SENSORS) != (policy.input_dim == 6):
@@ -254,16 +261,14 @@ def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
             f"weights input_dim {policy.input_dim} does not match "
             f"controller {name!r}")
 
-    def nnc(state, sphere):
-        obs = build_observation(state, sphere, mode)
+    def nnc(x, theta, sphere):
+        obs = build_observation(x, theta, sphere, mode)
         return mlp_act(policy, obs, dyn.u_max)
 
     return nnc, f"mlp:{cfg.weights_path}"
 
 
-def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
-        dyn: DynamicsParams | None = None,
-        safety: SafetyParams | None = None) -> tuple[TrajectoryLog, dict]:
+def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     """Simulate one experiment; returns (trajectory log, episode summary).
 
     Rows are recorded at each control instant: the state at t_k, the raw and
@@ -271,11 +276,8 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
     inspected count after the update at t_k, and the cumulative delta-v
     including the thrust held over [t_k, t_k + 1/control_rate).
     """
-    dyn = dyn if dyn is not None else DynamicsParams()
-    safety = safety if safety is not None else SafetyParams()
-    closed = cfg.closed_loop if closed_loop is None else closed_loop
-    alphas = None if cfg.alpha_gains is None else np.asarray(cfg.alpha_gains, float)
-
+    dyn = DynamicsParams()
+    safety = SafetyParams()
     controller, resolved = _resolve_controller(cfg, dyn)
 
     dt_c = 1.0 / cfg.control_rate
@@ -283,80 +285,56 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
     D, S = hold_maps(dyn, dt_c)
     D, S = D.reshape(-1, 6), S.reshape(-1, 3)
 
-    max_rows = int(math.ceil(cfg.max_duration * cfg.control_rate - 1e-9))
+    # any positive duration records the row at t = 0
+    max_rows = max(1, math.ceil(cfg.max_duration * cfg.control_rate - 1e-9))
     if cfg.max_steps is not None:
         max_rows = min(max_rows, cfg.max_steps)
 
-    seed = cfg.noise.seed if cfg.noise.seed is not None else cfg.seed
-    rng = np.random.default_rng(seed)
-
+    rng = np.random.default_rng(cfg.seed)
     sphere = inspection.generate_points()
-    init = np.asarray(cfg.initial_state, dtype=float)
-    x = init[:6].copy()
-    theta0 = init[6]
-    n_mm = dyn.mean_motion
+    x = np.array(cfg.initial_state[:6])
+    theta0 = cfg.initial_state[6]
 
-    rows_t = np.empty(max_rows)
-    rows_state = np.empty((max_rows, 7))
-    rows_udes = np.empty((max_rows, 3))
-    rows_uact = np.empty((max_rows, 3))
-    rows_h = np.empty((max_rows, NUM_CONSTRAINTS))
-    rows_int = np.zeros(max_rows, dtype=bool)
-    rows_dev = np.zeros(max_rows)
-    rows_np = np.zeros(max_rows, dtype=int)
-    rows_dv = np.zeros(max_rows)
-
+    rows = np.zeros((max_rows, len(CSV_COLUMNS)))
     cum_dv = 0.0
     min_distance = float(np.linalg.norm(x[:3]))
     half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
     in_aviary = bool(np.all(np.abs(x[:3]) / cfg.position_scale <= half_box))
-    interventions = 0
     infeasible_steps = 0
-    steps = 0
-    complete = False
 
     for k in range(max_rows):
         t_k = k * dt_c
-        theta_k = theta0 - n_mm * t_k
-        true_state = RelativeState(x[:3], x[3:], theta_k, t_k)
+        theta_k = theta0 - dyn.mean_motion * t_k
+        sensed = inject_noise(x, cfg.noise, rng) if cfg.closed_loop else x
 
-        if closed:
-            sensed = inject_noise(true_state, cfg.noise, rng)
-        else:
-            sensed = true_state
-
-        u_des = np.clip(np.asarray(controller(sensed, sphere), dtype=float).reshape(3),
+        u_des = np.clip(np.asarray(controller(sensed, theta_k, sphere), dtype=float).reshape(3),
                         -dyn.u_max, dyn.u_max)
         if cfg.rta_enabled:
-            res = filter_control(sensed, u_des, safety, dyn, alphas, period=dt_c)
+            res = filter_control(sensed, u_des, safety, dyn, period=dt_c)
             u_act = res.u_act
-            rows_int[k] = res.intervened
-            rows_dev[k] = res.deviation
-            interventions += int(res.intervened)
+            rows[k, _INTERVENED] = res.intervened
+            rows[k, _DEVIATION] = res.deviation
             infeasible_steps += int(not res.feasible)
         else:
             u_act = u_des
 
-        inspection.update_inspected(sphere, true_state.position,
-                                    true_state.sun_angle, cfg.illumination)
-
-        rows_t[k] = t_k
-        rows_state[k, :6] = x
-        rows_state[k, 6] = theta_k
-        rows_udes[k] = u_des
-        rows_uact[k] = u_act
-        rows_h[k] = h_values(x, safety)
-        rows_np[k] = inspection.inspected_count(sphere)
+        inspection.update_inspected(sphere, x[:3], theta_k, cfg.illumination)
+        inspected = inspection.inspected_count(sphere)
         cum_dv += delta_v(u_act, dt_c, dyn.mass)
-        rows_dv[k] = cum_dv
-        steps = k + 1
+        rows[k, _T] = t_k
+        rows[k, _X] = x
+        rows[k, _SUN_ANGLE] = theta_k
+        rows[k, _U_DES] = u_des
+        rows[k, _U_ACT] = u_act
+        rows[k, _H] = h_values(x, safety)
+        rows[k, _NUM_POINTS] = inspected
+        rows[k, _DELTA_V] = cum_dv
 
-        if rows_np[k] == len(sphere.inspected):
-            complete = True
+        if inspected == len(sphere.inspected):
             break
 
         force = u_act
-        if closed:
+        if cfg.closed_loop:
             force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
         hold = (D @ x + S @ force).reshape(-1, 6) + x
         pos = hold[:, :3]
@@ -366,22 +344,23 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
             in_aviary = False
         x = hold[-1]
 
+    rows = rows[:k + 1]
     log = TrajectoryLog(
-        t=rows_t[:steps].copy(),
-        states=rows_state[:steps].copy(),
-        u_des=rows_udes[:steps].copy(),
-        u_act=rows_uact[:steps].copy(),
-        h=rows_h[:steps].copy(),
-        intervened=rows_int[:steps].copy(),
-        deviation=rows_dev[:steps].copy(),
-        num_points=rows_np[:steps].copy(),
-        delta_v=rows_dv[:steps].copy(),
+        t=rows[:, _T],
+        states=rows[:, _STATES],
+        u_des=rows[:, _U_DES],
+        u_act=rows[:, _U_ACT],
+        h=rows[:, _H],
+        intervened=rows[:, _INTERVENED].astype(bool),
+        deviation=rows[:, _DEVIATION],
+        num_points=rows[:, _NUM_POINTS].astype(int),
+        delta_v=rows[:, _DELTA_V],
         metadata={
             "controller": cfg.controller,
             "controller_resolved": resolved,
             "rta_enabled": cfg.rta_enabled,
             "illumination": cfg.illumination,
-            "closed_loop": closed,
+            "closed_loop": cfg.closed_loop,
             "seed": cfg.seed,
             "position_scale": cfg.position_scale,
             "time_scale": cfg.time_scale,
@@ -390,16 +369,15 @@ def run(cfg: ExperimentConfig, closed_loop: bool | None = None,
         },
     )
 
-    inspected = int(rows_np[steps - 1]) if steps else 0
     summary = {
         "inspected": inspected,
         "delta_v": cum_dv,
         "reward": 0.1 * inspected - 0.1 * cum_dv,
-        "steps": steps,
-        "success": complete,
+        "steps": len(rows),
+        "success": inspected == len(sphere.inspected),
         "min_distance": min_distance,
-        "min_h": float(rows_h[:steps].min()) if steps else float("nan"),
-        "interventions": interventions,
+        "min_h": float(log.h.min()),
+        "interventions": int(log.intervened.sum()),
         "infeasible_steps": infeasible_steps,
         "in_aviary": in_aviary,
         "final_distance": float(np.linalg.norm(x[:3])),

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, RelativeState, hold_maps
+from .dynamics import DynamicsParams, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
                      _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
 
@@ -422,8 +422,8 @@ def _clamped_requests(U, dyn: DynamicsParams) -> np.ndarray:
 
 
 def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
-                   alphas=None, period: float = DEFAULT_PERIOD) -> FilterResult:
-    """Filter ``u_des`` for one state and a hold of ``period`` seconds, on
+                   period: float = DEFAULT_PERIOD) -> FilterResult:
+    """Filter ``u_des`` for one 6-state and a hold of ``period`` seconds, on
     the substeps of :func:`cwinspect.dynamics.hold_maps` that the simulator
     flies.
 
@@ -431,11 +431,10 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
     measures distance from an admissible request.
     """
     u_des = _clamped_requests(np.asarray(u_des, dtype=float).reshape(3), dyn)
-    x = state.vector() if isinstance(state, RelativeState) else \
-        np.asarray(state, dtype=float).reshape(6)
+    x = np.asarray(state, dtype=float).reshape(6)
     if not np.isfinite(x).all():
         raise ValueError("state must be finite")
-    C, b = cbf_rows(x, params, dyn, alphas)
+    C, b = cbf_rows(x, params, dyn)
     U, active, feasible = _filter_states(x[None, :], u_des[None, :], C[None],
                                          b[None], params, dyn, period)
     u = U[0]
@@ -452,8 +451,7 @@ def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
 
 
 def filter_control_batch(states, u_des, params: SafetyParams,
-                         dyn: DynamicsParams, alphas=None,
-                         period: float = DEFAULT_PERIOD):
+                         dyn: DynamicsParams, period: float = DEFAULT_PERIOD):
     """:func:`filter_control` for states (N, 6) and requests (N, 3).
 
     Returns (u_act (N, 3), intervened (N,), feasible (N,)).
@@ -464,7 +462,7 @@ def filter_control_batch(states, u_des, params: SafetyParams,
     U = _clamped_requests(np.asarray(u_des, dtype=float).reshape(-1, 3), dyn)
     if len(U) != len(X):
         raise ValueError("states and u_des must have the same length")
-    C, b = cbf_rows(X, params, dyn, alphas)
+    C, b = cbf_rows(X, params, dyn)
     U_act, _, feasible = _filter_states(X, U, C, b, params, dyn, period)
     intervened = np.linalg.norm(U_act - U, axis=1) > _INTERVENTION_TOL
     return U_act, intervened, feasible

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, RelativeState, cw_matrices
+from .dynamics import DynamicsParams, cw_matrices
 
 __all__ = [
     "SafetyParams",
@@ -125,10 +125,8 @@ class SafetyParams:
 
 
 def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """States of shape (6,), (N, 6) or a RelativeState as an (N, 6) array;
-    returns (array, was_single)."""
-    if isinstance(x, RelativeState):
-        return x.vector()[None, :], True
+    """States of shape (6,) or (N, 6) as an (N, 6) array; returns (array,
+    was_single)."""
     arr = np.asarray(x, dtype=float)
     if arr.shape == (6,):
         return arr[None, :], True
@@ -205,8 +203,8 @@ def grad_h_batch(states, params: SafetyParams) -> np.ndarray:
 
 def cbf_rows(states, params: SafetyParams, dyn: DynamicsParams,
              alphas=None) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized constraint rows c_i . u + b_i >= 0 for one state (a (6,)
-    vector or a RelativeState) or states (N, 6).
+    """Linearized constraint rows c_i . u + b_i >= 0 for one state (6,) or
+    states (N, 6).
 
     Returns (C, b): C of shape (..., 6, 3) with c_i = L_g h_i and b of
     shape (..., 6) with b_i = L_f h_i + gain_i * h_i, without the leading

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from cwinspect.dynamics import (DEFAULT_SUBSTEP, DynamicsParams, LabPose,
-                                RelativeState, analytic_propagate,
+from cwinspect.dynamics import (_MAX_SUBSTEPS, DEFAULT_SUBSTEP, DynamicsParams,
+                                LabPose, RelativeState, analytic_propagate,
                                 cw_matrices, cw_stm, hold_maps, lab_to_space,
                                 rk4_zoh_map, space_to_lab, step, step_vector,
                                 sun_vector)
@@ -238,6 +238,16 @@ class TestStep:
             with pytest.raises(ValueError):
                 hold_maps(P, period, max_substep)
 
+    def test_substep_count_bounded(self):
+        # 432 bytes per stored substep: a hold of 1e7 s would ask for 21.6 GB,
+        # so too many substeps are refused before anything is allocated
+        with pytest.raises(ValueError, match="substeps"):
+            step_vector(np.zeros(6), np.zeros(3), 1e7, P)
+        with pytest.raises(ValueError, match="substeps"):
+            step(make_state(np.zeros(6)), np.zeros(3), 1e7, P)
+        with pytest.raises(ValueError, match="substeps"):
+            hold_maps(P, DEFAULT_SUBSTEP * (_MAX_SUBSTEPS + 1))
+
 
 class TestAnalytic:
     def test_identity_at_zero(self):
@@ -328,11 +338,6 @@ class TestFrameScaling:
 
 
 class TestState:
-    def test_sun_angle_wrap_accessor(self):
-        s = make_state(np.zeros(6), theta=-1.0)
-        assert s.sun_angle == -1.0  # stored unwrapped
-        assert s.sun_angle_wrapped() == pytest.approx(2 * math.pi - 1.0)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             RelativeState([np.nan, 0, 0], np.zeros(3))

@@ -7,7 +7,6 @@ import pytest
 from cwinspect.env import (MAX_EPISODE_STEPS, OBS_ALL_SENSORS, OBS_NO_SENSORS,
                            EnvConfig, InspectionEnv, build_observation,
                            delta_v, denormalize_state, normalize_state)
-from cwinspect.dynamics import RelativeState
 from cwinspect.inspection import generate_points
 
 
@@ -50,21 +49,21 @@ class TestObservations:
         assert np.array_equal(a.reset(seed=4), b.reset(seed=4))
 
     def test_velocity_normalization(self):
-        state = RelativeState([0, 0, 0], [0.5, 0, 0])
-        obs = build_observation(state, generate_points(), OBS_NO_SENSORS)
+        x = np.array([0, 0, 0, 0.5, 0, 0])
+        obs = build_observation(x, 0.0, generate_points(), OBS_NO_SENSORS)
         assert obs[3] == pytest.approx(1.0)
 
     def test_origin_state_all_zero(self):
-        state = RelativeState(np.zeros(3), np.zeros(3))
-        obs = build_observation(state, generate_points(), OBS_NO_SENSORS)
+        obs = build_observation(np.zeros(6), 0.0, generate_points(), OBS_NO_SENSORS)
         assert np.allclose(obs, 0.0)
 
     def test_point_count_normalization(self):
         sphere = generate_points()
         sphere.inspected[:50] = True
-        state = RelativeState([100, 0, 0], np.zeros(3))
-        obs = build_observation(state, sphere, OBS_ALL_SENSORS)
+        x = np.array([100, 0, 0, 0, 0, 0])
+        obs = build_observation(x, -1.0, sphere, OBS_ALL_SENSORS)
         assert obs[6] == pytest.approx(0.5)
+        assert obs[7] == pytest.approx(2 * np.pi - 1.0)  # sun angle, wrapped
 
     def test_normalization_round_trip(self):
         rng = np.random.default_rng(19)
@@ -73,9 +72,8 @@ class TestObservations:
             assert np.all(np.abs(denormalize_state(normalize_state(x)) - x) < 1e-12)
 
     def test_unknown_mode_rejected(self):
-        state = RelativeState(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            build_observation(state, generate_points(), "sensors")
+            build_observation(np.zeros(6), 0.0, generate_points(), "sensors")
 
 
 class TestStep:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cwinspect.cli import main as cli_main
-from cwinspect.dynamics import DynamicsParams, RelativeState, step_vector
+from cwinspect.dynamics import DynamicsParams, step_vector
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
                                inject_noise, load_config, run, run_batch)
@@ -102,12 +102,18 @@ class TestConfigFile:
         path.write_text(json.dumps({
             "controller": "scripted", "max_duration": 50.0,
             "noise": {"position_sigma": 0.1, "velocity_sigma": 0.0,
-                      "disturbance_sigma": 0.0, "seed": 5},
+                      "disturbance_sigma": 0.0},
         }))
         cfg = load_config(path)
         assert cfg.controller == "scripted"
         assert cfg.noise.position_sigma == 0.1
-        assert cfg.noise.seed == 5
+
+    def test_noise_seed_rejected(self, tmp_path):
+        # the experiment seed seeds the noise stream
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"experiment": 2, "noise": {"seed": 5}}))
+        with pytest.raises(ValueError, match="invalid noise model"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -116,6 +122,10 @@ class TestConfigFile:
             load_config(path)
         # the substep count follows from the hold; no rate sets it
         path.write_text(json.dumps({"experiment": 2, "sim_rate": 5.0}))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(path)
+        # the filter's class-K gains are not configurable
+        path.write_text(json.dumps({"experiment": 2, "alpha_gains": [1.0] * 6}))
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
@@ -141,30 +151,36 @@ class TestConfigFile:
 
 class TestNoise:
     def test_zero_sigma_identity(self):
-        model = NoiseModel(0.0, 0.0, 0.0, seed=1)
-        state = RelativeState([10, 20, 30], [0.1, 0.2, 0.3], 1.0, 5.0)
+        model = NoiseModel(0.0, 0.0, 0.0)
+        x = np.array([10, 20, 30, 0.1, 0.2, 0.3])
         rng = np.random.default_rng(1)
-        sensed = inject_noise(state, model, rng)
-        assert np.array_equal(sensed.vector(), state.vector())
+        assert np.array_equal(inject_noise(x, model, rng), x)
 
     def test_same_seed_same_sequence(self):
-        model = NoiseModel(seed=7)
-        state = RelativeState([10, 20, 30], [0.1, 0.2, 0.3])
-        a = [inject_noise(state, model, np.random.default_rng(7)).vector()
-             for _ in range(1)]
-        b = [inject_noise(state, model, np.random.default_rng(7)).vector()
-             for _ in range(1)]
+        model = NoiseModel()
+        x = np.array([10, 20, 30, 0.1, 0.2, 0.3])
+        a = inject_noise(x, model, np.random.default_rng(7))
+        b = inject_noise(x, model, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    def test_draw_order_pinned(self):
+        # three position draws, then three velocity draws, added to the state
+        model = NoiseModel(position_sigma=0.7, velocity_sigma=0.03)
+        x = np.array([10, -20, 30, 0.1, -0.2, 0.3])
+        rng = np.random.default_rng(11)
+        expected = x + np.concatenate([rng.normal(0.0, 0.7, 3), rng.normal(0.0, 0.03, 3)])
+        sensed = inject_noise(x, model, np.random.default_rng(11))
+        assert sensed.tobytes() == expected.tobytes()
 
     def test_sample_mean_law_of_large_numbers(self):
         model = NoiseModel(position_sigma=1.0, velocity_sigma=1.0,
-                           disturbance_sigma=0.0, seed=0)
-        state = RelativeState(np.zeros(3), np.zeros(3))
+                           disturbance_sigma=0.0)
+        x = np.zeros(6)
         rng = np.random.default_rng(123)
         n = 100_000
         acc = np.zeros(6)
         for _ in range(n):
-            acc += inject_noise(state, model, rng).vector()
+            acc += inject_noise(x, model, rng)
         assert np.all(np.abs(acc / n) < 3.0 / math.sqrt(n))
 
     def test_negative_sigma_rejected(self):
@@ -198,6 +214,12 @@ class TestRun:
         assert len(log) == summary["steps"] == 50  # 100 s at 0.5 Hz
         assert np.all(np.diff(log.t) > 0)
         assert np.allclose(np.diff(log.t), 2.0)
+
+    def test_tiny_duration_records_first_row(self):
+        # a duration far below one control period still logs the row at t = 0
+        log, summary = run(short_config(max_duration=1e-12))
+        assert len(log) == summary["steps"] == 1 and log.t[0] == 0.0
+        assert summary["min_h"] == log.h.min()
 
     def test_max_steps_caps_rows(self):
         cfg = short_config(max_duration=1000.0, max_steps=7)
@@ -234,15 +256,14 @@ class TestRun:
         assert np.any(log.intervened & (np.linalg.norm(log.u_des - log.u_act, axis=1) > 1e-6))
 
     def test_infeasible_steps_counted(self):
-        cfg = default_experiment(2)
-        cfg.max_steps = 100
-        _, summary = run(cfg, closed_loop=True)
+        cfg = dataclasses.replace(default_experiment(2), max_steps=100,
+                                  closed_loop=True)
+        _, summary = run(cfg)
         count = summary["infeasible_steps"]
         assert isinstance(count, int)
         # noisy sensing puts the sensed state outside the guarded set
         assert 0 < count <= summary["steps"]
-        cfg.rta_enabled = False
-        _, summary = run(cfg, closed_loop=True)
+        _, summary = run(dataclasses.replace(cfg, rta_enabled=False))
         assert summary["infeasible_steps"] == 0
 
     def test_nnc_without_weights_uses_stand_in(self):
@@ -373,8 +394,9 @@ def reference_logs():
     logs = {"synthetic": synthetic_log()}
     for n in (1, 2, 4):
         for closed in (False, True):
-            cfg = dataclasses.replace(default_experiment(n), max_steps=400)
-            logs[f"exp{n}-{'closed' if closed else 'open'}"] = run(cfg, closed)[0]
+            cfg = dataclasses.replace(default_experiment(n), max_steps=400,
+                                      closed_loop=closed)
+            logs[f"exp{n}-{'closed' if closed else 'open'}"] = run(cfg)[0]
     return logs
 
 

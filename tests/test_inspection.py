@@ -1,6 +1,7 @@
 """Inspection sphere: lattice layout, visibility/illumination gating,
 monotone bookkeeping, and the uninspected-cluster direction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -311,13 +312,12 @@ class TestClusterMemo:
         for s in (1, 2):
             path = tmp_path / f"w{s}.json"
             mlp_save(random_policy(11, seed=s), path)
-            cfg = default_experiment(4)
-            cfg.weights_path = str(path)
-            cfg.max_steps = 120
+            cfg = dataclasses.replace(default_experiment(4), weights_path=str(path),
+                                      max_steps=120, closed_loop=closed)
             with monkeypatch.context() as m:
                 m.setattr(inspection, "nearest_uninspected_cluster",
                           kmeans_oracle)
-                ref, _ = run(cfg, closed_loop=closed)
-            log, _ = run(cfg, closed_loop=closed)
+                ref, _ = run(cfg)
+            log, _ = run(cfg)
             assert len(np.unique(log.num_points)) > 2
             assert log.row_matrix().tobytes() == ref.row_matrix().tobytes()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cwinspect.dynamics import DynamicsParams, cw_matrices
-from cwinspect.dynamics import RelativeState
 from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, cbf_rows,
                               grad_h_batch, h_values, h_values_batch,
                               hold_gradients, hold_values, is_safe,
@@ -183,12 +182,6 @@ class TestRows:
             assert Ck.shape == (6, 3) and bk.shape == (6,)
             assert np.allclose(C[k], Ck)
             assert np.allclose(b[k], bk)
-
-    def test_relative_state_is_one_state(self):
-        x = state([80, -20, 30], [0.1, 0.2, -0.1])
-        C, b = cbf_rows(RelativeState(x[:3], x[3:]), SP, DP)
-        Cx, bx = cbf_rows(x, SP, DP)
-        assert np.array_equal(C, Cx) and np.array_equal(b, bx)
 
     def test_rows_are_the_row_formula_bit_for_bit(self):
         # the rows of the shared barrier pass equal, bit for bit, the row
