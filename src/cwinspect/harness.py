@@ -25,7 +25,7 @@ from .control import (ScriptedOrbitController, lqr_control, lqr_design,
                       mlp_act, mlp_load)
 from .dynamics import DynamicsParams, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
-    PAPER_INITIAL_SUN_ANGLE, build_observation, delta_v
+    PAPER_INITIAL_SUN_ANGLE, build_observation
 from .rta import filter_control
 from .safety import NUM_CONSTRAINTS, SafetyParams, h_values
 
@@ -121,6 +121,11 @@ class ExperimentConfig:
         if self.controller not in CONTROLLER_CHOICES:
             raise ValueError(f"unknown controller {self.controller!r}; "
                              f"choose from {CONTROLLER_CHOICES}")
+        for name in ("rta_enabled", "illumination", "closed_loop"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            setattr(self, name, bool(flag))
         if not all(0.0 < v < math.inf for v in (self.position_scale, self.time_scale)):
             raise ValueError("scales must be positive and finite")
         if not 0.0 < self.control_rate < math.inf:
@@ -275,6 +280,12 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     filtered commands issued there, barrier values of the true state, the
     inspected count after the update at t_k, and the cumulative delta-v
     including the thrust held over [t_k, t_k + 1/control_rate).
+
+    The step loop runs only what the next step reads: the controller, the
+    filter, the inspection update and the hold flight.  It keeps the state
+    and commands in a row buffer and each flown hold's substep positions in
+    a path buffer; the barrier values, delta-v, closest approach and
+    aviary flag are computed from those buffers once the episode ends.
     """
     dyn = DynamicsParams()
     safety = SafetyParams()
@@ -283,6 +294,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     dt_c = 1.0 / cfg.control_rate
     # the plant flies each hold on the affine substep map the filter plans with
     D, S = hold_maps(dyn, dt_c)
+    substeps = len(D)
     D, S = D.reshape(-1, 6), S.reshape(-1, 3)
 
     # any positive duration records the row at t = 0
@@ -296,10 +308,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     theta0 = cfg.initial_state[6]
 
     rows = np.zeros((max_rows, len(CSV_COLUMNS)))
-    cum_dv = 0.0
-    min_distance = float(np.linalg.norm(x[:3]))
-    half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
-    in_aviary = bool(np.all(np.abs(x[:3]) / cfg.position_scale <= half_box))
+    path = np.empty((max_rows, substeps, 3))  # substep positions of each hold
     infeasible_steps = 0
 
     for k in range(max_rows):
@@ -320,15 +329,12 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
 
         inspection.update_inspected(sphere, x[:3], theta_k, cfg.illumination)
         inspected = inspection.inspected_count(sphere)
-        cum_dv += delta_v(u_act, dt_c, dyn.mass)
         rows[k, _T] = t_k
         rows[k, _X] = x
         rows[k, _SUN_ANGLE] = theta_k
         rows[k, _U_DES] = u_des
         rows[k, _U_ACT] = u_act
-        rows[k, _H] = h_values(x, safety)
         rows[k, _NUM_POINTS] = inspected
-        rows[k, _DELTA_V] = cum_dv
 
         if inspected == len(sphere.inspected):
             break
@@ -337,14 +343,23 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
         if cfg.closed_loop:
             force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
         hold = (D @ x + S @ force).reshape(-1, 6) + x
-        pos = hold[:, :3]
-        nearest = float(np.sqrt(np.min(np.einsum("ij,ij->i", pos, pos))))
-        min_distance = min(min_distance, nearest)
-        if in_aviary and np.any(np.abs(pos) / cfg.position_scale > half_box):
-            in_aviary = False
+        path[k] = hold[:, :3]
         x = hold[-1]
 
     rows = rows[:k + 1]
+    success = inspected == len(sphere.inspected)
+    # an episode that inspects every point stops before flying its last hold
+    flown = path[:k + 1 - success].reshape(-1, 3)
+    rows[:, _H] = h_values(rows[:, _X], safety)
+    rows[:, _DELTA_V] = np.cumsum(np.abs(rows[:, _U_ACT]).sum(axis=1) / dyn.mass * dt_c)
+    cum_dv = float(rows[-1, _DELTA_V])
+    x0 = np.asarray(cfg.initial_state[:3])
+    nearest = np.sqrt(np.min(np.einsum("ij,ij->i", flown, flown), initial=math.inf))
+    min_distance = min(float(np.linalg.norm(x0)), float(nearest))
+    half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
+    in_aviary = bool(np.all(np.abs(x0) / cfg.position_scale <= half_box)
+                     and not np.any(np.abs(flown) / cfg.position_scale > half_box))
+
     log = TrajectoryLog(
         t=rows[:, _T],
         states=rows[:, _STATES],
@@ -374,7 +389,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
         "delta_v": cum_dv,
         "reward": 0.1 * inspected - 0.1 * cum_dv,
         "steps": len(rows),
-        "success": inspected == len(sphere.inspected),
+        "success": success,
         "min_distance": min_distance,
         "min_h": float(log.h.min()),
         "interventions": int(log.intervened.sum()),

@@ -10,7 +10,9 @@ Six barrier functions define the joint safe set:
 with rdot = p.v/|p| the range rate (negative when approaching the chief).
 Each constraint linearizes into a control-affine row c.u + b >= 0 with
 c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h; :func:`cbf_rows`
-returns the six rows of a state as arrays (C, b).  Values, gradients and
+returns the six rows of a state as arrays (C, b).  :func:`h_values` and
+:func:`cbf_rows` take one state (6,) or a batch (N, 6) and answer in the
+same form, without the leading axis for one state.  Values, gradients and
 rows come from one pass per state over the terms they share (range, speed,
 p.v, the braking-cone roots), as do the hold conditions below and the
 gradients the filter linearizes them with.
@@ -182,15 +184,18 @@ def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
     return h, G
 
 
+def h_values(states, params: SafetyParams) -> np.ndarray:
+    """Barrier values h1..h6 for one state (6,) or states (N, 6); returns
+    (6,) or (N, 6)."""
+    X, single = _as_state_matrix(states)
+    h = _barriers(X, params, grad=False)[0]
+    return h[0] if single else h
+
+
 def h_values_batch(states, params: SafetyParams) -> np.ndarray:
     """Barrier values for states of shape (N, 6); returns (N, 6)."""
     X, _ = _as_state_matrix(states)
     return _barriers(X, params, grad=False)[0]
-
-
-def h_values(state, params: SafetyParams) -> np.ndarray:
-    """Barrier values h1..h6 as a 6-vector for a single state."""
-    return h_values_batch(state, params)[0]
 
 
 def grad_h_batch(states, params: SafetyParams) -> np.ndarray:

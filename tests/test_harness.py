@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from cwinspect.cli import main as cli_main
-from cwinspect.dynamics import DynamicsParams, step_vector
+from cwinspect.control import mlp_save, random_policy
+from cwinspect.dynamics import DynamicsParams, hold_maps, step_vector
+from cwinspect.env import delta_v
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
                                inject_noise, load_config, run, run_batch)
+from cwinspect.safety import SafetyParams, h_values
 
 
 def short_config(**kw):
@@ -86,6 +89,17 @@ class TestDefaults:
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=seed)
 
+    @pytest.mark.parametrize("flag", ["rta_enabled", "illumination", "closed_loop"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_non_bool_flag_rejected(self, flag, value):
+        with pytest.raises(ValueError, match=flag):
+            ExperimentConfig(**{flag: value})
+
+    @pytest.mark.parametrize("flag", ["rta_enabled", "illumination", "closed_loop"])
+    def test_numpy_bool_flag_stored_as_bool(self, flag):
+        cfg = ExperimentConfig(**{flag: np.bool_(True)})
+        assert getattr(cfg, flag) is True
+
 
 class TestConfigFile:
     def test_overrides_reference_row(self, tmp_path):
@@ -127,6 +141,13 @@ class TestConfigFile:
         # the filter's class-K gains are not configurable
         path.write_text(json.dumps({"experiment": 2, "alpha_gains": [1.0] * 6}))
         with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(path)
+
+    def test_string_flag_rejected(self, tmp_path):
+        # "false" is a truthy string: flown, it would close the loop
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"experiment": 2, "closed_loop": "false"}))
+        with pytest.raises(ValueError, match="closed_loop must be a bool"):
             load_config(path)
 
     def test_malformed_rejected(self, tmp_path):
@@ -307,6 +328,69 @@ class TestRun:
         assert summary["inspected"] == 99
         assert summary["steps"] < 2000  # stopped at completion, not max duration
         assert log.num_points[-1] == 99
+
+
+def per_step_figures(cfg, log):
+    """The log-only figures recomputed the way the step loop once did: the
+    barrier values of each row, a running float sum of delta-v, and a
+    re-flight of every flown hold (closed loop replays the noise stream) for
+    the closest approach and the aviary flag."""
+    dyn, sp = DynamicsParams(), SafetyParams()
+    dt = 1.0 / cfg.control_rate
+    D, S = hold_maps(dyn, dt)
+    D, S = D.reshape(-1, 6), S.reshape(-1, 3)
+    rng = np.random.default_rng(cfg.seed)
+    half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
+    X = log.states[:, :6]
+    h = np.array([h_values(x, sp) for x in X])
+    cum, dv = 0.0, []
+    for u in log.u_act:
+        cum += delta_v(u, dt, dyn.mass)
+        dv.append(cum)
+    min_distance = float(np.linalg.norm(X[0, :3]))
+    in_aviary = bool(np.all(np.abs(X[0, :3]) / cfg.position_scale <= half_box))
+    for k, x in enumerate(X):
+        if cfg.closed_loop:
+            inject_noise(x, cfg.noise, rng)  # the sensing draws of step k
+        if log.num_points[k] == 99:
+            break
+        force = log.u_act[k]
+        if cfg.closed_loop:
+            force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
+        hold = (D @ x + S @ force).reshape(-1, 6) + x
+        if k + 1 < len(X):
+            assert np.array_equal(hold[-1], X[k + 1]), k
+        pos = hold[:, :3]
+        min_distance = min(min_distance,
+                           float(np.sqrt(np.min(np.einsum("ij,ij->i", pos, pos)))))
+        if in_aviary and np.any(np.abs(pos) / cfg.position_scale > half_box):
+            in_aviary = False
+    return h, np.array(dv), min_distance, in_aviary
+
+
+@pytest.mark.parametrize("case", ["exp1", "exp2-open", "exp2-closed", "exp4-nnc"])
+def test_log_figures_match_per_step_oracle(case, tmp_path):
+    cfg = {
+        "exp1": lambda: default_experiment(1),
+        "exp2-open": lambda: default_experiment(2),
+        "exp2-closed": lambda: dataclasses.replace(default_experiment(2),
+                                                   closed_loop=True, seed=3),
+        "exp4-nnc": lambda: dataclasses.replace(
+            default_experiment(4), max_steps=400, weights_path=str(tmp_path / "w.json")),
+    }[case]()
+    if cfg.weights_path:
+        mlp_save(random_policy(11, seed=1), cfg.weights_path)
+    log, summary = run(cfg)
+    h, dv, min_distance, in_aviary = per_step_figures(cfg, log)
+    # exp1 inspects every point and stops before flying its last hold; the
+    # random policy leaves the aviary
+    assert summary["success"] == (case == "exp1")
+    assert summary["in_aviary"] == (case != "exp4-nnc")
+    assert np.array_equal(log.h, h)
+    assert np.array_equal(log.delta_v, dv)
+    assert summary["delta_v"] == dv[-1]
+    assert summary["min_distance"] == min_distance
+    assert summary["in_aviary"] is in_aviary
 
 
 class TestEmission:

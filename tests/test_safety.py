@@ -92,6 +92,41 @@ class TestBarrierValues:
         assert h_values_batch(np.zeros((0, 6)), SP).shape == (0, 6)
 
 
+class TestOneOrBatch:
+    def test_one_state(self):
+        assert h_values(state([100, 0, 0], [0, 0, 0]), SP).shape == (6,)
+
+    def test_batch_equals_rows_bitwise(self):
+        # a strided view, as the harness passes the state columns of its rows
+        buf = np.zeros((40, 24))
+        buf[:, 1:7] = random_nonsingular_states(40, seed=5)
+        X = buf[:, 1:7]
+        H = h_values(X, SP)
+        assert H.shape == (40, 6)
+        assert np.array_equal(H, np.array([h_values(x, SP) for x in X]))
+        assert np.array_equal(H, h_values_batch(X, SP))
+
+    def test_empty_batch(self):
+        assert h_values(np.zeros((0, 6)), SP).shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (12,), (2, 6, 1), (6, 2)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            h_values(np.zeros(shape), SP)
+
+    def test_batch_form_does_not_call_h_values(self, monkeypatch):
+        # a traced h_values must not count the batch form's calls
+        import cwinspect.safety as safety
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("h_values called")
+
+        X = random_nonsingular_states(8, seed=2)
+        expected = h_values(X, SP)
+        monkeypatch.setattr(safety, "h_values", refuse)
+        assert np.array_equal(safety.h_values_batch(X, SP), expected)
+
+
 class TestGradients:
     def test_axis_speed_gradient(self):
         g = grad_h_batch(state([3, 4, 5], [0.7, -0.1, 0.2]), SP)[0, 3]
