@@ -286,7 +286,12 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     and commands in a row buffer and each flown hold's substep positions in
     a path buffer; the barrier values, delta-v, closest approach and
     aviary flag are computed from those buffers once the episode ends.
+
+    ``cfg`` is checked again on entry, since fields may have been assigned
+    after construction; the run, its log metadata and its summary use that
+    checked copy.  Raises ValueError for a field ``ExperimentConfig`` refuses.
     """
+    cfg = dataclasses.replace(cfg)
     dyn = DynamicsParams()
     safety = SafetyParams()
     controller, resolved = _resolve_controller(cfg, dyn)

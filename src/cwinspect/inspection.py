@@ -6,7 +6,10 @@ when illumination gating is enabled, the Sun lights it.  Inspected flags are
 monotone within an episode.  A k-means pass over the remaining points supplies
 the "nearest uninspected cluster" direction used by the richer observation
 vector; the clustering is memoized on the uninspected point coordinates, so
-only a step that inspected something new runs Lloyd's iteration again.
+only a step that inspected something new runs Lloyd's iteration again.  Each
+Lloyd step is a few whole-array passes whose sums keep the order of a
+per-cluster mean, so the seeded clustering is the same bit for bit as the
+textbook loop (the tests keep that loop as their oracle).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
     p = np.asarray(deputy_position, dtype=float)
     if p.size == 3:
         p = p.reshape(3)
-        dist = np.linalg.norm(p)
+        dist = math.sqrt(p.dot(p))
         if math.isfinite(dist):
             return p, dist
     raise ValueError("deputy position must be 3 finite numbers")
@@ -113,18 +116,31 @@ def inspected_count(sphere: InspectionSphere) -> int:
     return int(np.count_nonzero(sphere.inspected))
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((k, 3))
-    centers[0] = pts[rng.integers(len(pts))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between ``a`` and ``b``, whose first axis holds the
+    x, y, z coordinates and whose other axes broadcast.  Summed x + y + z,
+    the order ``np.sum`` takes over a last axis of three, so for (n, 3)
+    rows ``_sq_dist(p.T, q.T)`` equals ``np.sum((p - q) ** 2, axis=-1)``
+    bit for bit."""
+    d = (a - b) ** 2
+    return d[0] + d[1] + d[2]
+
+
+def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of the points with coordinate rows ``coords``
+    (3, n); returns the initial centres as the columns of a (3, k) array."""
+    n = coords.shape[1]
+    centers = np.empty((3, k))
+    centers[:, 0] = coords[:, rng.integers(n)]
+    d2 = _sq_dist(coords, centers[:, :1])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining points coincide with a chosen center
-            centers[j] = pts[rng.integers(len(pts))]
+            centers[:, j] = coords[:, rng.integers(n)]
             continue
-        centers[j] = pts[rng.choice(len(pts), p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        centers[:, j] = coords[:, rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, _sq_dist(coords, centers[:, j:j + 1]))
     return centers
 
 
@@ -136,31 +152,40 @@ def _is_int(v) -> bool:
 def _kmeans(pts_bytes: bytes, k: int, seed: int, tol: float, max_iter: int):
     """Seeded k-means++ and Lloyd's iteration on the (n, 3) float points
     packed in ``pts_bytes``.  Keyed on point contents, not on a sphere, since
-    ``update_inspected`` mutates the inspected mask in place.  Returns
-    read-only (centers, labels) plus the converged flag."""
-    pts = np.frombuffer(pts_bytes).reshape(-1, 3)
+    ``update_inspected`` mutates the inspected mask in place.  Returns the
+    read-only (k, 3) centres and (k,) cluster sizes of the final assignment,
+    plus the converged flag.
+
+    Each Lloyd step is a few whole-array passes: one broadcast of the (k, n)
+    squared distances, nearest-centre labels (ties to the lower index), and
+    the per-cluster coordinate sums from one ``np.bincount``, which adds in
+    point order as ``mean(axis=0)`` over each cluster's points does.  A
+    cluster left empty keeps its centre.
+    """
+    coords = np.frombuffer(pts_bytes).reshape(-1, 3).T.copy()
+    points, flat = coords[:, None, :], coords.ravel()
+    # bin of coordinate c of a point in cluster j: c * k + j
+    bins = k * np.arange(3)[:, None]
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pts, k, rng)
+    centers = _kmeans_pp_init(coords, k, rng)
     converged = False
     for _ in range(max_iter):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = pts[labels == j]
-            if len(members):
-                new_centers[j] = members.mean(axis=0)
-        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        labels = np.argmin(_sq_dist(points, centers[:, :, None]), axis=0)
+        sizes = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels + bins).ravel(), flat, 3 * k).reshape(3, k)
+        new_centers = np.divide(sums, sizes, out=centers.copy(), where=sizes > 0)
+        shift = math.sqrt(_sq_dist(new_centers, centers).max())
         centers = new_centers
         if shift < tol:
             converged = True
             break
     # final assignment against the settled centers
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
+    labels = np.argmin(_sq_dist(points, centers[:, :, None]), axis=0)
+    sizes = np.bincount(labels, minlength=k)
+    centers = centers.T.copy()
     centers.setflags(write=False)
-    labels.setflags(write=False)
-    return centers, labels, converged
+    sizes.setflags(write=False)
+    return centers, sizes, converged
 
 
 def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
@@ -174,8 +199,9 @@ def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
     Runs Lloyd's iteration with seeded k-means++ initialization on the
     uninspected point coordinates, using k' = min(k, number uninspected).
     The clustering is memoized on the uninspected coordinates and
-    (k, seed, tol, max_iter), so a call whose uninspected set is unchanged
-    redoes only the deputy-dependent nearest-centre pick.  Returns the zero
+    (k, seed, tol, max_iter) and keeps the centres and cluster sizes, so a
+    call whose uninspected set is unchanged redoes only the deputy-dependent
+    nearest-centre pick and reads that cluster's size.  Returns the zero
     vector with cluster_size 0 when everything is inspected.
     Deterministic for identical inputs.
     """
@@ -188,18 +214,18 @@ def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
         raise ValueError("max_iter must be a non-negative integer")
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be non-negative and finite")
-    pts = np.ascontiguousarray(sphere.points[~sphere.inspected], dtype=float)
+    pts = np.ascontiguousarray(sphere.points.compress(~sphere.inspected, axis=0), dtype=float)
     if len(pts) == 0:
         return ClusterResult(np.zeros(3), 0, True)
-    centers, labels, converged = _kmeans(pts.tobytes(), min(k, len(pts)),
-                                         seed, tol, max_iter)
-    nearest = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
+    centers, sizes, converged = _kmeans(pts.tobytes(), min(k, len(pts)),
+                                        seed, tol, max_iter)
+    nearest = int(np.argmin(np.sqrt(_sq_dist(centers.T, p[:, None]))))
     centroid = centers[nearest]
-    size = int(np.count_nonzero(labels == nearest))
-    norm = np.linalg.norm(centroid)
+    size = int(sizes[nearest])
+    norm = math.sqrt(centroid.dot(centroid))
     if norm < 1e-9:
         # degenerate (antipodally balanced) cluster: fall back to the single
         # nearest uninspected point so the direction stays meaningful
-        q = pts[np.argmin(np.linalg.norm(pts - p, axis=1))]
-        return ClusterResult(q / np.linalg.norm(q), size, converged)
+        q = pts[np.argmin(np.sqrt(_sq_dist(pts.T, p[:, None])))]
+        return ClusterResult(q / math.sqrt(q.dot(q)), size, converged)
     return ClusterResult(centroid / norm, size, converged)

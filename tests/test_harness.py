@@ -242,6 +242,16 @@ class TestRun:
         assert len(log) == summary["steps"] == 1 and log.t[0] == 0.0
         assert summary["min_h"] == log.h.min()
 
+    @pytest.mark.parametrize("field, value", [("max_steps", 0), ("closed_loop", "false")])
+    def test_field_assigned_after_construction_checked(self, field, value):
+        # run checks the config on entry, not only at construction: neither
+        # an UnboundLocalError for max_steps 0 nor a closed-loop flight
+        # logged as "false"
+        cfg = default_experiment(2)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            run(cfg)
+
     def test_max_steps_caps_rows(self):
         cfg = short_config(max_duration=1000.0, max_steps=7)
         log, summary = run(cfg)

@@ -6,14 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwinspect import inspection
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.harness import default_experiment, run
 from cwinspect.inspection import (DEFAULT_CLUSTER_COUNT, KMEANS_SEED,
                                   SPHERE_POINT_COUNT, SPHERE_RADIUS,
-                                  ClusterResult, generate_points,
-                                  inspected_count,
+                                  ClusterResult, InspectionSphere,
+                                  generate_points, inspected_count,
                                   nearest_uninspected_cluster,
                                   update_inspected)
 
@@ -321,3 +323,70 @@ class TestClusterMemo:
             log, _ = run(cfg)
             assert len(np.unique(log.num_points)) > 2
             assert log.row_matrix().tobytes() == ref.row_matrix().tobytes()
+
+
+class TestOracleProperty:
+    """The memoized array-pass k-means against the loop oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mask=st.lists(st.booleans(), min_size=SPHERE_POINT_COUNT,
+                         max_size=SPHERE_POINT_COUNT),
+           k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           pos=st.tuples(*[st.floats(-200.0, 200.0)] * 3))
+    def test_random_masks(self, mask, k, seed, pos):
+        sph = generate_points()
+        sph.inspected[:] = mask
+        assert_same_cluster(nearest_uninspected_cluster(sph, pos, k=k, seed=seed),
+                            kmeans_oracle(sph, pos, k=k, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_points_leave_a_cluster_empty(self, seed):
+        # two distinct locations: after both are seeded every remaining
+        # distance is 0 (k-means++'s total <= 0 branch), so k = 4 repeats
+        # centres and the tie-broken assignment leaves clusters empty
+        pts = np.array([[10.0, 0.0, 0.0]] * 6 + [[0.0, 10.0, 0.0]] * 4)
+        sph = InspectionSphere(pts, np.zeros(len(pts), dtype=bool), 10.0)
+        _, sizes, _ = inspection._kmeans(pts.tobytes(), 4, seed, 1e-6, 50)
+        assert (sizes == 0).any() and sizes.sum() == len(pts)
+        for pos in ([50.0, 0.0, 0.0], [0.0, 50.0, 0.0], [0.0, 0.0, 50.0]):
+            assert_same_cluster(nearest_uninspected_cluster(sph, pos, k=4, seed=seed),
+                                kmeans_oracle(sph, pos, k=4, seed=seed))
+
+    def test_antipodal_fallback(self):
+        # one cluster of two antipodal points has its centroid at the origin
+        pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
+        sph = InspectionSphere(pts, np.zeros(2, dtype=bool), 10.0)
+        for pos in ([-50.0, 3.0, 0.0], [50.0, 0.0, 1.0]):
+            res = nearest_uninspected_cluster(sph, pos, k=1)
+            assert_same_cluster(res, kmeans_oracle(sph, pos, k=1))
+            assert res.cluster_size == 2
+            assert np.array_equal(res.direction, [math.copysign(1.0, pos[0]), 0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [1, 6, 8])
+    def test_single_uninspected_point(self, k):
+        sph = generate_points()
+        sph.inspected[:] = True
+        sph.inspected[17] = False
+        for pos in ([100.0, 0.0, 0.0], [-3.0, 40.0, 12.0]):
+            res = nearest_uninspected_cluster(sph, pos, k=k)
+            assert_same_cluster(res, kmeans_oracle(sph, pos, k=k))
+            assert res.cluster_size == 1 and res.converged
+
+
+def test_summation_order_identities():
+    # the cluster direction is bit-identical to its loop form only while
+    # numpy sums a last axis of three as x + y + z and np.linalg.norm of a
+    # 1-D array is sqrt(p . p); a numpy that reorders either fails here
+    rng = np.random.default_rng(0)
+
+    def sample(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    a, b = sample(20000, 3), sample(20000, 3)
+    assert (inspection._sq_dist(a.T, b.T).tobytes()
+            == np.sum((a - b) ** 2, axis=-1).tobytes())
+    pts, centers = sample(59, 3), sample(6, 3)
+    assert (inspection._sq_dist(pts.T[:, None, :], centers.T[:, :, None]).tobytes()
+            == np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2).T.tobytes())
+    for p in a[:2000]:
+        assert math.sqrt(p.dot(p)) == np.linalg.norm(p)
