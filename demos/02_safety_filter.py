@@ -34,6 +34,13 @@ res = filter_control(x_limit, np.array([1.0, 0.0, 0.0]), safety, dyn)
 print(f"at the +x speed limit, request (1,0,0) N becomes "
       f"{np.round(res.u_act, 6)} N (active constraints {res.active_set})")
 
+# the same call filters a batch: states (N, 6) with requests (N, 3) give
+# one result whose fields hold a row per state
+res = filter_control(np.stack([x_safe, x_limit]),
+                     np.array([[0.05, 0.0, -0.02], [1.0, 0.0, 0.0]]), safety, dyn)
+print(f"both requests as one batch: intervened={res.intervened}, "
+      f"u_act rows {np.round(res.u_act, 6).tolist()}")
+
 # collision-course experiment: the LQR alone would drive the deputy to the
 # origin; with the filter it settles on the 10 m boundary instead
 print("\nrunning the collision-course experiment (filter on) ...")

@@ -20,8 +20,7 @@ from .harness import (ExperimentConfig, NoiseModel, TrajectoryLog,
 from .inspection import (ClusterResult, InspectionSphere, generate_points,
                          inspected_count, nearest_uninspected_cluster,
                          update_inspected)
-from .rta import (FilterResult, filter_control, filter_control_batch,
-                  infeasible_fallback, solve_qp)
+from .rta import FilterResult, filter_control, infeasible_fallback, solve_qp
 from .safety import SafetyParams, cbf_rows, h_values, is_safe
 
 __version__ = "0.1.0"

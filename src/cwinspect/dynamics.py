@@ -43,9 +43,9 @@ __all__ = [
     "lab_to_space",
 ]
 
-#: Default propagation substep in space-frame seconds.  Far below the error
-#: floor for this linear system; chosen to divide typical control periods
-#: evenly.
+#: Longest propagation substep [s]: :func:`hold_maps` splits every hold into
+#: equal substeps no longer than this.  Far below the error floor for this
+#: linear system; chosen to divide typical control periods evenly.
 DEFAULT_SUBSTEP = 0.2
 
 # hold_maps stores 432 bytes per substep: at most 43 MB for one hold
@@ -71,8 +71,8 @@ class DynamicsParams:
     u_max: float = 1.0
 
     def __post_init__(self):
-        if not (self.mean_motion > 0.0 and self.mass > 0.0 and self.u_max > 0.0):
-            raise ValueError("mean_motion, mass and u_max must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.mean_motion, self.mass, self.u_max)):
+            raise ValueError("mean_motion, mass and u_max must be positive and finite")
 
 
 @dataclass
@@ -171,31 +171,33 @@ def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarra
     return np.eye(6) + D, N
 
 
-def step_vector(x, u, dt: float, params: DynamicsParams,
-                max_substep: float = DEFAULT_SUBSTEP) -> np.ndarray:
-    """Propagate the 6-state ``dt`` seconds under zero-order-hold thrust.
+def step_vector(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
+    """Propagate one 6-state (6,) or states (N, 6) ``dt`` seconds under the
+    zero-order-hold thrust ``u`` (3,).
 
-    ``x`` may be a single state of shape (6,) or a batch of shape (6, N);
-    the same affine map is applied column-wise: the end-of-hold entry of
-    :func:`hold_maps`, x + D @ x + S @ u.  Raises ``ValueError`` on
-    non-finite input and on the ``dt`` and ``max_substep`` that
-    :func:`hold_maps` refuses.
+    Each row takes the end-of-hold entry of :func:`hold_maps`,
+    x + D @ x + S @ u, with the arithmetic of a call on that row alone.
+    Raises ``ValueError`` on any other shape, on non-finite input and on
+    the ``dt`` that :func:`hold_maps` refuses.
     """
-    D, S = hold_maps(params, float(dt), float(max_substep))
+    D, S = hold_maps(params, float(dt))
     x = _require_finite(x, "state")
     b = S[-1] @ _require_finite(u, "control").reshape(3)
-    return x + (D[-1] @ x + (b[:, None] if x.ndim == 2 else b))
+    if x.shape == (6,):
+        return x + (D[-1] @ x + b)
+    if x.ndim == 2 and x.shape[1] == 6:  # a matrix-vector product per row
+        return x + ((D[-1] @ x[:, :, None])[:, :, 0] + b)
+    raise ValueError(f"states must have shape (6,) or (N, 6), not {x.shape}")
 
 
-def step(state: RelativeState, u, dt: float, params: DynamicsParams,
-         max_substep: float = DEFAULT_SUBSTEP) -> RelativeState:
+def step(state: RelativeState, u, dt: float, params: DynamicsParams) -> RelativeState:
     """Advance ``state`` by ``dt`` seconds under constant thrust ``u``.
 
     Position and velocity take the cached affine zero-order-hold map of
     :func:`step_vector`; the sun angle and clock advance exactly
     (theta -= n*dt, t += dt).
     """
-    x = step_vector(state.vector(), u, dt, params, max_substep)
+    x = step_vector(state.vector(), u, dt, params)
     return RelativeState(
         x[:3], x[3:],
         state.sun_angle - params.mean_motion * dt,
@@ -204,24 +206,21 @@ def step(state: RelativeState, u, dt: float, params: DynamicsParams,
 
 
 @lru_cache(maxsize=32)
-def hold_maps(params: DynamicsParams, period: float,
-              max_substep: float = DEFAULT_SUBSTEP) -> tuple[np.ndarray, np.ndarray]:
+def hold_maps(params: DynamicsParams, period: float) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 
     A hold of ``period`` seconds split into J = max(1, ceil(period /
-    max_substep)) equal substeps (:func:`rk4_zoh_map`) under constant thrust
-    u [N] reaches the state x + D[j] @ x + S[j] @ u after substep j + 1.  The
-    substeps of the augmented 9x9 map are composed one by one, each kept as
-    its difference from the identity so no precision is lost to the unit
-    diagonal.  Returns (D, S) of shapes (J, 6, 6) and (J, 6, 3), cached and
-    read-only.  Raises ``ValueError`` unless ``period`` and ``max_substep``
-    are positive and finite and J is at most 100,000.
+    DEFAULT_SUBSTEP)) equal substeps (:func:`rk4_zoh_map`) under constant
+    thrust u [N] reaches the state x + D[j] @ x + S[j] @ u after substep
+    j + 1.  The substeps of the augmented 9x9 map are composed one by one,
+    each kept as its difference from the identity so no precision is lost
+    to the unit diagonal.  Returns (D, S) of shapes (J, 6, 6) and (J, 6, 3),
+    cached and read-only.  Raises ``ValueError`` unless ``period`` is
+    positive and finite and J is at most 100,000.
     """
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError("period must be positive and finite")
-    if not (math.isfinite(max_substep) and max_substep > 0.0):
-        raise ValueError("max_substep must be positive and finite")
-    ratio = period / max_substep - 1e-12
+    ratio = period / DEFAULT_SUBSTEP - 1e-12
     if not ratio <= _MAX_SUBSTEPS:  # refuses an infinite ratio too
         raise ValueError(f"a hold of {ratio:.6g} substeps exceeds {_MAX_SUBSTEPS}")
     substeps = max(1, math.ceil(ratio))

@@ -46,7 +46,8 @@ import numpy as np
 
 from .dynamics import DynamicsParams, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
-                     _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
+                     _as_state_matrix, _hold_jacobian, _hold_pass, cbf_rows,
+                     keep_in_guard)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -54,7 +55,6 @@ __all__ = [
     "solve_qp",
     "infeasible_fallback",
     "filter_control",
-    "filter_control_batch",
 ]
 
 #: Hold of the default 0.5 Hz control rate [s].
@@ -83,19 +83,22 @@ _BOX = np.vstack([-np.eye(3), np.eye(3)])
 
 @dataclass
 class FilterResult:
-    """Outcome of one filter evaluation."""
+    """Outcome of one filter evaluation; for a batch of N states each field
+    holds one entry per state: (N, ...) arrays and a tuple of N tuples."""
 
-    u_act: np.ndarray  # (3,) [N]
-    intervened: bool
-    deviation: float  # ||u_des - u_act||_2 after box pre-clamp [N]
+    u_act: np.ndarray  # (3,) or (N, 3) [N]
+    intervened: bool  # or (N,) bool
+    deviation: float  # ||u_des - u_act||_2 after box pre-clamp [N]; or (N,)
     # constraint indices: continuous rows 0..5, hold condition i at substep
     # j (from 0) is row 6 + 9 j + i, then the box faces as in solve_qp
     active_set: tuple
-    feasible: bool
-    slack_used: np.ndarray  # per continuous row violation max(0, -(c.u+b)) at u_act
+    feasible: bool  # or (N,) bool
+    slack_used: np.ndarray  # (6,) or (N, 6): per continuous row max(0, -(c.u+b)) at u_act
 
 
-def _row_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
+def _checked_rows(rows, u_max: float) -> tuple[np.ndarray, np.ndarray]:
+    if not 0.0 < u_max < math.inf:
+        raise ValueError("u_max must be positive and finite")
     C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
     b = np.asarray(rows[1], dtype=float).reshape(-1)
     if not (np.isfinite(C).all() and np.isfinite(b).all()):
@@ -197,7 +200,7 @@ def solve_qp(u_des, rows, u_max: float):
     u_des = np.asarray(u_des, dtype=float).reshape(3)
     if not np.isfinite(u_des).all():
         raise ValueError("u_des must be finite")
-    C, b = _row_arrays(rows)
+    C, b = _checked_rows(rows, u_max)
     # constraints in the uniform form a_j . u >= d_j
     A = np.concatenate([C, _BOX])
     d = np.concatenate([-b, np.full(6, -u_max)])
@@ -214,7 +217,7 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     Coincides with :func:`solve_qp` to about 1e-6 when the rows are feasible.
     """
     u_des = np.asarray(u_des, dtype=float).reshape(3)
-    C, b = _row_arrays(rows)
+    C, b = _checked_rows(rows, u_max)
 
     def objective(U):  # of thrusts (k, 3)
         viol = np.minimum(0.0, U @ C.T + b)
@@ -415,54 +418,36 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
     return out
 
 
-def _clamped_requests(U, dyn: DynamicsParams) -> np.ndarray:
-    if not np.isfinite(U).all():
-        raise ValueError("u_des must be finite")
-    return U.clip(-dyn.u_max, dyn.u_max)
-
-
-def filter_control(state, u_des, params: SafetyParams, dyn: DynamicsParams,
+def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
                    period: float = DEFAULT_PERIOD) -> FilterResult:
-    """Filter ``u_des`` for one 6-state and a hold of ``period`` seconds, on
-    the substeps of :func:`cwinspect.dynamics.hold_maps` that the simulator
-    flies.
+    """Filter the requests ``u_des`` (3,) for one 6-state (6,), or (N, 3)
+    for states (N, 6), over a hold of ``period`` seconds, on the substeps
+    of :func:`cwinspect.dynamics.hold_maps` that the simulator flies.
 
     ``u_des`` is clamped to the thrust box first so the reported deviation
-    measures distance from an admissible request.
+    measures distance from an admissible request.  A batch takes the path
+    of one state and returns its fields as arrays with a leading axis N,
+    with ``active_set`` a tuple of tuples; each row is the result for its
+    state alone, up to rounding.
     """
-    u_des = _clamped_requests(np.asarray(u_des, dtype=float).reshape(3), dyn)
-    x = np.asarray(state, dtype=float).reshape(6)
-    if not np.isfinite(x).all():
-        raise ValueError("state must be finite")
-    C, b = cbf_rows(x, params, dyn)
-    U, active, feasible = _filter_states(x[None, :], u_des[None, :], C[None],
-                                         b[None], params, dyn, period)
-    u = U[0]
-    du = u - u_des
-    deviation = math.sqrt(du.dot(du))  # np.linalg.norm's arithmetic
-    return FilterResult(
-        u_act=u,
-        intervened=deviation > _INTERVENTION_TOL,
-        deviation=deviation,
-        active_set=active[0],
-        feasible=bool(feasible[0]),
-        slack_used=np.maximum(0.0, -(C @ u + b)),
-    )
-
-
-def filter_control_batch(states, u_des, params: SafetyParams,
-                         dyn: DynamicsParams, period: float = DEFAULT_PERIOD):
-    """:func:`filter_control` for states (N, 6) and requests (N, 3).
-
-    Returns (u_act (N, 3), intervened (N,), feasible (N,)).
-    """
-    X = np.asarray(states, dtype=float).reshape(-1, 6)
+    X, single = _as_state_matrix(states)
+    U = np.asarray(u_des, dtype=float)
+    shape = (3,) if single else (len(X), 3)
+    if U.shape != shape:
+        raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
     if not np.isfinite(X).all():
         raise ValueError("states must be finite")
-    U = _clamped_requests(np.asarray(u_des, dtype=float).reshape(-1, 3), dyn)
-    if len(U) != len(X):
-        raise ValueError("states and u_des must have the same length")
+    if not np.isfinite(U).all():
+        raise ValueError("u_des must be finite")
+    U = U.clip(-dyn.u_max, dyn.u_max).reshape(-1, 3)
     C, b = cbf_rows(X, params, dyn)
-    U_act, _, feasible = _filter_states(X, U, C, b, params, dyn, period)
-    intervened = np.linalg.norm(U_act - U, axis=1) > _INTERVENTION_TOL
-    return U_act, intervened, feasible
+    U_act, active, feasible = _filter_states(X, U, C, b, params, dyn, period)
+    # np.linalg.norm's arithmetic, one row at a time
+    deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
+    slack = np.maximum(0.0, -((C @ U_act[:, :, None])[:, :, 0] + b))
+    if single:
+        return FilterResult(U_act[0], deviation[0] > _INTERVENTION_TOL, deviation[0],
+                            active[0], bool(feasible[0]), slack[0])
+    deviation = np.array(deviation)
+    return FilterResult(U_act, deviation > _INTERVENTION_TOL, deviation,
+                        tuple(active), feasible, slack)

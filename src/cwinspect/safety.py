@@ -65,7 +65,6 @@ __all__ = [
     "NUM_HOLD_CONDITIONS",
     "h_values",
     "h_values_batch",
-    "grad_h_batch",
     "cbf_rows",
     "keep_in_guard",
     "hold_values",
@@ -116,8 +115,8 @@ class SafetyParams:
     def __post_init__(self):
         vals = (self.a_max, self.r_d, self.r_c, self.r_max,
                 self.nu0, self.nu1, self.v_max)
-        if not all(v > 0.0 for v in vals):
-            raise ValueError("all safety parameters must be positive")
+        if not all(0.0 < v < math.inf for v in vals):
+            raise ValueError("all safety parameters must be positive and finite")
         if not self.r_d + self.r_c < self.r_max:
             raise ValueError("keep-out radius must be smaller than keep-in radius")
 
@@ -198,36 +197,21 @@ def h_values_batch(states, params: SafetyParams) -> np.ndarray:
     return _barriers(X, params, grad=False)[0]
 
 
-def grad_h_batch(states, params: SafetyParams) -> np.ndarray:
-    """Analytic gradients dh_i/dx for states (N, 6), of shape (N, 6, 6)
-    indexed [state, constraint, component].  Norms and square roots are
-    floored at singular points."""
-    X, _ = _as_state_matrix(states)
-    return _barriers(X, params)[1]
-
-
-def cbf_rows(states, params: SafetyParams, dyn: DynamicsParams,
-             alphas=None) -> tuple[np.ndarray, np.ndarray]:
+def cbf_rows(states, params: SafetyParams,
+             dyn: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
     """Linearized constraint rows c_i . u + b_i >= 0 for one state (6,) or
     states (N, 6).
 
     Returns (C, b): C of shape (..., 6, 3) with c_i = L_g h_i and b of
-    shape (..., 6) with b_i = L_f h_i + gain_i * h_i, without the leading
-    axis for one state.  The gains ``alphas`` (default
-    :data:`DEFAULT_ALPHA_GAINS`) must be positive and finite.
+    shape (..., 6) with b_i = L_f h_i + gain_i * h_i, the gains of
+    :data:`DEFAULT_ALPHA_GAINS`, without the leading axis for one state.
     """
     X, single = _as_state_matrix(states)
-    gains = DEFAULT_ALPHA_GAINS if alphas is None else np.asarray(alphas, dtype=float)
-    if alphas is not None:  # the defaults are valid
-        if gains.shape != (NUM_CONSTRAINTS,):
-            raise ValueError("alphas must provide one gain per constraint")
-        if not (np.isfinite(gains).all() and (gains > 0.0).all()):
-            raise ValueError("class-K gains must be positive and finite")
     h, G = _barriers(X, params)
     f = X @ _drift(dyn).T  # drift f(x) = A x, row-wise
     Lf = np.einsum("nij,nj->ni", G, f)
     C = G[:, :, 3:] / dyn.mass  # L_g h rows
-    b = Lf + gains * h
+    b = Lf + DEFAULT_ALPHA_GAINS * h
     return (C[0], b[0]) if single else (C, b)
 
 
@@ -305,8 +289,8 @@ def hold_values(states, params: SafetyParams, keep_in=None) -> np.ndarray:
 
 def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     """Gradients dk_i/dx of :func:`hold_values` for states (..., 6); returns
-    (..., 9, 6).  Norms are floored at singular points as in
-    :func:`grad_h_batch`."""
+    (..., 9, 6).  Norms are floored at singular points as in the barrier
+    gradients of :func:`cbf_rows`."""
     X = np.asarray(states, dtype=float)
     G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
     G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, keep_in)[1], params, keep_in)

@@ -2,9 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Criterion 2 flies the library's sampled-data filter
-(`cwinspect.rta.filter_control_batch`) over the zero-order hold and checks
-every barrier at every 0.2 s substep against the stated -1e-3 bound; see
-README for the guarantee and its scope.
+(`cwinspect.rta.filter_control`, on a batch of states) over the zero-order
+hold and checks every barrier at every 0.2 s substep against the stated
+-1e-3 bound; see README for the guarantee and its scope.
 """
 
 import math
@@ -17,8 +17,8 @@ import pytest
 import cwinspect as cw
 from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step_vector
 from cwinspect.harness import default_experiment, emit, run
-from cwinspect.rta import filter_control_batch
-from cwinspect.safety import grad_h_batch, h_values_batch
+from cwinspect.rta import filter_control
+from cwinspect.safety import _barriers, h_values_batch
 
 DP = cw.DynamicsParams()
 SP = cw.SafetyParams()
@@ -96,7 +96,7 @@ def _invariance_min(states, controller, seed, duration=6000.0,
     overall_min = np.inf
     for _ in range(steps):
         U = controller(X.T, rng)
-        U, _, _ = filter_control_batch(X.T, U, SP, DP, period=dt_c)
+        U = filter_control(X.T, U, SP, DP, period=dt_c).u_act
         A_in = (U / DP.mass).T  # (3, N)
         for _ in range(n_sub):
             X = M @ X + Nmat @ A_in
@@ -196,7 +196,7 @@ def test_criterion_4_gradients_match_finite_differences():
             continue
         X[got] = np.concatenate([p, v])
         got += 1
-    G = grad_h_batch(X, SP)
+    G = _barriers(X, SP)[1]  # the gradients cbf_rows takes its rows from
     eps = 1e-5
     worst = 0.0
     for j in range(6):
@@ -218,13 +218,13 @@ def test_criterion_4_gradients_match_finite_differences():
 def test_criterion_5_rk4_matches_transition_matrix():
     rng = np.random.default_rng(555)
     X0 = np.vstack([rng.normal(0, 300, (3, 1000)),
-                    rng.normal(0, 0.5, (3, 1000))])
+                    rng.normal(0, 0.5, (3, 1000))]).T
     X = X0.copy()
     for _ in range(6000):
-        X = step_vector(X, np.zeros(3), 1.0, DP, max_substep=1.0)
-    ref = cw_stm(DP.mean_motion, 6000.0) @ X0
-    pos_err = np.abs(X[:3] - ref[:3]).max()
-    vel_err = np.abs(X[3:] - ref[3:]).max()
+        X = step_vector(X, np.zeros(3), 1.0, DP)
+    ref = X0 @ cw_stm(DP.mean_motion, 6000.0).T
+    pos_err = np.abs(X[:, :3] - ref[:, :3]).max()
+    vel_err = np.abs(X[:, 3:] - ref[:, 3:]).max()
     with report(5, "RK4 vs closed-form free motion over 6000 s, 1000 states"):
         assert pos_err < 1e-6, f"position error {pos_err:.2e} m"
         assert vel_err < 1e-8, f"velocity error {vel_err:.2e} m/s"

@@ -1,5 +1,6 @@
 """Package-level properties."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -53,3 +54,28 @@ def test_every_exported_name_resolves():
                      if not n.startswith("_") and not inspect.ismodule(v)]
     exported = {n for mod in modules for n in getattr(mod, "__all__", ())}
     assert set(package_names) <= exported
+
+
+def _loaded_names(path: Path) -> set:
+    """Every name a module's code reads: plain names and attribute names,
+    not its definitions, strings, comments or docstrings."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_a_test():
+    # each name in a module's __all__ is read by package code (another
+    # module, or its own beyond the definition and the __all__ entry) or by
+    # a test; a re-export in __init__ alone is not a use
+    package = Path(cwinspect.__file__).parent
+    read = set().union(*(_loaded_names(p) for p in package.glob("*.py")),
+                       *(_loaded_names(p) for p in Path(__file__).parent.glob("*.py")))
+    unused = [f"{m.name}.{n}" for m in pkgutil.iter_modules(cwinspect.__path__)
+              for n in getattr(importlib.import_module(f"cwinspect.{m.name}"), "__all__", ())
+              if n not in read]
+    assert not unused, f"public names with no caller and no test: {unused}"

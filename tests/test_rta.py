@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cwinspect import rta
 from cwinspect.dynamics import DynamicsParams, hold_maps, rk4_zoh_map
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
-                           filter_control_batch, infeasible_fallback, solve_qp)
+                           infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
                               hold_gradients, hold_values, keep_in_guard)
 
@@ -28,6 +28,21 @@ def lattice_search(u_des, C, b, u_max, n=51):
         return None
     cand = U[feas]
     return cand[np.argmin(np.sum((cand - u_des) ** 2, axis=1))]
+
+
+def assert_rows_match(batch, X, U):
+    """Each row of a batch FilterResult is the result for its state alone,
+    to 1e-12 in the floats."""
+    assert batch.u_act.shape == (len(X), 3) and batch.slack_used.shape == (len(X), 6)
+    assert len(batch.active_set) == len(X)
+    for k in range(len(X)):
+        res = filter_control(X[k], U[k], SP, DP)
+        assert np.allclose(res.u_act, batch.u_act[k], rtol=0.0, atol=1e-12)
+        assert np.allclose(res.slack_used, batch.slack_used[k], rtol=0.0, atol=1e-12)
+        assert abs(res.deviation - batch.deviation[k]) <= 1e-12
+        assert res.intervened == batch.intervened[k]
+        assert res.feasible == batch.feasible[k]
+        assert res.active_set == batch.active_set[k]
 
 
 def random_instance(rng):
@@ -120,6 +135,14 @@ class TestSolveQp:
             solve_qp([np.nan, 0, 0], (np.zeros((0, 3)), np.zeros(0)), 1.0)
         with pytest.raises(ValueError):
             solve_qp(np.zeros(3), (np.array([[np.inf, 0, 0]]), np.array([0.0])), 1.0)
+
+
+@pytest.mark.parametrize("u_max", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
+def test_bad_thrust_limit_rejected(solver, u_max):
+    rows = (np.array([[1.0, 0, 0]]), np.array([-0.5]))
+    with pytest.raises(ValueError, match="u_max"):
+        solver(np.zeros(3), rows, u_max)
 
 
 class TestFallback:
@@ -275,11 +298,9 @@ class TestFilter:
         X = np.concatenate([rng.normal(0, 60, (40, 3)), rng.normal(0, 0.3, (40, 3))], axis=1)
         X[:20, :3] *= 10.6 / np.linalg.norm(X[:20, :3], axis=1, keepdims=True)
         U = rng.uniform(-1, 1, (40, 3))
-        U_act, intervened, feasible = filter_control_batch(X, U, SP, DP)
-        for k in range(40):
-            res = filter_control(X[k], U[k], SP, DP)
-            assert np.allclose(res.u_act, U_act[k], rtol=0.0, atol=1e-12)
-            assert res.intervened == intervened[k] and res.feasible == feasible[k]
+        batch = filter_control(X, U, SP, DP)
+        assert_rows_match(batch, X, U)
+        assert batch.intervened[:20].any()
 
     @pytest.mark.parametrize("linearizations", [rta._MAX_LINEARIZATIONS, 0])
     def test_batch_stage_bookkeeping(self, monkeypatch, linearizations):
@@ -308,11 +329,9 @@ class TestFilter:
         order = rng.permutation(len(X))
         X, U = X[order], U[order]
         outside = hold_values(X, SP, GUARD).min(axis=1) < 0.0
-        U_act, intervened, feasible = filter_control_batch(X, U, SP, DP)
-        for k in range(len(X)):
-            res = filter_control(X[k], U[k], SP, DP)
-            assert np.allclose(res.u_act, U_act[k], rtol=0.0, atol=1e-12)
-            assert res.intervened == intervened[k] and res.feasible == feasible[k]
+        batch = filter_control(X, U, SP, DP)
+        assert_rows_match(batch, X, U)
+        intervened, feasible = batch.intervened, batch.feasible
         assert (intervened & ~outside).sum() >= 3 and (intervened & outside).sum() >= 3
         if linearizations:
             assert feasible[~outside].all()
@@ -323,7 +342,17 @@ class TestFilter:
         with pytest.raises(ValueError):
             filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP, DP)
         with pytest.raises(ValueError):
-            filter_control_batch(np.full((2, 6), np.inf), np.zeros((2, 3)), SP, DP)
+            filter_control(np.full((2, 6), np.inf), np.zeros((2, 3)), SP, DP)
+        with pytest.raises(ValueError):
+            filter_control(np.zeros((2, 6)), [[0.0, np.nan, 0.0]] * 2, SP, DP)
+
+    @pytest.mark.parametrize("x_shape, u_shape", [
+        ((6,), (1, 3)), ((6,), (2,)), ((3, 6), (2, 3)), ((3, 6), (3,)), ((2, 6), (2, 2))])
+    def test_request_shape_must_match_states(self, x_shape, u_shape):
+        X = np.zeros(x_shape)
+        X[..., 0] = 100.0
+        with pytest.raises(ValueError, match="u_des"):
+            filter_control(X, np.zeros(u_shape), SP, DP)
 
     def test_overflowing_rows_rejected(self):
         # finite states whose rows overflow are refused, as non-finite states are
