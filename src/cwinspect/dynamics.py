@@ -11,8 +11,8 @@ state.  One RK4 substep of the linear system, written as its matrix
 polynomial (:func:`rk4_zoh_map`), is the only definition of a propagation
 substep.  :func:`hold_maps`, the only builder of propagation maps, composes
 equal substeps (the augmented-matrix form of zero-order-hold discretisation,
-Van Loan 1978) into the cached map of every substep state of a hold;
-:func:`step` and :func:`step_vector` apply its last entry.
+Van Loan 1978) into the cached map of every substep state of a hold; the
+simulator, the filter and :func:`step_vector` fly it through one function.
 
 Axes follow the usual Hill/RIC convention: x radial (away from Earth),
 y in-track, z cross-track.  SI units throughout (m, m/s, s, rad).
@@ -140,6 +140,17 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
+    """States of shape (6,) or (N, 6) as an (N, 6) array; returns (array,
+    was_single)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape == (6,):
+        return arr[None, :], True
+    if arr.ndim == 2 and arr.shape[1] == 6:
+        return arr, False
+    raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
+
+
 def _rk4_increment(params: DynamicsParams,
                    h: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 substep of the linear system as x(t+h) = x + D @ x + N @ a.
@@ -171,23 +182,30 @@ def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarra
     return np.eye(6) + D, N
 
 
+def _fly(D, S, x, u) -> np.ndarray:
+    """Every substep state x + (D_j x + S_j u) of a hold on the maps (J, 6, 6),
+    (J, 6, 3) of :func:`hold_maps`: (J, 6) for one state, (N, J, 6) for
+    states (N, 6) and thrusts (3,) or (N, 3), one matrix-vector product per
+    state and substep.  One state on one map (6, 6), (6, 3) flies to (6,)."""
+    if x.ndim == 1:
+        return x + (D @ x + S @ u)
+    return x[:, None] + (D @ x[:, None, :, None] + S @ u[..., None, :, None])[..., 0]
+
+
 def step_vector(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     """Propagate one 6-state (6,) or states (N, 6) ``dt`` seconds under the
     zero-order-hold thrust ``u`` (3,).
 
-    Each row takes the end-of-hold entry of :func:`hold_maps`,
-    x + D @ x + S @ u, with the arithmetic of a call on that row alone.
+    Each row flies the end of the hold as the simulator and the filter do.
     Raises ``ValueError`` on any other shape, on non-finite input and on
     the ``dt`` that :func:`hold_maps` refuses.
     """
     D, S = hold_maps(params, float(dt))
-    x = _require_finite(x, "state")
-    b = S[-1] @ _require_finite(u, "control").reshape(3)
-    if x.shape == (6,):
-        return x + (D[-1] @ x + b)
-    if x.ndim == 2 and x.shape[1] == 6:  # a matrix-vector product per row
-        return x + ((D[-1] @ x[:, :, None])[:, :, 0] + b)
-    raise ValueError(f"states must have shape (6,) or (N, 6), not {x.shape}")
+    X, single = _as_state_matrix(_require_finite(x, "state"))
+    u = _require_finite(u, "control").reshape(3)
+    if single:
+        return _fly(D[-1], S[-1], X[0], u)
+    return _fly(D[-1:], S[-1:], X, u)[:, -1]
 
 
 def step(state: RelativeState, u, dt: float, params: DynamicsParams) -> RelativeState:

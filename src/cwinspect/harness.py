@@ -23,7 +23,7 @@ import numpy as np
 from . import inspection
 from .control import (ScriptedOrbitController, lqr_control, lqr_design,
                       mlp_act, mlp_load)
-from .dynamics import DynamicsParams, hold_maps
+from .dynamics import DynamicsParams, _fly, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation
 from .rta import filter_control
@@ -157,29 +157,35 @@ class ExperimentConfig:
 
 @dataclass
 class TrajectoryLog:
-    """Per-control-step records plus run metadata."""
+    """Per-control-step records plus run metadata: ``rows`` is the read-only
+    (S, 24) buffer that :func:`run` writes, one record per row in CSV_COLUMNS
+    order, and the named fields are its columns."""
 
-    t: np.ndarray  # (S,) strictly increasing
-    states: np.ndarray  # (S, 7): x, y, z, xd, yd, zd, sun angle
-    u_des: np.ndarray  # (S, 3)
-    u_act: np.ndarray  # (S, 3)
-    h: np.ndarray  # (S, 6)
-    intervened: np.ndarray  # (S,) bool
-    deviation: np.ndarray  # (S,)
-    num_points: np.ndarray  # (S,) int
-    delta_v: np.ndarray  # (S,) cumulative
+    rows: np.ndarray
     metadata: dict
 
+    t = property(lambda log: log.rows[:, _T])  # (S,) strictly increasing
+    states = property(lambda log: log.rows[:, _STATES])  # (S, 7): x..zd, sun angle
+    u_des = property(lambda log: log.rows[:, _U_DES])  # (S, 3)
+    u_act = property(lambda log: log.rows[:, _U_ACT])  # (S, 3)
+    h = property(lambda log: log.rows[:, _H])  # (S, 6)
+    intervened = property(lambda log: log.rows[:, _INTERVENED].astype(bool))  # (S,)
+    deviation = property(lambda log: log.rows[:, _DEVIATION])  # (S,)
+    num_points = property(lambda log: log.rows[:, _NUM_POINTS].astype(int))  # (S,)
+    delta_v = property(lambda log: log.rows[:, _DELTA_V])  # (S,) cumulative
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float).view()
+        self.rows.setflags(write=False)
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"rows must have shape (S, {len(CSV_COLUMNS)})")
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.rows)
 
     def row_matrix(self) -> np.ndarray:
-        """All records as a (S, 24) float matrix in CSV column order."""
-        return np.column_stack([
-            self.t, self.states, self.u_des, self.u_act, self.h,
-            self.intervened.astype(float), self.deviation,
-            self.num_points.astype(float), self.delta_v,
-        ])
+        """All records as the (S, 24) float matrix in CSV column order."""
+        return self.rows
 
 
 _EXPERIMENT_TABLE = {
@@ -193,7 +199,9 @@ _EXPERIMENT_TABLE = {
 
 
 def default_experiment(n: int) -> ExperimentConfig:
-    """Reference configuration for experiment ``n`` (1..6)."""
+    """Reference configuration for experiment ``n`` (1..6).  Without
+    ``weights_path`` an NNC row flies the scripted stand-in, so experiments
+    5 and 6 then fly and log the same rows."""
     # True and 2.0 would match the table's keys 1 and 2
     if n is True or not isinstance(n, (int, np.integer)) or n not in _EXPERIMENT_TABLE:
         raise ValueError(f"experiment number must be an integer 1..6, got {n!r}")
@@ -297,10 +305,8 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     controller, resolved = _resolve_controller(cfg, dyn)
 
     dt_c = 1.0 / cfg.control_rate
-    # the plant flies each hold on the affine substep map the filter plans with
+    # the plant flies each hold as the filter plans it
     D, S = hold_maps(dyn, dt_c)
-    substeps = len(D)
-    D, S = D.reshape(-1, 6), S.reshape(-1, 3)
 
     # any positive duration records the row at t = 0
     max_rows = max(1, math.ceil(cfg.max_duration * cfg.control_rate - 1e-9))
@@ -313,7 +319,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     theta0 = cfg.initial_state[6]
 
     rows = np.zeros((max_rows, len(CSV_COLUMNS)))
-    path = np.empty((max_rows, substeps, 3))  # substep positions of each hold
+    path = np.empty((max_rows, len(D), 3))  # substep positions of each hold
     infeasible_steps = 0
 
     for k in range(max_rows):
@@ -347,7 +353,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
         force = u_act
         if cfg.closed_loop:
             force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
-        hold = (D @ x + S @ force).reshape(-1, 6) + x
+        hold = _fly(D, S, x, force)
         path[k] = hold[:, :3]
         x = hold[-1]
 
@@ -366,15 +372,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
                      and not np.any(np.abs(flown) / cfg.position_scale > half_box))
 
     log = TrajectoryLog(
-        t=rows[:, _T],
-        states=rows[:, _STATES],
-        u_des=rows[:, _U_DES],
-        u_act=rows[:, _U_ACT],
-        h=rows[:, _H],
-        intervened=rows[:, _INTERVENED].astype(bool),
-        deviation=rows[:, _DEVIATION],
-        num_points=rows[:, _NUM_POINTS].astype(int),
-        delta_v=rows[:, _DELTA_V],
+        rows,
         metadata={
             "controller": cfg.controller,
             "controller_resolved": resolved,

@@ -3,9 +3,10 @@
 The filtered thrust is held constant over one control period (zero-order
 hold) while the plant is integrated in equal RK4 substeps.  The
 Clohessy-Wiltshire system is linear, so every substep state of the hold is
-affine in the held thrust, x_j = x + D_j x + S_j u, on the same map the
-simulator flies (:func:`cwinspect.dynamics.hold_maps`, which also sets the
-substep count).  The filter returns the thrust closest to u_des that
+affine in the held thrust, x_j = x + D_j x + S_j u, on the maps of
+:func:`cwinspect.dynamics.hold_maps` (which also set the substep count),
+flown as the simulator flies them, bit for bit.  The filter returns the
+thrust closest to u_des that
 
   * satisfies the six continuous-time barrier rows c_i.u + b_i >= 0 at x
     (:func:`cwinspect.safety.cbf_rows`),
@@ -21,7 +22,7 @@ hold flown by the current iterate, starting from the optimum over the
 continuous rows alone, with the terms of the pass that evaluated that hold,
 and the QP is solved again (sequential linearization) until the exact
 substep values hold.  Each QP is solved exactly by a dual active-set method
-(Goldfarb & Idnani 1983).  One state and a batch take the same path.
+(Goldfarb & Idnani 1983).  A batch row is its one state's call, bit for bit.
 
 A condition already violated at x need only not get worse over the hold.
 When the linearized QP admits no thrust, or eight linearizations do not
@@ -44,10 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, hold_maps
+from .dynamics import DynamicsParams, _as_state_matrix, _fly, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
-                     _as_state_matrix, _hold_jacobian, _hold_pass, cbf_rows,
-                     keep_in_guard)
+                     _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -252,35 +252,33 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
     """Cached and read-only: the keep-in guard, the maps (D, S) of
-    :func:`cwinspect.dynamics.hold_maps` as P2T = (I + D) (6, 6J) and
-    S2T (3, 6J) for row-wise states and thrusts, S (J, 6, 3), the exact
-    rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for every
-    state and thrust, and the margins ramped over the hold (J, 9)."""
+    :func:`cwinspect.dynamics.hold_maps`, the exact rows (J, 6, 3) of the
+    axis-limit conditions k4..k9, the same for every state and thrust, and
+    the margins ramped over the hold (J, 9)."""
     guard = keep_in_guard(params, dyn)
     D, S = hold_maps(dyn, period)
     J = len(D)
-    P2T = (D + np.eye(6)).reshape(-1, 6).T
     axis_rows = np.einsum("njkd,jde->njke",
                           np.tile(_AXIS_LIMIT_GRADIENTS, (1, J, 1, 1)), S)[0]
     ramp = _MARGINS * (np.arange(1, J + 1)[:, None] / J)
-    for a in (P2T, axis_rows, ramp):
+    for a in (axis_rows, ramp):
         a.setflags(write=False)
-    return guard, P2T, S, S.reshape(-1, 3).T, axis_rows, ramp
+    return guard, D, S, axis_rows, ramp
 
 
-def _requested_holds(X, U, free, S2T, idx, params, keep_in):
-    """Holds (k, J, 6) flown by the requests of the states ``idx``, their
+def _holds(X, U, D, S, params, keep_in):
+    """Holds (k, J, 6) flown from states X (k, 6) under thrusts U (k, 3), their
     conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
     and the conditions at the states (k, 1, 9)."""
-    H = (free[idx] + U[idx] @ S2T).reshape(-1, S2T.shape[1] // 6, 6)
-    K, T = _hold_pass(np.concatenate([X[idx, None], H], axis=1), params, keep_in)
+    H = _fly(D, S, X, U)
+    K, T = _hold_pass(np.concatenate([X[:, None], H], axis=1), params, keep_in)
     return H, K[:, 1:], [t[:, 1:] for t in T], K[:, :1]
 
 
-def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
+def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
     """Sequential linearization of the hold conditions for the states
     ``idx`` at one stage of :data:`_STAGES`, with k2 on the keep-in cone
-    ``keep_in``, from ``hold`` of :func:`_requested_holds` and ``plan`` of
+    ``keep_in``, from ``hold`` of :func:`_holds` and ``plan`` of
     :func:`_hold_plan`.  Writes each result into ``out`` = (U_act, active,
     feasible) and returns a mask over ``idx`` of the states for which no
     thrust was found: their linearized QP admits none, or no linearization
@@ -288,7 +286,7 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out)
     least-violation thrust instead."""
     U_act, active, feasible = out
     H, K, T, K0 = hold
-    S, S2T, axis_rows, ramp = plan
+    D, S, axis_rows, ramp = plan
     n_cont = C6.shape[1]
     n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
     if _STAGES[stage][1]:
@@ -322,15 +320,11 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out)
             unsolved(s, C, b)
         return ok
 
-    # positions in idx still being solved, with their free flights, rows,
-    # floors and targets, cut down together
+    # positions in idx still being solved, with their states, rows, floors
+    # and targets, cut down together
     todo = np.arange(len(idx))
-    per = [free[idx], C_cont, b_cont, np.minimum(0.0, K0),
+    per = [X[idx], C_cont, b_cont, np.minimum(0.0, K0),
            np.minimum(_MARGINS, K0 + ramp) + 2.0 * _FEAS_TOL]
-
-    def holds():
-        H = (per[0] + u[todo] @ S2T).reshape(len(todo), len(S), 6)
-        return (H,) + _hold_pass(H, params, keep_in)
 
     if _STAGES[stage][1]:
         # The optimum over the continuous rows alone is the optimum over all
@@ -340,7 +334,8 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out)
         # an optimum with no active row is its request, whose hold is known
         if not all(kept) or any(active[i] for i in idx):
             todo, per = todo[kept], [a[kept] for a in per]
-            H, K, T = holds()
+            H = _fly(D, S, per[0], u[todo])
+            K, T = _hold_pass(H, params, keep_in)
     for n_linearized in range(_MAX_LINEARIZATIONS + 1):
         held = (K >= per[3]).all(axis=(1, 2))
         if held.any():
@@ -374,7 +369,8 @@ def _hold_qp(U, free, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out)
         kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
         if not all(kept):
             todo, per = todo[kept], [a[kept] for a in per]
-        H, K, T = holds()
+        H = _fly(D, S, per[0], u[todo])
+        K, T = _hold_pass(H, params, keep_in)
     return failed
 
 
@@ -382,10 +378,9 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
                    period):
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
-    feasible)."""
-    guard, P2T, *plan = _hold_plan(params, dyn, float(period))
-    free = X @ P2T
-    H, K, T, K0 = _requested_holds(X, U, free, plan[1], slice(None), params, guard)
+    feasible), feasible False for a least-violation thrust."""
+    guard, *plan = _hold_plan(params, dyn, float(period))
+    H, K, T, K0 = _holds(X, U, *plan[:2], params, guard)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
                   & (K >= np.minimum(0.0, K0)).all(axis=(1, 2)))
     out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
@@ -401,20 +396,17 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
             continue
         idx = pending[at]
         if not guarded:
-            hold = _requested_holds(X, U, free, plan[1], idx, params, None)
+            hold = _holds(X[idx], U[idx], *plan[:2], params, None)
         elif len(idx) == len(X):  # every state
             hold = H, K, T, K0
         else:
             hold = H[idx], K[idx], [t[idx] for t in T], K0[idx]
-        failed = _hold_qp(U, free, C6, b6, idx, stage, guard if guarded else None,
+        failed = _hold_qp(X, U, C6, b6, idx, stage, guard if guarded else None,
                           hold, plan, params, dyn, out)
         if failed.any():
             stage_of[at[failed]] = stage + 1
         elif len(at) == len(pending):
             break  # every state has its thrust
-    # the admissible requests meet the continuous rows by the same test
-    U_act, _, feasible = out
-    feasible &= (np.einsum("nij,nj->ni", C6, U_act) + b6 >= -_FEAS_TOL).all(axis=1)
     return out
 
 
@@ -428,7 +420,7 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
     measures distance from an admissible request.  A batch takes the path
     of one state and returns its fields as arrays with a leading axis N,
     with ``active_set`` a tuple of tuples; each row is the result for its
-    state alone, up to rounding.
+    state alone, bit for bit.
     """
     X, single = _as_state_matrix(states)
     U = np.asarray(u_des, dtype=float)
@@ -445,6 +437,7 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
     # np.linalg.norm's arithmetic, one row at a time
     deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
     slack = np.maximum(0.0, -((C @ U_act[:, :, None])[:, :, 0] + b))
+    feasible &= (slack <= _FEAS_TOL).all(axis=1)  # the continuous rows too
     if single:
         return FilterResult(U_act[0], deviation[0] > _INTERVENTION_TOL, deviation[0],
                             active[0], bool(feasible[0]), slack[0])

@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, cw_matrices
+from .dynamics import DynamicsParams, _as_state_matrix, cw_matrices
 
 __all__ = [
     "SafetyParams",
@@ -123,17 +123,6 @@ class SafetyParams:
     @property
     def collision_radius(self) -> float:
         return self.r_d + self.r_c
-
-
-def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """States of shape (6,) or (N, 6) as an (N, 6) array; returns (array,
-    was_single)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape == (6,):
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == 6:
-        return arr, False
-    raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
 
 
 @lru_cache(maxsize=16)

@@ -153,6 +153,7 @@ class TestStep:
         batch = step_vector(X, u, 7.0, P)
         assert batch.shape == (8, 6)
         assert np.array_equal(batch, [step_vector(x, u, 7.0, P) for x in X])
+        assert step_vector(X[:0], u, 7.0, P).shape == (0, 6)  # an empty batch
 
     def test_six_states_are_six_rows(self):
         # a (6, 6) batch is six states, not six columns of states

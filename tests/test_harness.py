@@ -15,6 +15,7 @@ from cwinspect.env import delta_v
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
                                inject_noise, load_config, run, run_batch)
+from cwinspect.rta import filter_control
 from cwinspect.safety import SafetyParams, h_values
 
 
@@ -259,8 +260,9 @@ class TestRun:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_plant_flies_step_vector(self, n):
-        # the simulator, the filter's plan and step_vector share one hold
-        # map: each logged state is the step of the one before, bit for bit
+        # the simulator, the filter and step_vector fly a hold through one
+        # function: each logged state is the step of the one before, bit
+        # for bit
         cfg = default_experiment(n)
         cfg.max_steps = 200
         log, _ = run(cfg)
@@ -270,6 +272,29 @@ class TestRun:
         for k in range(len(log) - 1):
             x_next = step_vector(log.states[k, :6], log.u_act[k], dt, dyn)
             assert np.array_equal(log.states[k + 1, :6], x_next), k
+
+    def test_batch_refilter_reproduces_open_loop_experiment2(self):
+        # the filter flies its planned holds as the plant does and a batch
+        # row is its one-state call: one batch over every logged (state,
+        # request) pair returns the logged filter columns, bit for bit
+        log, _ = run(default_experiment(2))
+        assert len(log) == 3000
+        res = filter_control(log.states[:, :6], log.u_des, SafetyParams(), DynamicsParams())
+        assert np.array_equal(res.u_act, log.u_act)
+        assert np.array_equal(res.intervened, log.intervened)
+        assert np.array_equal(res.deviation, log.deviation)
+
+    def test_log_fields_are_named_columns_of_its_rows(self):
+        log, _ = run(short_config(max_duration=50.0))
+        rows = log.row_matrix()
+        assert not rows.flags.writeable and rows.shape == (len(log), len(CSV_COLUMNS))
+        for name in ("t", "deviation", "delta_v"):
+            assert np.shares_memory(getattr(log, name), rows)
+            assert np.array_equal(getattr(log, name), rows[:, CSV_COLUMNS.index(name)])
+        assert np.array_equal(log.states, rows[:, 1:8]) and np.array_equal(log.h, rows[:, 14:20])
+        assert log.intervened.dtype == bool and log.num_points.dtype.kind == "i"
+        with pytest.raises(ValueError, match="rows"):
+            TrajectoryLog(rows[:, :-1], log.metadata)
 
     def test_rta_off_leaves_commands_untouched(self):
         cfg = short_config(rta_enabled=False)
@@ -407,7 +432,7 @@ class TestEmission:
     def test_empty_log_rejected(self, tmp_path):
         cfg = short_config(max_duration=100.0)
         log, _ = run(cfg)
-        log.t = log.t[:0]
+        log = TrajectoryLog(log.row_matrix()[:0], log.metadata)
         with pytest.raises(ValueError):
             emit(log, "csv", tmp_path / "x.csv")
 
@@ -475,12 +500,11 @@ def oracle_json(log) -> str:
 
 def synthetic_log() -> TrajectoryLog:
     edge = np.array([-0.0, 5e-324, 1e300, -1e300, 0.0, -5e-324, 1.5, -2.25e-7])
-    return TrajectoryLog(
-        t=np.array([0.0, 2.0, 4.0]), states=np.resize(edge, (3, 7)),
-        u_des=np.resize(edge[1:], (3, 3)), u_act=np.resize(edge[2:], (3, 3)),
-        h=np.resize(edge[3:], (3, 6)), intervened=np.array([False, True, True]),
-        deviation=edge[:3], num_points=np.array([0, 57, 99]), delta_v=edge[3:6],
-        metadata={"controller": "synthetic"})
+    rows = np.column_stack([
+        [0.0, 2.0, 4.0], np.resize(edge, (3, 7)), np.resize(edge[1:], (3, 3)),
+        np.resize(edge[2:], (3, 3)), np.resize(edge[3:], (3, 6)), [0.0, 1.0, 1.0],
+        edge[:3], [0.0, 57.0, 99.0], edge[3:6]])
+    return TrajectoryLog(rows, metadata={"controller": "synthetic"})
 
 
 @pytest.fixture(scope="module")
