@@ -9,11 +9,9 @@ controllers safe over every zero-order hold.
 from .control import (LqrController, MlpPolicy, ScriptedOrbitController,
                       lqr_control, lqr_design, mlp_act, mlp_load, mlp_save,
                       random_policy)
-from .dynamics import (DynamicsParams, LabPose, RelativeState,
-                       analytic_propagate, cw_matrices, cw_stm, lab_to_space,
-                       space_to_lab, step, sun_vector)
-from .env import (EnvConfig, InspectionEnv, build_observation, delta_v,
-                  normalize_state)
+from .dynamics import DynamicsParams, cw_matrices, cw_stm, step, sun_vector
+from .env import (EnvConfig, InspectionEnv, RelativeState, build_observation,
+                  delta_v, normalize_state)
 from .harness import (ExperimentConfig, NoiseModel, TrajectoryLog,
                       default_experiment, emit, inject_noise, load_config,
                       run, run_batch)

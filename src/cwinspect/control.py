@@ -222,11 +222,15 @@ def mlp_save(policy: MlpPolicy, path) -> None:
 
 def mlp_act(policy: MlpPolicy, observation, u_max: float = 1.0) -> np.ndarray:
     """Deterministic forward pass; the first three outputs are the mean
-    thrust commands, clamped to the box."""
+    thrust commands, clamped to the box of half-width ``u_max``."""
+    if not 0.0 < u_max < math.inf:
+        raise ValueError("u_max must be positive and finite")
     x = np.asarray(observation, dtype=float).reshape(-1)
     if x.shape != (policy.input_dim,):
         raise ValueError(
             f"observation length {x.shape[0]} != input_dim {policy.input_dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("observation must be finite")
     for layer in policy.layers:
         x = _ACTIVATIONS[layer.activation](layer.weights @ x + layer.bias)
     return np.clip(x[:3], -u_max, u_max)

@@ -1,10 +1,10 @@
 """Relative-motion dynamics of a deputy spacecraft about a chief in Hill's frame.
 
 Implements the linearized Clohessy-Wiltshire equations with thrust forcing,
-sun-line kinematics, propagation under zero-order-hold control, the
+sun-line kinematics, propagation under zero-order-hold control and the
 closed-form free-motion state transition matrix (used as an oracle for the
-propagation), and the scaling between the space frame and a laboratory flight
-volume.
+propagation).  A state is a (6,) array [x, y, z, xd, yd, zd], or (N, 6) for a
+batch.
 
 The system is linear, so a hold of constant thrust is one affine map of the
 state.  One RK4 substep of the linear system, written as its matrix
@@ -12,7 +12,7 @@ polynomial (:func:`rk4_zoh_map`), is the only definition of a propagation
 substep.  :func:`hold_maps`, the only builder of propagation maps, composes
 equal substeps (the augmented-matrix form of zero-order-hold discretisation,
 Van Loan 1978) into the cached map of every substep state of a hold; the
-simulator, the filter and :func:`step_vector` fly it through one function.
+simulator, the filter and :func:`step` fly it through one function.
 
 Axes follow the usual Hill/RIC convention: x radial (away from Earth),
 y in-track, z cross-track.  SI units throughout (m, m/s, s, rad).
@@ -28,19 +28,13 @@ import numpy as np
 
 __all__ = [
     "DynamicsParams",
-    "RelativeState",
-    "LabPose",
     "DEFAULT_SUBSTEP",
     "cw_matrices",
     "step",
-    "step_vector",
     "rk4_zoh_map",
     "hold_maps",
     "cw_stm",
-    "analytic_propagate",
     "sun_vector",
-    "space_to_lab",
-    "lab_to_space",
 ]
 
 #: Longest propagation substep [s]: :func:`hold_maps` splits every hold into
@@ -75,47 +69,6 @@ class DynamicsParams:
             raise ValueError("mean_motion, mass and u_max must be positive and finite")
 
 
-@dataclass
-class RelativeState:
-    """Deputy state in Hill's frame plus sun geometry and clock.
-
-    ``sun_angle`` is stored unwrapped (monotone in time).  The library's
-    state format is the 6-vector :meth:`vector`; this record carries the
-    clock and sun angle with it where they travel together.
-    """
-
-    position: np.ndarray  # [m], shape (3,)
-    velocity: np.ndarray  # [m/s], shape (3,)
-    sun_angle: float = 0.0  # [rad], unwrapped
-    t: float = 0.0  # [s], space frame
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3).copy()
-        self.sun_angle = float(self.sun_angle)
-        self.t = float(self.t)
-        if not (
-            np.all(np.isfinite(self.position))
-            and np.all(np.isfinite(self.velocity))
-            and math.isfinite(self.sun_angle)
-            and math.isfinite(self.t)
-        ):
-            raise ValueError("RelativeState components must be finite")
-
-    def vector(self) -> np.ndarray:
-        """Return the 6-vector [x, y, z, xd, yd, zd]."""
-        return np.concatenate([self.position, self.velocity])
-
-
-@dataclass(frozen=True)
-class LabPose:
-    """Deputy pose expressed in laboratory units (scaled Hill frame)."""
-
-    position: np.ndarray  # [m] lab
-    velocity: np.ndarray  # [m/s] lab
-    t: float  # [s] lab
-
-
 def cw_matrices(params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
     """Return the Clohessy-Wiltshire system pair (A, B) for xdot = A x + B u.
 
@@ -141,14 +94,17 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """States of shape (6,) or (N, 6) as an (N, 6) array; returns (array,
-    was_single)."""
+    """Finite states of shape (6,) or (N, 6) as an (N, 6) array; returns
+    (array, was_single).  Raises ``ValueError`` on any other shape and on
+    non-finite entries."""
     arr = np.asarray(x, dtype=float)
-    if arr.shape == (6,):
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == 6:
-        return arr, False
-    raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
+    single = arr.shape == (6,)
+    X = arr[None, :] if single else arr
+    if X.ndim != 2 or X.shape[1] != 6:
+        raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("states must be finite")
+    return X, single
 
 
 def _rk4_increment(params: DynamicsParams,
@@ -192,7 +148,7 @@ def _fly(D, S, x, u) -> np.ndarray:
     return x[:, None] + (D @ x[:, None, :, None] + S @ u[..., None, :, None])[..., 0]
 
 
-def step_vector(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
+def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     """Propagate one 6-state (6,) or states (N, 6) ``dt`` seconds under the
     zero-order-hold thrust ``u`` (3,).
 
@@ -201,26 +157,11 @@ def step_vector(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     the ``dt`` that :func:`hold_maps` refuses.
     """
     D, S = hold_maps(params, float(dt))
-    X, single = _as_state_matrix(_require_finite(x, "state"))
+    X, single = _as_state_matrix(x)
     u = _require_finite(u, "control").reshape(3)
     if single:
         return _fly(D[-1], S[-1], X[0], u)
     return _fly(D[-1:], S[-1:], X, u)[:, -1]
-
-
-def step(state: RelativeState, u, dt: float, params: DynamicsParams) -> RelativeState:
-    """Advance ``state`` by ``dt`` seconds under constant thrust ``u``.
-
-    Position and velocity take the cached affine zero-order-hold map of
-    :func:`step_vector`; the sun angle and clock advance exactly
-    (theta -= n*dt, t += dt).
-    """
-    x = step_vector(state.vector(), u, dt, params)
-    return RelativeState(
-        x[:3], x[3:],
-        state.sun_angle - params.mean_motion * dt,
-        state.t + dt,
-    )
 
 
 @lru_cache(maxsize=32)
@@ -262,8 +203,11 @@ def cw_stm(n: float, t: float) -> np.ndarray:
 
     Maps a free-motion (u = 0) state [x, y, z, xd, yd, zd] at time 0 to the
     state at time ``t``.  Exact to machine precision; serves as the oracle
-    for the propagation substep.
+    for the propagation substep.  Raises ``ValueError`` unless ``n`` is
+    positive and finite and ``t`` is finite.
     """
+    if not (0.0 < n < math.inf and math.isfinite(t)):
+        raise ValueError("n must be positive and finite and t finite")
     nt = n * t
     c = math.cos(nt)
     s = math.sin(nt)
@@ -277,20 +221,6 @@ def cw_stm(n: float, t: float) -> np.ndarray:
     ])
 
 
-def analytic_propagate(state: RelativeState, t: float,
-                       params: DynamicsParams) -> RelativeState:
-    """Exact free-motion state ``t`` seconds ahead of ``state`` (u = 0)."""
-    x = _require_finite(state.vector(), "state")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    x_t = cw_stm(params.mean_motion, t) @ x
-    return RelativeState(
-        x_t[:3], x_t[3:],
-        state.sun_angle - params.mean_motion * t,
-        state.t + t,
-    )
-
-
 def sun_vector(angle: float) -> np.ndarray:
     """Unit vector from the chief toward the Sun for sun angle ``angle``.
 
@@ -300,36 +230,3 @@ def sun_vector(angle: float) -> np.ndarray:
     if not math.isfinite(angle):
         raise ValueError("sun angle must be finite")
     return np.array([math.cos(angle), math.sin(angle), 0.0])
-
-
-def _check_scales(position_scale: float, time_scale: float):
-    if not (position_scale > 0.0 and time_scale > 0.0):
-        raise ValueError("position_scale and time_scale must be positive")
-
-
-def space_to_lab(state: RelativeState, position_scale: float,
-                 time_scale: float) -> LabPose:
-    """Scale a space-frame state into the laboratory flight volume.
-
-    Positions and times are divided by their scales; velocities pick up the
-    factor time_scale / position_scale.
-    """
-    _check_scales(position_scale, time_scale)
-    return LabPose(
-        position=state.position / position_scale,
-        velocity=state.velocity * (time_scale / position_scale),
-        t=state.t / time_scale,
-    )
-
-
-def lab_to_space(pose: LabPose, position_scale: float, time_scale: float,
-                 sun_angle: float = 0.0) -> RelativeState:
-    """Inverse of :func:`space_to_lab`.  The sun angle is frame-independent
-    and must be supplied by the caller."""
-    _check_scales(position_scale, time_scale)
-    return RelativeState(
-        np.asarray(pose.position, dtype=float) * position_scale,
-        np.asarray(pose.velocity, dtype=float) * (position_scale / time_scale),
-        sun_angle,
-        pose.t * time_scale,
-    )

@@ -8,16 +8,20 @@ or after 1223 steps.  Observations come in two flavours:
     no_sensors : [x, y, z, xd, yd, zd]            (positions / 100, velocities * 2)
     all_sensors: + [N_p / 100, sun angle,
                     x_UPS, y_UPS, z_UPS]          (uninspected-cluster unit vector)
+
+An episode holds a :class:`RelativeState`: the 6-state propagated by
+:func:`cwinspect.dynamics.step`, with the clock and sun angle it advances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import inspection
-from .dynamics import DynamicsParams, RelativeState, step
+from .dynamics import DynamicsParams, step
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -33,6 +37,7 @@ __all__ = [
     "normalize_state",
     "denormalize_state",
     "build_observation",
+    "RelativeState",
     "EnvConfig",
     "InspectionEnv",
 ]
@@ -55,8 +60,8 @@ PAPER_INITIAL_SUN_ANGLE = 3.42
 
 def delta_v(action, dt: float, mass: float) -> float:
     """Fuel-use proxy (|Fx| + |Fy| + |Fz|) / m * dt in m/s."""
-    if dt <= 0.0 or mass <= 0.0:
-        raise ValueError("dt and mass must be positive")
+    if not (0.0 < dt < math.inf and mass > 0.0):
+        raise ValueError("dt must be positive and finite and mass positive")
     F = np.asarray(action, dtype=float).reshape(3)
     return float(np.abs(F).sum() / mass * dt)
 
@@ -95,6 +100,34 @@ def build_observation(x, sun_angle: float, sphere, mode: str,
 
 
 @dataclass
+class RelativeState:
+    """Deputy state in Hill's frame plus the episode clock and the sun angle,
+    stored unwrapped (monotone in time); :meth:`vector` gives the 6-state."""
+
+    position: np.ndarray  # [m], shape (3,)
+    velocity: np.ndarray  # [m/s], shape (3,)
+    sun_angle: float = 0.0  # [rad], unwrapped
+    t: float = 0.0  # [s], space frame
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
+        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3).copy()
+        self.sun_angle = float(self.sun_angle)
+        self.t = float(self.t)
+        if not (
+            np.all(np.isfinite(self.position))
+            and np.all(np.isfinite(self.velocity))
+            and math.isfinite(self.sun_angle)
+            and math.isfinite(self.t)
+        ):
+            raise ValueError("RelativeState components must be finite")
+
+    def vector(self) -> np.ndarray:
+        """Return the 6-vector [x, y, z, xd, yd, zd]."""
+        return np.concatenate([self.position, self.velocity])
+
+
+@dataclass
 class EnvConfig:
     mode: str = OBS_NO_SENSORS
     illumination: bool = False
@@ -103,9 +136,26 @@ class EnvConfig:
     initial_sun_angle: float = PAPER_INITIAL_SUN_ANGLE
     dt: float = RL_STEP_SECONDS
     max_steps: int = MAX_EPISODE_STEPS
-    sphere_radius: float = inspection.SPHERE_RADIUS
-    cluster_k: int = inspection.DEFAULT_CLUSTER_COUNT
     dynamics: DynamicsParams = field(default_factory=DynamicsParams)
+
+    def __post_init__(self):
+        if self.mode not in (OBS_NO_SENSORS, OBS_ALL_SENSORS):
+            raise ValueError(f"unknown observation mode {self.mode!r}")
+        if not isinstance(self.illumination, (bool, np.bool_)):
+            raise ValueError(f"illumination must be a bool, got {self.illumination!r}")
+        self.illumination = bool(self.illumination)
+        state = np.array(self.initial_state, dtype=float)
+        if state.shape != (6,) or not np.isfinite(state).all():
+            raise ValueError("initial_state must be 6 finite values")
+        self.initial_state = state
+        if not math.isfinite(self.initial_sun_angle):
+            raise ValueError("initial_sun_angle must be finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        if not isinstance(self.dynamics, DynamicsParams):
+            raise ValueError("dynamics must be a DynamicsParams")
 
 
 class InspectionEnv:
@@ -128,7 +178,7 @@ class InspectionEnv:
         self.state = RelativeState(
             cfg.initial_state[:3], cfg.initial_state[3:],
             cfg.initial_sun_angle, 0.0)
-        self.sphere = inspection.generate_points(cfg.sphere_radius)
+        self.sphere = inspection.generate_points()
         self.total_delta_v = 0.0
         self.total_reward = 0.0
         self.step_index = 0
@@ -137,8 +187,7 @@ class InspectionEnv:
 
     def observe(self) -> np.ndarray:
         return build_observation(self.state.vector(), self.state.sun_angle,
-                                 self.sphere, self.config.mode,
-                                 self.config.cluster_k, self._seed)
+                                 self.sphere, self.config.mode, seed=self._seed)
 
     def step(self, action):
         """Apply a thrust command for one 10 s step.
@@ -153,7 +202,10 @@ class InspectionEnv:
         cfg = self.config
         u = np.clip(np.asarray(action, dtype=float).reshape(3),
                     -cfg.dynamics.u_max, cfg.dynamics.u_max)
-        self.state = step(self.state, u, cfg.dt, cfg.dynamics)
+        x = step(self.state.vector(), u, cfg.dt, cfg.dynamics)
+        self.state = RelativeState(
+            x[:3], x[3:], self.state.sun_angle - cfg.dynamics.mean_motion * cfg.dt,
+            self.state.t + cfg.dt)
         newly = inspection.update_inspected(
             self.sphere, self.state.position, self.state.sun_angle,
             cfg.illumination)

@@ -64,8 +64,10 @@ def generate_points(radius: float = SPHERE_RADIUS,
     Uses the half-offset lattice (z_i = 1 - 2(i+0.5)/count) so no point sits
     exactly on a pole; regeneration is bit-identical.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     i = np.arange(count, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / count
     r_xy = np.sqrt(1.0 - z * z)

@@ -427,8 +427,6 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
     shape = (3,) if single else (len(X), 3)
     if U.shape != shape:
         raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("states must be finite")
     if not np.isfinite(U).all():
         raise ValueError("u_des must be finite")
     U = U.clip(-dyn.u_max, dyn.u_max).reshape(-1, 3)

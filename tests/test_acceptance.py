@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cwinspect as cw
-from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step_vector
+from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step
 from cwinspect.harness import default_experiment, emit, run
 from cwinspect.rta import filter_control
 from cwinspect.safety import _barriers, h_values_batch
@@ -221,7 +221,7 @@ def test_criterion_5_rk4_matches_transition_matrix():
                     rng.normal(0, 0.5, (3, 1000))]).T
     X = X0.copy()
     for _ in range(6000):
-        X = step_vector(X, np.zeros(3), 1.0, DP)
+        X = step(X, np.zeros(3), 1.0, DP)
     ref = X0 @ cw_stm(DP.mean_motion, 6000.0).T
     pos_err = np.abs(X[:, :3] - ref[:, :3]).max()
     vel_err = np.abs(X[:, 3:] - ref[:, 3:]).max()

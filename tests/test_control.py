@@ -15,8 +15,7 @@ from cwinspect.control import (OUTPUT_DIM, MlpLayer, MlpPolicy,
                                ScriptedOrbitController, lqr_control,
                                lqr_design, mlp_act, mlp_load, mlp_loads,
                                mlp_save, random_policy)
-from cwinspect.dynamics import (DynamicsParams, RelativeState, cw_matrices,
-                                step)
+from cwinspect.dynamics import DynamicsParams, cw_matrices, step
 
 DP = DynamicsParams()
 
@@ -76,12 +75,11 @@ class TestLqr:
         # from the mission initial state the raw LQR passes inside 10 m,
         # so any safe outcome is attributable to the filter
         ctrl = lqr_design(DP)
-        state = RelativeState([21.8, -11.3, 41.8], [0, 0, 0], 3.42)
-        min_dist = np.linalg.norm(state.position)
+        x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
+        min_dist = np.linalg.norm(x[:3])
         for _ in range(2000):
-            u = lqr_control(ctrl, state.vector(), DP)
-            state = step(state, u, 2.0, DP)
-            min_dist = min(min_dist, np.linalg.norm(state.position))
+            x = step(x, lqr_control(ctrl, x, DP), 2.0, DP)
+            min_dist = min(min_dist, np.linalg.norm(x[:3]))
             if min_dist < 10.0:
                 break
         assert min_dist < 10.0
@@ -268,6 +266,21 @@ class TestMlpInference:
         with pytest.raises(ValueError):
             mlp_act(policy, np.zeros(11))
 
+    @pytest.mark.parametrize("u_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_thrust_limit_rejected(self, u_max):
+        # u_max = -1 used to return [-1, -1, -1]
+        policy = random_policy(6, hidden=(4,), seed=1)
+        with pytest.raises(ValueError, match="u_max"):
+            mlp_act(policy, np.zeros(6), u_max=u_max)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_observation_rejected(self, bad):
+        policy = random_policy(6, hidden=(4,), seed=1)
+        obs = np.zeros(6)
+        obs[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mlp_act(policy, obs)
+
 
 class TestScriptedOrbit:
     def test_on_reference_control_is_small(self):
@@ -284,25 +297,25 @@ class TestScriptedOrbit:
 
     def test_tracks_radius_within_five_percent(self):
         ctrl = ScriptedOrbitController(30.0, params=DP)
-        state = RelativeState([21.8, -11.3, 41.8], [0, 0, 0], 3.42)
+        x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         period = 2 * math.pi / ctrl.rate
         radii = []
         t, dt = 0.0, 2.0
         while t < 2 * period:
-            state = step(state, ctrl(state.vector()), dt, DP)
+            x = step(x, ctrl(x), dt, DP)
             t += dt
             if t > 1.5 * period:
-                radii.append(np.linalg.norm(state.position))
+                radii.append(np.linalg.norm(x[:3]))
         radii = np.array(radii)
         assert np.all(np.abs(radii - 30.0) / 30.0 < 0.05)
 
     def test_plane_tracking(self):
         # deputy converges into the plane orthogonal to the normal
         ctrl = ScriptedOrbitController(30.0, plane_normal=(0, 1, 0), params=DP)
-        state = RelativeState([21.8, -11.3, 41.8], [0, 0, 0], 3.42)
+        x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         for _ in range(1500):
-            state = step(state, ctrl(state.vector()), 2.0, DP)
-        assert abs(state.position[1]) < 1.0
+            x = step(x, ctrl(x), 2.0, DP)
+        assert abs(x[1]) < 1.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Dynamics: the CW system matrices, propagation against a classic RK4
-oracle and the closed-form transition matrix, sun kinematics, and frame
-scaling."""
+oracle and the closed-form transition matrix, and sun kinematics."""
 
 import math
 
@@ -8,18 +7,11 @@ import numpy as np
 import pytest
 
 from cwinspect.dynamics import (_MAX_SUBSTEPS, DEFAULT_SUBSTEP, DynamicsParams,
-                                LabPose, RelativeState, analytic_propagate,
-                                cw_matrices, cw_stm, hold_maps, lab_to_space,
-                                rk4_zoh_map, space_to_lab, step, step_vector,
-                                sun_vector)
+                                cw_matrices, cw_stm, hold_maps, rk4_zoh_map,
+                                step, sun_vector)
 
 P = DynamicsParams()
 N = P.mean_motion
-
-
-def make_state(vec, theta=0.0, t=0.0):
-    vec = np.asarray(vec, dtype=float)
-    return RelativeState(vec[:3], vec[3:], theta, t)
 
 
 def derivative(x, u):
@@ -69,10 +61,7 @@ class TestDerivative:
 
     def test_equilibrium_at_origin(self):
         assert np.allclose(derivative(np.zeros(6), np.zeros(3)), 0.0)
-        s = make_state(np.zeros(6), theta=0.5)
-        out = step(s, np.zeros(3), 1.0, P)
-        assert np.allclose(out.vector(), 0.0)
-        assert out.sun_angle - s.sun_angle == pytest.approx(-0.001027)
+        assert np.allclose(step(np.zeros(6), np.zeros(3), 1.0, P), 0.0)
 
     def test_radial_offset_acceleration(self):
         d = derivative([100, 0, 0, 0, 0, 0], np.zeros(3))
@@ -92,80 +81,71 @@ class TestDerivative:
         assert np.all(d[:3] == 0.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            step(make_state(np.zeros(6)), [np.nan, 0, 0], 10.0, P)
-        bad = make_state(np.zeros(6))
-        bad.position[0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="control"):
+            step(np.zeros(6), [np.nan, 0, 0], 10.0, P)
+        bad = np.zeros(6)
+        bad[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
             step(bad, np.zeros(3), 10.0, P)
-        with pytest.raises(ValueError):
-            step_vector(np.full((2, 6), np.nan), np.zeros(3), 10.0, P)
+        with pytest.raises(ValueError, match="finite"):
+            step(np.full((2, 6), np.nan), np.zeros(3), 10.0, P)
 
 
 class TestStep:
     def test_tiny_step_is_continuous(self):
-        s = make_state([50, -20, 30, 0.1, -0.2, 0.05], theta=1.0)
-        out = step(s, np.zeros(3), 1e-9, P)
-        assert np.all(np.abs(out.vector() - s.vector()) < 1e-9)
+        x = np.array([50, -20, 30, 0.1, -0.2, 0.05])
+        assert np.all(np.abs(step(x, np.zeros(3), 1e-9, P) - x) < 1e-9)
 
     def test_nonpositive_dt_rejected(self):
-        s = make_state(np.zeros(6))
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError):
-                step(s, np.zeros(3), dt, P)
+                step(np.zeros(6), np.zeros(3), dt, P)
 
     def test_infinite_dt_rejected(self):
         with pytest.raises(ValueError):
-            step(make_state(np.zeros(6)), np.zeros(3), math.inf, P)
+            step(np.zeros(6), np.zeros(3), math.inf, P)
         with pytest.raises(ValueError):
-            step_vector(np.zeros(6), np.zeros(3), math.inf, P)
+            step(np.zeros((2, 6)), np.zeros(3), math.inf, P)
         with pytest.raises(ValueError):  # substep count overflows
-            step_vector(np.zeros(6), np.zeros(3), 1e308, P)
+            step(np.zeros(6), np.zeros(3), 1e308, P)
 
     def test_matches_analytic_over_10s(self):
-        s = make_state([100, 0, 0, 0, 0, 0])
-        got = step(s, np.zeros(3), 10.0, P)
-        ref = analytic_propagate(s, 10.0, P)
-        assert np.all(np.abs(got.position - ref.position) < 1e-6)
-        assert np.all(np.abs(got.velocity - ref.velocity) < 1e-8)
-
-    def test_sun_angle_arithmetic(self):
-        s = make_state(np.zeros(6), theta=3.42)
-        out = step(s, np.zeros(3), 1000.0, P)
-        assert out.sun_angle == pytest.approx(2.393, abs=1e-12)
-        assert out.t == pytest.approx(1000.0)
+        x = np.array([100.0, 0, 0, 0, 0, 0])
+        got = step(x, np.zeros(3), 10.0, P)
+        ref = cw_stm(N, 10.0) @ x
+        assert np.all(np.abs(got[:3] - ref[:3]) < 1e-6)
+        assert np.all(np.abs(got[3:] - ref[3:]) < 1e-8)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             x1, x2 = rng.normal(0, 50, 6), rng.normal(0, 50, 6)
             u1, u2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            lhs = step(make_state(x1 + x2), u1 + u2, 25.0, P).vector()
-            rhs = (step(make_state(x1), u1, 25.0, P).vector()
-                   + step(make_state(x2), u2, 25.0, P).vector()
-                   - step(make_state(np.zeros(6)), np.zeros(3), 25.0, P).vector())
+            lhs = step(x1 + x2, u1 + u2, 25.0, P)
+            rhs = (step(x1, u1, 25.0, P) + step(x2, u2, 25.0, P)
+                   - step(np.zeros(6), np.zeros(3), 25.0, P))
             assert np.all(np.abs(lhs - rhs) < 1e-9)
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(3)
         X = rng.normal(0, 100, (8, 6))
         u = rng.uniform(-1, 1, 3)
-        batch = step_vector(X, u, 7.0, P)
+        batch = step(X, u, 7.0, P)
         assert batch.shape == (8, 6)
-        assert np.array_equal(batch, [step_vector(x, u, 7.0, P) for x in X])
-        assert step_vector(X[:0], u, 7.0, P).shape == (0, 6)  # an empty batch
+        assert np.array_equal(batch, [step(x, u, 7.0, P) for x in X])
+        assert step(X[:0], u, 7.0, P).shape == (0, 6)  # an empty batch
 
     def test_six_states_are_six_rows(self):
         # a (6, 6) batch is six states, not six columns of states
         rng = np.random.default_rng(4)
         X = np.concatenate([rng.normal(0, 300, (6, 3)), rng.normal(0, 0.5, (6, 3))], axis=1)
-        assert np.array_equal(step_vector(X, np.zeros(3), 10.0, P),
-                              [step_vector(x, np.zeros(3), 10.0, P) for x in X])
+        assert np.array_equal(step(X, np.zeros(3), 10.0, P),
+                              [step(x, np.zeros(3), 10.0, P) for x in X])
 
     @pytest.mark.parametrize("shape", [(5,), (6, 3), (2, 6, 1)])
     def test_state_shapes_validated(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            step_vector(np.zeros(shape), np.zeros(3), 7.0, P)
+            step(np.zeros(shape), np.zeros(3), 7.0, P)
 
     def test_zoh_map_reproduces_rk4(self):
         M, Nmat = rk4_zoh_map(P, 0.2)
@@ -184,10 +164,7 @@ class TestStep:
         rng = np.random.default_rng(int(dt))
         for _ in range(10):
             x, u = random_pair(rng)
-            ref = rk4_oracle(x, u, dt)[-1]
-            s = step(make_state(x, theta=1.0, t=3.0), u, dt, P)
-            assert_rel_close(s.vector(), ref)
-            assert_rel_close(step_vector(x, u, dt, P), ref)
+            assert_rel_close(step(x, u, dt, P), rk4_oracle(x, u, dt)[-1])
 
     @pytest.mark.parametrize("dt", [7.0, 25.0])
     def test_batch_matches_rk4_oracle(self, dt):
@@ -195,7 +172,7 @@ class TestStep:
         X = np.array([random_pair(rng)[0] for _ in range(8)])
         u = rng.uniform(-1, 1, 3)
         # the oracle takes the states as columns
-        assert_rel_close(step_vector(X, u, dt, P).T, rk4_oracle(X.T, u, dt)[-1])
+        assert_rel_close(step(X, u, dt, P).T, rk4_oracle(X.T, u, dt)[-1])
 
     @pytest.mark.parametrize("dt", [7.0, 25.0])
     def test_hold_maps_match_rk4_oracle(self, dt):
@@ -211,7 +188,7 @@ class TestStep:
         # 5000 substeps in one call, composed into one cached hold map
         rng = np.random.default_rng(9)
         x, u = random_pair(rng)
-        assert_rel_close(step_vector(x, u, 1000.0, P),
+        assert_rel_close(step(x, u, 1000.0, P),
                          rk4_oracle(x, u, 1000.0)[-1])
 
     def test_hold_maps_give_every_substep(self):
@@ -241,47 +218,50 @@ class TestStep:
         # 432 bytes per stored substep: a hold of 1e7 s would ask for 21.6 GB,
         # so too many substeps are refused before anything is allocated
         with pytest.raises(ValueError, match="substeps"):
-            step_vector(np.zeros(6), np.zeros(3), 1e7, P)
+            step(np.zeros(6), np.zeros(3), 1e7, P)
         with pytest.raises(ValueError, match="substeps"):
-            step(make_state(np.zeros(6)), np.zeros(3), 1e7, P)
+            step(np.zeros((2, 6)), np.zeros(3), 1e7, P)
         with pytest.raises(ValueError, match="substeps"):
             hold_maps(P, DEFAULT_SUBSTEP * (_MAX_SUBSTEPS + 1))
 
 
 class TestAnalytic:
     def test_identity_at_zero(self):
-        s = make_state([12, -4, 9, 0.1, 0.2, -0.3], theta=0.5, t=3.0)
-        out = analytic_propagate(s, 0.0, P)
-        assert np.allclose(out.vector(), s.vector())
-        assert out.sun_angle == s.sun_angle
+        x = np.array([12, -4, 9, 0.1, 0.2, -0.3])
+        assert np.allclose(cw_stm(N, 0.0) @ x, x)
 
     def test_driftfree_state_is_periodic(self):
         # ydot0 = -2 n x0 cancels the along-track secular drift, so the
         # in-plane motion closes after one orbit period
-        s = make_state([100, 0, 0, 0, -2 * N * 100, 0])
-        out = analytic_propagate(s, 2 * math.pi / N, P)
-        assert np.all(np.abs(out.position - s.position) < 1e-6)
+        x = np.array([100, 0, 0, 0, -2 * N * 100, 0])
+        out = cw_stm(N, 2 * math.pi / N) @ x
+        assert np.all(np.abs(out[:3] - x[:3]) < 1e-6)
 
     def test_radial_offset_drifts_along_track(self):
         # a pure radial offset is NOT an equilibrium: it drifts -6*pi*2*x0
         # in-track per orbit; RK4 and the transition matrix must agree on it
-        s = make_state([100, 0, 0, 0, 0, 0])
+        x = np.array([100.0, 0, 0, 0, 0, 0])
         T = 2 * math.pi / N
-        ref = analytic_propagate(s, T, P)
-        assert ref.position[1] == pytest.approx(-12 * math.pi * 100, rel=1e-12)
-        got_vec = step_vector(s.vector(), np.zeros(3), T, P)
-        assert np.all(np.abs(got_vec[:3] - ref.position) < 1e-6)
+        ref = cw_stm(N, T) @ x
+        assert ref[1] == pytest.approx(-12 * math.pi * 100, rel=1e-12)
+        assert np.all(np.abs(step(x, np.zeros(3), T, P)[:3] - ref[:3]) < 1e-6)
 
     def test_cross_track_half_period(self):
-        s = make_state([0, 0, 10, 0, 0, 0])
-        out = analytic_propagate(s, math.pi / N, P)
-        assert out.position[2] == pytest.approx(-10.0, abs=1e-9)
+        out = cw_stm(N, math.pi / N) @ np.array([0, 0, 10, 0, 0, 0])
+        assert out[2] == pytest.approx(-10.0, abs=1e-9)
 
     def test_stm_derivative_matches_system_matrix(self):
         A, _ = cw_matrices(P)
         dt = 1e-7
         fd = (cw_stm(N, dt) - np.eye(6)) / dt
         assert np.all(np.abs(fd - A) < 1e-7)
+
+    @pytest.mark.parametrize("n, t", [(0.0, 1.0), (-N, 1.0), (math.inf, 1.0),
+                                      (math.nan, 1.0), (N, math.nan),
+                                      (N, math.inf), (N, -math.inf)])
+    def test_degenerate_arguments_rejected(self, n, t):
+        with pytest.raises(ValueError):
+            cw_stm(n, t)
 
 
 class TestSunVector:
@@ -301,42 +281,3 @@ class TestSunVector:
         rng = np.random.default_rng(11)
         for theta in rng.uniform(-50, 50, 200):
             assert abs(np.linalg.norm(sun_vector(theta)) - 1.0) < 1e-12
-
-
-class TestFrameScaling:
-    def test_position_division(self):
-        s = make_state([21.8, 0, 0, 0, 0, 0])
-        pose = space_to_lab(s, 65.0, 10.0)
-        assert pose.position[0] == pytest.approx(21.8 / 65.0)
-        assert pose.position[0] == pytest.approx(0.3354, abs=1e-4)
-
-    def test_unit_scales_are_identity(self):
-        s = make_state([5, -3, 2, 0.1, 0.2, 0.3], t=42.0)
-        pose = space_to_lab(s, 1.0, 1.0)
-        assert np.allclose(pose.position, s.position)
-        assert np.allclose(pose.velocity, s.velocity)
-        assert pose.t == s.t
-
-    def test_time_division(self):
-        s = make_state(np.zeros(6), t=10.0)
-        assert space_to_lab(s, 65.0, 10.0).t == pytest.approx(1.0)
-
-    def test_round_trip(self):
-        s = make_state([21.8, -11.3, 41.8, 0.05, -0.2, 0.11], theta=3.42, t=77.0)
-        pose = space_to_lab(s, 65.0, 10.0)
-        back = lab_to_space(pose, 65.0, 10.0, sun_angle=s.sun_angle)
-        assert np.all(np.abs(back.vector() - s.vector()) < 1e-12)
-        assert back.t == pytest.approx(s.t, abs=1e-12)
-
-    def test_nonpositive_scale_rejected(self):
-        s = make_state(np.zeros(6))
-        with pytest.raises(ValueError):
-            space_to_lab(s, 0.0, 10.0)
-        with pytest.raises(ValueError):
-            lab_to_space(LabPose(np.zeros(3), np.zeros(3), 0.0), 65.0, -1.0)
-
-
-class TestState:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            RelativeState([np.nan, 0, 0], np.zeros(3))

@@ -1,13 +1,47 @@
-"""Episode semantics: observation normalization, reward and delta-v
-accounting, termination rules."""
+"""Episode semantics: the episode record and its configuration,
+observation normalization, reward and delta-v accounting, termination
+rules."""
+
+import math
 
 import numpy as np
 import pytest
 
+from cwinspect.dynamics import DynamicsParams, step
 from cwinspect.env import (MAX_EPISODE_STEPS, OBS_ALL_SENSORS, OBS_NO_SENSORS,
-                           EnvConfig, InspectionEnv, build_observation,
-                           delta_v, denormalize_state, normalize_state)
+                           EnvConfig, InspectionEnv, RelativeState,
+                           build_observation, delta_v, denormalize_state,
+                           normalize_state)
 from cwinspect.inspection import generate_points
+
+
+class TestState:
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            RelativeState([np.nan, 0, 0], np.zeros(3))
+
+
+class TestConfig:
+    def test_defaults_accepted(self):
+        cfg = EnvConfig(illumination=np.bool_(True), max_steps=np.int64(5),
+                        initial_state=[1, 2, 3, 0, 0, 0])
+        assert cfg.illumination is True
+        assert cfg.initial_state.dtype == float and cfg.initial_state.shape == (6,)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "sensors"}, {"illumination": "no"}, {"illumination": 1},
+        {"dt": -1.0}, {"dt": 0.0}, {"dt": math.nan}, {"dt": math.inf},
+        {"max_steps": 0}, {"max_steps": -5}, {"max_steps": 2.5},
+        {"initial_state": [0.0] * 5},
+        {"initial_state": [math.nan, 0, 0, 0, 0, 0]},
+        {"initial_sun_angle": math.inf}, {"initial_sun_angle": math.nan},
+        {"dynamics": None},
+    ])
+    def test_invalid_fields_rejected(self, kwargs):
+        # dt=-1 used to fail only at the first step, max_steps=0 or -5 to
+        # end the episode after one step, and illumination="no" to be taken
+        with pytest.raises(ValueError):
+            EnvConfig(**kwargs)
 
 
 class TestDeltaV:
@@ -27,6 +61,9 @@ class TestDeltaV:
             delta_v([0, 0, 0], 0.0, 12.0)
         with pytest.raises(ValueError):
             delta_v([0, 0, 0], 10.0, -1.0)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                delta_v([0, 0, 0], dt, 12.0)
 
 
 class TestObservations:
@@ -77,6 +114,27 @@ class TestObservations:
 
 
 class TestStep:
+    def test_state_is_the_dynamics_step(self):
+        env = InspectionEnv()
+        env.reset()
+        dyn = DynamicsParams()
+        for action in ([0.2, -0.4, 0.1], [0.0, 0.0, 0.0]):
+            x = env.state.vector()
+            env.step(action)
+            assert np.array_equal(env.state.vector(), step(x, action, 10.0, dyn))
+
+    def test_sun_angle_arithmetic(self):
+        env = InspectionEnv(EnvConfig(initial_sun_angle=3.42, dt=1000.0))
+        env.reset()
+        _, _, _, info = env.step(np.zeros(3))
+        assert env.state.sun_angle == pytest.approx(2.393, abs=1e-12)
+        assert env.state.t == info["t"] == pytest.approx(1000.0)
+        env = InspectionEnv(EnvConfig(initial_sun_angle=0.5, dt=1.0))
+        env.reset()
+        env.step(np.zeros(3))
+        assert env.state.sun_angle - 0.5 == pytest.approx(-0.001027)
+        assert env.state.t == 1.0
+
     def test_zero_action_after_hemisphere_sweep(self):
         env = InspectionEnv()
         env.reset()

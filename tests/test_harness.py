@@ -10,7 +10,7 @@ import pytest
 
 from cwinspect.cli import main as cli_main
 from cwinspect.control import mlp_save, random_policy
-from cwinspect.dynamics import DynamicsParams, hold_maps, step_vector
+from cwinspect.dynamics import DynamicsParams, hold_maps, step
 from cwinspect.env import delta_v
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
@@ -259,8 +259,8 @@ class TestRun:
         assert len(log) == summary["steps"] == 7
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_plant_flies_step_vector(self, n):
-        # the simulator, the filter and step_vector fly a hold through one
+    def test_plant_flies_step(self, n):
+        # the simulator, the filter and dynamics.step fly a hold through one
         # function: each logged state is the step of the one before, bit
         # for bit
         cfg = default_experiment(n)
@@ -270,7 +270,7 @@ class TestRun:
         dyn = DynamicsParams()
         assert len(log) == 200
         for k in range(len(log) - 1):
-            x_next = step_vector(log.states[k, :6], log.u_act[k], dt, dyn)
+            x_next = step(log.states[k, :6], log.u_act[k], dt, dyn)
             assert np.array_equal(log.states[k + 1, :6], x_next), k
 
     def test_batch_refilter_reproduces_open_loop_experiment2(self):

@@ -107,6 +107,14 @@ class TestLattice:
         with pytest.raises(ValueError):
             generate_points(radius=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": math.nan}, {"radius": math.inf}, {"radius": -1.0},
+        {"count": 0}, {"count": -3}])
+    def test_degenerate_lattice_rejected(self, kwargs):
+        # nan and inf radii used to give NaN points
+        with pytest.raises(ValueError):
+            generate_points(**kwargs)
+
 
 class TestVisibility:
     def test_hemisphere_count_from_positive_x(self):

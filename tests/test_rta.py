@@ -359,11 +359,11 @@ class TestFilter:
             assert (intervened & feasible).any() and not feasible.all()
 
     def test_nonfinite_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="states must be finite"):
             filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP, DP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="states must be finite"):
             filter_control(np.full((2, 6), np.inf), np.zeros((2, 3)), SP, DP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="u_des"):
             filter_control(np.zeros((2, 6)), [[0.0, np.nan, 0.0]] * 2, SP, DP)
 
     @pytest.mark.parametrize("x_shape, u_shape", [

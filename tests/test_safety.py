@@ -122,6 +122,17 @@ class TestOneOrBatch:
         with pytest.raises(ValueError, match="shape"):
             h_values(np.zeros(shape), SP)
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [h_values, is_safe, lambda x, p: cbf_rows(x, p, DP)],
+                             ids=["h_values", "is_safe", "cbf_rows"])
+    def test_nonfinite_states_rejected(self, fn, bad, batch):
+        # these used to return NaN values and rows, and is_safe False
+        x = np.full((3, 6) if batch else 6, 100.0)
+        x[(-1, 4) if batch else 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fn(x, SP)
+
     def test_batch_form_does_not_call_h_values(self, monkeypatch):
         # a traced h_values must not count the batch form's calls
         import cwinspect.safety as safety

@@ -7,7 +7,12 @@ Two tables, for comparing the logs of two commits byte for byte:
   ``row_matrix()`` bytes / rows;
 - 16 seeded NNC episodes, experiments 1, 3, 4 and 6 flying
   ``random_policy(6 or 11, seed=s)`` for s = 1, 2 over 400 steps, open and
-  closed loop: full SHA-256 of the ``row_matrix()`` bytes / rows.
+  closed loop: full SHA-256 of the ``row_matrix()`` bytes / rows;
+- 8 ``InspectionEnv`` rollouts, no-sensors and all-sensors observations
+  driven through ``mlp_act`` by ``random_policy(6 or 11, seed=s)`` for
+  s = 1, 2 over 400 steps, illumination off and on: SHA-256 of the state,
+  sun angle, clock, reward, delta-v and reward totals and observation of
+  every step / steps.
 
 Run from a checkout with ``PYTHONPATH=src python tools/log_hashes.py``.
 The hashes depend on the BLAS build and the CPU, so compare tables made on
@@ -21,7 +26,11 @@ import hashlib
 import tempfile
 from pathlib import Path
 
-from cwinspect.control import mlp_save, random_policy
+import numpy as np
+
+from cwinspect.control import mlp_act, mlp_save, random_policy
+from cwinspect.env import (OBS_ALL_SENSORS, OBS_NO_SENSORS, EnvConfig,
+                           InspectionEnv)
 from cwinspect.harness import default_experiment, emit, run
 
 # experiment -> policy inputs: 6 for the no-sensors NNCs, 11 for all-sensors
@@ -29,10 +38,30 @@ NNC_EXPERIMENTS = {1: 6, 3: 6, 4: 11, 6: 11}
 NNC_SEEDS = (1, 2)
 NNC_STEPS = 400
 LOOPS = (("open", False), ("closed", True))
+# observation mode -> policy inputs
+ENV_MODES = {OBS_NO_SENSORS: 6, OBS_ALL_SENSORS: 11}
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _env_rollout(mode: str, inputs: int, seed: int, illumination: bool):
+    """SHA-256 of every step's record and the step count of one episode."""
+    env = InspectionEnv(EnvConfig(mode=mode, illumination=illumination,
+                                  max_steps=NNC_STEPS))
+    policy = random_policy(inputs, seed=seed)
+    u_max = env.config.dynamics.u_max
+    obs, done, steps = env.reset(), False, 0
+    digest = hashlib.sha256()
+    while not done:
+        obs, reward, done, _ = env.step(mlp_act(policy, obs, u_max))
+        state = env.state
+        digest.update(np.concatenate([
+            state.vector(), (state.sun_angle, state.t, reward,
+                             env.total_delta_v, env.total_reward), obs]).tobytes())
+        steps += 1
+    return digest.hexdigest(), steps
 
 
 def main() -> None:
@@ -59,6 +88,13 @@ def main() -> None:
                         closed_loop=closed))
                     print(f"nnc exp{n} seed{s} {name:<6} "
                           f"{_sha(log.row_matrix().tobytes())} {len(log)}")
+    print("env mode / policy seed / illumination / per-step records / steps")
+    for mode, inputs in ENV_MODES.items():
+        for s in NNC_SEEDS:
+            for illumination in (False, True):
+                digest, steps = _env_rollout(mode, inputs, s, illumination)
+                print(f"env {mode:<11} seed{s} illum {illumination!s:<5} "
+                      f"{digest} {steps}")
 
 
 if __name__ == "__main__":
