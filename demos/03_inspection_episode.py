@@ -28,9 +28,8 @@ print(f"with the sun at +y, the same pass marks only "
       f"{inspected_count(gated)} co-illuminated points")
 
 # the all-sensors observation points the agent at what remains
-cluster = nearest_uninspected_cluster(sphere, [100.0, 0, 0])
-print(f"nearest uninspected cluster: direction "
-      f"{np.round(cluster.direction, 3)}, {cluster.cluster_size} points\n")
+direction = nearest_uninspected_cluster(sphere, [100.0, 0, 0])
+print(f"nearest uninspected cluster: direction {np.round(direction, 3)}\n")
 
 # a full episode: 10 s steps, reward 0.1 per new point minus 0.1 per m/s
 env = InspectionEnv(EnvConfig(mode=OBS_ALL_SENSORS))
@@ -38,7 +37,7 @@ obs = env.reset()
 print(f"reset: observation length {len(obs)}, normalized position "
       f"{np.round(obs[:3], 3)}")
 
-controller = ScriptedOrbitController(30.0)
+controller = ScriptedOrbitController()
 total = 0.0
 done = False
 while not done:

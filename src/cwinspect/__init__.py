@@ -15,10 +15,9 @@ from .env import (EnvConfig, InspectionEnv, RelativeState, build_observation,
 from .harness import (ExperimentConfig, NoiseModel, TrajectoryLog,
                       default_experiment, emit, inject_noise, load_config,
                       run, run_batch)
-from .inspection import (ClusterResult, InspectionSphere, generate_points,
-                         inspected_count, nearest_uninspected_cluster,
-                         update_inspected)
+from .inspection import (InspectionSphere, generate_points, inspected_count,
+                         nearest_uninspected_cluster, update_inspected)
 from .rta import FilterResult, filter_control, infeasible_fallback, solve_qp
-from .safety import SafetyParams, cbf_rows, h_values, is_safe
+from .safety import SafetyParams, cbf_rows, h_values
 
 __version__ = "0.1.0"

@@ -1,5 +1,7 @@
 """Primary controllers: LQR to the origin, MLP policy inference, and a
 scripted circumnavigation controller used as a stand-in for trained policies.
+The LQR weights and the stand-in's orbit are the one design the experiments
+fly, fixed as module constants.
 
 The MLP weights travel in a JSON document:
 
@@ -56,31 +58,30 @@ _ACTIVATIONS = {"tanh": np.tanh, "linear": lambda x: x}
 DEFAULT_LQR_Q = 1e-3 * np.eye(6)
 DEFAULT_LQR_R = np.eye(3)
 
+# the scripted stand-in's circle: its radius [m], its plane's normal, the
+# in-plane axis it takes at the normal itself, and its PD gains [s^-2, s^-1]
+_ORBIT_RADIUS = 30.0
+_ORBIT_NORMAL = np.array([0.0, 1.0, 0.0])
+_ORBIT_E1 = np.array([1.0, 0.0, 0.0])
+_ORBIT_GAIN = 0.002
+_ORBIT_KV = 2.0 * math.sqrt(_ORBIT_GAIN)  # critically damped
+
 
 @dataclass(frozen=True)
 class LqrController:
     K: np.ndarray  # (3, 6) feedback gain
-    Q: np.ndarray
-    R: np.ndarray
 
 
-def lqr_design(dyn: DynamicsParams, Q=None, R=None) -> LqrController:
-    """Continuous-time LQR gain for the relative-motion pair (A, B).
+def lqr_design(dyn: DynamicsParams) -> LqrController:
+    """Continuous-time LQR gain for the relative-motion pair (A, B) with the
+    weights ``DEFAULT_LQR_Q`` and ``DEFAULT_LQR_R``.
 
     Solves the algebraic Riccati equation from the stable invariant subspace
     of the Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]] (Laub 1979): P = U2 U1^-1
     for the eigenvectors [U1; U2] of its six eigenvalues of negative real
     part, and enforces that the closed loop A - B K is Hurwitz.
     """
-    Q = np.asarray(DEFAULT_LQR_Q if Q is None else Q, dtype=float)
-    R = np.asarray(DEFAULT_LQR_R if R is None else R, dtype=float)
-    for M, n, name in ((Q, 6, "Q"), (R, 3, "R")):
-        if M.shape != (n, n) or not np.isfinite(M).all() or not np.allclose(M, M.T):
-            raise ValueError(f"{name} must be a finite symmetric ({n}, {n}) matrix")
-    if np.linalg.eigvalsh(Q).min() < -1e-12 * np.abs(Q).max():
-        raise ValueError("Q must be positive semi-definite")
-    if np.linalg.eigvalsh(R).min() <= 0.0:
-        raise ValueError("R must be positive definite")
+    Q, R = DEFAULT_LQR_Q, DEFAULT_LQR_R
     A, B = cw_matrices(dyn)
     Z = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
     lam, V = np.linalg.eig(Z)
@@ -93,7 +94,7 @@ def lqr_design(dyn: DynamicsParams, Q=None, R=None) -> LqrController:
     eigs = np.linalg.eigvals(A - B @ K)
     if not np.all(eigs.real < 0.0):
         raise ValueError("LQR design failed: closed loop is not Hurwitz")
-    return LqrController(K, Q, R)
+    return LqrController(K)
 
 
 def lqr_control(ctrl: LqrController, x, dyn: DynamicsParams) -> np.ndarray:
@@ -253,53 +254,29 @@ def random_policy(input_dim: int, hidden=(256, 256), seed: int = 0,
 class ScriptedOrbitController:
     """Feedback controller tracking a constant-rate circle about the chief.
 
-    The reference is the nearest point on the circle of ``radius`` in the
-    plane orthogonal to ``plane_normal``, moving tangentially at
-    ``rate`` * ``radius``.  The control law cancels the natural relative
-    acceleration and applies critically damped PD tracking, so a deputy on
-    the reference needs only the small centripetal feedforward.
+    The reference is the nearest point on the 30 m circle in the x-z plane
+    (normal +y), moving tangentially at rate 2n times the radius.  The
+    control law cancels the natural relative acceleration and applies
+    critically damped PD tracking, so a deputy on the reference needs only
+    the small centripetal feedforward.
     """
 
-    def __init__(self, radius: float, plane_normal=(0.0, 1.0, 0.0),
-                 rate: float | None = None, gain: float = 0.002,
-                 params: DynamicsParams | None = None):
+    def __init__(self, params: DynamicsParams | None = None):
         self.params = params if params is not None else DynamicsParams()
-        if not 0.0 < radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        self.radius = float(radius)
-        normal = np.asarray(plane_normal, dtype=float).reshape(3)
-        if not np.isfinite(normal).all():
-            raise ValueError("plane_normal must be finite")
-        norm = np.linalg.norm(normal)
-        if norm == 0.0:
-            raise ValueError("plane_normal must be nonzero")
-        self.normal = normal / norm
-        self.rate = 2.0 * self.params.mean_motion if rate is None else float(rate)
-        if not math.isfinite(self.rate):
-            raise ValueError("rate must be finite")
-        if not 0.0 < gain < math.inf:
-            raise ValueError("gain must be positive and finite")
-        self.gain = float(gain)
-        self.kv = 2.0 * math.sqrt(self.gain)
-        # deterministic in-plane basis: reference axis least aligned with n
-        ref = np.zeros(3)
-        ref[int(np.argmin(np.abs(self.normal)))] = 1.0
-        e1 = ref - np.dot(ref, self.normal) * self.normal
-        self.e1 = e1 / np.linalg.norm(e1)
-        self.e2 = np.cross(self.normal, self.e1)
+        self.rate = 2.0 * self.params.mean_motion
         self._A, _ = cw_matrices(self.params)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(6)
         p, v = x[:3], x[3:]
-        p_in = p - np.dot(p, self.normal) * self.normal
+        p_in = p - np.dot(p, _ORBIT_NORMAL) * _ORBIT_NORMAL
         rho = np.linalg.norm(p_in)
-        rho_hat = p_in / rho if rho > 1e-9 else self.e1
-        tan_hat = np.cross(self.normal, rho_hat)
-        p_ref = self.radius * rho_hat
-        v_ref = self.rate * self.radius * tan_hat
-        a_ref = -self.rate**2 * self.radius * rho_hat
+        rho_hat = p_in / rho if rho > 1e-9 else _ORBIT_E1
+        tan_hat = np.cross(_ORBIT_NORMAL, rho_hat)
+        p_ref = _ORBIT_RADIUS * rho_hat
+        v_ref = self.rate * _ORBIT_RADIUS * tan_hat
+        a_ref = -self.rate**2 * _ORBIT_RADIUS * rho_hat
         a_nat = (self._A @ x)[3:]
-        a_cmd = a_ref + self.kv * (v_ref - v) + self.gain * (p_ref - p) - a_nat
+        a_cmd = a_ref + _ORBIT_KV * (v_ref - v) + _ORBIT_GAIN * (p_ref - p) - a_nat
         return np.clip(self.params.mass * a_cmd,
                        -self.params.u_max, self.params.u_max)

@@ -9,12 +9,16 @@ or after 1223 steps.  Observations come in two flavours:
     all_sensors: + [N_p / 100, sun angle,
                     x_UPS, y_UPS, z_UPS]          (uninspected-cluster unit vector)
 
-An episode holds a :class:`RelativeState`: the 6-state propagated by
-:func:`cwinspect.dynamics.step`, with the clock and sun angle it advances.
+The cluster direction is the experiments' one k-means setup.  A non-finite
+state, or a non-finite sun angle in all-sensors mode, is refused with a
+``ValueError``.  An episode holds a :class:`RelativeState`: the 6-state
+propagated by :func:`cwinspect.dynamics.step`, with the clock and sun angle
+it advances.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +39,6 @@ __all__ = [
     "PAPER_INITIAL_SUN_ANGLE",
     "delta_v",
     "normalize_state",
-    "denormalize_state",
     "build_observation",
     "RelativeState",
     "EnvConfig",
@@ -68,35 +71,30 @@ def delta_v(action, dt: float, mass: float) -> float:
 
 def normalize_state(vec6) -> np.ndarray:
     x = np.asarray(vec6, dtype=float).reshape(6)
+    if not np.isfinite(x).all():
+        raise ValueError("state must be finite")
     out = np.empty(6)
     out[:3] = x[:3] / POSITION_NORM
     out[3:] = x[3:] * VELOCITY_NORM
     return out
 
 
-def denormalize_state(obs6) -> np.ndarray:
-    o = np.asarray(obs6, dtype=float).reshape(6)
-    out = np.empty(6)
-    out[:3] = o[:3] * POSITION_NORM
-    out[3:] = o[3:] / VELOCITY_NORM
-    return out
-
-
-def build_observation(x, sun_angle: float, sphere, mode: str,
-                      k: int = inspection.DEFAULT_CLUSTER_COUNT,
-                      seed: int = inspection.KMEANS_SEED) -> np.ndarray:
+def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
     """Observation for ``mode`` of the 6-state ``x``, ``sun_angle`` wrapped to
-    [0, 2pi); the cluster direction uses the module-fixed seed, and its
-    clustering is memoized on the uninspected set, so only a call after newly
-    inspected points reruns Lloyd's iteration."""
+    [0, 2pi); the cluster direction's clustering is memoized on the
+    uninspected set, so only a call after newly inspected points reruns
+    Lloyd's iteration.  Raises ValueError for a non-finite state, or in
+    all-sensors mode a non-finite sun angle."""
     base = normalize_state(x)
     if mode == OBS_NO_SENSORS:
         return base
     if mode != OBS_ALL_SENSORS:
         raise ValueError(f"unknown observation mode {mode!r}")
-    cluster = inspection.nearest_uninspected_cluster(sphere, x[:3], k, seed)
+    if not math.isfinite(sun_angle):
+        raise ValueError("sun angle must be finite")
+    direction = inspection.nearest_uninspected_cluster(sphere, x[:3])
     return np.concatenate([base, (inspection.inspected_count(sphere) / POINTS_NORM,
-                                  sun_angle % (2.0 * np.pi)), cluster.direction])
+                                  sun_angle % (2.0 * np.pi)), direction])
 
 
 @dataclass
@@ -169,12 +167,12 @@ class InspectionEnv:
         self.total_reward = 0.0
         self.step_index = 0
         self.done = False
-        self._seed = inspection.KMEANS_SEED
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        """Start a fresh episode; deterministic for a given seed."""
-        cfg = self.config
-        self._seed = inspection.KMEANS_SEED if seed is None else int(seed)
+    def reset(self) -> np.ndarray:
+        """Start a fresh episode; deterministic.  The config is checked again
+        (fields may have been assigned after construction) and the episode
+        runs on that checked copy; ValueError for a field it refuses."""
+        cfg = self.config = dataclasses.replace(self.config)
         self.state = RelativeState(
             cfg.initial_state[:3], cfg.initial_state[3:],
             cfg.initial_sun_angle, 0.0)
@@ -187,7 +185,7 @@ class InspectionEnv:
 
     def observe(self) -> np.ndarray:
         return build_observation(self.state.vector(), self.state.sun_angle,
-                                 self.sphere, self.config.mode, seed=self._seed)
+                                 self.sphere, self.config.mode)
 
     def step(self, action):
         """Apply a thrust command for one 10 s step.

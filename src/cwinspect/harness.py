@@ -67,6 +67,9 @@ CSV_COLUMNS = (
 
 JSON_SCHEMA_VERSION = 1
 
+# half the lab-frame extents of the 8 x 8 x 4 m flight volume, centred on the chief
+_AVIARY_HALF_BOX = np.array([4.0, 4.0, 2.0])  # [m]
+
 
 # where each quantity sits in a row of CSV_COLUMNS: one column by index,
 # a group of columns by slice
@@ -112,10 +115,6 @@ class ExperimentConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     weights_path: str | None = None
     initial_state: tuple = tuple(PAPER_INITIAL_STATE) + (PAPER_INITIAL_SUN_ANGLE,)
-    scripted_radius: float = 30.0
-    scripted_plane_normal: tuple = (0.0, 1.0, 0.0)
-    scripted_gain: float = 0.002
-    aviary_box: tuple = (8.0, 8.0, 4.0)  # [m] lab-frame extents, centered
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_CHOICES:
@@ -138,10 +137,6 @@ class ExperimentConfig:
         if isinstance(self.seed, bool) or not (
                 isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        box = np.asarray(self.aviary_box, dtype=float)
-        if box.shape != (3,) or not (np.isfinite(box) & (box > 0.0)).all():
-            raise ValueError("aviary_box must be three positive finite extents [m]")
-        self.aviary_box = tuple(box.tolist())
         state = tuple(float(v) for v in self.initial_state)
         if len(state) != 7:
             raise ValueError("initial_state must have 7 entries (pos, vel, sun angle)")
@@ -255,16 +250,15 @@ def inject_noise(x: np.ndarray, model: NoiseModel,
 
 
 def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
-    """Build the control callback (x, theta, sphere) -> u_des and its label."""
+    """Build the control callback (x, theta, sphere) -> u_des, a (3,) thrust
+    in the box, and its label."""
     name = cfg.controller
     if name == "lqr":
         ctrl = lqr_design(dyn)
         return (lambda x, theta, sphere: lqr_control(ctrl, x, dyn)), "lqr"
     if name == "scripted" or not cfg.weights_path:
         # an NNC without trained weights flies the scripted circumnavigation
-        ctrl = ScriptedOrbitController(
-            cfg.scripted_radius, cfg.scripted_plane_normal,
-            gain=cfg.scripted_gain, params=dyn)
+        ctrl = ScriptedOrbitController(dyn)
         label = "scripted" if name == "scripted" else f"scripted (stand-in for {name})"
         return (lambda x, theta, sphere: ctrl(x)), label
     mode = _NNC_MODES[name]
@@ -327,8 +321,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
         theta_k = theta0 - dyn.mean_motion * t_k
         sensed = inject_noise(x, cfg.noise, rng) if cfg.closed_loop else x
 
-        u_des = np.clip(np.asarray(controller(sensed, theta_k, sphere), dtype=float).reshape(3),
-                        -dyn.u_max, dyn.u_max)
+        u_des = controller(sensed, theta_k, sphere)  # (3,), in the thrust box
         if cfg.rta_enabled:
             res = filter_control(sensed, u_des, safety, dyn, period=dt_c)
             u_act = res.u_act
@@ -367,9 +360,8 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     x0 = np.asarray(cfg.initial_state[:3])
     nearest = np.sqrt(np.min(np.einsum("ij,ij->i", flown, flown), initial=math.inf))
     min_distance = min(float(np.linalg.norm(x0)), float(nearest))
-    half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
-    in_aviary = bool(np.all(np.abs(x0) / cfg.position_scale <= half_box)
-                     and not np.any(np.abs(flown) / cfg.position_scale > half_box))
+    in_aviary = bool(np.all(np.abs(x0) / cfg.position_scale <= _AVIARY_HALF_BOX)
+                     and not np.any(np.abs(flown) / cfg.position_scale > _AVIARY_HALF_BOX))
 
     log = TrajectoryLog(
         rows,
@@ -496,13 +488,13 @@ def emit(log: TrajectoryLog, fmt: str, path) -> Path:
 # -- batch execution ------------------------------------------------------
 
 def _run_one(args):
-    path, out_dir, formats = args
+    path, out_dir = args
     cfg = load_config(path)
     log, summary = run(cfg)
     stem = Path(path).stem
     run_dir = Path(out_dir) / stem
     run_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
+    for fmt in ("csv", "json"):
         emit(log, fmt, run_dir / f"trajectory.{fmt}")
     summary_path = run_dir / "summary.json"
     summary_path.write_text(json.dumps(summary))
@@ -511,9 +503,9 @@ def _run_one(args):
     return stem, brief
 
 
-def run_batch(config_dir, out_dir, jobs: int = 1,
-              formats=("csv", "json")) -> dict:
-    """Run every ``*.json`` config under ``config_dir`` and merge summaries.
+def run_batch(config_dir, out_dir, jobs: int = 1) -> dict:
+    """Run every ``*.json`` config under ``config_dir``, write each run's
+    CSV and JSON trajectory and its summary, and merge the summaries.
 
     ``jobs=1`` runs the configs one after another in this process; a larger
     positive integer runs them in that many worker processes.  Each config
@@ -525,7 +517,7 @@ def run_batch(config_dir, out_dir, jobs: int = 1,
     paths = sorted(Path(config_dir).glob("*.json"))
     if not paths:
         raise ValueError(f"no *.json configs found in {config_dir}")
-    tasks = [(str(p), str(out_dir), tuple(formats)) for p in paths]
+    tasks = [(str(p), str(out_dir)) for p in paths]
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             results = pool.map(_run_one, tasks)

@@ -1,15 +1,16 @@
 """Inspection-point model of the chief spacecraft.
 
 The chief is represented by 99 points on a 10 m sphere.  A point becomes
-inspected when the deputy sees it (hemisphere / field-of-view test) and,
-when illumination gating is enabled, the Sun lights it.  Inspected flags are
-monotone within an episode.  A k-means pass over the remaining points supplies
-the "nearest uninspected cluster" direction used by the richer observation
-vector; the clustering is memoized on the uninspected point coordinates, so
-only a step that inspected something new runs Lloyd's iteration again.  Each
-Lloyd step is a few whole-array passes whose sums keep the order of a
-per-cluster mean, so the seeded clustering is the same bit for bit as the
-textbook loop (the tests keep that loop as their oracle).
+inspected when the deputy sees it (the hemisphere facing the deputy, a 90
+degree half-angle field of view) and, when illumination gating is enabled,
+the Sun lights it.  Inspected flags are monotone within an episode.  A
+k-means pass with the module's cluster count and seed over the remaining
+points supplies the "nearest uninspected cluster" direction used by the
+richer observation vector; the clustering is memoized on the uninspected
+point coordinates, so only a step that inspected something new runs Lloyd's
+iteration again.  Each Lloyd step is a few whole-array passes whose sums
+keep the order of a per-cluster mean, so the seeded clustering is the same
+bit for bit as the textbook loop (the tests keep that loop as their oracle).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "DEFAULT_CLUSTER_COUNT",
     "KMEANS_SEED",
     "InspectionSphere",
-    "ClusterResult",
     "generate_points",
     "update_inspected",
     "inspected_count",
@@ -50,30 +50,19 @@ class InspectionSphere:
     radius: float  # [m]
 
 
-@dataclass
-class ClusterResult:
-    direction: np.ndarray  # unit vector, or zeros when nothing is left
-    cluster_size: int
-    converged: bool
+def generate_points() -> InspectionSphere:
+    """Deterministic Fibonacci-lattice layout of the 99 points on the 10 m
+    sphere.
 
-
-def generate_points(radius: float = SPHERE_RADIUS,
-                    count: int = SPHERE_POINT_COUNT) -> InspectionSphere:
-    """Deterministic Fibonacci-lattice layout of ``count`` points at ``radius``.
-
-    Uses the half-offset lattice (z_i = 1 - 2(i+0.5)/count) so no point sits
+    Uses the half-offset lattice (z_i = 1 - 2(i+0.5)/99) so no point sits
     exactly on a pole; regeneration is bit-identical.
     """
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    i = np.arange(count, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / count
+    i = np.arange(SPHERE_POINT_COUNT, dtype=float)
+    z = 1.0 - 2.0 * (i + 0.5) / SPHERE_POINT_COUNT
     r_xy = np.sqrt(1.0 - z * z)
     theta = _GOLDEN_ANGLE * i
-    pts = radius * np.stack([r_xy * np.cos(theta), r_xy * np.sin(theta), z], axis=1)
-    return InspectionSphere(pts, np.zeros(count, dtype=bool), float(radius))
+    pts = SPHERE_RADIUS * np.stack([r_xy * np.cos(theta), r_xy * np.sin(theta), z], axis=1)
+    return InspectionSphere(pts, np.zeros(SPHERE_POINT_COUNT, dtype=bool), SPHERE_RADIUS)
 
 
 def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
@@ -89,24 +78,20 @@ def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
 
 
 def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float,
-                     illumination_enabled: bool,
-                     fov_half_angle: float = 0.5 * math.pi) -> int:
+                     illumination_enabled: bool) -> int:
     """Mark points visible from ``deputy_position`` (and lit, if gated).
 
-    Point i is marked when angle(r_i, p) < fov_half_angle (strict; the
-    default half angle of 90 deg reduces to r_i . p > 0) and, with
-    illumination enabled, r_i . r_sun > 0 (strict).  A deputy inside the
-    sphere marks nothing.  Returns the number newly marked by this call.
-    Raises ValueError unless 0 < fov_half_angle <= pi.
+    Point i is marked when r_i . p > 0 (strict: the 90 deg half-angle field
+    of view) and, with illumination enabled, r_i . r_sun > 0 (strict).  A
+    deputy inside the sphere marks nothing.  Returns the number newly marked
+    by this call.
     """
-    if not 0.0 < fov_half_angle <= math.pi:  # also refuses nan
-        raise ValueError("fov_half_angle must lie in (0, pi]")
     p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0
     p_hat = p / dist
     r_hat = sphere.points / sphere.radius
-    visible = r_hat @ p_hat > math.cos(fov_half_angle)
+    visible = r_hat @ p_hat > 0.0
     if illumination_enabled:
         visible &= r_hat @ sun_vector(sun_angle) > 0.0
     newly = visible & ~sphere.inspected
@@ -146,17 +131,13 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @functools.lru_cache(maxsize=32)
-def _kmeans(pts_bytes: bytes, k: int, seed: int, tol: float, max_iter: int):
-    """Seeded k-means++ and Lloyd's iteration on the (n, 3) float points
-    packed in ``pts_bytes``.  Keyed on point contents, not on a sphere, since
-    ``update_inspected`` mutates the inspected mask in place.  Returns the
-    read-only (k, 3) centres and (k,) cluster sizes of the final assignment,
-    plus the converged flag.
+def _kmeans(pts_bytes: bytes, k: int) -> np.ndarray:
+    """k-means++ seeded with ``KMEANS_SEED``, then at most 50 steps of
+    Lloyd's iteration (stopping once no centre moves 1e-6 m), on the (n, 3)
+    float points packed in ``pts_bytes``.  Keyed on point contents, not on a
+    sphere, since ``update_inspected`` mutates the inspected mask in place.
+    Returns the read-only (k, 3) centres.
 
     Each Lloyd step is a few whole-array passes: one broadcast of the (k, n)
     squared distances, nearest-centre labels (ties to the lower index), and
@@ -168,66 +149,43 @@ def _kmeans(pts_bytes: bytes, k: int, seed: int, tol: float, max_iter: int):
     points, flat = coords[:, None, :], coords.ravel()
     # bin of coordinate c of a point in cluster j: c * k + j
     bins = k * np.arange(3)[:, None]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KMEANS_SEED)
     centers = _kmeans_pp_init(coords, k, rng)
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(50):
         labels = np.argmin(_sq_dist(points, centers[:, :, None]), axis=0)
         sizes = np.bincount(labels, minlength=k)
         sums = np.bincount((labels + bins).ravel(), flat, 3 * k).reshape(3, k)
         new_centers = np.divide(sums, sizes, out=centers.copy(), where=sizes > 0)
         shift = math.sqrt(_sq_dist(new_centers, centers).max())
         centers = new_centers
-        if shift < tol:
-            converged = True
+        if shift < 1e-6:
             break
-    # final assignment against the settled centers
-    labels = np.argmin(_sq_dist(points, centers[:, :, None]), axis=0)
-    sizes = np.bincount(labels, minlength=k)
     centers = centers.T.copy()
     centers.setflags(write=False)
-    sizes.setflags(write=False)
-    return centers, sizes, converged
+    return centers
 
 
-def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position,
-                                k: int = DEFAULT_CLUSTER_COUNT,
-                                seed: int = KMEANS_SEED,
-                                tol: float = 1e-6,
-                                max_iter: int = 50) -> ClusterResult:
-    """Direction toward the k-means centroid of uninspected points nearest
-    the deputy.
+def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position) -> np.ndarray:
+    """Unit direction (3,) toward the k-means centroid of uninspected points
+    nearest the deputy.
 
-    Runs Lloyd's iteration with seeded k-means++ initialization on the
-    uninspected point coordinates, using k' = min(k, number uninspected).
-    The clustering is memoized on the uninspected coordinates and
-    (k, seed, tol, max_iter) and keeps the centres and cluster sizes, so a
-    call whose uninspected set is unchanged redoes only the deputy-dependent
-    nearest-centre pick and reads that cluster's size.  Returns the zero
-    vector with cluster_size 0 when everything is inspected.
-    Deterministic for identical inputs.
+    Clusters the uninspected point coordinates into
+    k' = min(``DEFAULT_CLUSTER_COUNT``, number uninspected) clusters.  The
+    clustering is memoized on the uninspected coordinates and k', so a call
+    whose uninspected set is unchanged redoes only the deputy-dependent
+    nearest-centre pick.  Returns the zero vector when everything is
+    inspected.  Deterministic for identical inputs.
     """
     p, _ = _deputy_position(deputy_position)
-    if not _is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if not _is_int(max_iter) or max_iter < 0:
-        raise ValueError("max_iter must be a non-negative integer")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be non-negative and finite")
     pts = np.ascontiguousarray(sphere.points.compress(~sphere.inspected, axis=0), dtype=float)
     if len(pts) == 0:
-        return ClusterResult(np.zeros(3), 0, True)
-    centers, sizes, converged = _kmeans(pts.tobytes(), min(k, len(pts)),
-                                        seed, tol, max_iter)
-    nearest = int(np.argmin(np.sqrt(_sq_dist(centers.T, p[:, None]))))
-    centroid = centers[nearest]
-    size = int(sizes[nearest])
+        return np.zeros(3)
+    centers = _kmeans(pts.tobytes(), min(DEFAULT_CLUSTER_COUNT, len(pts)))
+    centroid = centers[np.argmin(np.sqrt(_sq_dist(centers.T, p[:, None])))]
     norm = math.sqrt(centroid.dot(centroid))
     if norm < 1e-9:
         # degenerate (antipodally balanced) cluster: fall back to the single
         # nearest uninspected point so the direction stays meaningful
         q = pts[np.argmin(np.sqrt(_sq_dist(pts.T, p[:, None])))]
-        return ClusterResult(q / math.sqrt(q.dot(q)), size, converged)
-    return ClusterResult(centroid / norm, size, converged)
+        return q / math.sqrt(q.dot(q))
+    return centroid / norm

@@ -69,7 +69,6 @@ __all__ = [
     "keep_in_guard",
     "hold_values",
     "hold_gradients",
-    "is_safe",
 ]
 
 NUM_CONSTRAINTS = 6
@@ -285,8 +284,3 @@ def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, keep_in)[1], params, keep_in)
     G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS
     return G
-
-
-def is_safe(state, params: SafetyParams) -> bool:
-    """True iff every barrier is non-negative at ``state``."""
-    return bool(np.min(h_values(state, params)) >= 0.0)

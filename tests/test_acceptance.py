@@ -238,7 +238,6 @@ def test_criterion_6_circumnavigation_inspects_all_points():
     period = 2.0 * math.pi / rate
     cfg = cw.ExperimentConfig(
         controller="scripted", illumination=False, max_duration=1.2 * period,
-        scripted_radius=30.0, scripted_plane_normal=(0.0, 1.0, 0.0),
         initial_state=(30.0, 0.0, 0.0, 0.0, 0.0, -rate * 30.0, 3.42))
     log, summary = run(cfg)
     completion_t = log.t[-1]

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cwinspect.control import (OUTPUT_DIM, MlpLayer, MlpPolicy,
+from cwinspect.control import (DEFAULT_LQR_Q, DEFAULT_LQR_R, OUTPUT_DIM,
+                               MlpLayer, MlpPolicy,
                                ScriptedOrbitController, lqr_control,
                                lqr_design, mlp_act, mlp_load, mlp_loads,
                                mlp_save, random_policy)
@@ -30,16 +31,15 @@ class TestLqr:
     def test_riccati_residual(self):
         from scipy.linalg import solve_continuous_are
         A, B = cw_matrices(DP)
-        for Q, R in ((None, None),
-                     (np.diag([1.0, 2.0, 3.0, 0.1, 0.2, 0.3]), 5.0 * np.eye(3))):
-            ctrl = lqr_design(DP, Q, R)
-            # recover P and check the Riccati equation residual independently
-            P = solve_continuous_are(A, B, ctrl.Q, ctrl.R)
-            resid = A.T @ P + P @ A - P @ B @ np.linalg.solve(ctrl.R, B.T @ P) + ctrl.Q
-            assert np.linalg.norm(resid, "fro") < 1e-8
-            # the numpy Riccati solve gives SciPy's gain to rounding
-            K_scipy = np.linalg.solve(ctrl.R, B.T @ P)
-            assert np.abs(ctrl.K - K_scipy).max() <= 1e-12 * np.abs(K_scipy).max()
+        Q, R = DEFAULT_LQR_Q, DEFAULT_LQR_R
+        ctrl = lqr_design(DP)
+        # recover P and check the Riccati equation residual independently
+        P = solve_continuous_are(A, B, Q, R)
+        resid = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
+        assert np.linalg.norm(resid, "fro") < 1e-8
+        # the numpy Riccati solve gives SciPy's gain to rounding
+        K_scipy = np.linalg.solve(R, B.T @ P)
+        assert np.abs(ctrl.K - K_scipy).max() <= 1e-12 * np.abs(K_scipy).max()
 
     @pytest.mark.parametrize("Q, R, match", [
         (np.zeros((6, 6)), None, "stable eigenvalues"),  # nothing to stabilize
@@ -48,7 +48,9 @@ class TestLqr:
         (np.eye(3), None, "Q must be a finite symmetric"),
     ])
     def test_invalid_weights_rejected(self, Q, R, match):
-        with pytest.raises(ValueError, match=match):
+        # the weights are the one design's DEFAULT_LQR_Q and DEFAULT_LQR_R:
+        # no others can be asked for, valid or not
+        with pytest.raises(TypeError):
             lqr_design(DP, Q, R)
 
     def test_zero_state_zero_control(self):
@@ -284,19 +286,21 @@ class TestMlpInference:
 
 class TestScriptedOrbit:
     def test_on_reference_control_is_small(self):
-        ctrl = ScriptedOrbitController(30.0, params=DP)
-        p = 30.0 * ctrl.e1
-        v = ctrl.rate * 30.0 * np.cross(ctrl.normal, ctrl.e1)
+        # on the 30 m circle about +y, moving at rate 2n
+        ctrl = ScriptedOrbitController(DP)
+        assert ctrl.rate == 2.0 * DP.mean_motion
+        p = np.array([30.0, 0.0, 0.0])
+        v = ctrl.rate * 30.0 * np.cross([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
         u = ctrl(np.concatenate([p, v]))
         assert np.linalg.norm(u) < 0.1
 
     def test_output_clamped(self):
-        u = ScriptedOrbitController(30.0, params=DP)(
+        u = ScriptedOrbitController(DP)(
             np.array([500.0, 300, -200, 1, 1, -1]))
         assert np.all(np.abs(u) <= DP.u_max)
 
     def test_tracks_radius_within_five_percent(self):
-        ctrl = ScriptedOrbitController(30.0, params=DP)
+        ctrl = ScriptedOrbitController(DP)
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         period = 2 * math.pi / ctrl.rate
         radii = []
@@ -310,18 +314,20 @@ class TestScriptedOrbit:
         assert np.all(np.abs(radii - 30.0) / 30.0 < 0.05)
 
     def test_plane_tracking(self):
-        # deputy converges into the plane orthogonal to the normal
-        ctrl = ScriptedOrbitController(30.0, plane_normal=(0, 1, 0), params=DP)
+        # deputy converges into the plane orthogonal to the +y normal
+        ctrl = ScriptedOrbitController(DP)
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         for _ in range(1500):
             x = step(x, ctrl(x), 2.0, DP)
         assert abs(x[1]) < 1.0
 
+    # the orbit is the experiments' one stand-in: no other radius, plane,
+    # rate or gain can be asked for, valid or not
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ScriptedOrbitController(0.0, params=DP)
-        with pytest.raises(ValueError):
-            ScriptedOrbitController(30.0, plane_normal=(0, 0, 0), params=DP)
+        with pytest.raises(TypeError):
+            ScriptedOrbitController(plane_normal=(0, 0, 0), params=DP)
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius=math.nan), dict(radius=math.inf), dict(rate=math.inf),
@@ -329,6 +335,5 @@ class TestScriptedOrbit:
         dict(gain=math.nan), dict(gain=math.inf), dict(gain=-0.1), dict(gain=0.0),
     ])
     def test_non_finite_or_degenerate_arguments_rejected(self, kwargs):
-        kwargs = {"radius": 30.0, **kwargs}
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ScriptedOrbitController(params=DP, **kwargs)

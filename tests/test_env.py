@@ -9,9 +9,9 @@ import pytest
 
 from cwinspect.dynamics import DynamicsParams, step
 from cwinspect.env import (MAX_EPISODE_STEPS, OBS_ALL_SENSORS, OBS_NO_SENSORS,
-                           EnvConfig, InspectionEnv, RelativeState,
-                           build_observation, delta_v, denormalize_state,
-                           normalize_state)
+                           POSITION_NORM, VELOCITY_NORM, EnvConfig,
+                           InspectionEnv, RelativeState, build_observation,
+                           delta_v, normalize_state)
 from cwinspect.inspection import generate_points
 
 
@@ -42,6 +42,17 @@ class TestConfig:
         # end the episode after one step, and illumination="no" to be taken
         with pytest.raises(ValueError):
             EnvConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("max_steps", 0), ("illumination", "no")])
+    def test_reset_checks_fields_assigned_after_construction(self, name, value):
+        # max_steps = 0 used to end the episode after one step, and
+        # illumination = "no" to run gated (20 points on the first step)
+        cfg = EnvConfig()
+        setattr(cfg, name, value)
+        env = InspectionEnv(cfg)
+        with pytest.raises(ValueError, match=name):
+            env.reset()
+        assert env.state is None
 
 
 class TestDeltaV:
@@ -83,7 +94,7 @@ class TestObservations:
     def test_same_seed_identical(self):
         a = InspectionEnv(EnvConfig(mode=OBS_ALL_SENSORS))
         b = InspectionEnv(EnvConfig(mode=OBS_ALL_SENSORS))
-        assert np.array_equal(a.reset(seed=4), b.reset(seed=4))
+        assert np.array_equal(a.reset(), b.reset())
 
     def test_velocity_normalization(self):
         x = np.array([0, 0, 0, 0.5, 0, 0])
@@ -106,7 +117,24 @@ class TestObservations:
         rng = np.random.default_rng(19)
         for _ in range(20):
             x = np.concatenate([rng.normal(0, 80, 3), rng.normal(0, 0.5, 3)])
-            assert np.all(np.abs(denormalize_state(normalize_state(x)) - x) < 1e-12)
+            obs = normalize_state(x)
+            back = np.concatenate([obs[:3] * POSITION_NORM, obs[3:] / VELOCITY_NORM])
+            assert np.all(np.abs(back - x) < 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x, theta: normalize_state(x),
+        lambda x, theta: build_observation(x, 0.0, generate_points(), OBS_NO_SENSORS),
+        lambda x, theta: build_observation(x, 0.0, generate_points(), OBS_ALL_SENSORS),
+        lambda x, theta: build_observation(np.full(6, 50.0), theta, generate_points(),
+                                           OBS_ALL_SENSORS),
+    ], ids=["normalize_state", "no_sensors", "all_sensors", "all_sensors_sun_angle"])
+    def test_nonfinite_input_rejected(self, call, bad):
+        # a NaN state used to give six NaN observations
+        x = np.full(6, 50.0)
+        x[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            call(x, bad)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -189,7 +217,7 @@ class TestStep:
 
     def test_reward_telescopes_to_totals(self):
         from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController(30.0)
+        ctrl = ScriptedOrbitController()
         env = InspectionEnv()
         env.reset()
         total = 0.0
@@ -206,7 +234,7 @@ class TestStep:
 
     def test_illumination_gating_slows_inspection(self):
         from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController(30.0)
+        ctrl = ScriptedOrbitController()
 
         def run_episode(illum, steps=120):
             env = InspectionEnv(EnvConfig(illumination=illum))
@@ -221,7 +249,7 @@ class TestStep:
 
     def test_full_inspection_terminates_with_success(self):
         from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController(30.0)
+        ctrl = ScriptedOrbitController()
         env = InspectionEnv()
         env.reset()
         done = False

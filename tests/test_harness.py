@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from cwinspect import harness
 from cwinspect.cli import main as cli_main
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.dynamics import DynamicsParams, hold_maps, step
@@ -81,9 +82,14 @@ class TestDefaults:
 
     @pytest.mark.parametrize("box", [(math.nan, 8, 4), (-1, 8, 4), (0, 0, 0),
                                      (8, math.inf, 4), (8, 8)])
-    def test_invalid_aviary_box_rejected(self, box):
-        with pytest.raises(ValueError, match="aviary_box"):
+    def test_invalid_aviary_box_rejected(self, box, tmp_path):
+        # the aviary is the one 8 x 8 x 4 m lab volume: no box can be set
+        with pytest.raises(TypeError):
             ExperimentConfig(aviary_box=box)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"experiment": 1, "aviary_box": box}))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(path)
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
     def test_invalid_seed_rejected(self, seed):
@@ -143,6 +149,12 @@ class TestConfigFile:
         path.write_text(json.dumps({"experiment": 2, "alpha_gains": [1.0] * 6}))
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
+        # nor is the scripted stand-in's orbit
+        for key, value in (("scripted_radius", 30.0), ("scripted_gain", 0.002),
+                           ("scripted_plane_normal", [0.0, 1.0, 0.0])):
+            path.write_text(json.dumps({"experiment": 1, key: value}))
+            with pytest.raises(ValueError, match="unknown config keys"):
+                load_config(path)
 
     def test_string_flag_rejected(self, tmp_path):
         # "false" is a truthy string: flown, it would close the loop
@@ -349,7 +361,8 @@ class TestRun:
         wide = short_config(max_duration=100.0)
         _, s1 = run(wide)
         assert s1["in_aviary"]
-        tight = short_config(max_duration=100.0, aviary_box=(0.5, 0.5, 0.5))
+        # at 1 m per lab metre the initial 21.8 m offset is outside the box
+        tight = short_config(max_duration=100.0, position_scale=1.0)
         _, s2 = run(tight)
         assert not s2["in_aviary"]
 
@@ -365,6 +378,35 @@ class TestRun:
         assert log.num_points[-1] == 99
 
 
+@pytest.mark.parametrize("controller, inputs", [
+    ("lqr", 0), ("scripted", 0), ("nnc_no_sensors", 6), ("nnc_all_sensors", 11)])
+def test_controller_output_is_a_thrust_in_the_box(controller, inputs, tmp_path,
+                                                 monkeypatch):
+    # run logs each resolved controller's output as u_des without clipping
+    # it again, so every output must be a (3,) float thrust in the box
+    weights = tmp_path / "w.json"
+    mlp_save(random_policy(inputs or 6, seed=1, scale=1.0), weights)
+    cfg = ExperimentConfig(controller=controller, max_steps=300, closed_loop=True,
+                           weights_path=str(weights) if inputs else None)
+    outputs, resolve = [], harness._resolve_controller
+
+    def recording(cfg, dyn):
+        ctrl, label = resolve(cfg, dyn)
+
+        def record(*args):
+            outputs.append(ctrl(*args))
+            return outputs[-1]
+        return record, label
+
+    monkeypatch.setattr(harness, "_resolve_controller", recording)
+    log, _ = run(cfg)
+    assert all(isinstance(u, np.ndarray) and u.shape == (3,) and u.dtype == float
+               for u in outputs)
+    U = np.array(outputs)
+    assert np.abs(U).max() <= DynamicsParams().u_max
+    assert np.array_equal(U, log.u_des)
+
+
 def per_step_figures(cfg, log):
     """The log-only figures recomputed the way the step loop once did: the
     barrier values of each row, a running float sum of delta-v, and a
@@ -375,7 +417,7 @@ def per_step_figures(cfg, log):
     D, S = hold_maps(dyn, dt)
     D, S = D.reshape(-1, 6), S.reshape(-1, 3)
     rng = np.random.default_rng(cfg.seed)
-    half_box = 0.5 * np.asarray(cfg.aviary_box, dtype=float)
+    half_box = 0.5 * np.array([8.0, 8.0, 4.0])
     X = log.states[:, :6]
     h = np.array([h_values(x, sp) for x in X])
     cum, dv = 0.0, []

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from cwinspect import inspection
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.harness import default_experiment, run
-from cwinspect.inspection import (DEFAULT_CLUSTER_COUNT, KMEANS_SEED,
-                                  SPHERE_POINT_COUNT, SPHERE_RADIUS,
-                                  ClusterResult, InspectionSphere,
-                                  generate_points, inspected_count,
-                                  nearest_uninspected_cluster,
+from cwinspect.inspection import (SPHERE_POINT_COUNT, SPHERE_RADIUS,
+                                  InspectionSphere, generate_points,
+                                  inspected_count, nearest_uninspected_cluster,
                                   update_inspected)
 
 
@@ -34,21 +32,18 @@ def _oracle_pp_init(pts, k, rng):
     return centers
 
 
-def kmeans_oracle(sphere, deputy_position, k=DEFAULT_CLUSTER_COUNT,
-                  seed=KMEANS_SEED, tol=1e-6, max_iter=50):
+def kmeans_oracle(sphere, deputy_position):
     """Reference: the uncached cluster direction, seeded k-means++ and the
-    full Lloyd loop rerun on every call."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    full Lloyd loop (at most 50 steps, until no centre moves 1e-6) rerun on
+    every call, with the module's cluster count and seed."""
     pts = sphere.points[~sphere.inspected]
     if len(pts) == 0:
-        return ClusterResult(np.zeros(3), 0, True)
+        return np.zeros(3)
     p = np.asarray(deputy_position, dtype=float).reshape(3)
-    kk = min(k, len(pts))
-    rng = np.random.default_rng(seed)
+    kk = min(inspection.DEFAULT_CLUSTER_COUNT, len(pts))
+    rng = np.random.default_rng(inspection.KMEANS_SEED)
     centers = _oracle_pp_init(pts, kk, rng)
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(50):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -58,25 +53,31 @@ def kmeans_oracle(sphere, deputy_position, k=DEFAULT_CLUSTER_COUNT,
                 new_centers[j] = members.mean(axis=0)
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
-        if shift < tol:
-            converged = True
+        if shift < 1e-6:
             break
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    nearest = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
-    centroid = centers[nearest]
-    size = int(np.count_nonzero(labels == nearest))
+    centroid = centers[np.argmin(np.linalg.norm(centers - p, axis=1))]
     norm = np.linalg.norm(centroid)
     if norm < 1e-9:
         q = pts[np.argmin(np.linalg.norm(pts - p, axis=1))]
-        return ClusterResult(q / np.linalg.norm(q), size, converged)
-    return ClusterResult(centroid / norm, size, converged)
+        return q / np.linalg.norm(q)
+    return centroid / norm
 
 
 def assert_same_cluster(got, ref):
-    assert got.direction.tobytes() == ref.direction.tobytes()
-    assert got.cluster_size == ref.cluster_size
-    assert got.converged == ref.converged
+    assert got.shape == (3,) and got.tobytes() == ref.tobytes()
+
+
+@pytest.fixture
+def cluster_setup(monkeypatch):
+    """Sets the module's cluster count and seed for one test.  The memo is
+    keyed on the points and the count, not the seed, so it is cleared on
+    each change and when the test ends."""
+    def use(k=inspection.DEFAULT_CLUSTER_COUNT, seed=inspection.KMEANS_SEED):
+        monkeypatch.setattr(inspection, "DEFAULT_CLUSTER_COUNT", k)
+        monkeypatch.setattr(inspection, "KMEANS_SEED", seed)
+        inspection._kmeans.cache_clear()
+    yield use
+    inspection._kmeans.cache_clear()
 
 
 class TestLattice:
@@ -103,16 +104,17 @@ class TestLattice:
         b = generate_points()
         assert np.array_equal(a.points, b.points)
 
+    # the lattice is the paper's one chief model: no other radius or count
+    # can be asked for, valid or not
     def test_invalid_radius(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             generate_points(radius=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"radius": math.nan}, {"radius": math.inf}, {"radius": -1.0},
         {"count": 0}, {"count": -3}])
     def test_degenerate_lattice_rejected(self, kwargs):
-        # nan and inf radii used to give NaN points
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             generate_points(**kwargs)
 
 
@@ -155,19 +157,23 @@ class TestVisibility:
         assert inspected_count(gated) <= inspected_count(free)
 
     def test_fov_cone_parameter_restricts(self):
-        wide = generate_points()
-        update_inspected(wide, [100.0, 0, 0], 0.0, False)
-        narrow = generate_points()
-        update_inspected(narrow, [100.0, 0, 0], 0.0, False,
-                         fov_half_angle=math.radians(30.0))
-        assert 0 < inspected_count(narrow) < inspected_count(wide)
+        # the field of view is the open hemisphere facing the deputy: from
+        # the +z axis the lattice's equator point (z = 0 exactly) stays
+        # unmarked, and no narrower cone can be asked for
+        sph = generate_points()
+        assert sph.points[49, 2] == 0.0
+        update_inspected(sph, [0.0, 0.0, 100.0], 0.0, False)
+        assert np.array_equal(sph.inspected, sph.points[:, 2] > 0.0)
+        assert inspected_count(sph) == 49
+        with pytest.raises(TypeError):
+            update_inspected(generate_points(), [100.0, 0, 0], 0.0, False,
+                             fov_half_angle=math.radians(30.0))
 
     @pytest.mark.parametrize("half_angle", [math.nan, 0.0, -0.1, 4.0, math.inf])
     def test_fov_half_angle_validated(self, half_angle):
-        # nan used to mark nothing and 4.0 (beyond pi) 81 of 99 points,
-        # the chief's far side included
+        # the 90 deg half angle is the only one: any other value is refused
         sph = generate_points()
-        with pytest.raises(ValueError, match="fov_half_angle"):
+        with pytest.raises(TypeError):
             update_inspected(sph, [100.0, 0, 0], 0.0, False, fov_half_angle=half_angle)
         assert inspected_count(sph) == 0
 
@@ -209,9 +215,7 @@ class TestClusterDirection:
     def test_all_inspected_gives_zero_vector(self):
         sph = generate_points()
         sph.inspected[:] = True
-        res = nearest_uninspected_cluster(sph, [100.0, 0, 0])
-        assert np.array_equal(res.direction, np.zeros(3))
-        assert res.cluster_size == 0
+        assert np.array_equal(nearest_uninspected_cluster(sph, [100.0, 0, 0]), np.zeros(3))
 
     def test_single_point_left(self):
         sph = generate_points()
@@ -219,18 +223,18 @@ class TestClusterDirection:
         sph.inspected[42] = False
         res = nearest_uninspected_cluster(sph, [100.0, 0, 0])
         q = sph.points[42]
-        assert np.allclose(res.direction, q / np.linalg.norm(q))
-        assert res.cluster_size == 1
+        assert np.allclose(res, q / np.linalg.norm(q))
 
-    def test_two_antipodal_groups(self):
+    def test_two_antipodal_groups(self, cluster_setup):
+        cluster_setup(k=2)
         sph = generate_points()
         # leave only the caps around +x and -x uninspected
         unit_x = sph.points[:, 0] / SPHERE_RADIUS
         sph.inspected[:] = np.abs(unit_x) < 0.75
         group_a = sph.points[unit_x >= 0.75]
         centroid_a = group_a.mean(axis=0)
-        res = nearest_uninspected_cluster(sph, [50.0, 0, 0], k=2)
-        cos = np.dot(res.direction, centroid_a / np.linalg.norm(centroid_a))
+        res = nearest_uninspected_cluster(sph, [50.0, 0, 0])
+        cos = np.dot(res, centroid_a / np.linalg.norm(centroid_a))
         assert math.acos(np.clip(cos, -1, 1)) < 0.2
 
     def test_unit_norm_or_zero(self):
@@ -239,20 +243,22 @@ class TestClusterDirection:
             sph = generate_points()
             sph.inspected[:] = rng.random(99) < rng.uniform(0, 1.05)
             res = nearest_uninspected_cluster(sph, rng.normal(0, 40, 3))
-            norm = np.linalg.norm(res.direction)
+            norm = np.linalg.norm(res)
             assert norm == 0.0 or abs(norm - 1.0) < 1e-12
 
     def test_deterministic_for_fixed_seed(self):
+        # a fresh clustering with the module seed repeats the memoized one
         sph = generate_points()
         sph.inspected[:40] = True
-        a = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0], k=6, seed=3)
-        b = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0], k=6, seed=3)
-        assert np.array_equal(a.direction, b.direction)
-        assert a.cluster_size == b.cluster_size
-        assert a.converged == b.converged
+        a = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0])
+        inspection._kmeans.cache_clear()
+        b = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0])
+        assert np.array_equal(a, b)
 
+    # the clustering is the paper's one setup: no k, seed, tol or max_iter
+    # can be asked for, valid or not
     def test_k_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             nearest_uninspected_cluster(generate_points(), [50, 0, 0], k=0)
 
     @pytest.mark.parametrize("kw", [
@@ -262,7 +268,7 @@ class TestClusterDirection:
         {"seed": -1}, {"seed": None},
     ])
     def test_arguments_validated(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             nearest_uninspected_cluster(generate_points(), [50, 0, 0], **kw)
 
     @pytest.mark.parametrize("pos", [
@@ -291,9 +297,6 @@ class TestClusterMemo:
             changes += update_inspected(sph, pos, 3.42 - 0.02 * i, True) > 0
             assert_same_cluster(nearest_uninspected_cluster(sph, pos),
                                 kmeans_oracle(sph, pos))
-            assert_same_cluster(
-                nearest_uninspected_cluster(sph, pos, k=4, seed=7),
-                kmeans_oracle(sph, pos, k=4, seed=7))
         assert changes > 3
         assert 0 < inspected_count(sph) < SPHERE_POINT_COUNT
         assert inspection._kmeans.cache_info().hits > hits
@@ -303,7 +306,7 @@ class TestClusterMemo:
         sph.inspected[::3] = True
         a = nearest_uninspected_cluster(sph, [50.0, 0.0, 0.0])
         b = nearest_uninspected_cluster(sph, [-50.0, 0.0, 0.0])
-        assert not np.allclose(a.direction, b.direction)
+        assert not np.allclose(a, b)
         assert_same_cluster(a, kmeans_oracle(sph, [50.0, 0.0, 0.0]))
         assert_same_cluster(b, kmeans_oracle(sph, [-50.0, 0.0, 0.0]))
 
@@ -311,7 +314,7 @@ class TestClusterMemo:
         sph = generate_points()
         sph.inspected[:30] = True
         first = nearest_uninspected_cluster(sph, [0.0, 40.0, 10.0])
-        first.direction[:] = 99.0
+        first[:] = 99.0
         assert_same_cluster(nearest_uninspected_cluster(sph, [0.0, 40.0, 10.0]),
                             kmeans_oracle(sph, [0.0, 40.0, 10.0]))
 
@@ -339,46 +342,50 @@ class TestOracleProperty:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mask=st.lists(st.booleans(), min_size=SPHERE_POINT_COUNT,
                          max_size=SPHERE_POINT_COUNT),
-           k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
            pos=st.tuples(*[st.floats(-200.0, 200.0)] * 3))
-    def test_random_masks(self, mask, k, seed, pos):
+    def test_random_masks(self, mask, pos):
         sph = generate_points()
         sph.inspected[:] = mask
-        assert_same_cluster(nearest_uninspected_cluster(sph, pos, k=k, seed=seed),
-                            kmeans_oracle(sph, pos, k=k, seed=seed))
+        assert_same_cluster(nearest_uninspected_cluster(sph, pos),
+                            kmeans_oracle(sph, pos))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_duplicated_points_leave_a_cluster_empty(self, seed):
+    def test_duplicated_points_leave_a_cluster_empty(self, cluster_setup, seed):
         # two distinct locations: after both are seeded every remaining
         # distance is 0 (k-means++'s total <= 0 branch), so k = 4 repeats
         # centres and the tie-broken assignment leaves clusters empty
+        cluster_setup(k=4, seed=seed)
         pts = np.array([[10.0, 0.0, 0.0]] * 6 + [[0.0, 10.0, 0.0]] * 4)
         sph = InspectionSphere(pts, np.zeros(len(pts), dtype=bool), 10.0)
-        _, sizes, _ = inspection._kmeans(pts.tobytes(), 4, seed, 1e-6, 50)
-        assert (sizes == 0).any() and sizes.sum() == len(pts)
         for pos in ([50.0, 0.0, 0.0], [0.0, 50.0, 0.0], [0.0, 0.0, 50.0]):
-            assert_same_cluster(nearest_uninspected_cluster(sph, pos, k=4, seed=seed),
-                                kmeans_oracle(sph, pos, k=4, seed=seed))
+            assert_same_cluster(nearest_uninspected_cluster(sph, pos),
+                                kmeans_oracle(sph, pos))
+        centers = inspection._kmeans(pts.tobytes(), 4)
+        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        sizes = np.bincount(np.argmin(d2, axis=1), minlength=4)
+        assert (sizes == 0).any() and sizes.sum() == len(pts)
 
-    def test_antipodal_fallback(self):
+    def test_antipodal_fallback(self, cluster_setup):
         # one cluster of two antipodal points has its centroid at the origin
+        cluster_setup(k=1)
         pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
         sph = InspectionSphere(pts, np.zeros(2, dtype=bool), 10.0)
         for pos in ([-50.0, 3.0, 0.0], [50.0, 0.0, 1.0]):
-            res = nearest_uninspected_cluster(sph, pos, k=1)
-            assert_same_cluster(res, kmeans_oracle(sph, pos, k=1))
-            assert res.cluster_size == 2
-            assert np.array_equal(res.direction, [math.copysign(1.0, pos[0]), 0.0, 0.0])
+            res = nearest_uninspected_cluster(sph, pos)
+            assert_same_cluster(res, kmeans_oracle(sph, pos))
+            assert np.array_equal(res, [math.copysign(1.0, pos[0]), 0.0, 0.0])
 
     @pytest.mark.parametrize("k", [1, 6, 8])
-    def test_single_uninspected_point(self, k):
+    def test_single_uninspected_point(self, cluster_setup, k):
+        cluster_setup(k=k)
         sph = generate_points()
         sph.inspected[:] = True
         sph.inspected[17] = False
+        q = sph.points[17] / np.linalg.norm(sph.points[17])
         for pos in ([100.0, 0.0, 0.0], [-3.0, 40.0, 12.0]):
-            res = nearest_uninspected_cluster(sph, pos, k=k)
-            assert_same_cluster(res, kmeans_oracle(sph, pos, k=k))
-            assert res.cluster_size == 1 and res.converged
+            res = nearest_uninspected_cluster(sph, pos)
+            assert_same_cluster(res, kmeans_oracle(sph, pos))
+            assert np.allclose(res, q)
 
 
 def test_summation_order_identities():

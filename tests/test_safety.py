@@ -10,8 +10,7 @@ import pytest
 from cwinspect.dynamics import DynamicsParams, cw_matrices
 from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, _barriers,
                               cbf_rows, h_values, h_values_batch,
-                              hold_gradients, hold_values, is_safe,
-                              keep_in_guard)
+                              hold_gradients, hold_values, keep_in_guard)
 
 SP = SafetyParams()
 DP = DynamicsParams()
@@ -19,6 +18,11 @@ DP = DynamicsParams()
 
 def state(p, v):
     return np.concatenate([np.asarray(p, float), np.asarray(v, float)])
+
+
+def is_safe(x, params):
+    """Safe-set membership as callers write it: every barrier >= 0."""
+    return h_values(x, params).min() >= 0
 
 
 def grad_h(states, params):
@@ -127,7 +131,7 @@ class TestOneOrBatch:
     @pytest.mark.parametrize("fn", [h_values, is_safe, lambda x, p: cbf_rows(x, p, DP)],
                              ids=["h_values", "is_safe", "cbf_rows"])
     def test_nonfinite_states_rejected(self, fn, bad, batch):
-        # these used to return NaN values and rows, and is_safe False
+        # these used to return NaN values and rows and a False safe-set check
         x = np.full((3, 6) if batch else 6, 100.0)
         x[(-1, 4) if batch else 4] = bad
         with pytest.raises(ValueError, match="finite"):
