@@ -164,7 +164,7 @@ def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     return _fly(D[-1:], S[-1:], X, u)[:, -1]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def hold_maps(params: DynamicsParams, period: float) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 

@@ -11,16 +11,16 @@ or after 1223 steps.  Observations come in two flavours:
 
 The cluster direction is the experiments' one k-means setup.  A non-finite
 state, or a non-finite sun angle in all-sensors mode, is refused with a
-``ValueError``.  An episode holds a :class:`RelativeState`: the 6-state
-propagated by :func:`cwinspect.dynamics.step`, with the clock and sun angle
-it advances.
+``ValueError``.  An episode starts from the paper's initial state, flies the
+default dynamics constants and holds a frozen :class:`RelativeState`: the
+read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,7 @@ POINTS_NORM = 100.0  # inspected-point count divided by this
 
 MAX_EPISODE_STEPS = 1223
 RL_STEP_SECONDS = 10.0
+_DYNAMICS = DynamicsParams()  # every episode flies the default constants
 
 # Reference initial condition used by all experiments:
 # [x, y, z, xd, yd, zd] in m and m/s, plus the initial sun angle in rad.
@@ -97,44 +98,25 @@ def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
                                   sun_angle % (2.0 * np.pi)), direction])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RelativeState:
     """Deputy state in Hill's frame plus the episode clock and the sun angle,
-    stored unwrapped (monotone in time); :meth:`vector` gives the 6-state."""
+    stored unwrapped (monotone in time); :meth:`vector` copies the 6-state."""
 
-    position: np.ndarray  # [m], shape (3,)
-    velocity: np.ndarray  # [m/s], shape (3,)
-    sun_angle: float = 0.0  # [rad], unwrapped
-    t: float = 0.0  # [s], space frame
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3).copy()
-        self.sun_angle = float(self.sun_angle)
-        self.t = float(self.t)
-        if not (
-            np.all(np.isfinite(self.position))
-            and np.all(np.isfinite(self.velocity))
-            and math.isfinite(self.sun_angle)
-            and math.isfinite(self.t)
-        ):
-            raise ValueError("RelativeState components must be finite")
+    x: np.ndarray  # [m, m/s], shape (6,), read-only
+    sun_angle: float  # [rad], unwrapped
+    t: float  # [s], space frame
 
     def vector(self) -> np.ndarray:
-        """Return the 6-vector [x, y, z, xd, yd, zd]."""
-        return np.concatenate([self.position, self.velocity])
+        """Return a copy of the 6-vector [x, y, z, xd, yd, zd]."""
+        return self.x.copy()
 
 
 @dataclass
 class EnvConfig:
     mode: str = OBS_NO_SENSORS
     illumination: bool = False
-    initial_state: np.ndarray = field(
-        default_factory=lambda: PAPER_INITIAL_STATE.copy())
-    initial_sun_angle: float = PAPER_INITIAL_SUN_ANGLE
-    dt: float = RL_STEP_SECONDS
     max_steps: int = MAX_EPISODE_STEPS
-    dynamics: DynamicsParams = field(default_factory=DynamicsParams)
 
     def __post_init__(self):
         if self.mode not in (OBS_NO_SENSORS, OBS_ALL_SENSORS):
@@ -142,18 +124,14 @@ class EnvConfig:
         if not isinstance(self.illumination, (bool, np.bool_)):
             raise ValueError(f"illumination must be a bool, got {self.illumination!r}")
         self.illumination = bool(self.illumination)
-        state = np.array(self.initial_state, dtype=float)
-        if state.shape != (6,) or not np.isfinite(state).all():
-            raise ValueError("initial_state must be 6 finite values")
-        self.initial_state = state
-        if not math.isfinite(self.initial_sun_angle):
-            raise ValueError("initial_sun_angle must be finite")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+        if isinstance(self.max_steps, bool) or not (
+                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        if not isinstance(self.dynamics, DynamicsParams):
-            raise ValueError("dynamics must be a DynamicsParams")
+
+    @property
+    def dt(self) -> float:
+        """The step length [s]: always :data:`RL_STEP_SECONDS`."""
+        return RL_STEP_SECONDS
 
 
 class InspectionEnv:
@@ -172,10 +150,10 @@ class InspectionEnv:
         """Start a fresh episode; deterministic.  The config is checked again
         (fields may have been assigned after construction) and the episode
         runs on that checked copy; ValueError for a field it refuses."""
-        cfg = self.config = dataclasses.replace(self.config)
-        self.state = RelativeState(
-            cfg.initial_state[:3], cfg.initial_state[3:],
-            cfg.initial_sun_angle, 0.0)
+        self.config = dataclasses.replace(self.config)
+        x = PAPER_INITIAL_STATE.copy()
+        x.setflags(write=False)
+        self.state = RelativeState(x, PAPER_INITIAL_SUN_ANGLE, 0.0)
         self.sphere = inspection.generate_points()
         self.total_delta_v = 0.0
         self.total_reward = 0.0
@@ -184,7 +162,7 @@ class InspectionEnv:
         return self.observe()
 
     def observe(self) -> np.ndarray:
-        return build_observation(self.state.vector(), self.state.sun_angle,
+        return build_observation(self.state.x, self.state.sun_angle,
                                  self.sphere, self.config.mode)
 
     def step(self, action):
@@ -197,23 +175,22 @@ class InspectionEnv:
             raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episode is done; call reset()")
-        cfg = self.config
         u = np.clip(np.asarray(action, dtype=float).reshape(3),
-                    -cfg.dynamics.u_max, cfg.dynamics.u_max)
-        x = step(self.state.vector(), u, cfg.dt, cfg.dynamics)
+                    -_DYNAMICS.u_max, _DYNAMICS.u_max)
+        x = step(self.state.x, u, RL_STEP_SECONDS, _DYNAMICS)
+        x.setflags(write=False)
         self.state = RelativeState(
-            x[:3], x[3:], self.state.sun_angle - cfg.dynamics.mean_motion * cfg.dt,
-            self.state.t + cfg.dt)
+            x, self.state.sun_angle - _DYNAMICS.mean_motion * RL_STEP_SECONDS,
+            self.state.t + RL_STEP_SECONDS)
         newly = inspection.update_inspected(
-            self.sphere, self.state.position, self.state.sun_angle,
-            cfg.illumination)
-        dv = delta_v(u, cfg.dt, cfg.dynamics.mass)
+            self.sphere, x[:3], self.state.sun_angle, self.config.illumination)
+        dv = delta_v(u, RL_STEP_SECONDS, _DYNAMICS.mass)
         self.total_delta_v += dv
         reward = 0.1 * newly - 0.1 * dv
         self.total_reward += reward
         self.step_index += 1
         inspected = inspection.inspected_count(self.sphere)
-        if inspected == len(self.sphere.inspected) or self.step_index >= cfg.max_steps:
+        if inspected == len(self.sphere.inspected) or self.step_index >= self.config.max_steps:
             self.done = True
         info = {
             "newly_inspected": newly,

@@ -131,8 +131,8 @@ class ExperimentConfig:
             raise ValueError("control_rate must be positive and finite")
         if not 0.0 < self.max_duration < math.inf:
             raise ValueError("max_duration must be positive and finite")
-        if self.max_steps is not None and not (
-                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+        if self.max_steps is not None and (isinstance(self.max_steps, bool) or not (
+                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1)):
             raise ValueError("max_steps must be a positive integer or None")
         if isinstance(self.seed, bool) or not (
                 isinstance(self.seed, (int, np.integer)) and self.seed >= 0):

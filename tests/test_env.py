@@ -2,6 +2,7 @@
 observation normalization, reward and delta-v accounting, termination
 rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from cwinspect.dynamics import DynamicsParams, step
 from cwinspect.env import (MAX_EPISODE_STEPS, OBS_ALL_SENSORS, OBS_NO_SENSORS,
-                           POSITION_NORM, VELOCITY_NORM, EnvConfig,
+                           POSITION_NORM, RL_STEP_SECONDS, VELOCITY_NORM, EnvConfig,
                            InspectionEnv, RelativeState, build_observation,
                            delta_v, normalize_state)
 from cwinspect.inspection import generate_points
@@ -17,16 +18,48 @@ from cwinspect.inspection import generate_points
 
 class TestState:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            RelativeState([np.nan, 0, 0], np.zeros(3))
+        # the record holds only step outputs: a NaN thrust is refused before
+        # one is built (an infinite one is clipped to the box), and the
+        # state is kept
+        env = InspectionEnv()
+        env.reset()
+        before = env.state
+        with pytest.raises(ValueError, match="finite"):
+            env.step([math.nan, 0.0, 0.0])
+        assert env.state is before and env.step_index == 0
+
+    def test_record_fields(self):
+        assert [f.name for f in dataclasses.fields(RelativeState)] == ["x", "sun_angle", "t"]
+
+    def test_record_is_frozen_and_its_state_read_only(self):
+        env = InspectionEnv()
+        env.reset()
+        for _ in range(2):
+            state = env.state
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.x = np.zeros(6)
+            with pytest.raises(ValueError, match="read-only"):
+                state.x[0] = 0.0
+            env.step([0.2, -0.4, 0.1])
+
+    def test_vector_is_a_writable_copy_of_the_step(self):
+        env = InspectionEnv()
+        env.reset()
+        x = env.state.vector()
+        env.step([0.2, -0.4, 0.1])
+        v = env.state.vector()
+        assert v.tobytes() == step(x, [0.2, -0.4, 0.1], RL_STEP_SECONDS,
+                                   DynamicsParams()).tobytes()
+        v[0] = 1e6
+        assert env.state.x[0] != 1e6
 
 
 class TestConfig:
     def test_defaults_accepted(self):
-        cfg = EnvConfig(illumination=np.bool_(True), max_steps=np.int64(5),
-                        initial_state=[1, 2, 3, 0, 0, 0])
+        cfg = EnvConfig(illumination=np.bool_(True), max_steps=np.int64(5))
         assert cfg.illumination is True
-        assert cfg.initial_state.dtype == float and cfg.initial_state.shape == (6,)
+        assert [f.name for f in dataclasses.fields(EnvConfig)] == [
+            "mode", "illumination", "max_steps"]
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "sensors"}, {"illumination": "no"}, {"illumination": 1},
@@ -39,9 +72,19 @@ class TestConfig:
     ])
     def test_invalid_fields_rejected(self, kwargs):
         # dt=-1 used to fail only at the first step, max_steps=0 or -5 to
-        # end the episode after one step, and illumination="no" to be taken
-        with pytest.raises(ValueError):
+        # end the episode after one step, and illumination="no" to be taken;
+        # the step, the initial state and sun angle and the dynamics are the
+        # paper's constants, so their keywords are refused
+        fields = {f.name for f in dataclasses.fields(EnvConfig)}
+        with pytest.raises(ValueError if set(kwargs) <= fields else TypeError):
             EnvConfig(**kwargs)
+
+    def test_dt_is_the_rl_step(self):
+        cfg = EnvConfig()
+        assert cfg.dt == RL_STEP_SECONDS
+        with pytest.raises(AttributeError):
+            cfg.dt = 1.0
+        assert cfg.dt == RL_STEP_SECONDS
 
     @pytest.mark.parametrize("name, value", [("max_steps", 0), ("illumination", "no")])
     def test_reset_checks_fields_assigned_after_construction(self, name, value):
@@ -152,16 +195,12 @@ class TestStep:
             assert np.array_equal(env.state.vector(), step(x, action, 10.0, dyn))
 
     def test_sun_angle_arithmetic(self):
-        env = InspectionEnv(EnvConfig(initial_sun_angle=3.42, dt=1000.0))
+        env = InspectionEnv()
         env.reset()
+        assert env.state.sun_angle == 3.42 and env.state.t == 0.0
         _, _, _, info = env.step(np.zeros(3))
-        assert env.state.sun_angle == pytest.approx(2.393, abs=1e-12)
-        assert env.state.t == info["t"] == pytest.approx(1000.0)
-        env = InspectionEnv(EnvConfig(initial_sun_angle=0.5, dt=1.0))
-        env.reset()
-        env.step(np.zeros(3))
-        assert env.state.sun_angle - 0.5 == pytest.approx(-0.001027)
-        assert env.state.t == 1.0
+        assert env.state.sun_angle == pytest.approx(3.40973, abs=1e-12)
+        assert env.state.t == info["t"] == 10.0
 
     def test_zero_action_after_hemisphere_sweep(self):
         env = InspectionEnv()

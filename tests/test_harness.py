@@ -12,7 +12,7 @@ from cwinspect import harness
 from cwinspect.cli import main as cli_main
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.dynamics import DynamicsParams, hold_maps, step
-from cwinspect.env import delta_v
+from cwinspect.env import EnvConfig, delta_v
 from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
                                inject_noise, load_config, run, run_batch)
@@ -75,6 +75,20 @@ class TestDefaults:
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(max_steps=-1)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("build", [
+        lambda value, path: ExperimentConfig(max_steps=value),
+        lambda value, path: EnvConfig(max_steps=value),
+        lambda value, path: load_config(path),
+    ], ids=["ExperimentConfig", "EnvConfig", "load_config"])
+    def test_bool_max_steps_rejected(self, build, value, tmp_path):
+        # max_steps=True used to load and then fail in run with a TypeError,
+        # and to end every env episode after one step
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"max_steps": value}))
+        with pytest.raises(ValueError, match="max_steps"):
+            build(value, path)
 
     def test_infinite_position_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -79,3 +79,20 @@ def test_every_public_name_has_a_caller_or_a_test():
               for n in getattr(importlib.import_module(f"cwinspect.{m.name}"), "__all__", ())
               if n not in read]
     assert not unused, f"public names with no caller and no test: {unused}"
+
+
+def test_every_module_reads_its_imports():
+    # each name a module imports at module level is read by its code, so a
+    # deletion cannot leave an import behind; __init__ only re-exports
+    package = Path(cwinspect.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        read = _loaded_names(path)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.stem}.{name}" for alias in node.names
+                           if (name := alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unused, f"imported and never read: {unused}"

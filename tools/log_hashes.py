@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from cwinspect.control import mlp_act, mlp_save, random_policy
+from cwinspect.dynamics import DynamicsParams
 from cwinspect.env import (OBS_ALL_SENSORS, OBS_NO_SENSORS, EnvConfig,
                            InspectionEnv)
 from cwinspect.harness import default_experiment, emit, run
@@ -51,7 +52,7 @@ def _env_rollout(mode: str, inputs: int, seed: int, illumination: bool):
     env = InspectionEnv(EnvConfig(mode=mode, illumination=illumination,
                                   max_steps=NNC_STEPS))
     policy = random_policy(inputs, seed=seed)
-    u_max = env.config.dynamics.u_max
+    u_max = DynamicsParams().u_max
     obs, done, steps = env.reset(), False, 0
     digest = hashlib.sha256()
     while not done:
