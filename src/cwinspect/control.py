@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsParams, cw_matrices
+from .dynamics import DynamicsParams, _clamp, cw_matrices
 
 __all__ = [
     "LqrController",
@@ -53,7 +53,7 @@ __all__ = [
 
 VALID_INPUT_DIMS = (6, 11)
 OUTPUT_DIM = 6
-_ACTIVATIONS = {"tanh": np.tanh, "linear": lambda x: x}
+_ACTIVATIONS = ("tanh", "linear")
 
 DEFAULT_LQR_Q = 1e-3 * np.eye(6)
 DEFAULT_LQR_R = np.eye(3)
@@ -100,7 +100,7 @@ def lqr_design(dyn: DynamicsParams) -> LqrController:
 def lqr_control(ctrl: LqrController, x, dyn: DynamicsParams) -> np.ndarray:
     """u = clamp(-K x) to the per-axis thrust box for the 6-state ``x``."""
     u = -ctrl.K @ np.asarray(x, dtype=float).reshape(6)
-    return np.clip(u, -dyn.u_max, dyn.u_max)
+    return _clamp(u, dyn.u_max)
 
 
 @dataclass
@@ -233,8 +233,10 @@ def mlp_act(policy: MlpPolicy, observation, u_max: float = 1.0) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("observation must be finite")
     for layer in policy.layers:
-        x = _ACTIVATIONS[layer.activation](layer.weights @ x + layer.bias)
-    return np.clip(x[:3], -u_max, u_max)
+        x = layer.weights @ x + layer.bias
+        if layer.activation == "tanh":
+            np.tanh(x, out=x)
+    return _clamp(x[:3], u_max)
 
 
 def random_policy(input_dim: int, hidden=(256, 256), seed: int = 0,
@@ -278,5 +280,4 @@ class ScriptedOrbitController:
         a_ref = -self.rate**2 * _ORBIT_RADIUS * rho_hat
         a_nat = (self._A @ x)[3:]
         a_cmd = a_ref + _ORBIT_KV * (v_ref - v) + _ORBIT_GAIN * (p_ref - p) - a_nat
-        return np.clip(self.params.mass * a_cmd,
-                       -self.params.u_max, self.params.u_max)
+        return _clamp(self.params.mass * a_cmd, self.params.u_max)

@@ -86,11 +86,10 @@ def cw_matrices(params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    return arr
+def _clamp(u: np.ndarray, limit: float) -> np.ndarray:
+    """``u`` clamped to the box [-limit, limit]: the bits of ``np.clip``
+    (a NaN stays NaN, -0.0 stays -0.0) in about half its time."""
+    return np.minimum(np.maximum(u, -limit), limit)
 
 
 def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
@@ -145,7 +144,18 @@ def _fly(D, S, x, u) -> np.ndarray:
     state and substep.  One state on one map (6, 6), (6, 3) flies to (6,)."""
     if x.ndim == 1:
         return x + (D @ x + S @ u)
-    return x[:, None] + (D @ x[:, None, :, None] + S @ u[..., None, :, None])[..., 0]
+    return _add_thrust(x, _free_motion(D, x), S, u)
+
+
+def _free_motion(D, X) -> np.ndarray:
+    """The thrust-free part D_j x (N, J, 6, 1) of the holds of states X (N, 6)."""
+    return D @ X[:, None, :, None]
+
+
+def _add_thrust(X, free, S, u) -> np.ndarray:
+    """:func:`_fly` of states X (N, 6) from their ``free`` = :func:`_free_motion`,
+    so a state flown under several thrusts is multiplied by D once."""
+    return X[:, None] + (free + S @ u[..., None, :, None])[..., 0]
 
 
 def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
@@ -158,7 +168,10 @@ def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     """
     D, S = hold_maps(params, float(dt))
     X, single = _as_state_matrix(x)
-    u = _require_finite(u, "control").reshape(3)
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("control must be finite")
+    u = u.reshape(3)
     if single:
         return _fly(D[-1], S[-1], X[0], u)
     return _fly(D[-1:], S[-1:], X, u)[:, -1]

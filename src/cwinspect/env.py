@@ -10,10 +10,10 @@ or after 1223 steps.  Observations come in two flavours:
                     x_UPS, y_UPS, z_UPS]          (uninspected-cluster unit vector)
 
 The cluster direction is the experiments' one k-means setup.  A non-finite
-state, or a non-finite sun angle in all-sensors mode, is refused with a
-``ValueError``.  An episode starts from the paper's initial state, flies the
-default dynamics constants and holds a frozen :class:`RelativeState`: the
-read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock.
+state or action, or a non-finite sun angle in all-sensors mode, is refused
+with a ``ValueError``.  An episode starts from the paper's initial state,
+flies the default dynamics constants and holds a frozen :class:`RelativeState`:
+the read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inspection
-from .dynamics import DynamicsParams, step
+from .dynamics import DynamicsParams, _clamp, step
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -61,23 +61,28 @@ _DYNAMICS = DynamicsParams()  # every episode flies the default constants
 PAPER_INITIAL_STATE = np.array([21.8, -11.3, 41.8, 0.0, 0.0, 0.0])
 PAPER_INITIAL_SUN_ANGLE = 3.42
 
+# normalize_state's divisors: dividing by 1 / VELOCITY_NORM = 0.5, a power
+# of two, gives the bits of multiplying by VELOCITY_NORM
+_STATE_DIVISORS = np.array([POSITION_NORM] * 3 + [1.0 / VELOCITY_NORM] * 3)
+
 
 def delta_v(action, dt: float, mass: float) -> float:
-    """Fuel-use proxy (|Fx| + |Fy| + |Fz|) / m * dt in m/s."""
+    """Fuel-use proxy (|Fx| + |Fy| + |Fz|) / m * dt in m/s; a non-finite
+    action is refused with a ``ValueError``."""
     if not (0.0 < dt < math.inf and mass > 0.0):
         raise ValueError("dt must be positive and finite and mass positive")
-    F = np.asarray(action, dtype=float).reshape(3)
-    return float(np.abs(F).sum() / mass * dt)
+    fx, fy, fz = np.asarray(action, dtype=float).reshape(3).tolist()
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
+        raise ValueError("action must be finite")
+    # summed left to right, as np.abs(F).sum() adds three entries
+    return float((abs(fx) + abs(fy) + abs(fz)) / mass * dt)
 
 
 def normalize_state(vec6) -> np.ndarray:
     x = np.asarray(vec6, dtype=float).reshape(6)
     if not np.isfinite(x).all():
         raise ValueError("state must be finite")
-    out = np.empty(6)
-    out[:3] = x[:3] / POSITION_NORM
-    out[3:] = x[3:] * VELOCITY_NORM
-    return out
+    return x / _STATE_DIVISORS
 
 
 def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
@@ -98,7 +103,7 @@ def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
                                   sun_angle % (2.0 * np.pi)), direction])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RelativeState:
     """Deputy state in Hill's frame plus the episode clock and the sun angle,
     stored unwrapped (monotone in time); :meth:`vector` copies the 6-state."""
@@ -162,28 +167,37 @@ class InspectionEnv:
         return self.observe()
 
     def observe(self) -> np.ndarray:
-        return build_observation(self.state.x, self.state.sun_angle,
-                                 self.sphere, self.config.mode)
+        """The observation of the current state; raises if the episode was
+        never reset."""
+        state = self.state
+        if state is None:
+            raise RuntimeError("call reset() before observe()")
+        return build_observation(state.x, state.sun_angle, self.sphere, self.config.mode)
 
     def step(self, action):
         """Apply a thrust command for one 10 s step.
 
         Returns (observation, reward, done, info).  Raises if the episode
-        already terminated.
+        already terminated, and ``ValueError`` for a non-finite action, which
+        leaves the state and totals as they were; a finite action is clamped
+        to the thrust box.
         """
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episode is done; call reset()")
-        u = np.clip(np.asarray(action, dtype=float).reshape(3),
-                    -_DYNAMICS.u_max, _DYNAMICS.u_max)
-        x = step(self.state.x, u, RL_STEP_SECONDS, _DYNAMICS)
+        action = np.asarray(action, dtype=float).reshape(3)
+        if not np.isfinite(action).all():
+            raise ValueError("action must be finite")
+        u = _clamp(action, _DYNAMICS.u_max)
+        x = step(state.x, u, RL_STEP_SECONDS, _DYNAMICS)
         x.setflags(write=False)
-        self.state = RelativeState(
-            x, self.state.sun_angle - _DYNAMICS.mean_motion * RL_STEP_SECONDS,
-            self.state.t + RL_STEP_SECONDS)
+        state = self.state = RelativeState(
+            x, state.sun_angle - _DYNAMICS.mean_motion * RL_STEP_SECONDS,
+            state.t + RL_STEP_SECONDS)
         newly = inspection.update_inspected(
-            self.sphere, x[:3], self.state.sun_angle, self.config.illumination)
+            self.sphere, x[:3], state.sun_angle, self.config.illumination)
         dv = delta_v(u, RL_STEP_SECONDS, _DYNAMICS.mass)
         self.total_delta_v += dv
         reward = 0.1 * newly - 0.1 * dv
@@ -197,7 +211,7 @@ class InspectionEnv:
             "inspected": inspected,
             "step_delta_v": dv,
             "total_delta_v": self.total_delta_v,
-            "t": self.state.t,
+            "t": state.t,
         }
         return self.observe(), reward, self.done, info
 

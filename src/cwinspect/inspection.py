@@ -45,9 +45,18 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 @dataclass
 class InspectionSphere:
+    """:func:`update_inspected` keeps the unit vectors ``points / radius`` of
+    a sphere until ``points`` or ``radius`` is assigned; the points of
+    :func:`generate_points` are read-only, so they change only that way."""
+
     points: np.ndarray  # (count, 3) [m], on the sphere surface
     inspected: np.ndarray  # (count,) bool
     radius: float  # [m]
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in ("points", "radius"):
+            object.__setattr__(self, "_unit", None)
 
 
 def generate_points() -> InspectionSphere:
@@ -62,6 +71,7 @@ def generate_points() -> InspectionSphere:
     r_xy = np.sqrt(1.0 - z * z)
     theta = _GOLDEN_ANGLE * i
     pts = SPHERE_RADIUS * np.stack([r_xy * np.cos(theta), r_xy * np.sin(theta), z], axis=1)
+    pts.setflags(write=False)
     return InspectionSphere(pts, np.zeros(SPHERE_POINT_COUNT, dtype=bool), SPHERE_RADIUS)
 
 
@@ -89,12 +99,13 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0
-    p_hat = p / dist
-    r_hat = sphere.points / sphere.radius
-    visible = r_hat @ p_hat > 0.0
+    r_hat = sphere._unit
+    if r_hat is None:
+        r_hat = sphere._unit = sphere.points / sphere.radius
+    visible = r_hat @ (p / dist) > 0.0
     if illumination_enabled:
         visible &= r_hat @ sun_vector(sun_angle) > 0.0
-    newly = visible & ~sphere.inspected
+    newly = visible > sphere.inspected
     sphere.inspected |= newly
     return int(np.count_nonzero(newly))
 
@@ -115,7 +126,9 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding of the points with coordinate rows ``coords``
-    (3, n); returns the initial centres as the columns of a (3, k) array."""
+    (3, n); returns the initial centres as the columns of a (3, k) array.
+    A later seed is drawn as ``rng.choice(n, p=d2 / total)`` draws it (the
+    tests' oracle), without that call's checks of ``p``."""
     n = coords.shape[1]
     centers = np.empty((3, k))
     centers[:, 0] = coords[:, rng.integers(n)]
@@ -126,7 +139,9 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
             # all remaining points coincide with a chosen center
             centers[:, j] = coords[:, rng.integers(n)]
             continue
-        centers[:, j] = coords[:, rng.choice(n, p=d2 / total)]
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centers[:, j] = coords[:, cdf.searchsorted(rng.random(), side="right")]
         d2 = np.minimum(d2, _sq_dist(coords, centers[:, j:j + 1]))
     return centers
 

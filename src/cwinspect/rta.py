@@ -45,7 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _as_state_matrix, _fly, hold_maps
+from .dynamics import (DynamicsParams, _add_thrust, _as_state_matrix, _clamp,
+                       _free_motion, hold_maps)
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
                      _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
 
@@ -223,7 +224,7 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
         viol = np.minimum(0.0, U @ C.T + b)
         return (viol * viol).sum(axis=1) + _PENALTY_WEIGHT * ((U - u_des) ** 2).sum(axis=1)
 
-    u = np.clip(u_des, -u_max, u_max)
+    u = _clamp(u_des, u_max)
     f = objective(u[None])[0]
     for _ in range(_MAX_QP_ITER):
         V = C @ u + b < 0.0
@@ -240,13 +241,13 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
         for a in active:
             w[a % 3], free[a % 3] = (u_max if a < 3 else -u_max), False
         w[free] = np.linalg.solve(M[free][:, free], -q[free] - M[free][:, ~free] @ w[~free])
-        trial = u + 0.5 ** np.arange(40)[:, None] * (w.clip(-u_max, u_max) - u)
+        trial = u + 0.5 ** np.arange(40)[:, None] * (_clamp(w, u_max) - u)
         f_trial = objective(trial)
         descends = (f_trial < f).nonzero()[0]
         if not descends.size:
             break
         u, f = trial[descends[0]], f_trial[descends[0]]
-    return np.clip(u, -u_max, u_max)
+    return _clamp(u, u_max)
 
 
 @lru_cache(maxsize=16)
@@ -269,10 +270,13 @@ def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
 def _holds(X, U, D, S, params, keep_in):
     """Holds (k, J, 6) flown from states X (k, 6) under thrusts U (k, 3), their
     conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
-    and the conditions at the states (k, 1, 9)."""
-    H = _fly(D, S, X, U)
+    the conditions at the states (k, 1, 9), and the states' free motion
+    (:func:`cwinspect.dynamics._free_motion`), which every later iterate's
+    hold reuses."""
+    F = _free_motion(D, X)
+    H = _add_thrust(X, F, S, U)
     K, T = _hold_pass(np.concatenate([X[:, None], H], axis=1), params, keep_in)
-    return H, K[:, 1:], [t[:, 1:] for t in T], K[:, :1]
+    return H, K[:, 1:], [t[:, 1:] for t in T], K[:, :1], F
 
 
 def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
@@ -285,7 +289,7 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
     reaches the exact hold conditions.  At the last stage those get the
     least-violation thrust instead."""
     U_act, active, feasible = out
-    H, K, T, K0 = hold
+    H, K, T, K0, F = hold
     D, S, axis_rows, ramp = plan
     n_cont = C6.shape[1]
     n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
@@ -320,10 +324,10 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
             unsolved(s, C, b)
         return ok
 
-    # positions in idx still being solved, with their states, rows, floors
-    # and targets, cut down together
+    # positions in idx still being solved, with their states, free motion,
+    # rows, floors and targets, cut down together
     todo = np.arange(len(idx))
-    per = [X[idx], C_cont, b_cont, np.minimum(0.0, K0),
+    per = [X[idx], F, C_cont, b_cont, np.minimum(0.0, K0),
            np.minimum(_MARGINS, K0 + ramp) + 2.0 * _FEAS_TOL]
 
     if _STAGES[stage][1]:
@@ -334,10 +338,10 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
         # an optimum with no active row is its request, whose hold is known
         if not all(kept) or any(active[i] for i in idx):
             todo, per = todo[kept], [a[kept] for a in per]
-            H = _fly(D, S, per[0], u[todo])
+            H = _add_thrust(per[0], per[1], S, u[todo])
             K, T = _hold_pass(H, params, keep_in)
     for n_linearized in range(_MAX_LINEARIZATIONS + 1):
-        held = (K >= per[3]).all(axis=(1, 2))
+        held = (K >= per[4]).all(axis=(1, 2))
         if held.any():
             U_act[idx[todo[held]]] = u[todo[held]]
             keep = ~held
@@ -347,7 +351,7 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
                 per = [a[keep] for a in per]
         if not todo.size:
             break
-        _, C_cont, b_cont, _, target = per
+        _, _, C_cont, b_cont, _, target = per
         # rows of k1..k3 linearized at the hold, then the exact rows of k4..k9
         C_hold = np.empty((len(todo), len(S), NUM_HOLD_CONDITIONS, 3))
         C_hold[:, :, :3] = np.einsum("njkd,jde->njke",
@@ -369,7 +373,7 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
         kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
         if not all(kept):
             todo, per = todo[kept], [a[kept] for a in per]
-        H = _fly(D, S, per[0], u[todo])
+        H = _add_thrust(per[0], per[1], S, u[todo])
         K, T = _hold_pass(H, params, keep_in)
     return failed
 
@@ -380,7 +384,7 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
     feasible), feasible False for a least-violation thrust."""
     guard, *plan = _hold_plan(params, dyn, float(period))
-    H, K, T, K0 = _holds(X, U, *plan[:2], params, guard)
+    H, K, T, K0, F = _holds(X, U, *plan[:2], params, guard)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
                   & (K >= np.minimum(0.0, K0)).all(axis=(1, 2)))
     out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
@@ -398,9 +402,9 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
         if not guarded:
             hold = _holds(X[idx], U[idx], *plan[:2], params, None)
         elif len(idx) == len(X):  # every state
-            hold = H, K, T, K0
+            hold = H, K, T, K0, F
         else:
-            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx]
+            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], F[idx]
         failed = _hold_qp(X, U, C6, b6, idx, stage, guard if guarded else None,
                           hold, plan, params, dyn, out)
         if failed.any():
@@ -429,7 +433,7 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
         raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
     if not np.isfinite(U).all():
         raise ValueError("u_des must be finite")
-    U = U.clip(-dyn.u_max, dyn.u_max).reshape(-1, 3)
+    U = _clamp(U, dyn.u_max).reshape(-1, 3)
     C, b = cbf_rows(X, params, dyn)
     U_act, active, feasible = _filter_states(X, U, C, b, params, dyn, period)
     # np.linalg.norm's arithmetic, one row at a time

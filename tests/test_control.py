@@ -65,6 +65,15 @@ class TestLqr:
         assert np.all(np.abs(u) <= DP.u_max)
         assert u[0] == -DP.u_max
 
+    def test_clamp_is_np_clip_bit_for_bit(self):
+        ctrl = lqr_design(DP)
+        rng = np.random.default_rng(13)
+        for scale in (1.0, 100.0, 1e4):
+            for _ in range(50):
+                x = rng.normal(0, scale, 6)
+                expected = np.clip(-ctrl.K @ x, -DP.u_max, DP.u_max)
+                assert lqr_control(ctrl, x, DP).tobytes() == expected.tobytes()
+
     def test_linear_before_saturation(self):
         ctrl = lqr_design(DP)
         x = np.array([0.5, -0.2, 0.3, 0.001, 0, 0])
@@ -221,7 +230,38 @@ def test_saved_document_is_base64(tmp_path):
     assert (entry["rows"], entry["cols"]) == (3, 6)
 
 
+# the per-call activation lookup mlp_act used to make, kept as its oracle
+ACTIVATIONS = {"tanh": np.tanh, "linear": lambda x: x}
+
+
+def mlp_act_oracle(policy, observation, u_max=1.0):
+    x = np.asarray(observation, dtype=float).reshape(-1)
+    for layer in policy.layers:
+        x = ACTIVATIONS[layer.activation](layer.weights @ x + layer.bias)
+    return np.clip(x[:3], -u_max, u_max)
+
+
 class TestMlpInference:
+    @pytest.mark.parametrize("policy", [
+        random_policy(6, seed=3),
+        random_policy(11, hidden=(32, 16), seed=4, scale=2.0),
+        mlp_loads(json.dumps({"input_dim": 6, "layers": [
+            {"rows": 8, "cols": 6, "weights": list(np.linspace(-2, 2, 48)),
+             "bias": [0.1] * 8, "activation": "linear"},
+            {"rows": 8, "cols": 8, "weights": list(np.linspace(3, -3, 64)),
+             "bias": [-0.2] * 8, "activation": "tanh"},
+            {"rows": 6, "cols": 8, "weights": list(np.linspace(-1, 1, 48)),
+             "bias": [0.0] * 6, "activation": "linear"}]})),
+    ], ids=["2x256", "2-layer-11", "linear-hidden"])
+    def test_matches_the_activation_loop_bit_for_bit(self, policy):
+        rng = np.random.default_rng(12)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(40):
+                obs = rng.normal(0, scale, policy.input_dim)
+                for u_max in (1.0, 0.05):
+                    assert (mlp_act(policy, obs, u_max).tobytes()
+                            == mlp_act_oracle(policy, obs, u_max).tobytes())
+
     def test_zero_weights_zero_output(self):
         doc = policy_doc(6, hidden=(4,))
         for l in doc["layers"]:

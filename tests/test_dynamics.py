@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cwinspect.dynamics import (_MAX_SUBSTEPS, DEFAULT_SUBSTEP, DynamicsParams,
+                                _add_thrust, _clamp, _free_motion,
                                 cw_matrices, cw_stm, hold_maps, rk4_zoh_map,
                                 step, sun_vector)
 
@@ -281,3 +285,40 @@ class TestSunVector:
         rng = np.random.default_rng(11)
         for theta in rng.uniform(-50, 50, 200):
             assert abs(np.linalg.norm(sun_vector(theta)) - 1.0) < 1e-12
+
+
+class TestSharedHelpers:
+    """The clamp and the split hold flight against the numpy forms they
+    replace, bit for bit."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+             0.3, -0.3, 2.5, -2.5, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
+             math.nan]
+
+    @pytest.mark.parametrize("limit", [1.0, 0.3, 2.5])
+    def test_clamp_is_np_clip_on_edges(self, limit):
+        # signed zeros, values exactly at +-limit, huge values and NaN
+        v = np.array(self.EDGES)
+        assert _clamp(v, limit).tobytes() == np.clip(v, -limit, limit).tobytes()
+        assert np.signbit(_clamp(np.array([-0.0]), limit)[0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(u=arrays(float, st.sampled_from([(3,), (4, 3)]),
+                    elements=st.floats(allow_subnormal=True)),
+           limit=st.floats(1e-6, 1e6))
+    def test_clamp_is_np_clip(self, u, limit):
+        assert _clamp(u, limit).tobytes() == np.clip(u, -limit, limit).tobytes()
+
+    @pytest.mark.parametrize("period", [2.0, 10.0])
+    def test_free_motion_cut_down_flies_as_the_cut_down_states(self, period):
+        # the filter forms D @ x once for its states and cuts it down with
+        # them: each iterate's hold is still the one flown from the states
+        D, S = hold_maps(P, period)
+        rng = np.random.default_rng(4)
+        X = np.concatenate([rng.normal(0, 300, (9, 3)), rng.normal(0, 0.5, (9, 3))], axis=1)
+        U = rng.uniform(-1, 1, (9, 3))
+        free = _free_motion(D, X)
+        for keep in (np.arange(9), np.array([0, 3, 4, 8]), np.array([5])):
+            x, u = X[keep], U[keep]
+            fly = x[:, None] + (D @ x[:, None, :, None] + S @ u[..., None, :, None])[..., 0]
+            assert _add_thrust(x, free[keep], S, u).tobytes() == fly.tobytes()

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cwinspect.dynamics import DynamicsParams, step
 from cwinspect.env import (MAX_EPISODE_STEPS, OBS_ALL_SENSORS, OBS_NO_SENSORS,
@@ -19,14 +22,35 @@ from cwinspect.inspection import generate_points
 class TestState:
     def test_rejects_nonfinite(self):
         # the record holds only step outputs: a NaN thrust is refused before
-        # one is built (an infinite one is clipped to the box), and the
-        # state is kept
+        # one is built, and the state is kept
         env = InspectionEnv()
         env.reset()
         before = env.state
         with pytest.raises(ValueError, match="finite"):
             env.step([math.nan, 0.0, 0.0])
         assert env.state is before and env.step_index == 0
+
+    @pytest.mark.parametrize("action", [
+        [math.inf, -math.inf, 0.0], [0.0, 0.0, -math.inf], [0.3, math.nan, 0.0]])
+    def test_nonfinite_action_refused(self, action):
+        # [inf, -inf, 0] used to fly full thrust on two axes (step delta-v
+        # 1.667) while a NaN was refused; the state, clock and totals stay
+        env = InspectionEnv()
+        env.reset()
+        env.step([0.2, -0.4, 0.1])
+        before = (env.state, env.total_delta_v, env.total_reward, env.step_index,
+                  env.sphere.inspected.copy())
+        with pytest.raises(ValueError, match="action must be finite"):
+            env.step(action)
+        after = (env.state, env.total_delta_v, env.total_reward, env.step_index)
+        assert after == before[:4] and np.array_equal(env.sphere.inspected, before[4])
+        env.step([0.2, -0.4, 0.1])
+        assert env.step_index == 2
+
+    def test_observe_before_reset_raises(self):
+        # used to fail with AttributeError on the missing record
+        with pytest.raises(RuntimeError, match="reset"):
+            InspectionEnv().observe()
 
     def test_record_fields(self):
         assert [f.name for f in dataclasses.fields(RelativeState)] == ["x", "sun_angle", "t"]
@@ -110,6 +134,19 @@ class TestDeltaV:
         b = delta_v([0.3, -0.7, 0.1], 20.0, 12.0)
         assert b == pytest.approx(2 * a)
 
+    @pytest.mark.parametrize("action", [
+        [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 0.0, math.nan]])
+    def test_nonfinite_action_refused(self, action):
+        # [inf, 0, 0] used to give an infinite delta-v
+        with pytest.raises(ValueError, match="action must be finite"):
+            delta_v(action, 10.0, 12.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(F=arrays(float, 3, elements=st.floats(-1e100, 1e100, allow_subnormal=True)),
+           dt=st.floats(1e-3, 1e3), mass=st.floats(1e-3, 1e3))
+    def test_matches_the_numpy_formula_bit_for_bit(self, F, dt, mass):
+        assert delta_v(F, dt, mass) == float(np.abs(F).sum() / mass * dt)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             delta_v([0, 0, 0], 0.0, 12.0)
@@ -163,6 +200,18 @@ class TestObservations:
             obs = normalize_state(x)
             back = np.concatenate([obs[:3] * POSITION_NORM, obs[3:] / VELOCITY_NORM])
             assert np.all(np.abs(back - x) < 1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=arrays(float, 6, elements=st.floats(allow_nan=False, allow_infinity=False,
+                                                 allow_subnormal=True)))
+    def test_normalize_matches_the_scaling_bit_for_bit(self, x):
+        # one division by (100, 100, 100, 0.5, 0.5, 0.5): the bits of
+        # x[:3] / 100 and x[3:] * 2, signed zeros, subnormals and overflow
+        # to infinity included
+        with np.errstate(over="ignore"):
+            expected = np.concatenate([x[:3] / POSITION_NORM, x[3:] * VELOCITY_NORM])
+            assert normalize_state(x).tobytes() == expected.tobytes()
+            assert normalize_state(list(x)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", [

@@ -188,6 +188,58 @@ class TestVisibility:
             assert cur >= last
             last = cur
 
+    @staticmethod
+    def _per_call_oracle(sph, mask, p, sun_angle, illumination):
+        """The marking formula with ``points / radius`` formed on every call;
+        updates ``mask`` and returns the count newly marked."""
+        p = np.asarray(p, dtype=float)
+        dist = np.linalg.norm(p)
+        if dist <= sph.radius:
+            return 0
+        r_hat = sph.points / sph.radius
+        visible = r_hat @ (p / dist) > 0.0
+        if illumination:
+            visible &= r_hat @ np.array([math.cos(sun_angle), math.sin(sun_angle), 0.0]) > 0.0
+        newly = visible & ~mask
+        mask |= newly
+        return int(np.count_nonzero(newly))
+
+    @pytest.mark.parametrize("illumination", [False, True])
+    def test_matches_per_call_formula_on_a_custom_sphere(self, illumination):
+        # the unit vectors are kept per sphere: on non-default points and
+        # radius, and after points or radius is assigned, every call marks
+        # what the per-call formula marks
+        rng = np.random.default_rng(8)
+
+        def lattice(count, radius):
+            v = rng.normal(size=(count, 3))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            return radius * v * rng.uniform(0.9, 1.1, (count, 1))
+
+        sph = InspectionSphere(lattice(40, 7.3), np.zeros(40, dtype=bool), 7.3)
+        mask = np.zeros(40, dtype=bool)
+
+        def fly(calls):
+            for _ in range(calls):
+                p = rng.normal(0, 30, 3)
+                theta = rng.uniform(-10, 10)
+                expected = self._per_call_oracle(sph, mask, p, theta, illumination)
+                assert update_inspected(sph, p, theta, illumination) == expected
+                assert np.array_equal(sph.inspected, mask)
+
+        fly(30)
+        sph.points = lattice(40, 7.3)
+        sph.inspected[:] = mask[:] = False
+        fly(30)
+        sph.radius = 3.1
+        sph.inspected[:] = mask[:] = False
+        fly(30)
+
+    def test_generated_points_are_read_only(self):
+        # they change only by assignment, which drops the kept unit vectors
+        with pytest.raises(ValueError, match="read-only"):
+            generate_points().points[0, 0] = 1.0
+
     def test_circumnavigation_inspects_everything(self):
         sph = generate_points()
         for az in np.linspace(0.0, 2 * math.pi, 36, endpoint=False):
@@ -348,6 +400,26 @@ class TestOracleProperty:
         sph.inspected[:] = mask
         assert_same_cluster(nearest_uninspected_cluster(sph, pos),
                             kmeans_oracle(sph, pos))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mask=st.lists(st.booleans(), min_size=SPHERE_POINT_COUNT,
+                         max_size=SPHERE_POINT_COUNT),
+           copies=st.integers(1, 3), collapse=st.integers(0, 99),
+           seed=st.integers(0, 2**32 - 1))
+    def test_seeding_matches_rng_choice(self, mask, copies, collapse, seed):
+        # k-means++ seeding against the rng.choice loop: the same centres
+        # and the same draws taken from the generator, on random masks with
+        # repeated points and with the first points made to coincide (the
+        # zero-total branch)
+        pts = np.repeat(generate_points().points[~np.array(mask)], copies, axis=0)
+        if not len(pts):
+            return
+        pts[:collapse] = pts[0]
+        k = min(inspection.DEFAULT_CLUSTER_COUNT, len(pts))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = inspection._kmeans_pp_init(pts.T.copy(), k, rng)
+        assert got.T.tobytes() == _oracle_pp_init(pts, k, ref_rng).tobytes()
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_points_leave_a_cluster_empty(self, cluster_setup, seed):

@@ -1,0 +1,38 @@
+"""tools/ab_interleave.py: two trees timed in one process, both import
+orders, refused when their outputs differ."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_interleave.py"
+
+
+def _run(a, b, *extra):
+    return subprocess.run([sys.executable, str(TOOL), str(a), str(b), "--workload", "env",
+                           "--rounds", "2", "--steps", "20", *extra],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_a_tree_against_itself():
+    proc = _run(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["imported", "AB"], ["imported", "BA"], ["both", "orders"]]
+    assert lines[-1].endswith("of 4 rounds")
+
+
+def test_trees_with_different_outputs_are_refused(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "cwinspect", other / "src" / "cwinspect",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env_py = other / "src" / "cwinspect" / "env.py"
+    text = env_py.read_text()
+    assert "POSITION_NORM = 100.0" in text
+    env_py.write_text(text.replace("POSITION_NORM = 100.0", "POSITION_NORM = 50.0"))
+    proc = _run(ROOT, other)
+    assert proc.returncode != 0
+    assert "outputs differ" in proc.stderr + proc.stdout
