@@ -101,7 +101,7 @@ def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
     X = arr[None, :] if single else arr
     if X.ndim != 2 or X.shape[1] != 6:
         raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
-    if not np.isfinite(X).all():
+    if np.count_nonzero(np.isfinite(X)) != X.size:
         raise ValueError("states must be finite")
     return X, single
 

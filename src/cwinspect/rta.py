@@ -45,10 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (DynamicsParams, _add_thrust, _as_state_matrix, _clamp,
-                       _free_motion, hold_maps)
+from .dynamics import DynamicsParams, _add_thrust, _clamp, _free_motion, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
-                     _hold_jacobian, _hold_pass, cbf_rows, keep_in_guard)
+                     _hold_jacobian, _hold_pass, _hold_terms, cbf_rows,
+                     keep_in_guard)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -80,6 +80,12 @@ _MAX_QP_ITER = 100
 # it relaxes them when the linearized QP admits no thrust.
 _STAGES = ((True, True), (True, False), (False, False))
 _BOX = np.vstack([-np.eye(3), np.eye(3)])
+# Scalars as 0-d arrays, which numpy takes without converting a Python float
+# on every call: the same values.
+_ZERO = np.array(0.0)
+_NEG_FEAS_TOL = np.array(-_FEAS_TOL)
+_FEAS_TOL_0D = np.array(_FEAS_TOL)
+_TWICE_FEAS_TOL = np.array(2.0 * _FEAS_TOL)
 
 
 @dataclass
@@ -97,14 +103,21 @@ class FilterResult:
     slack_used: np.ndarray  # (6,) or (N, 6): per continuous row max(0, -(c.u+b)) at u_act
 
 
-def _checked_rows(rows, u_max: float) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 < u_max < math.inf:
+def _checked_input(u_des, rows, u_max: float):
+    """A finite request (3,), and finite rows (C, b) as (N, 3) and (N,)
+    arrays of one length, for a positive and finite ``u_max``."""
+    u_des = np.asarray(u_des, dtype=float).reshape(3)
+    if np.count_nonzero(np.isfinite(u_des)) != 3:
+        raise ValueError("u_des must be finite")
+    if isinstance(u_max, (bool, np.bool_)) or not 0.0 < u_max < math.inf:
         raise ValueError("u_max must be positive and finite")
     C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
     b = np.asarray(rows[1], dtype=float).reshape(-1)
-    if not (np.isfinite(C).all() and np.isfinite(b).all()):
+    if len(C) != len(b):
+        raise ValueError(f"constraint rows: {len(C)} normals in C but {len(b)} offsets in b")
+    if np.count_nonzero(np.isfinite(C)) + np.count_nonzero(np.isfinite(b)) != C.size + len(b):
         raise ValueError("constraint rows must be finite")
-    return C, b
+    return u_des, C, b
 
 
 def _dot(x, y) -> float:
@@ -138,7 +151,7 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
     linearly independent normals are active, so the projections are 3-vector
     arithmetic in Python floats.  Returns (u, active indices, feasible).
     """
-    slack = A @ u0 - d
+    slack = A.dot(u0) - d  # A.dot gives the bits of A @ u0 for less
     p = int(slack.argmin())
     if slack[p] >= -_FEAS_TOL:
         return u0.copy(), (), True
@@ -149,17 +162,19 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
         aa = _dot(a, a)
         lam_p = 0.0
         while True:
-            if normals:
+            if not normals:
+                r, z, zz = (), a, aa
+            else:
                 G = [[_dot(ni, nj) for nj in normals] for ni in normals]
                 r = _solve_gram(G, [_dot(ni, a) for ni in normals])
-            else:
-                r = []
-            if len(normals) == 3:
-                z = (0.0, 0.0, 0.0)  # three independent normals span R^3
-            else:
-                z = [a[c] - sum(rk * nk[c] for rk, nk in zip(r, normals))
-                     for c in range(3)]
-            zz = _dot(z, z)
+                if len(normals) == 3:
+                    z = (0.0, 0.0, 0.0)  # three independent normals span R^3
+                else:  # a - sum(r_k n_k), summed from 0.0 as sum() does
+                    s = (0.0, 0.0, 0.0)
+                    for rk, nk in zip(r, normals):
+                        s = (s[0] + rk * nk[0], s[1] + rk * nk[1], s[2] + rk * nk[2])
+                    z = (a[0] - s[0], a[1] - s[1], a[2] - s[2])
+                zz = _dot(z, z)
             # partial step: the first active multiplier to reach zero
             t_drop, drop = math.inf, -1
             for k, rk in enumerate(r):
@@ -171,7 +186,7 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
             if t == math.inf:
                 return None, (), False
             if t_add < math.inf:
-                u = [u[c] + t * z[c] for c in range(3)]
+                u = [uc + t * zc for uc, zc in zip(u, z)]
             lam = [lk - t * rk for lk, rk in zip(lam, r)]
             lam_p += t
             if t_add <= t_drop:
@@ -181,7 +196,7 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
                 break
             del active[drop], lam[drop], normals[drop]
         u_arr = np.array(u)
-        slack = A @ u_arr - d
+        slack = A.dot(u_arr) - d
         p = int(slack.argmin())
         if slack[p] >= -_FEAS_TOL:
             return u_arr, tuple(sorted(active)), True
@@ -198,13 +213,12 @@ def solve_qp(u_des, rows, u_max: float):
     and N+3..N+5 for the lower faces.  A request that already satisfies
     every constraint is returned unchanged with an empty active set.
     """
-    u_des = np.asarray(u_des, dtype=float).reshape(3)
-    if not np.isfinite(u_des).all():
-        raise ValueError("u_des must be finite")
-    C, b = _checked_rows(rows, u_max)
+    u_des, C, b = _checked_input(u_des, rows, u_max)
     # constraints in the uniform form a_j . u >= d_j
     A = np.concatenate([C, _BOX])
-    d = np.concatenate([-b, np.full(6, -u_max)])
+    d = np.empty(len(b) + 6)
+    np.negative(b, out=d[:len(b)])
+    d[len(b):] = -u_max
     return _dual_active_set(u_des, A, d)
 
 
@@ -217,8 +231,7 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     the iterate and is halved until f descends; it stops when none does.
     Coincides with :func:`solve_qp` to about 1e-6 when the rows are feasible.
     """
-    u_des = np.asarray(u_des, dtype=float).reshape(3)
-    C, b = _checked_rows(rows, u_max)
+    u_des, C, b = _checked_input(u_des, rows, u_max)
 
     def objective(U):  # of thrusts (k, 3)
         viol = np.minimum(0.0, U @ C.T + b)
@@ -252,11 +265,12 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
-    """Cached and read-only: the keep-in guard, the maps (D, S) of
-    :func:`cwinspect.dynamics.hold_maps`, the exact rows (J, 6, 3) of the
-    axis-limit conditions k4..k9, the same for every state and thrust, and
-    the margins ramped over the hold (J, 9)."""
-    guard = keep_in_guard(params, dyn)
+    """Cached and read-only: the :func:`cwinspect.safety._hold_terms` of the
+    guarded keep-in cone (:func:`cwinspect.safety.keep_in_guard`) and of the
+    stated one, the maps (D, S) of :func:`cwinspect.dynamics.hold_maps`, the
+    exact rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for
+    every state and thrust, and the margins ramped over the hold (J, 9)."""
+    terms = (_hold_terms(params, keep_in_guard(params, dyn)), _hold_terms(params))
     D, S = hold_maps(dyn, period)
     J = len(D)
     axis_rows = np.einsum("njkd,jde->njke",
@@ -264,106 +278,113 @@ def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
     ramp = _MARGINS * (np.arange(1, J + 1)[:, None] / J)
     for a in (axis_rows, ramp):
         a.setflags(write=False)
-    return guard, D, S, axis_rows, ramp
+    return terms, D, S, axis_rows, ramp
 
 
-def _holds(X, U, D, S, params, keep_in):
+def _holds(X, U, D, S, terms):
     """Holds (k, J, 6) flown from states X (k, 6) under thrusts U (k, 3), their
     conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
-    the conditions at the states (k, 1, 9), and the states' free motion
-    (:func:`cwinspect.dynamics._free_motion`), which every later iterate's
-    hold reuses."""
+    the conditions at the states (k, 1, 9) and their floors min(0, k0), and
+    the states' free motion (:func:`cwinspect.dynamics._free_motion`), which
+    every later iterate's hold reuses."""
     F = _free_motion(D, X)
     H = _add_thrust(X, F, S, U)
-    K, T = _hold_pass(np.concatenate([X[:, None], H], axis=1), params, keep_in)
-    return H, K[:, 1:], [t[:, 1:] for t in T], K[:, :1], F
+    K, (floored, rdot) = _hold_pass(np.concatenate([X[:, None], H], axis=1), terms)
+    K0 = K[:, :1]
+    return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(_ZERO, K0), F
 
 
-def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
+def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
     """Sequential linearization of the hold conditions for the states
-    ``idx`` at one stage of :data:`_STAGES`, with k2 on the keep-in cone
-    ``keep_in``, from ``hold`` of :func:`_holds` and ``plan`` of
+    ``idx`` at one stage of :data:`_STAGES`, with the hold ``terms`` of its
+    keep-in cone: X, U, C6 and b6 are those states' rows, ``hold`` their
+    :func:`_holds` and ``plan`` the maps, rows and margins of
     :func:`_hold_plan`.  Writes each result into ``out`` = (U_act, active,
-    feasible) and returns a mask over ``idx`` of the states for which no
-    thrust was found: their linearized QP admits none, or no linearization
-    reaches the exact hold conditions.  At the last stage those get the
-    least-violation thrust instead."""
+    feasible) at ``idx`` and returns a mask over ``idx`` of the states for
+    which no thrust was found: their linearized QP admits none, or no
+    linearization reaches the exact hold conditions.  At the last stage
+    those get the least-violation thrust instead."""
     U_act, active, feasible = out
-    H, K, T, K0, F = hold
-    D, S, axis_rows, ramp = plan
+    H, K, T, K0, floors, F = hold
+    S, axis_rows, ramp = plan
     n_cont = C6.shape[1]
     n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
-    if _STAGES[stage][1]:
-        C_cont, b_cont = C6[idx], b6[idx]
+    with_cont = _STAGES[stage][1]
+    if with_cont:
+        C_cont, b_cont = C6, b6
     else:  # rows that never bind, keeping the row numbering
-        C_cont, b_cont = np.zeros_like(C6[idx]), np.ones_like(b6[idx])
-    u = U[idx]
+        C_cont, b_cont = np.zeros_like(C6), np.ones_like(b6)
+    u = U.copy()  # each state's iterate
     failed = np.zeros(len(idx), dtype=bool)
+    u_max = dyn.u_max
 
     def unsolved(s, C, b):
         """No thrust for position ``s``: on to the next stage, or at the last
         the least-violation thrust over (C, b) and the continuous rows."""
         i = idx[s]
         active[i] = ()
-        if stage < len(_STAGES) - 1:
-            failed[s] = True
-        else:
+        failed[s] = True
+        if stage == len(_STAGES) - 1:
             U_act[i] = infeasible_fallback(
-                U[i], (np.vstack([C6[i], C]), np.concatenate([b6[i], b])), dyn.u_max)
+                U[s], (np.vstack([C6[s], C]), np.concatenate([b6[s], b])), u_max)
             feasible[i] = False
 
     def solved(s, C, b, rows) -> bool:
         """Solve the QP over the rows (C, b), numbered ``rows``, for ``s``."""
-        i = idx[s]
-        u_new, act, ok = solve_qp(U[i], (C, b), dyn.u_max)
+        u_new, act, ok = solve_qp(U[s], (C, b), u_max)
         if ok:
             u[s] = u_new
-            active[i] = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
-                              for a in act)
+            active[idx[s]] = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
+                                   for a in act)
         else:
             unsolved(s, C, b)
         return ok
 
-    # positions in idx still being solved, with their states, free motion,
-    # rows, floors and targets, cut down together
-    todo = np.arange(len(idx))
-    per = [X[idx], F, C_cont, b_cont, np.minimum(0.0, K0),
-           np.minimum(_MARGINS, K0 + ramp) + 2.0 * _FEAS_TOL]
+    def iterates():
+        return u if len(todo) == len(u) else u[todo]
 
-    if _STAGES[stage][1]:
+    # positions in idx still being solved, with their states, free motion,
+    # rows, floors and targets, cut down together when some drop out
+    todo = np.arange(len(idx))
+    per = [X, F, C_cont, b_cont, floors, np.minimum(_MARGINS, K0 + ramp) + _TWICE_FEAS_TOL]
+
+    if with_cont:
         # The optimum over the continuous rows alone is the optimum over all
         # rows when its hold keeps the conditions, and otherwise a point to
         # linearize at that is closer to the solution than the request.
         kept = [solved(s, C_cont[s], b_cont[s], range(n_cont)) for s in todo]
-        # an optimum with no active row is its request, whose hold is known
-        if not all(kept) or any(active[i] for i in idx):
+        if not all(kept):
             todo, per = todo[kept], [a[kept] for a in per]
-            H = _add_thrust(per[0], per[1], S, u[todo])
-            K, T = _hold_pass(H, params, keep_in)
+        # an optimum with no active row is its request, whose hold is known
+        if len(todo) < len(idx) or any(active[i] for i in idx):
+            H = _add_thrust(per[0], per[1], S, iterates())
+            K, T = _hold_pass(H, terms)
     for n_linearized in range(_MAX_LINEARIZATIONS + 1):
         held = (K >= per[4]).all(axis=(1, 2))
-        if held.any():
-            U_act[idx[todo[held]]] = u[todo[held]]
+        n_held = np.count_nonzero(held)
+        if n_held == len(todo):
+            break
+        if n_held:
             keep = ~held
             todo = todo[keep]
-            if todo.size:
-                H, K, T = H[keep], K[keep], [t[keep] for t in T]
-                per = [a[keep] for a in per]
-        if not todo.size:
-            break
-        _, _, C_cont, b_cont, _, target = per
-        # rows of k1..k3 linearized at the hold, then the exact rows of k4..k9
-        C_hold = np.empty((len(todo), len(S), NUM_HOLD_CONDITIONS, 3))
-        C_hold[:, :, :3] = np.einsum("njkd,jde->njke",
-                                     _hold_jacobian(H, T, params, keep_in), S)
+            H, K, T = H[keep], K[keep], [t[keep] for t in T]
+            per = [a[keep] for a in per]
+        n = len(todo)
+        # rows: the continuous ones, those of k1..k3 linearized at the hold,
+        # then the exact rows of k4..k9
+        C = np.empty((n, n_rows, 3))
+        C[:, :n_cont] = per[2]
+        C_hold = C[:, n_cont:].reshape(n, len(S), NUM_HOLD_CONDITIONS, 3)
+        np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), S,
+                  out=C_hold[:, :, :3])
         C_hold[:, :, 3:] = axis_rows
-        C_hold = C_hold.reshape(len(todo), -1, 3)
-        b_hold = ((K - target).reshape(len(todo), -1)
-                  - np.einsum("nrk,nk->nr", C_hold, u[todo]))
-        C = np.concatenate([C_cont, C_hold], axis=1)
-        b = np.concatenate([b_cont, b_hold], axis=1)
+        b = np.empty((n, n_rows))
+        b[:, :n_cont] = per[3]
+        b_hold = b[:, n_cont:]
+        np.subtract(K, per[5], out=b_hold.reshape(K.shape))
+        b_hold -= np.einsum("nrk,nk->nr", C[:, n_cont:], iterates())
         # rows that no thrust in the box can violate never bind
-        live = b < dyn.u_max * np.abs(C).sum(axis=2)
+        live = b < u_max * np.abs(C).sum(axis=2)
         if n_linearized == _MAX_LINEARIZATIONS:
             # no linearization reached the exact hold conditions
             for t, s in enumerate(todo):
@@ -373,8 +394,15 @@ def _hold_qp(X, U, C6, b6, idx, stage, keep_in, hold, plan, params, dyn, out):
         kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
         if not all(kept):
             todo, per = todo[kept], [a[kept] for a in per]
-        H = _add_thrust(per[0], per[1], S, u[todo])
-        K, T = _hold_pass(H, params, keep_in)
+            if not todo.size:
+                break
+        H = _add_thrust(per[0], per[1], S, iterates())
+        K, T = _hold_pass(H, terms)
+    # every other state's iterate keeps its hold conditions
+    if np.count_nonzero(failed):
+        U_act[idx[~failed]] = u[~failed]
+    else:
+        U_act[idx] = u
     return failed
 
 
@@ -383,33 +411,38 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
     feasible), feasible False for a least-violation thrust."""
-    guard, *plan = _hold_plan(params, dyn, float(period))
-    H, K, T, K0, F = _holds(X, U, *plan[:2], params, guard)
-    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
-                  & (K >= np.minimum(0.0, K0)).all(axis=(1, 2)))
+    if isinstance(period, (bool, np.bool_)):
+        raise ValueError("period must be a duration in seconds, not a bool")
+    terms, D, S, *plan = _hold_plan(params, dyn, float(period))
+    hold = _holds(X, U, D, S, terms[0])
+    H, K, T, K0, floors, F = hold
+    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
+                  & (K >= floors).all(axis=(1, 2)))
+    pending = len(X) - np.count_nonzero(admissible)
+    if not pending:  # every request is its own thrust
+        return U, [()] * len(X), admissible
     out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
-    pending = (~admissible).nonzero()[0]
-    if not pending.size:
-        return out
     # The rows of a state outside the guarded set can demand more recovery
     # than the thrust box allows: such a state starts at the second stage.
-    stage_of = (K0[pending] < 0.0).any(axis=(1, 2)).astype(int)
+    stage_of = (floors < _ZERO).any(axis=(1, 2)).astype(int)
+    stage_of[admissible] = len(_STAGES)  # served by its request
     for stage, (guarded, _) in enumerate(_STAGES):
-        at = (stage_of == stage).nonzero()[0]  # positions in pending
-        if not at.size:
+        idx = (stage_of == stage).nonzero()[0]
+        if not idx.size:
             continue
-        idx = pending[at]
+        whole = len(idx) == len(X)  # every state, in order
+        rows = (X, U, C6, b6) if whole else (X[idx], U[idx], C6[idx], b6[idx])
         if not guarded:
-            hold = _holds(X[idx], U[idx], *plan[:2], params, None)
-        elif len(idx) == len(X):  # every state
-            hold = H, K, T, K0, F
-        else:
-            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], F[idx]
-        failed = _hold_qp(X, U, C6, b6, idx, stage, guard if guarded else None,
-                          hold, plan, params, dyn, out)
-        if failed.any():
-            stage_of[at[failed]] = stage + 1
-        elif len(at) == len(pending):
+            hold = _holds(rows[0], rows[1], D, S, terms[1])
+        elif not whole:
+            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], floors[idx], F[idx]
+        failed = _hold_qp(idx, *rows, stage, terms[0 if guarded else 1], hold,
+                          (S, *plan), dyn, out)
+        n_failed = np.count_nonzero(failed)
+        if n_failed:
+            stage_of[idx[failed]] = stage + 1
+        pending -= len(idx) - n_failed
+        if not pending:
             break  # every state has its thrust
     return out
 
@@ -426,20 +459,23 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
     with ``active_set`` a tuple of tuples; each row is the result for its
     state alone, bit for bit.
     """
-    X, single = _as_state_matrix(states)
+    C, b = cbf_rows(states, params, dyn)  # refuses any other shape, non-finite states
+    single = b.ndim == 1
+    X = np.asarray(states, dtype=float).reshape(-1, 6)
     U = np.asarray(u_des, dtype=float)
     shape = (3,) if single else (len(X), 3)
     if U.shape != shape:
         raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
-    if not np.isfinite(U).all():
+    if np.count_nonzero(np.isfinite(U)) != U.size:
         raise ValueError("u_des must be finite")
     U = _clamp(U, dyn.u_max).reshape(-1, 3)
-    C, b = cbf_rows(X, params, dyn)
+    if single:
+        C, b = C[None], b[None]
     U_act, active, feasible = _filter_states(X, U, C, b, params, dyn, period)
     # np.linalg.norm's arithmetic, one row at a time
     deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
-    slack = np.maximum(0.0, -((C @ U_act[:, :, None])[:, :, 0] + b))
-    feasible &= (slack <= _FEAS_TOL).all(axis=1)  # the continuous rows too
+    slack = np.maximum(_ZERO, -((C @ U_act[:, :, None])[..., 0] + b))
+    feasible &= (slack <= _FEAS_TOL_0D).all(axis=1)  # the continuous rows too
     if single:
         return FilterResult(U_act[0], deviation[0] > _INTERVENTION_TOL, deviation[0],
                             active[0], bool(feasible[0]), slack[0])

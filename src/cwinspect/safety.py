@@ -85,6 +85,12 @@ DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
 
 _SMOOTH_FLOOR = 1e-6  # floor on norms/radicands at singular points
 _SIGNS = np.array([1.0, -1.0])  # keep-out and keep-in sides of a pair
+_SIGNS_COL = _SIGNS[:, None]
+# Scalars of the passes below as 0-d arrays, which numpy takes without the
+# conversion it makes of a Python float on every call: the same values.
+_FLOOR = np.array(_SMOOTH_FLOOR)
+_ZERO = np.array(0.0)
+_INF = np.array(math.inf)
 # Gradients of the axis-limit hold conditions k4..k9 = v_max -+ (xd, yd, zd),
 # the same at every state.
 _VELOCITY = np.arange(3, 6)
@@ -124,12 +130,47 @@ class SafetyParams:
         return self.r_d + self.r_c
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=16)
-def _drift(dyn: DynamicsParams) -> np.ndarray:
-    """The drift matrix A of :func:`cw_matrices`, cached and read-only."""
+def _barrier_terms(params: SafetyParams) -> tuple:
+    """Cached factors of :func:`_barriers`: with rho the range, (s, o) form
+    (rho - (r_d + r_c), r_max - rho, nu0 + nu1 rho) as rho * s + o; then
+    2 a_max, a_max and v_max^2; w scales (p_hat, v_hat) into the gradient
+    of h3, and -2 v is that of h4..h6."""
+    return _read_only(np.array([1.0, -1.0, params.nu1]),
+                      np.array([-params.collision_radius, params.r_max, params.nu0]),
+                      np.array(2.0 * params.a_max), np.array(params.a_max),
+                      np.array(params.v_max**2), np.array([[params.nu1], [-1.0]]),
+                      np.array(-2.0))
+
+
+@lru_cache(maxsize=16)
+def _row_terms(dyn: DynamicsParams) -> tuple:
+    """Cached factors of :func:`cbf_rows`: the transposed drift matrix A^T
+    of :func:`cw_matrices` and the mass."""
     A, _ = cw_matrices(dyn)
-    A.setflags(write=False)
-    return A
+    return _read_only(A.T, np.array(dyn.mass))
+
+
+@lru_cache(maxsize=16)
+def _hold_terms(params: SafetyParams, keep_in=None) -> tuple:
+    """Cached factors of :func:`_hold_pass` and :func:`_hold_jacobian` on
+    the keep-in cone ``keep_in`` = (a, r), by default (a_max, r_max): with
+    rho the range, c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)),
+    2 a (r - rho), nu0 + nu1 rho), the terms of k1..k3 without range rate
+    and speed; (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2
+    and (p_hat, v_hat) in that of k3; then v_max."""
+    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
+    return _read_only(np.array([1.0, -1.0, params.nu1]),
+                      np.array([-params.collision_radius, r_in, params.nu0]),
+                      np.array([2.0 * params.a_max, 2.0 * a_in, 1.0]),
+                      np.array([[2.0 * params.a_max], [-2.0 * a_in]]),
+                      np.array([[params.nu1], [-1.0]]), np.array(params.v_max))
 
 
 def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
@@ -139,35 +180,41 @@ def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
     norms and roots at singular points."""
     N = X.shape[0]
     PV = X.reshape(N, 2, 3)
-    norms = np.linalg.norm(PV, axis=2)  # range, speed
+    # range, speed: np.linalg.norm's arithmetic, whose sum of three squares
+    # adds them in order
+    sq = PV * PV
+    norms = sq[..., 0] + sq[..., 1]
+    norms += sq[..., 2]
+    np.sqrt(norms, out=norms)
     rho = norms[:, 0]
     v = X[:, 3:]
     pv = np.einsum("ij,ij->i", X[:, :3], v)
-    # the braking-cone distances rho - (r_d + r_c) and r_max - rho
-    dev = rho[:, None] * _SIGNS + (-params.collision_radius, params.r_max)
-    root = np.sqrt(2.0 * params.a_max * np.abs(dev))
-    rdot = pv / np.where(rho > 0.0, rho, np.inf)  # 0 at the origin
+    s, o, two_a, a_max, v_max2, w, minus_two = _barrier_terms(params)
+    # the braking-cone distances rho - (r_d + r_c) and r_max - rho, then
+    # nu0 + nu1 rho
+    dev = rho[:, None] * s + o
+    root = np.sqrt(two_a * np.abs(dev[:, :2]))
+    rdot = pv / np.where(rho > _ZERO, rho, _INF)  # 0 at the origin
     h = np.empty((N, NUM_CONSTRAINTS))
-    h[:, :2] = np.sign(dev) * root + rdot[:, None] * _SIGNS
-    h[:, 2] = params.nu0 + params.nu1 * rho - norms[:, 1]
-    h[:, 3:] = params.v_max**2 - v**2
+    # sign(dev) root, the odd extension of the root
+    np.add(np.copysign(root, dev[:, :2]), rdot[:, None] * _SIGNS, out=h[:, :2])
+    np.subtract(dev[:, 2], norms[:, 1], out=h[:, 2])
+    np.subtract(v_max2, np.square(v), out=h[:, 3:])
     if not grad:
         return h, None
-    floored = np.maximum(norms, _SMOOTH_FLOOR)
+    floored = np.maximum(norms, _FLOOR)
     hats = PV / floored[:, :, None]  # p_hat, v_hat
-    p_hat = hats[:, 0]
+    p_hat = hats[:, :1]
     rho_f = floored[:, :1]
     # d(rdot)/dp = (v - rdot p_hat)/rho, d(rdot)/dv = p_hat
-    drdot_dp = (v - (pv / rho_f[:, 0])[:, None] * p_hat) / rho_f
+    drdot_dp = (v - pv[:, None] / rho_f * hats[:, 0]) / rho_f
     # d/d rho of the signed roots (the same on both sides of the boundary)
-    q = params.a_max / np.maximum(root, _SMOOTH_FLOOR)
+    q = a_max / np.maximum(root, _FLOOR) * _SIGNS
     G = np.zeros((N, NUM_CONSTRAINTS, 6))
-    G[:, :2, :3] = (q * _SIGNS)[:, :, None] * p_hat[:, None] \
-        + _SIGNS[:, None] * drdot_dp[:, None]
-    G[:, :2, 3:] = _SIGNS[:, None] * p_hat[:, None]
-    G[:, 2, :3] = params.nu1 * p_hat
-    G[:, 2, 3:] = -hats[:, 1]
-    G[:, _VELOCITY, _VELOCITY] = -2.0 * v
+    np.add(q[:, :, None] * p_hat, _SIGNS_COL * drdot_dp[:, None], out=G[:, :2, :3])
+    np.multiply(_SIGNS_COL, p_hat, out=G[:, :2, 3:])
+    np.multiply(hats, w, out=G[:, 2].reshape(N, 2, 3))  # nu1 p_hat, -v_hat
+    np.multiply(v, minus_two, out=G.reshape(N, 36)[:, 21::7])  # -2 v on the diagonal
     return h, G
 
 
@@ -196,10 +243,13 @@ def cbf_rows(states, params: SafetyParams,
     """
     X, single = _as_state_matrix(states)
     h, G = _barriers(X, params)
-    f = X @ _drift(dyn).T  # drift f(x) = A x, row-wise
-    Lf = np.einsum("nij,nj->ni", G, f)
-    C = G[:, :, 3:] / dyn.mass  # L_g h rows
-    b = Lf + DEFAULT_ALPHA_GAINS * h
+    A_T, mass = _row_terms(dyn)
+    # drift f(x) = A x, one row at a time: a batch row is its one-state call
+    # (one product over the batch rounds some rows differently)
+    f = (X[:, None] @ A_T)[:, 0]
+    b = np.einsum("nij,nj->ni", G, f)  # L_f h
+    b += DEFAULT_ALPHA_GAINS * h
+    C = G[:, :, 3:] / mass  # L_g h rows
     return (C[0], b[0]) if single else (C, b)
 
 
@@ -226,61 +276,77 @@ def keep_in_guard(params: SafetyParams, dyn: DynamicsParams) -> tuple[float, flo
     return a_g, r_g
 
 
-def _hold_pass(X: np.ndarray, params: SafetyParams, keep_in=None):
-    """Hold conditions K (..., 9) of states X (..., 6) and the terms T that
-    their gradients reuse: floored range and speed (..., 2), range rate."""
-    PV = X.reshape(X.shape[:-1] + (2, 3))
+def _hold_pass(X: np.ndarray, terms):
+    """Hold conditions K (..., 9) of states X (..., 6), with the
+    :func:`_hold_terms` of a keep-in cone, and the terms T that their
+    gradients reuse: floored range and speed (..., 2), range rate."""
+    shape = X.shape[:-1]
+    PV = X.reshape(shape + (2, 3))
     norms = np.sqrt(np.einsum("...i,...i->...", PV, PV))
-    rho = norms[..., 0]
-    floored = np.maximum(norms, _SMOOTH_FLOOR)
-    rdot = np.einsum("...i,...i->...", X[..., :3], X[..., 3:]) / floored[..., 0]
-    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
-    k = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS,))
-    k[..., 0] = 2.0 * params.a_max * (rho - params.collision_radius) \
-        - np.minimum(rdot, 0.0) ** 2
-    k[..., 1] = 2.0 * a_in * (r_in - rho) - np.maximum(rdot, 0.0) ** 2
-    k[..., 2] = params.nu0 + params.nu1 * rho - norms[..., 1]
-    k[..., 3:6] = params.v_max - X[..., 3:]
-    k[..., 6:9] = params.v_max + X[..., 3:]
+    floored = np.maximum(norms, _FLOOR)
+    v = X[..., 3:]
+    rdot = np.einsum("...i,...i->...", X[..., :3], v) / floored[..., 0]
+    s, o, c, _, _, v_max = terms
+    k = np.empty(shape + (NUM_HOLD_CONDITIONS,))
+    # 2 a_max (rho - (r_d + r_c)), 2 a (r - rho), nu0 + nu1 rho, less
+    # min(rdot, 0)^2, max(rdot, 0)^2 = min(-rdot, 0)^2 and the speed
+    lead = c * (norms[..., :1] * s + o)
+    np.subtract(lead[..., :2], np.square(np.minimum(rdot[..., None] * _SIGNS, _ZERO)),
+                out=k[..., :2])
+    np.subtract(lead[..., 2], norms[..., 1], out=k[..., 2])
+    np.subtract(v_max, v, out=k[..., 3:6])
+    np.add(v_max, v, out=k[..., 6:9])
     return k, (floored, rdot)
 
 
-def _hold_jacobian(X: np.ndarray, T, params: SafetyParams,
-                   keep_in=None) -> np.ndarray:
+def _hold_jacobian(X: np.ndarray, T, terms) -> np.ndarray:
     """Gradients (..., 3, 6) of k1..k3 at states X (..., 6) from the terms T
-    of their :func:`_hold_pass` (those of k4..k9 are constant)."""
+    of their :func:`_hold_pass` with the same ``terms`` (those of k4..k9
+    are constant)."""
     floored, rdot = T
     hats = X.reshape(X.shape[:-1] + (2, 3)) / floored[..., None]  # p_hat, v_hat
-    p_hat = hats[..., 0, :]
-    rdot = rdot[..., None]
-    a_in = params.a_max if keep_in is None else keep_in[0]
-    drdot_dp = (X[..., 3:] - rdot * p_hat) / floored[..., :1]
-    w1 = -2.0 * np.minimum(rdot, 0.0)  # d(-min(rdot, 0)^2)/d(rdot)
-    w2 = -2.0 * np.maximum(rdot, 0.0)  # d(-max(rdot, 0)^2)/d(rdot)
+    p_hat = hats[..., :1, :]
+    r = rdot[..., None, None]
+    drdot_dp = (X[..., None, 3:] - r * p_hat) / floored[..., None, :1]
+    # d(-min(rdot, 0)^2)/d(rdot) and d(-max(rdot, 0)^2)/d(rdot)
+    w = np.empty(rdot.shape + (2, 1))
+    np.minimum(r, _ZERO, out=w[..., :1, :])
+    np.maximum(r, _ZERO, out=w[..., 1:, :])
+    w *= -2.0
+    _, _, _, c, w3, _ = terms
     G = np.empty(X.shape[:-1] + (3, 6))
-    G[..., 0, :3] = 2.0 * params.a_max * p_hat + w1 * drdot_dp
-    G[..., 0, 3:] = w1 * p_hat
-    G[..., 1, :3] = -2.0 * a_in * p_hat + w2 * drdot_dp
-    G[..., 1, 3:] = w2 * p_hat
-    G[..., 2, :3] = params.nu1 * p_hat
-    G[..., 2, 3:] = -hats[..., 1, :]
+    np.add(c * p_hat, w * drdot_dp, out=G[..., :2, :3])
+    np.multiply(w, p_hat, out=G[..., :2, 3:])
+    np.multiply(hats, w3, out=G[..., 2, :].reshape(X.shape[:-1] + (2, 3)))
     return G
+
+
+def _checked_states(states) -> np.ndarray:
+    X = np.asarray(states, dtype=float)
+    if X.shape[-1:] != (6,):
+        raise ValueError(f"states must have shape (..., 6), not {X.shape}")
+    if np.count_nonzero(np.isfinite(X)) != X.size:
+        raise ValueError("states must be finite")
+    return X
 
 
 def hold_values(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     """Hold conditions k1..k9 (see the module docstring) for states of shape
     (..., 6); returns (..., 9).  k2 is evaluated on the keep-in cone
     ``keep_in`` = (a, r), by default the stated one (a_max, r_max); the
-    filter passes :func:`keep_in_guard`."""
-    return _hold_pass(np.asarray(states, dtype=float), params, keep_in)[0]
+    filter passes :func:`keep_in_guard`.  Raises ``ValueError`` on any other
+    last axis and on non-finite states."""
+    return _hold_pass(_checked_states(states), _hold_terms(params, keep_in))[0]
 
 
 def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
     """Gradients dk_i/dx of :func:`hold_values` for states (..., 6); returns
     (..., 9, 6).  Norms are floored at singular points as in the barrier
-    gradients of :func:`cbf_rows`."""
-    X = np.asarray(states, dtype=float)
+    gradients of :func:`cbf_rows`.  Raises ``ValueError`` as
+    :func:`hold_values` does."""
+    X = _checked_states(states)
+    terms = _hold_terms(params, keep_in)
     G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
-    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, keep_in)[1], params, keep_in)
+    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, terms)[1], terms)
     G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS
     return G

@@ -2,12 +2,14 @@
 infeasible fallback, the filter result contract, and the hold guarantee at
 fixed states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwinspect import rta
+from cwinspect import harness, rta
 from cwinspect.dynamics import DynamicsParams, _fly, hold_maps, rk4_zoh_map
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
                            infeasible_fallback, solve_qp)
@@ -143,6 +145,36 @@ def test_bad_thrust_limit_rejected(solver, u_max):
     rows = (np.array([[1.0, 0, 0]]), np.array([-0.5]))
     with pytest.raises(ValueError, match="u_max"):
         solver(np.zeros(3), rows, u_max)
+
+
+@pytest.mark.parametrize("u_max", [True, np.True_])
+@pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
+def test_bool_thrust_limit_rejected(solver, u_max):
+    # True used to pass as a thrust limit of 1
+    with pytest.raises(ValueError, match="u_max"):
+        solver(np.zeros(3), (np.array([[1.0, 0, 0]]), np.array([-0.5])), u_max)
+
+
+@pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
+def test_rows_of_different_lengths_rejected(solver):
+    # used to fail inside numpy: "operands could not be broadcast together"
+    with pytest.raises(ValueError, match="1 normals in C but 2 offsets in b"):
+        solver([0.0, 0.0, 0.0], (np.ones((1, 3)), np.zeros(2)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fallback_rejects_a_nonfinite_request(bad):
+    # NaN used to come back as the thrust and inf was clamped to the box
+    rows = (np.array([[1.0, 0, 0]]), np.array([-0.5]))
+    with pytest.raises(ValueError, match="u_des must be finite"):
+        infeasible_fallback([bad, 0.0, 0.0], rows, 1.0)
+
+
+@pytest.mark.parametrize("period", [True, np.True_])
+def test_bool_period_rejected(period):
+    # True used to fly a hold of 1 s
+    with pytest.raises(ValueError, match="period"):
+        filter_control([100.0, 0, 0, 0, 0, 0], np.zeros(3), SP, DP, period=period)
 
 
 class TestFallback:
@@ -492,3 +524,102 @@ class TestKeepInGuardLooseEnd:
     def test_a_guarded_stage_serves_the_state(self, monkeypatch):
         monkeypatch.setattr(rta, "_STAGES", rta._STAGES[:2])
         assert filter_control(self.X, self.U, SP, DP).feasible
+
+
+@pytest.fixture(scope="module")
+def exp2_requests():
+    """(states, requests) the filter gets in the first 300 steps of
+    experiment 2, open loop, then closed loop."""
+    seen = []
+
+    def record(x, u_des, *args, **kwargs):
+        seen.append((np.array(x), np.array(u_des)))
+        return filter_control(x, u_des, *args, **kwargs)
+
+    cfg = dataclasses.replace(harness.default_experiment(2), max_steps=300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "filter_control", record)
+        harness.run(cfg)
+        harness.run(dataclasses.replace(cfg, closed_loop=True))
+    assert len(seen) == 600
+    return np.array([x for x, _ in seen]), np.array([u for _, u in seen])
+
+
+class TestRecordedRequests:
+    def test_batch_is_its_one_state_calls(self, exp2_requests):
+        # 300 open- and 300 closed-loop requests in one batch
+        X, U = exp2_requests
+        batch = filter_control(X, U, SP, DP)
+        assert batch.intervened.sum() > 50
+        for k in range(len(X)):
+            res = filter_control(X[k], U[k], SP, DP)
+            assert res.u_act.tobytes() == batch.u_act[k].tobytes()
+            assert res.slack_used.tobytes() == batch.slack_used[k].tobytes()
+            assert np.float64(res.deviation).tobytes() == batch.deviation[k].tobytes()
+            assert (res.intervened, res.feasible, res.active_set) == (
+                batch.intervened[k], batch.feasible[k], batch.active_set[k])
+
+    def test_qp_form(self, exp2_requests, monkeypatch):
+        # solve_qp hands the dual active-set method the rows and box faces in
+        # the form a_j . u >= d_j, A = [C; -I; I], d = [-b; -u_max (6)], and
+        # A.dot, which forms its slacks, gives the bits of A @ u
+        seen = []
+        dual = rta._dual_active_set
+
+        def spy(u0, A, d):
+            seen.append((u0, A, d))
+            out = dual(u0, A, d)
+            for u in (u0, out[0], np.random.default_rng(len(seen)).uniform(-1, 1, 3)):
+                if u is not None:
+                    assert A.dot(u).tobytes() == (A @ u).tobytes()
+            return out
+
+        calls = []
+        solve = rta.solve_qp
+
+        def spy_solve(u_des, rows, u_max):
+            calls.append((np.array(u_des), np.array(rows[0]), np.array(rows[1]), u_max))
+            return solve(u_des, rows, u_max)
+
+        monkeypatch.setattr(rta, "_dual_active_set", spy)
+        monkeypatch.setattr(rta, "solve_qp", spy_solve)
+        X, U = exp2_requests
+        for x, u in zip(X[::4], U[::4]):
+            filter_control(x, u, SP, DP)
+        assert len(calls) == len(seen) > 50
+        for (u_des, C, b, u_max), (u0, A, d) in zip(calls, seen):
+            A_ref = np.concatenate([C, np.vstack([-np.eye(3), np.eye(3)])])
+            d_ref = np.concatenate([-b, np.full(6, -u_max)])
+            assert A.tobytes() == A_ref.tobytes() and d.tobytes() == d_ref.tobytes()
+            assert u0.tobytes() == u_des.tobytes()
+
+    def test_qp_certificates(self, exp2_requests, monkeypatch):
+        # every QP the filter solves in 300 steps of experiment 2, open and
+        # closed loop: the active rows hold with equality, every row holds,
+        # and u - u_des is a non-negative combination of the active normals
+        results = []
+        solve = rta.solve_qp
+
+        def spy(u_des, rows, u_max):
+            out = solve(u_des, rows, u_max)
+            results.append((np.array(u_des), np.array(rows[0]), np.array(rows[1]), u_max, out))
+            return out
+
+        monkeypatch.setattr(rta, "solve_qp", spy)
+        for x, u in zip(*exp2_requests):
+            filter_control(x, u, SP, DP)
+        solved = [r for r in results if r[4][2]]
+        assert len(solved) > 300 and sum(bool(r[4][1]) for r in solved) > 100
+        for u_des, C, b, u_max, (u, active, _) in solved:
+            A = np.concatenate([C, np.vstack([-np.eye(3), np.eye(3)])])
+            d = np.concatenate([-b, np.full(6, -u_max)])
+            slack = A @ u - d
+            assert slack.min() >= -rta._FEAS_TOL
+            if not active:
+                assert u.tobytes() == u_des.tobytes()
+                continue
+            act = list(active)
+            assert np.abs(slack[act]).max() <= 1e-12
+            lam, *_ = np.linalg.lstsq(A[act].T, u - u_des, rcond=None)
+            assert np.linalg.norm(A[act].T @ lam - (u - u_des)) <= 1e-12
+            assert lam.min() >= 0.0

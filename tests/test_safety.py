@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwinspect.dynamics import DynamicsParams, cw_matrices
 from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, _barriers,
+                              _hold_jacobian, _hold_pass, _hold_terms,
                               cbf_rows, h_values, h_values_batch,
                               hold_gradients, hold_values, keep_in_guard)
 
@@ -233,7 +236,9 @@ class TestRows:
     def test_rows_are_the_row_formula_bit_for_bit(self):
         # the rows of the shared barrier pass equal, bit for bit, the row
         # formula C = L_g h = G[:, :, 3:] / m, b = L_f h + gain h = G . (A x)
-        # + gain h evaluated from the public values, gradients and drift
+        # + gain h evaluated from the public values, gradients and drift,
+        # the drift of each state formed on its own as a one-state call
+        # forms it (one product over the batch rounds some rows differently)
         rng = np.random.default_rng(29)
         X = np.concatenate([rng.normal(0, 300, (600, 3)), rng.normal(0, 0.5, (600, 3))], axis=1)
         X[:2, :3] = 0.0  # the origin, moving and at rest
@@ -248,7 +253,8 @@ class TestRows:
         def row_formula(states):
             h, G = h_values_batch(states, SP), grad_h(states, SP)
             return (G[:, :, 3:] / DP.mass,
-                    np.einsum("nij,nj->ni", G, states @ A.T) + DEFAULT_ALPHA_GAINS * h)
+                    np.einsum("nij,nj->ni", G, (states[:, None] @ A.T)[:, 0])
+                    + DEFAULT_ALPHA_GAINS * h)
 
         C_ref, b_ref = row_formula(X)
         C, b = cbf_rows(X, SP, DP)
@@ -370,3 +376,183 @@ class TestParams:
             keep_in_guard(SP, DynamicsParams(u_max=0.1))
         with pytest.raises(ValueError):
             keep_in_guard(SafetyParams(r_max=10.5), DP)
+
+
+# The passes as they were written before their per-call overhead was cut:
+# the oracles of the bit-for-bit tests below.
+SIGNS = np.array([1.0, -1.0])
+VELOCITY = np.arange(3, 6)
+
+
+def barriers_formula(X, params):
+    """h (N, 6) and the dense gradients (N, 6, 6) of states X (N, 6)."""
+    N = X.shape[0]
+    PV = X.reshape(N, 2, 3)
+    norms = np.linalg.norm(PV, axis=2)
+    rho = norms[:, 0]
+    v = X[:, 3:]
+    pv = np.einsum("ij,ij->i", X[:, :3], v)
+    dev = rho[:, None] * SIGNS + (-params.collision_radius, params.r_max)
+    root = np.sqrt(2.0 * params.a_max * np.abs(dev))
+    rdot = pv / np.where(rho > 0.0, rho, np.inf)
+    h = np.empty((N, 6))
+    h[:, :2] = np.sign(dev) * root + rdot[:, None] * SIGNS
+    h[:, 2] = params.nu0 + params.nu1 * rho - norms[:, 1]
+    h[:, 3:] = params.v_max**2 - v**2
+    floored = np.maximum(norms, 1e-6)
+    hats = PV / floored[:, :, None]
+    p_hat = hats[:, 0]
+    rho_f = floored[:, :1]
+    drdot_dp = (v - (pv / rho_f[:, 0])[:, None] * p_hat) / rho_f
+    q = params.a_max / np.maximum(root, 1e-6)
+    G = np.zeros((N, 6, 6))
+    G[:, :2, :3] = (q * SIGNS)[:, :, None] * p_hat[:, None] + SIGNS[:, None] * drdot_dp[:, None]
+    G[:, :2, 3:] = SIGNS[:, None] * p_hat[:, None]
+    G[:, 2, :3] = params.nu1 * p_hat
+    G[:, 2, 3:] = -hats[:, 1]
+    G[:, VELOCITY, VELOCITY] = -2.0 * v
+    return h, G
+
+
+def rows_formula(x, params, dyn):
+    """The rows (6, 3), (6,) of one state (6,)."""
+    h, G = barriers_formula(x[None], params)
+    A, _ = cw_matrices(dyn)
+    b = np.einsum("nij,nj->ni", G, x[None] @ A.T) + DEFAULT_ALPHA_GAINS * h
+    return G[0, :, 3:] / dyn.mass, b[0]
+
+
+def hold_pass_formula(X, params, keep_in=None):
+    PV = X.reshape(X.shape[:-1] + (2, 3))
+    norms = np.sqrt(np.einsum("...i,...i->...", PV, PV))
+    rho = norms[..., 0]
+    floored = np.maximum(norms, 1e-6)
+    rdot = np.einsum("...i,...i->...", X[..., :3], X[..., 3:]) / floored[..., 0]
+    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
+    k = np.empty(X.shape[:-1] + (9,))
+    k[..., 0] = 2.0 * params.a_max * (rho - params.collision_radius) - np.minimum(rdot, 0.0) ** 2
+    k[..., 1] = 2.0 * a_in * (r_in - rho) - np.maximum(rdot, 0.0) ** 2
+    k[..., 2] = params.nu0 + params.nu1 * rho - norms[..., 1]
+    k[..., 3:6] = params.v_max - X[..., 3:]
+    k[..., 6:9] = params.v_max + X[..., 3:]
+    return k, (floored, rdot)
+
+
+def hold_jacobian_formula(X, T, params, keep_in=None):
+    floored, rdot = T
+    hats = X.reshape(X.shape[:-1] + (2, 3)) / floored[..., None]
+    p_hat = hats[..., 0, :]
+    rdot = rdot[..., None]
+    a_in = params.a_max if keep_in is None else keep_in[0]
+    drdot_dp = (X[..., 3:] - rdot * p_hat) / floored[..., :1]
+    w1 = -2.0 * np.minimum(rdot, 0.0)
+    w2 = -2.0 * np.maximum(rdot, 0.0)
+    G = np.empty(X.shape[:-1] + (3, 6))
+    G[..., 0, :3] = 2.0 * params.a_max * p_hat + w1 * drdot_dp
+    G[..., 0, 3:] = w1 * p_hat
+    G[..., 1, :3] = -2.0 * a_in * p_hat + w2 * drdot_dp
+    G[..., 1, 3:] = w2 * p_hat
+    G[..., 2, :3] = params.nu1 * p_hat
+    G[..., 2, 3:] = -hats[..., 1, :]
+    return G
+
+
+def same_bits(a, b):
+    """Equal arrays, -0.0 told from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@st.composite
+def oracle_state(draw):
+    """A state anywhere in the keep-in sphere and speed box, at the origin,
+    on the keep-out or keep-in sphere (where a braking-cone root is 0) or
+    with one axis at +-v_max; signed zeros included."""
+    p = [draw(st.floats(-1200.0, 1200.0)) for _ in range(3)]
+    v = [draw(st.floats(-1.5, 1.5)) for _ in range(3)]
+    kind = draw(st.sampled_from(["free", "origin", "keep_out", "keep_in", "axis"]))
+    if kind == "origin":
+        p = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+    elif kind in ("keep_out", "keep_in"):
+        p = [0.0, 0.0, 0.0]
+        p[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0])) * (
+            SP.collision_radius if kind == "keep_out" else SP.r_max)
+    elif kind == "axis":
+        v[draw(st.integers(0, 2))] = draw(st.sampled_from([SP.v_max, -SP.v_max]))
+    return p + v
+
+
+ORACLE_BATCH = st.lists(oracle_state(), min_size=1, max_size=6).map(np.array)
+
+
+class TestPassesMatchTheirFormulas:
+    """The barrier, row and hold passes, and their one-state calls, give the
+    bits of the formulas they were cut down from."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(X=ORACLE_BATCH)
+    def test_barrier_pass(self, X):
+        h_ref, G_ref = barriers_formula(X, SP)
+        h, G = _barriers(X, SP)
+        assert same_bits(h, h_ref) and same_bits(G, G_ref)
+        assert same_bits(_barriers(X, SP, grad=False)[0], h_ref)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(X=ORACLE_BATCH)
+    def test_rows(self, X):
+        # one state's rows, alone or as a row of a batch
+        C_batch, b_batch = cbf_rows(X, SP, DP)
+        for k, x in enumerate(X):
+            C_ref, b_ref = rows_formula(x, SP, DP)
+            C, b = cbf_rows(x, SP, DP)
+            assert same_bits(C, C_ref) and same_bits(b, b_ref)
+            assert same_bits(C_batch[k], C_ref) and same_bits(b_batch[k], b_ref)
+
+    def test_batch_rows_are_one_state_calls(self):
+        # one product over the batch's drifts rounded rows differently from
+        # their one-state calls: 17 rows of b of these 3000 states, and one
+        # filter row of the 3000 closed-loop requests of experiment 2
+        rng = np.random.default_rng(8)
+        X = np.concatenate([rng.normal(0, 300, (3000, 3)), rng.normal(0, 0.5, (3000, 3))], axis=1)
+        X[:1000] *= np.exp(rng.normal(0, 2, (1000, 1)))
+        C, b = cbf_rows(X, SP, DP)
+        for k, x in enumerate(X):
+            C1, b1 = cbf_rows(x, SP, DP)
+            assert same_bits(C[k], C1) and same_bits(b[k], b1), k
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(X=ORACLE_BATCH, guarded=st.booleans(), layout=st.sampled_from(["row", "column"]))
+    def test_hold_pass_and_jacobian(self, X, guarded, layout):
+        keep_in = keep_in_guard(SP, DP) if guarded else None
+        X = X[:, None] if layout == "row" else X[None]  # (N, 1, 6) or (1, N, 6)
+        K_ref, T_ref = hold_pass_formula(X, SP, keep_in)
+        terms = _hold_terms(SP, keep_in)
+        K, T = _hold_pass(X, terms)
+        assert same_bits(K, K_ref) and all(same_bits(t, r) for t, r in zip(T, T_ref))
+        assert same_bits(_hold_jacobian(X, T, terms), hold_jacobian_formula(X, T_ref, SP, keep_in))
+
+    def test_norms_are_np_linalg_norm(self):
+        # the barrier pass adds the three squares in np.linalg.norm's order
+        rng = np.random.default_rng(3)
+        X = rng.normal(0, 300, (2000, 6)) * np.exp(rng.normal(0, 4, (2000, 6)))
+        h, _ = _barriers(X, SP, grad=False)
+        assert same_bits(h[:, 2], SP.nu0 + SP.nu1 * np.linalg.norm(X[:, :3], axis=1)
+                         - np.linalg.norm(X[:, 3:], axis=1))
+
+
+class TestHoldInputs:
+    @pytest.mark.parametrize("fn", [hold_values, hold_gradients])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_states_rejected(self, fn, bad):
+        # these used to return NaN values with RuntimeWarnings
+        X = np.full((2, 3, 6), 100.0)
+        X[1, 2, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fn(X, SP)
+
+    @pytest.mark.parametrize("fn", [hold_values, hold_gradients])
+    @pytest.mark.parametrize("shape", [(5,), (2, 7), (), (6, 2)])
+    def test_last_axis_must_be_a_state(self, fn, shape):
+        # a (5,) state used to fail inside numpy with a reshape error
+        with pytest.raises(ValueError, match=r"states must have shape \(\.\.\., 6\)"):
+            fn(np.ones(shape), SP)

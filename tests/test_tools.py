@@ -1,5 +1,6 @@
 """tools/ab_interleave.py: two trees timed in one process, both import
-orders, refused when their outputs differ."""
+orders, refused when their outputs differ; on the env chain and on the
+filter alone."""
 
 import shutil
 import subprocess
@@ -10,19 +11,40 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_interleave.py"
 
 
-def _run(a, b, *extra):
-    return subprocess.run([sys.executable, str(TOOL), str(a), str(b), "--workload", "env",
+def _run(a, b, *extra, workload="env"):
+    return subprocess.run([sys.executable, str(TOOL), str(a), str(b), "--workload", workload,
                            "--rounds", "2", "--steps", "20", *extra],
                           capture_output=True, text=True, timeout=300)
 
 
-def test_a_tree_against_itself():
-    proc = _run(ROOT, ROOT)
+def _assert_both_orders(proc):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines[1:]] == [
         ["imported", "AB"], ["imported", "BA"], ["both", "orders"]]
     assert lines[-1].endswith("of 4 rounds")
+
+
+def test_a_tree_against_itself():
+    _assert_both_orders(_run(ROOT, ROOT))
+
+
+def test_a_filter_against_itself():
+    _assert_both_orders(_run(ROOT, ROOT, workload="filter"))
+
+
+def test_filters_with_different_outputs_are_refused(tmp_path):
+    # a filter with another hold margin gives other thrusts on the replay
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "cwinspect", other / "src" / "cwinspect",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rta_py = other / "src" / "cwinspect" / "rta.py"
+    text = rta_py.read_text()
+    assert "_HOLD_MARGIN = 1e-3" in text
+    rta_py.write_text(text.replace("_HOLD_MARGIN = 1e-3", "_HOLD_MARGIN = 2e-3"))
+    proc = _run(ROOT, other, workload="filter")
+    assert proc.returncode != 0
+    assert "outputs differ" in proc.stderr + proc.stdout
 
 
 def test_trees_with_different_outputs_are_refused(tmp_path):

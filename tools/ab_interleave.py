@@ -1,6 +1,6 @@
 """Interleaved A/B timing of two cwinspect trees in one process.
 
-    python tools/ab_interleave.py A_TREE B_TREE --workload env|exp2|nnc \
+    python tools/ab_interleave.py A_TREE B_TREE --workload env|exp2|nnc|filter \
         [--rounds 8] [--steps N]
 
 Each tree is a checkout whose ``src/cwinspect`` is imported under its own
@@ -21,7 +21,13 @@ Workloads, one unit each:
   loop, 3000 steps each unless ``--steps`` caps them;
 - ``nnc``: reference experiment 4 (all-sensors NNC, illumination) flown by
   ``random_policy(11, seed=s)`` for s = 1..4, 250 steps each unless
-  ``--steps`` caps them.
+  ``--steps`` caps them;
+- ``filter``: the requests ``filter_control`` gets in reference experiment
+  2, open and closed loop (3000 steps each unless ``--steps`` caps them),
+  recorded once per tree and replayed one call at a time; the outputs
+  compared are every call's ``u_act``, ``active_set``, ``feasible`` and
+  ``slack_used``, and a step is one filter call.  It times the filter alone,
+  without the rest of the episode.
 
 Prints, per import order and over both, each side's median time per step,
 the median of the per-round B/A ratios and how many rounds B was faster.
@@ -91,6 +97,37 @@ def exp2_unit(cw, steps: int, workdir: Path):
     return _runs(cw, [cfg, dataclasses.replace(cfg, closed_loop=True)])
 
 
+def filter_unit(cw, steps: int, workdir: Path):
+    """Replay the exp2 requests one filter call at a time; returns (calls,
+    digest of every call's u_act, active_set, feasible and slack_used).  The
+    requests are recorded in the first call for each tree and kept in
+    ``workdir``; ``run`` filters with the default parameters."""
+    stream = workdir / f"filter_requests_{cw.__name__}.npz"
+    if not stream.exists():
+        seen = []
+        filter_control = cw.harness.filter_control
+
+        def record(x, u_des, safety, dyn, period):
+            seen.append(np.concatenate([x, u_des, [period]]))
+            return filter_control(x, u_des, safety, dyn, period=period)
+
+        cw.harness.filter_control = record
+        try:
+            exp2_unit(cw, steps, workdir)
+        finally:
+            cw.harness.filter_control = filter_control
+        np.savez(stream, requests=np.array(seen))
+    requests = np.load(stream)["requests"]
+    safety, dyn, filter_control = cw.SafetyParams(), cw.DynamicsParams(), cw.filter_control
+    digest = hashlib.sha256()
+    for r in requests:
+        res = filter_control(r[:6], r[6:9], safety, dyn, period=float(r[9]))
+        digest.update(res.u_act.tobytes())
+        digest.update(res.slack_used.tobytes())
+        digest.update(repr((res.active_set, res.feasible)).encode())
+    return len(requests), digest.hexdigest()
+
+
 def nnc_unit(cw, steps: int, workdir: Path):
     configs = []
     for s in NNC_SEEDS:
@@ -103,7 +140,7 @@ def nnc_unit(cw, steps: int, workdir: Path):
 
 
 WORKLOADS = {"env": (env_unit, ENV_STEPS), "exp2": (exp2_unit, EXP2_STEPS),
-             "nnc": (nnc_unit, NNC_STEPS)}
+             "nnc": (nnc_unit, NNC_STEPS), "filter": (filter_unit, EXP2_STEPS)}
 
 
 def child(trees, order: str, workload: str, rounds: int, steps: int) -> dict:
