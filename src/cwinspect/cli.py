@@ -69,7 +69,12 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
-    log, summary = run(cfg)
+    try:
+        log, summary = run(cfg)
+    except (OSError, ValueError) as exc:
+        # a missing or unreadable weights file, or weights that do not fit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
@@ -85,7 +90,7 @@ def _cmd_run(args) -> int:
 def _cmd_batch(args) -> int:
     try:
         index = run_batch(args.configs, args.out, jobs=args.jobs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name, brief in index.items():

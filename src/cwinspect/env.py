@@ -87,10 +87,12 @@ def normalize_state(vec6) -> np.ndarray:
 
 def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
     """Observation for ``mode`` of the 6-state ``x``, ``sun_angle`` wrapped to
-    [0, 2pi); the cluster direction's clustering is memoized on the
-    uninspected set, so only a call after newly inspected points reruns
-    Lloyd's iteration.  Raises ValueError for a non-finite state, or in
-    all-sensors mode a non-finite sun angle."""
+    [0, 2pi).  The all-sensors observation is written into one (11,) array.
+    Its cluster direction is memoized on the sphere's points and inspected
+    mask (see :func:`cwinspect.inspection.nearest_uninspected_cluster`), so
+    only a call after newly inspected points clusters again; a call with the
+    same mask only picks the centre nearest the deputy.  Raises ValueError
+    for a non-finite state, or in all-sensors mode a non-finite sun angle."""
     base = normalize_state(x)
     if mode == OBS_NO_SENSORS:
         return base
@@ -98,9 +100,12 @@ def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
         raise ValueError(f"unknown observation mode {mode!r}")
     if not math.isfinite(sun_angle):
         raise ValueError("sun angle must be finite")
-    direction = inspection.nearest_uninspected_cluster(sphere, x[:3])
-    return np.concatenate([base, (inspection.inspected_count(sphere) / POINTS_NORM,
-                                  sun_angle % (2.0 * np.pi)), direction])
+    obs = np.empty(11)
+    obs[:6] = base
+    obs[6] = inspection.inspected_count(sphere) / POINTS_NORM
+    obs[7] = sun_angle % (2.0 * np.pi)
+    obs[8:] = inspection.nearest_uninspected_cluster(sphere, x[:3])
+    return obs
 
 
 @dataclass(frozen=True, eq=False, slots=True)

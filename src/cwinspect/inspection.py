@@ -6,17 +6,25 @@ degree half-angle field of view) and, when illumination gating is enabled,
 the Sun lights it.  Inspected flags are monotone within an episode.  A
 k-means pass with the module's cluster count and seed over the remaining
 points supplies the "nearest uninspected cluster" direction used by the
-richer observation vector; the clustering is memoized on the uninspected
-point coordinates, so only a step that inspected something new runs Lloyd's
-iteration again.  Each Lloyd step is a few whole-array passes whose sums
-keep the order of a per-cluster mean, so the seeded clustering is the same
-bit for bit as the textbook loop (the tests keep that loop as their oracle).
+richer observation vector.  The clustering is memoized (32 entries shared
+by all spheres) on the bytes of the sphere's points, which the sphere keeps
+read-only and takes anew when ``points`` is assigned, and of its inspected
+mask, with the cluster count and seed read at call time.  A memo entry
+keeps each centre as Python floats with its unit direction, so a call
+whose mask is unchanged only picks the centre nearest the deputy; only a
+step that inspected something new clusters again.  k-means++ draws its
+seeds from rows of a squared-distance table of the sphere's points, with
+one generator reset to the seed's state; each Lloyd step is a few
+whole-array passes whose sums keep the order of a per-cluster mean, so the
+seeded clustering is the same bit for bit as the textbook loop (the tests
+keep that loop as their oracle).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +53,20 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 @dataclass
 class InspectionSphere:
-    """:func:`update_inspected` keeps the unit vectors ``points / radius`` of
-    a sphere until ``points`` or ``radius`` is assigned; the points of
-    :func:`generate_points` are read-only, so they change only that way."""
+    """The sphere keeps ``points`` as a read-only float copy, so they change
+    only by assignment.  It keeps their bytes (the key of the cluster memo)
+    until ``points`` is assigned, and :func:`update_inspected` keeps the unit
+    vectors ``points / radius`` until ``points`` or ``radius`` is."""
 
     points: np.ndarray  # (count, 3) [m], on the sphere surface
     inspected: np.ndarray  # (count,) bool
     radius: float  # [m]
 
     def __setattr__(self, name, value):
+        if name == "points":
+            value = np.array(value, dtype=float, order="C")
+            value.setflags(write=False)
+            object.__setattr__(self, "_points_key", value.tobytes())
         object.__setattr__(self, name, value)
         if name in ("points", "radius"):
             object.__setattr__(self, "_unit", None)
@@ -71,7 +84,6 @@ def generate_points() -> InspectionSphere:
     r_xy = np.sqrt(1.0 - z * z)
     theta = _GOLDEN_ANGLE * i
     pts = SPHERE_RADIUS * np.stack([r_xy * np.cos(theta), r_xy * np.sin(theta), z], axis=1)
-    pts.setflags(write=False)
     return InspectionSphere(pts, np.zeros(SPHERE_POINT_COUNT, dtype=bool), SPHERE_RADIUS)
 
 
@@ -124,83 +136,147 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d[0] + d[1] + d[2]
 
 
-def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator,
+                    sq_dist_to=None) -> np.ndarray:
     """k-means++ seeding of the points with coordinate rows ``coords``
     (3, n); returns the initial centres as the columns of a (3, k) array.
-    A later seed is drawn as ``rng.choice(n, p=d2 / total)`` draws it (the
-    tests' oracle), without that call's checks of ``p``."""
+    ``sq_dist_to(i)`` gives the squared distances of every point to point i,
+    by default ``_sq_dist(coords, coords[:, i:i + 1])``.  A later seed is
+    drawn as ``rng.choice(n, p=d2 / total)`` draws it (the tests' oracle),
+    without that call's checks of ``p``."""
     n = coords.shape[1]
-    centers = np.empty((3, k))
-    centers[:, 0] = coords[:, rng.integers(n)]
-    d2 = _sq_dist(coords, centers[:, :1])
-    for j in range(1, k):
-        total = d2.sum()
+    if sq_dist_to is None:
+        def sq_dist_to(i):
+            return _sq_dist(coords, coords[:, i:i + 1])
+    chosen = [rng.integers(n)]
+    d2 = sq_dist_to(chosen[0])
+    for _ in range(1, k):
+        total = np.add.reduce(d2)  # d2.sum() and cumsum() without their wrappers
         if total <= 0.0:
             # all remaining points coincide with a chosen center
-            centers[:, j] = coords[:, rng.integers(n)]
+            chosen.append(rng.integers(n))
             continue
-        cdf = (d2 / total).cumsum()
+        cdf = np.add.accumulate(d2 / total)
         cdf /= cdf[-1]
-        centers[:, j] = coords[:, cdf.searchsorted(rng.random(), side="right")]
-        d2 = np.minimum(d2, _sq_dist(coords, centers[:, j:j + 1]))
-    return centers
+        chosen.append(cdf.searchsorted(rng.random(), side="right"))
+        d2 = np.minimum(d2, sq_dist_to(chosen[-1]))
+    return coords.take(chosen, axis=1)
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_table(points_key: bytes) -> np.ndarray:
+    """Squared distances between the (n, 3) float points packed in
+    ``points_key``: row i is ``_sq_dist(coords, coords[:, i:i + 1])``."""
+    coords = np.frombuffer(points_key).reshape(-1, 3).T
+    # row by row: one (3, n, n) broadcast would pass through a few hundred
+    # kB of temporaries, which the process's peak RSS keeps
+    table = np.empty((coords.shape[1],) * 2)
+    for i, row in enumerate(table):
+        row[:] = _sq_dist(coords, coords[:, i:i + 1])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded(seed: int) -> tuple[np.random.Generator, dict]:
+    """One generator for ``seed`` and its freshly seeded state; resetting it
+    costs a sixth of building a generator.  Every fresh clustering shares
+    it, so its reset and draws hold ``_SEEDING``."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.bit_generator.state
+
+
+_SEEDING = threading.Lock()
 
 
 @functools.lru_cache(maxsize=32)
-def _kmeans(pts_bytes: bytes, k: int) -> np.ndarray:
-    """k-means++ seeded with ``KMEANS_SEED``, then at most 50 steps of
-    Lloyd's iteration (stopping once no centre moves 1e-6 m), on the (n, 3)
-    float points packed in ``pts_bytes``.  Keyed on point contents, not on a
-    sphere, since ``update_inspected`` mutates the inspected mask in place.
-    Returns the read-only (k, 3) centres.
+def _clusters(points_key: bytes, mask_key: bytes, count: int, seed: int) -> tuple:
+    """k-means of the points packed in ``points_key`` (n, 3 floats) that
+    the bool mask packed in ``mask_key`` leaves uninspected: k-means++
+    seeded with ``seed``, then at most 50 steps of Lloyd's iteration
+    (stopping once no centre moves 1e-6 m), with min(``count``, n) centres.
+    Returns the centres as (x, y, z) tuples of floats and each centre's
+    read-only unit direction, None for a centre within 1e-9 m of the origin.
 
-    Each Lloyd step is a few whole-array passes: one broadcast of the (k, n)
+    The seeds' squared distances are rows of the sphere's pair table.  Each
+    Lloyd step is a few whole-array passes: one broadcast of the (k, n)
     squared distances, nearest-centre labels (ties to the lower index), and
     the per-cluster coordinate sums from one ``np.bincount``, which adds in
     point order as ``mean(axis=0)`` over each cluster's points does.  A
-    cluster left empty keeps its centre.
+    cluster left empty keeps its centre.  A step whose labels repeat the
+    last step's would give the same centres again, so the loop ends there.
     """
-    coords = np.frombuffer(pts_bytes).reshape(-1, 3).T.copy()
+    idx = np.flatnonzero(~np.frombuffer(mask_key, dtype=bool))
+    if not len(idx):
+        return (), ()
+    coords = np.frombuffer(points_key).reshape(-1, 3)[idx].T.copy()
+    k = min(count, len(idx))
+    table = _pair_table(points_key)
+    rng, state = _seeded(seed)
+    with _SEEDING:
+        rng.bit_generator.state = state
+        centers = _kmeans_pp_init(coords, k, rng, lambda i: table[idx[i]][idx])
     points, flat = coords[:, None, :], coords.ravel()
     # bin of coordinate c of a point in cluster j: c * k + j
     bins = k * np.arange(3)[:, None]
-    rng = np.random.default_rng(KMEANS_SEED)
-    centers = _kmeans_pp_init(coords, k, rng)
+    last = None
     for _ in range(50):
-        labels = np.argmin(_sq_dist(points, centers[:, :, None]), axis=0)
+        labels = _sq_dist(points, centers[:, :, None]).argmin(axis=0)
+        key = labels.tobytes()
+        if key == last:
+            break
+        last = key
         sizes = np.bincount(labels, minlength=k)
         sums = np.bincount((labels + bins).ravel(), flat, 3 * k).reshape(3, k)
         new_centers = np.divide(sums, sizes, out=centers.copy(), where=sizes > 0)
-        shift = math.sqrt(_sq_dist(new_centers, centers).max())
+        # the largest of _sq_dist(new_centers, centers), in Python floats
+        shift = math.sqrt(max([dx * dx + dy * dy + dz * dz for dx, dy, dz
+                               in zip(*(new_centers - centers).tolist())]))
         centers = new_centers
         if shift < 1e-6:
             break
-    centers = centers.T.copy()
-    centers.setflags(write=False)
-    return centers
+    directions = []
+    for centroid in centers.T.copy():
+        norm = math.sqrt(centroid.dot(centroid))
+        direction = None  # a degenerate (antipodally balanced) cluster
+        if norm >= 1e-9:
+            direction = centroid / norm
+            direction.setflags(write=False)
+        directions.append(direction)
+    return tuple(map(tuple, centers.T.tolist())), tuple(directions)
 
 
 def nearest_uninspected_cluster(sphere: InspectionSphere, deputy_position) -> np.ndarray:
     """Unit direction (3,) toward the k-means centroid of uninspected points
     nearest the deputy.
 
-    Clusters the uninspected point coordinates into
+    Clusters the uninspected points into
     k' = min(``DEFAULT_CLUSTER_COUNT``, number uninspected) clusters.  The
-    clustering is memoized on the uninspected coordinates and k', so a call
-    whose uninspected set is unchanged redoes only the deputy-dependent
-    nearest-centre pick.  Returns the zero vector when everything is
-    inspected.  Deterministic for identical inputs.
+    clustering and each centre's direction are memoized (32 entries shared
+    by all spheres) on the sphere's points, the inspected mask, the cluster
+    count and ``KMEANS_SEED``, so a call whose mask is unchanged only picks
+    the centre nearest the deputy.  Returns the zero vector when everything
+    is inspected.  Deterministic for identical inputs.
     """
     p, _ = _deputy_position(deputy_position)
-    pts = np.ascontiguousarray(sphere.points.compress(~sphere.inspected, axis=0), dtype=float)
-    if len(pts) == 0:
+    centres, directions = _clusters(
+        sphere._points_key, sphere.inspected.tobytes(), DEFAULT_CLUSTER_COUNT, KMEANS_SEED)
+    if not centres:
         return np.zeros(3)
-    centers = _kmeans(pts.tobytes(), min(DEFAULT_CLUSTER_COUNT, len(pts)))
-    centroid = centers[np.argmin(np.sqrt(_sq_dist(centers.T, p[:, None])))]
-    norm = math.sqrt(centroid.dot(centroid))
-    if norm < 1e-9:
-        # degenerate (antipodally balanced) cluster: fall back to the single
-        # nearest uninspected point so the direction stays meaningful
+    # the nearest centre by the sqrt of x*x + y*y + z*z, ties to the lower
+    # index, as np.argmin over np.sqrt(_sq_dist(...)) picks it
+    px, py, pz = p.tolist()
+    best, pick = math.inf, 0
+    for j, (cx, cy, cz) in enumerate(centres):
+        dx, dy, dz = cx - px, cy - py, cz - pz
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist < best:
+            best, pick = dist, j
+    direction = directions[pick]
+    if direction is None:
+        # degenerate cluster: fall back to the single nearest uninspected
+        # point so the direction stays meaningful
+        pts = sphere.points[~sphere.inspected]
         q = pts[np.argmin(np.sqrt(_sq_dist(pts.T, p[:, None])))]
         return q / math.sqrt(q.dot(q))
-    return centroid / norm
+    return direction.copy()

@@ -675,6 +675,36 @@ class TestCli:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["controller_resolved"] == f"mlp:{weights}"
 
+    def test_missing_weights_file_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--experiment", "4", "--out", str(tmp_path / "out"),
+                       "--weights", str(tmp_path / "missing.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_weights_of_the_wrong_input_size_exit_2(self, tmp_path, capsys):
+        from cwinspect.control import mlp_save, random_policy
+        weights = tmp_path / "w11.json"
+        mlp_save(random_policy(11, hidden=(8, 8), seed=2), weights)
+        rc = cli_main(["run", "--experiment", "1", "--out", str(tmp_path / "out"),
+                       "--weights", str(weights)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: weights input_dim 11")
+        assert not (tmp_path / "out").exists()
+
+    def test_batch_with_a_missing_weights_file_exits_2(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "one.json").write_text(json.dumps(
+            {"experiment": 4, "weights_path": str(tmp_path / "missing.json")}))
+        rc = cli_main(["batch", "--configs", str(cfg_dir),
+                       "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
+        assert not (tmp_path / "out" / "index.json").exists()
+
     def test_validate_weights_ok(self, tmp_path, capsys):
         from cwinspect.control import mlp_save, random_policy
         path = tmp_path / "w.json"

@@ -3,6 +3,8 @@ monotone bookkeeping, and the uninspected-cluster direction."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -70,14 +72,15 @@ def assert_same_cluster(got, ref):
 @pytest.fixture
 def cluster_setup(monkeypatch):
     """Sets the module's cluster count and seed for one test.  The memo is
-    keyed on the points and the count, not the seed, so it is cleared on
-    each change and when the test ends."""
+    keyed on both, so a changed value needs no clearing; it is cleared on
+    each change anyway, so that every test starts with a fresh clustering,
+    and when the test ends."""
     def use(k=inspection.DEFAULT_CLUSTER_COUNT, seed=inspection.KMEANS_SEED):
         monkeypatch.setattr(inspection, "DEFAULT_CLUSTER_COUNT", k)
         monkeypatch.setattr(inspection, "KMEANS_SEED", seed)
-        inspection._kmeans.cache_clear()
+        inspection._clusters.cache_clear()
     yield use
-    inspection._kmeans.cache_clear()
+    inspection._clusters.cache_clear()
 
 
 class TestLattice:
@@ -303,7 +306,7 @@ class TestClusterDirection:
         sph = generate_points()
         sph.inspected[:40] = True
         a = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0])
-        inspection._kmeans.cache_clear()
+        inspection._clusters.cache_clear()
         b = nearest_uninspected_cluster(sph, [10.0, 20.0, 5.0])
         assert np.array_equal(a, b)
 
@@ -340,7 +343,7 @@ class TestClusterMemo:
     def test_matches_oracle_over_an_episode(self):
         # the sphere's mask is mutated in place between calls, as in a run
         sph = generate_points()
-        hits = inspection._kmeans.cache_info().hits
+        hits = inspection._clusters.cache_info().hits
         changes = 0
         for i in range(120):
             az = 0.05 * i
@@ -351,7 +354,7 @@ class TestClusterMemo:
                                 kmeans_oracle(sph, pos))
         assert changes > 3
         assert 0 < inspected_count(sph) < SPHERE_POINT_COUNT
-        assert inspection._kmeans.cache_info().hits > hits
+        assert inspection._clusters.cache_info().hits > hits
 
     def test_same_mask_different_deputy_positions(self):
         sph = generate_points()
@@ -369,6 +372,134 @@ class TestClusterMemo:
         first[:] = 99.0
         assert_same_cluster(nearest_uninspected_cluster(sph, [0.0, 40.0, 10.0]),
                             kmeans_oracle(sph, [0.0, 40.0, 10.0]))
+
+    @staticmethod
+    def _assert_calls_match_oracle(sph, rng, calls=4):
+        for _ in range(calls):
+            pos = rng.normal(0, 40, 3)
+            assert_same_cluster(nearest_uninspected_cluster(sph, pos),
+                                kmeans_oracle(sph, pos))
+
+    @staticmethod
+    def _random_points(rng, count, radius):
+        v = rng.normal(size=(count, 3))
+        return radius * v / np.linalg.norm(v, axis=1)[:, None]
+
+    def test_custom_sphere_points_then_radius_reassigned(self):
+        # the sphere keeps its points' bytes until points is assigned; each
+        # assignment keys the memo on the new points
+        rng = np.random.default_rng(11)
+        sph = InspectionSphere(self._random_points(rng, 45, 7.0),
+                               rng.random(45) < 0.3, 7.0)
+        self._assert_calls_match_oracle(sph, rng)
+        # Fortran order: the key is the points' values, not their layout
+        sph.points = np.asfortranarray(self._random_points(rng, 45, 7.0))
+        self._assert_calls_match_oracle(sph, rng)
+        key = sph._points_key
+        sph.radius = 3.0
+        self._assert_calls_match_oracle(sph, rng)
+        sph.points = sph.points * (3.0 / 7.0)
+        self._assert_calls_match_oracle(sph, rng)
+        assert sph._points_key != key
+
+    def test_custom_points_are_kept_as_a_read_only_copy(self):
+        # writing the array a sphere was given cannot leave the memo (or the
+        # unit vectors) behind the sphere's points
+        rng = np.random.default_rng(16)
+        given = self._random_points(rng, 40, 10.0)
+        sph = InspectionSphere(given, np.zeros(40, dtype=bool), 10.0)
+        pos = [50.0, 0.0, 0.0]
+        before = nearest_uninspected_cluster(sph, pos)
+        given[:] = -given
+        assert_same_cluster(nearest_uninspected_cluster(sph, pos), before)
+        assert_same_cluster(before, kmeans_oracle(sph, pos))
+        with pytest.raises(ValueError, match="read-only"):
+            sph.points[0, 0] = 1.0
+
+    def test_inspected_reassigned_and_mutated_in_place(self):
+        rng = np.random.default_rng(12)
+        sph = generate_points()
+        self._assert_calls_match_oracle(sph, rng)
+        sph.inspected = rng.random(SPHERE_POINT_COUNT) < 0.5
+        self._assert_calls_match_oracle(sph, rng)
+        sph.inspected[::4] = True
+        self._assert_calls_match_oracle(sph, rng)
+        sph.inspected[:] = False
+        self._assert_calls_match_oracle(sph, rng)
+
+    def test_two_spheres_called_alternately(self):
+        # the memo is shared: entries of one sphere never answer the other
+        rng = np.random.default_rng(13)
+        mask = rng.random(SPHERE_POINT_COUNT) < 0.4
+        a = generate_points()
+        b = InspectionSphere(self._random_points(rng, SPHERE_POINT_COUNT, 10.0),
+                             np.zeros(SPHERE_POINT_COUNT, dtype=bool), 10.0)
+        a.inspected[:] = b.inspected[:] = mask
+        for _ in range(3):
+            self._assert_calls_match_oracle(a, rng, calls=2)
+            self._assert_calls_match_oracle(b, rng, calls=2)
+            a.inspected[rng.integers(SPHERE_POINT_COUNT)] = True
+
+    @pytest.mark.parametrize("k, seed", [(6, 5), (3, 0), (4, 2**31 + 7)])
+    def test_patched_seed_and_count_are_honoured(self, monkeypatch, k, seed):
+        # the memo is keyed on the count and seed read at call time, and a
+        # fresh clustering resets its generator to that seed's state, also
+        # after a clustering with another seed used it
+        rng = np.random.default_rng(14)
+        sph = generate_points()
+        sph.inspected[:] = rng.random(SPHERE_POINT_COUNT) < 0.3
+        self._assert_calls_match_oracle(sph, rng, calls=2)
+        monkeypatch.setattr(inspection, "DEFAULT_CLUSTER_COUNT", k)
+        monkeypatch.setattr(inspection, "KMEANS_SEED", seed)
+        self._assert_calls_match_oracle(sph, rng, calls=2)
+        for _ in range(3):
+            sph.inspected[rng.integers(SPHERE_POINT_COUNT)] = True
+            self._assert_calls_match_oracle(sph, rng, calls=2)
+        monkeypatch.undo()
+        self._assert_calls_match_oracle(sph, rng, calls=2)
+
+    def test_threads_clustering_at_once_match_the_oracle(self):
+        # every fresh clustering resets and draws from one shared generator;
+        # threads switching every few bytecodes must not mix their draws
+        rng = np.random.default_rng(17)
+        masks = [rng.random(SPHERE_POINT_COUNT) < 0.4 for _ in range(48)]
+        pos = [30.0, -20.0, 10.0]
+        expected = []
+        for mask in masks:
+            sph = generate_points()
+            sph.inspected[:] = mask
+            expected.append(kmeans_oracle(sph, pos).tobytes())
+        inspection._clusters.cache_clear()
+        got = [None] * len(masks)
+
+        def work(first):
+            sph = generate_points()
+            for i in range(first, len(masks), 4):
+                sph.inspected[:] = masks[i]
+                got[i] = nearest_uninspected_cluster(sph, pos).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_memo_holds_at_most_32_entries(self):
+        sph = generate_points()
+        rng = np.random.default_rng(15)
+        assert inspection._clusters.cache_info().maxsize == 32
+        for i in range(40):
+            sph.inspected[:] = rng.random(SPHERE_POINT_COUNT) < 0.5
+            nearest_uninspected_cluster(sph, [50.0, 0.0, 0.0])
+            assert inspection._clusters.cache_info().currsize <= 32
+        assert inspection._clusters.cache_info().currsize == 32
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_harness_logs_match_oracle(self, tmp_path, monkeypatch, closed):
@@ -432,7 +563,8 @@ class TestOracleProperty:
         for pos in ([50.0, 0.0, 0.0], [0.0, 50.0, 0.0], [0.0, 0.0, 50.0]):
             assert_same_cluster(nearest_uninspected_cluster(sph, pos),
                                 kmeans_oracle(sph, pos))
-        centers = inspection._kmeans(pts.tobytes(), 4)
+        centers = np.array(inspection._clusters(
+            pts.tobytes(), sph.inspected.tobytes(), 4, seed)[0])
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         sizes = np.bincount(np.argmin(d2, axis=1), minlength=4)
         assert (sizes == 0).any() and sizes.sum() == len(pts)

@@ -1,6 +1,6 @@
 """tools/ab_interleave.py: two trees timed in one process, both import
-orders, refused when their outputs differ; on the env chain and on the
-filter alone."""
+orders, refused when their outputs differ; on the env chain, on the filter
+alone and on the cluster direction alone."""
 
 import shutil
 import subprocess
@@ -43,6 +43,33 @@ def test_filters_with_different_outputs_are_refused(tmp_path):
     assert "_HOLD_MARGIN = 1e-3" in text
     rta_py.write_text(text.replace("_HOLD_MARGIN = 1e-3", "_HOLD_MARGIN = 2e-3"))
     proc = _run(ROOT, other, workload="filter")
+    assert proc.returncode != 0
+    assert "outputs differ" in proc.stderr + proc.stdout
+
+
+def test_a_cluster_direction_against_itself():
+    # each import order and both together report the whole replay, then its
+    # fresh calls and its memo hits apart
+    proc = _run(ROOT, ROOT, workload="cluster")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["imported", "AB"], ["fresh", "A"], ["hit", "A"],
+        ["imported", "BA"], ["fresh", "A"], ["hit", "A"],
+        ["both", "orders"], ["fresh", "A"], ["hit", "A"]]
+    assert all(line.endswith("of 4 rounds") for line in lines[-3:])
+
+
+def test_cluster_directions_that_differ_are_refused(tmp_path):
+    # another k-means seed gives other directions on the replayed calls
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "cwinspect", other / "src" / "cwinspect",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    inspection_py = other / "src" / "cwinspect" / "inspection.py"
+    text = inspection_py.read_text()
+    assert "KMEANS_SEED = 0" in text
+    inspection_py.write_text(text.replace("KMEANS_SEED = 0", "KMEANS_SEED = 1"))
+    proc = _run(ROOT, other, workload="cluster")
     assert proc.returncode != 0
     assert "outputs differ" in proc.stderr + proc.stdout
 

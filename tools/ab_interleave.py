@@ -1,7 +1,7 @@
 """Interleaved A/B timing of two cwinspect trees in one process.
 
-    python tools/ab_interleave.py A_TREE B_TREE --workload env|exp2|nnc|filter \
-        [--rounds 8] [--steps N]
+    python tools/ab_interleave.py A_TREE B_TREE \
+        --workload env|exp2|nnc|filter|cluster [--rounds 8] [--steps N]
 
 Each tree is a checkout whose ``src/cwinspect`` is imported under its own
 package name (``cwinspect_a``, ``cwinspect_b``), so both run in the same
@@ -27,10 +27,20 @@ Workloads, one unit each:
   recorded once per tree and replayed one call at a time; the outputs
   compared are every call's ``u_act``, ``active_set``, ``feasible`` and
   ``slack_used``, and a step is one filter call.  It times the filter alone,
-  without the rest of the episode.
+  without the rest of the episode;
+- ``cluster``: the ``nearest_uninspected_cluster`` calls of the ``nnc``
+  unit, each one's inspected mask and deputy position, recorded once per
+  tree and replayed one call at a time on one sphere; the outputs compared
+  are every returned direction's bytes, and a step is one call.  Each
+  replay starts with the tree's ``inspection`` caches cleared, as a fresh
+  process does.  The calls are also timed apart: ``fresh`` ones, whose mask
+  differs from the previous call's (as the benchmark tags a call fresh; the
+  memo may still hold that mask from an earlier episode), and memo ``hit``
+  ones, whose mask does not.
 
 Prints, per import order and over both, each side's median time per step,
-the median of the per-round B/A ratios and how many rounds B was faster.
+the median of the per-round B/A ratios and how many rounds B was faster;
+for ``cluster`` the same again for the fresh calls and for the hits.
 """
 
 from __future__ import annotations
@@ -139,31 +149,84 @@ def nnc_unit(cw, steps: int, workdir: Path):
     return _runs(cw, configs)
 
 
+def cluster_unit(cw, steps: int, workdir: Path):
+    """Replay the nnc unit's cluster calls one at a time; returns (calls,
+    digest of every returned direction, {kind: (calls, seconds)} for the
+    fresh calls and the memo hits).  The calls are recorded in the first
+    call for each tree and kept in ``workdir``."""
+    stream = workdir / f"cluster_calls_{cw.__name__}.npz"
+    if not stream.exists():
+        masks, positions = [], []
+        inspection = cw.inspection
+        nearest = inspection.nearest_uninspected_cluster
+
+        def record(sphere, deputy_position):
+            masks.append(sphere.inspected.copy())
+            positions.append(np.array(deputy_position, dtype=float))
+            return nearest(sphere, deputy_position)
+
+        inspection.nearest_uninspected_cluster = record
+        try:
+            nnc_unit(cw, steps, workdir)
+        finally:
+            inspection.nearest_uninspected_cluster = nearest
+        np.savez(stream, masks=np.array(masks), positions=np.array(positions))
+    calls = np.load(stream)
+    masks, positions = calls["masks"], calls["positions"]
+    for cached in vars(cw.inspection).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    fresh = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)].tolist()
+    sphere, nearest = cw.generate_points(), cw.nearest_uninspected_cluster
+    clock, digest = time.perf_counter, hashlib.sha256()
+    spent = {"fresh": 0.0, "hit": 0.0}
+    for mask, position, is_fresh in zip(masks, positions, fresh):
+        if is_fresh:
+            sphere.inspected[:] = mask
+        t0 = clock()
+        direction = nearest(sphere, position)
+        spent["fresh" if is_fresh else "hit"] += clock() - t0
+        digest.update(direction.tobytes())
+    n_fresh = sum(fresh)
+    parts = {"fresh": (n_fresh, spent["fresh"]), "hit": (len(fresh) - n_fresh, spent["hit"])}
+    return len(masks), digest.hexdigest(), parts
+
+
 WORKLOADS = {"env": (env_unit, ENV_STEPS), "exp2": (exp2_unit, EXP2_STEPS),
-             "nnc": (nnc_unit, NNC_STEPS), "filter": (filter_unit, EXP2_STEPS)}
+             "nnc": (nnc_unit, NNC_STEPS), "filter": (filter_unit, EXP2_STEPS),
+             "cluster": (cluster_unit, NNC_STEPS)}
 
 
 def child(trees, order: str, workload: str, rounds: int, steps: int) -> dict:
     """Import the trees in ``order`` ("ab" or "ba"), check that they agree,
-    and time the rounds; returns seconds per step of each side per round."""
+    and time the rounds; returns {part: {side: seconds per step per round}},
+    the part "all" being the whole unit and any others the unit's own."""
     packages = {side: load_tree(trees[side], f"cwinspect_{side}") for side in order}
     unit, default_steps = WORKLOADS[workload]
     steps = steps or default_steps
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        outputs = {side: unit(packages[side], steps, workdir) for side in SIDES}
+        outputs = {side: unit(packages[side], steps, workdir)[:2] for side in SIDES}
         if outputs["a"] != outputs["b"]:
             raise SystemExit(f"{workload}: the trees' outputs differ: {outputs}")
-        per_step = {side: [] for side in SIDES}
+        per_step = {"all": {side: [] for side in SIDES}}
         for r in range(rounds):
             for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
                 t0 = time.perf_counter()
-                n, _ = unit(packages[side], steps, workdir)
-                per_step[side].append((time.perf_counter() - t0) / n)
+                n, _, *parts = unit(packages[side], steps, workdir)
+                per_step["all"][side].append((time.perf_counter() - t0) / n)
+                for part, (count, seconds) in (parts[0] if parts else {}).items():
+                    per_side = per_step.setdefault(part, {s: [] for s in SIDES})
+                    per_side[side].append(seconds / max(count, 1))
     return per_step
 
 
 def report(label: str, per_step: dict) -> None:
+    for part, sides in per_step.items():
+        _report_part(label if part == "all" else f"  {part}", sides)
+
+
+def _report_part(label: str, per_step: dict) -> None:
     a, b = per_step["a"], per_step["b"]
     ratios = [tb / ta for ta, tb in zip(a, b)]
     wins = sum(r < 1.0 for r in ratios)
@@ -193,7 +256,7 @@ def main(argv=None) -> int:
         print(json.dumps(child(trees, args.order, args.workload, args.rounds, args.steps)))
         return 0
 
-    merged = {side: [] for side in SIDES}
+    merged = {}
     print(f"workload {args.workload}: A = {trees['a']}, B = {trees['b']}, "
           f"{args.rounds} rounds per import order")
     for order in ("ab", "ba"):
@@ -206,8 +269,9 @@ def main(argv=None) -> int:
             return 1
         per_step = json.loads(proc.stdout.splitlines()[-1])
         report(f"imported {order.upper()}", per_step)
-        for side in SIDES:
-            merged[side] += per_step[side]
+        for part, sides in per_step.items():
+            for side in SIDES:
+                merged.setdefault(part, {s: [] for s in SIDES})[side] += sides[side]
     report("both orders", merged)
     return 0
 
