@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """The safety filter at work: barrier values, minimal modification of a
 desired thrust, and the collision-course experiment where the filter parks
-an origin-seeking LQR at the 10 m keep-out boundary."""
+an origin-seeking LQR at the 10 m keep-out boundary.  The filter takes the
+safety constants alone: it plans the one 2 s hold of the one spacecraft."""
 
 import numpy as np
 
-from cwinspect import (DynamicsParams, SafetyParams, default_experiment,
-                       emit, filter_control, h_values, run)
+from cwinspect import (SafetyParams, default_experiment, emit, filter_control,
+                       h_values, run)
 
-dyn = DynamicsParams()
 safety = SafetyParams()
 
 # six barriers: keep-out braking cone, keep-in braking cone, range-scaled
@@ -23,21 +23,21 @@ print("\nbarriers moving 1.5 m/s in-track:",
 print("safe?", h_values(x_fast, safety).min() >= 0)
 
 # the filter leaves a harmless request alone ...
-res = filter_control(x_safe, np.array([0.05, 0.0, -0.02]), safety, dyn)
+res = filter_control(x_safe, np.array([0.05, 0.0, -0.02]), safety)
 print(f"\nbenign request: intervened={res.intervened} "
       f"deviation={res.deviation:.3f} N")
 
 # ... and minimally modifies one that would violate a barrier: at the +x
 # velocity limit, any further +x thrust is clipped to zero
 x_limit = np.array([0.0, 500.0, 0.0, 1.0, 0.0, 0.0])
-res = filter_control(x_limit, np.array([1.0, 0.0, 0.0]), safety, dyn)
+res = filter_control(x_limit, np.array([1.0, 0.0, 0.0]), safety)
 print(f"at the +x speed limit, request (1,0,0) N becomes "
       f"{np.round(res.u_act, 6)} N (active constraints {res.active_set})")
 
 # the same call filters a batch: states (N, 6) with requests (N, 3) give
 # one result whose fields hold a row per state
 res = filter_control(np.stack([x_safe, x_limit]),
-                     np.array([[0.05, 0.0, -0.02], [1.0, 0.0, 0.0]]), safety, dyn)
+                     np.array([[0.05, 0.0, -0.02], [1.0, 0.0, 0.0]]), safety)
 print(f"both requests as one batch: intervened={res.intervened}, "
       f"u_act rows {np.round(res.u_act, 6).tolist()}")
 

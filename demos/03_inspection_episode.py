@@ -5,9 +5,9 @@ scripted circumnavigation."""
 
 import numpy as np
 
-from cwinspect import (EnvConfig, InspectionEnv, ScriptedOrbitController,
-                       generate_points, inspected_count,
-                       nearest_uninspected_cluster, update_inspected)
+from cwinspect import (EnvConfig, InspectionEnv, generate_points,
+                       inspected_count, nearest_uninspected_cluster,
+                       scripted_orbit_control, update_inspected)
 from cwinspect.env import OBS_ALL_SENSORS
 
 # the chief model: 99 lattice points on a 10 m sphere
@@ -37,11 +37,10 @@ obs = env.reset()
 print(f"reset: observation length {len(obs)}, normalized position "
       f"{np.round(obs[:3], 3)}")
 
-controller = ScriptedOrbitController()
 total = 0.0
 done = False
 while not done:
-    action = controller(env.state.vector())
+    action = scripted_orbit_control(env.state.vector())
     obs, reward, done, info = env.step(action)
     total += reward
     if env.step_index % 50 == 0 or done:

@@ -6,9 +6,8 @@ Filter built on six control barrier functions keeps arbitrary primary
 controllers safe over every zero-order hold.
 """
 
-from .control import (LqrController, MlpPolicy, ScriptedOrbitController,
-                      lqr_control, lqr_design, mlp_act, mlp_load, mlp_save,
-                      random_policy)
+from .control import (MlpPolicy, lqr_control, lqr_design, mlp_act, mlp_load,
+                      mlp_save, random_policy, scripted_orbit_control)
 from .dynamics import DynamicsParams, cw_matrices, cw_stm, step, sun_vector
 from .env import (EnvConfig, InspectionEnv, RelativeState, build_observation,
                   delta_v, normalize_state)

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .control import mlp_load
-from .harness import default_experiment, emit, load_config, run, run_batch
+from .harness import default_experiment, load_config, run, run_batch, write_run
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -75,11 +73,7 @@ def _cmd_run(args) -> int:
         # a missing or unreadable weights file, or weights that do not fit
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        emit(log, fmt, out / f"trajectory.{fmt}")
-    (out / "summary.json").write_text(json.dumps(summary))
+    write_run(log, summary, args.out, formats)
     print(f"controller={summary['controller_resolved']} steps={summary['steps']} "
           f"inspected={summary['inspected']}/99 delta_v={summary['delta_v']:.2f} m/s "
           f"reward={summary['reward']:.2f} min_distance={summary['min_distance']:.2f} m "

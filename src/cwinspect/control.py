@@ -1,5 +1,5 @@
 """Primary controllers: LQR to the origin, MLP policy inference, and a
-scripted circumnavigation controller used as a stand-in for trained policies.
+scripted circumnavigation control law used as a stand-in for trained policies.
 The LQR weights and the stand-in's orbit are the one design the experiments
 fly, fixed as module constants.
 
@@ -35,10 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _clamp, cw_matrices
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _positive, cw_matrices
 
 __all__ = [
-    "LqrController",
     "lqr_design",
     "lqr_control",
     "MlpLayer",
@@ -48,7 +47,7 @@ __all__ = [
     "mlp_save",
     "mlp_act",
     "random_policy",
-    "ScriptedOrbitController",
+    "scripted_orbit_control",
 ]
 
 VALID_INPUT_DIMS = (6, 11)
@@ -59,22 +58,21 @@ DEFAULT_LQR_Q = 1e-3 * np.eye(6)
 DEFAULT_LQR_R = np.eye(3)
 
 # the scripted stand-in's circle: its radius [m], its plane's normal, the
-# in-plane axis it takes at the normal itself, and its PD gains [s^-2, s^-1]
+# in-plane axis it takes at the normal itself, its rate 2n [rad/s] and its
+# PD gains [s^-2, s^-1]; the drift matrix A whose acceleration it cancels
 _ORBIT_RADIUS = 30.0
 _ORBIT_NORMAL = np.array([0.0, 1.0, 0.0])
 _ORBIT_E1 = np.array([1.0, 0.0, 0.0])
+_ORBIT_RATE = 2.0 * MEAN_MOTION
 _ORBIT_GAIN = 0.002
 _ORBIT_KV = 2.0 * math.sqrt(_ORBIT_GAIN)  # critically damped
+_DRIFT = cw_matrices()[0]
+_DRIFT.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class LqrController:
-    K: np.ndarray  # (3, 6) feedback gain
-
-
-def lqr_design(dyn: DynamicsParams) -> LqrController:
-    """Continuous-time LQR gain for the relative-motion pair (A, B) with the
-    weights ``DEFAULT_LQR_Q`` and ``DEFAULT_LQR_R``.
+def lqr_design() -> np.ndarray:
+    """Continuous-time LQR gain K (3, 6) for the relative-motion pair (A, B)
+    with the weights ``DEFAULT_LQR_Q`` and ``DEFAULT_LQR_R``.
 
     Solves the algebraic Riccati equation from the stable invariant subspace
     of the Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]] (Laub 1979): P = U2 U1^-1
@@ -82,7 +80,7 @@ def lqr_design(dyn: DynamicsParams) -> LqrController:
     part, and enforces that the closed loop A - B K is Hurwitz.
     """
     Q, R = DEFAULT_LQR_Q, DEFAULT_LQR_R
-    A, B = cw_matrices(dyn)
+    A, B = cw_matrices()
     Z = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
     lam, V = np.linalg.eig(Z)
     stable = lam.real < -1e-9 * np.abs(Z).max()  # not a rounded imaginary one
@@ -94,13 +92,14 @@ def lqr_design(dyn: DynamicsParams) -> LqrController:
     eigs = np.linalg.eigvals(A - B @ K)
     if not np.all(eigs.real < 0.0):
         raise ValueError("LQR design failed: closed loop is not Hurwitz")
-    return LqrController(K)
+    return K
 
 
-def lqr_control(ctrl: LqrController, x, dyn: DynamicsParams) -> np.ndarray:
-    """u = clamp(-K x) to the per-axis thrust box for the 6-state ``x``."""
-    u = -ctrl.K @ np.asarray(x, dtype=float).reshape(6)
-    return _clamp(u, dyn.u_max)
+def lqr_control(K: np.ndarray, x) -> np.ndarray:
+    """u = clamp(-K x) to the per-axis thrust box for the gain ``K`` of
+    :func:`lqr_design` and the 6-state ``x``."""
+    u = -K @ np.asarray(x, dtype=float).reshape(6)
+    return _clamp(u, U_MAX)
 
 
 @dataclass
@@ -221,11 +220,11 @@ def mlp_save(policy: MlpPolicy, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def mlp_act(policy: MlpPolicy, observation, u_max: float = 1.0) -> np.ndarray:
+def mlp_act(policy: MlpPolicy, observation, u_max: float = U_MAX) -> np.ndarray:
     """Deterministic forward pass; the first three outputs are the mean
-    thrust commands, clamped to the box of half-width ``u_max``."""
-    if not 0.0 < u_max < math.inf:
-        raise ValueError("u_max must be positive and finite")
+    thrust commands, clamped to the box of half-width ``u_max``, a positive
+    and finite number (not a bool)."""
+    _positive(u_max, "u_max")
     x = np.asarray(observation, dtype=float).reshape(-1)
     if x.shape != (policy.input_dim,):
         raise ValueError(
@@ -253,8 +252,9 @@ def random_policy(input_dim: int, hidden=(256, 256), seed: int = 0,
     return _validate_policy(layers, input_dim)
 
 
-class ScriptedOrbitController:
-    """Feedback controller tracking a constant-rate circle about the chief.
+def scripted_orbit_control(x) -> np.ndarray:
+    """Thrust (3,) of the feedback law tracking a constant-rate circle about
+    the chief, for the 6-state ``x``.
 
     The reference is the nearest point on the 30 m circle in the x-z plane
     (normal +y), moving tangentially at rate 2n times the radius.  The
@@ -262,22 +262,15 @@ class ScriptedOrbitController:
     critically damped PD tracking, so a deputy on the reference needs only
     the small centripetal feedforward.
     """
-
-    def __init__(self, params: DynamicsParams | None = None):
-        self.params = params if params is not None else DynamicsParams()
-        self.rate = 2.0 * self.params.mean_motion
-        self._A, _ = cw_matrices(self.params)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(6)
-        p, v = x[:3], x[3:]
-        p_in = p - np.dot(p, _ORBIT_NORMAL) * _ORBIT_NORMAL
-        rho = np.linalg.norm(p_in)
-        rho_hat = p_in / rho if rho > 1e-9 else _ORBIT_E1
-        tan_hat = np.cross(_ORBIT_NORMAL, rho_hat)
-        p_ref = _ORBIT_RADIUS * rho_hat
-        v_ref = self.rate * _ORBIT_RADIUS * tan_hat
-        a_ref = -self.rate**2 * _ORBIT_RADIUS * rho_hat
-        a_nat = (self._A @ x)[3:]
-        a_cmd = a_ref + _ORBIT_KV * (v_ref - v) + _ORBIT_GAIN * (p_ref - p) - a_nat
-        return _clamp(self.params.mass * a_cmd, self.params.u_max)
+    x = np.asarray(x, dtype=float).reshape(6)
+    p, v = x[:3], x[3:]
+    p_in = p - np.dot(p, _ORBIT_NORMAL) * _ORBIT_NORMAL
+    rho = np.linalg.norm(p_in)
+    rho_hat = p_in / rho if rho > 1e-9 else _ORBIT_E1
+    tan_hat = np.cross(_ORBIT_NORMAL, rho_hat)
+    p_ref = _ORBIT_RADIUS * rho_hat
+    v_ref = _ORBIT_RATE * _ORBIT_RADIUS * tan_hat
+    a_ref = -_ORBIT_RATE**2 * _ORBIT_RADIUS * rho_hat
+    a_nat = (_DRIFT @ x)[3:]
+    a_cmd = a_ref + _ORBIT_KV * (v_ref - v) + _ORBIT_GAIN * (p_ref - p) - a_nat
+    return _clamp(MASS * a_cmd, U_MAX)

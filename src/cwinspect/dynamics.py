@@ -4,7 +4,9 @@ Implements the linearized Clohessy-Wiltshire equations with thrust forcing,
 sun-line kinematics, propagation under zero-order-hold control and the
 closed-form free-motion state transition matrix (used as an oracle for the
 propagation).  A state is a (6,) array [x, y, z, xd, yd, zd], or (N, 6) for a
-batch.
+batch.  The package flies one chief/deputy pair, whose constants
+:data:`MEAN_MOTION`, :data:`MASS` and :data:`U_MAX` no function takes as
+arguments; :class:`DynamicsParams` is their read-only record.
 
 The system is linear, so a hold of constant thrust is one affine map of the
 state.  One RK4 substep of the linear system, written as its matrix
@@ -21,12 +23,15 @@ y in-track, z cross-track.  SI units throughout (m, m/s, s, rad).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "MEAN_MOTION",
+    "MASS",
+    "U_MAX",
     "DynamicsParams",
     "DEFAULT_SUBSTEP",
     "cw_matrices",
@@ -46,35 +51,39 @@ DEFAULT_SUBSTEP = 0.2
 _MAX_SUBSTEPS = 100_000
 
 
+#: The one chief/deputy pair: the mean motion of the chief's circular orbit
+#: [rad/s], the deputy's mass [kg] and its per-axis thrust limit [N].
+MEAN_MOTION = 0.001027
+MASS = 12.0
+U_MAX = 1.0
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Physical constants of the chief/deputy pair.
+    """Read-only record of the one chief/deputy pair; it takes no arguments."""
 
-    Attributes
-    ----------
-    mean_motion : float
-        Mean motion of the chief's circular orbit [rad/s].
-    mass : float
-        Deputy mass [kg].
-    u_max : float
-        Per-axis thrust limit [N].
-    """
-
-    mean_motion: float = 0.001027
-    mass: float = 12.0
-    u_max: float = 1.0
-
-    def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.mean_motion, self.mass, self.u_max)):
-            raise ValueError("mean_motion, mass and u_max must be positive and finite")
+    mean_motion: float = field(default=MEAN_MOTION, init=False)  # [rad/s]
+    mass: float = field(default=MASS, init=False)  # [kg]
+    u_max: float = field(default=U_MAX, init=False)  # [N] per axis
 
 
-def cw_matrices(params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
+def _positive(value, name: str, zero: bool = False) -> float:
+    """``value`` as a float; a ``ValueError`` unless it is a finite number
+    above 0 (at least 0 with ``zero``) and not a bool."""
+    # type() in place of isinstance: faster, and neither bool type has subclasses
+    if type(value) in (bool, np.bool_) or not (
+            (value >= 0.0 if zero else value > 0.0) and value < math.inf):
+        raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'} "
+                         f"and finite, not {value!r}")
+    return float(value)
+
+
+def cw_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Return the Clohessy-Wiltshire system pair (A, B) for xdot = A x + B u.
 
     State order is [x, y, z, xd, yd, zd]; u is the thrust force [N] per axis.
     """
-    n = params.mean_motion
+    n = MEAN_MOTION
     A = np.zeros((6, 6))
     A[:3, 3:] = np.eye(3)
     A[3, 0] = 3.0 * n * n
@@ -82,7 +91,7 @@ def cw_matrices(params: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
     A[4, 3] = -2.0 * n
     A[5, 2] = -n * n
     B = np.zeros((6, 3))
-    B[3:, :] = np.eye(3) / params.mass
+    B[3:, :] = np.eye(3) / MASS
     return A, B
 
 
@@ -106,15 +115,14 @@ def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _rk4_increment(params: DynamicsParams,
-                   h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_increment(h: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 substep of the linear system as x(t+h) = x + D @ x + N @ a.
 
     For linear dynamics the classic four-stage RK4 step collapses to the
     degree-4 Taylor polynomial of the matrix exponential.  D excludes the
     identity so that its small entries keep full relative precision.
     """
-    A, _ = cw_matrices(params)
+    A, _ = cw_matrices()
     I = np.eye(6)
     A2 = A @ A
     A3 = A2 @ A
@@ -125,7 +133,7 @@ def _rk4_increment(params: DynamicsParams,
     return D, N
 
 
-def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarray]:
+def rk4_zoh_map(h: float) -> tuple[np.ndarray, np.ndarray]:
     """One propagation substep of the linear system as an affine map.
 
     Returns (M, N) such that x(t+h) = M @ x(t) + N @ a for constant
@@ -133,7 +141,7 @@ def rk4_zoh_map(params: DynamicsParams, h: float) -> tuple[np.ndarray, np.ndarra
     system.  Every propagation in the package composes this substep in
     :func:`hold_maps`.
     """
-    D, N = _rk4_increment(params, h)
+    D, N = _rk4_increment(h)
     return np.eye(6) + D, N
 
 
@@ -158,7 +166,7 @@ def _add_thrust(X, free, S, u) -> np.ndarray:
     return X[:, None] + (free + S @ u[..., None, :, None])[..., 0]
 
 
-def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
+def step(x, u, dt: float) -> np.ndarray:
     """Propagate one 6-state (6,) or states (N, 6) ``dt`` seconds under the
     zero-order-hold thrust ``u`` (3,).
 
@@ -166,7 +174,7 @@ def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     Raises ``ValueError`` on any other shape, on non-finite input and on
     the ``dt`` that :func:`hold_maps` refuses.
     """
-    D, S = hold_maps(params, float(dt))
+    D, S = hold_maps(_positive(dt, "dt"))
     X, single = _as_state_matrix(x)
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
@@ -177,8 +185,8 @@ def step(x, u, dt: float, params: DynamicsParams) -> np.ndarray:
     return _fly(D[-1:], S[-1:], X, u)[:, -1]
 
 
-@lru_cache(maxsize=4)
-def hold_maps(params: DynamicsParams, period: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4, typed=True)  # typed: True is refused, not served as 1.0
+def hold_maps(period: float) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 
     A hold of ``period`` seconds split into J = max(1, ceil(period /
@@ -187,19 +195,18 @@ def hold_maps(params: DynamicsParams, period: float) -> tuple[np.ndarray, np.nda
     j + 1.  The substeps of the augmented 9x9 map are composed one by one,
     each kept as its difference from the identity so no precision is lost
     to the unit diagonal.  Returns (D, S) of shapes (J, 6, 6) and (J, 6, 3),
-    cached and read-only.  Raises ``ValueError`` unless ``period`` is
-    positive and finite and J is at most 100,000.
+    cached and read-only.  Raises ``ValueError`` unless ``period`` is a
+    positive and finite number, not a bool, and J is at most 100,000.
     """
-    if not (math.isfinite(period) and period > 0.0):
-        raise ValueError("period must be positive and finite")
+    period = _positive(period, "period")
     ratio = period / DEFAULT_SUBSTEP - 1e-12
     if not ratio <= _MAX_SUBSTEPS:  # refuses an infinite ratio too
         raise ValueError(f"a hold of {ratio:.6g} substeps exceeds {_MAX_SUBSTEPS}")
     substeps = max(1, math.ceil(ratio))
-    D_sub, N = _rk4_increment(params, period / substeps)
+    D_sub, N = _rk4_increment(period / substeps)
     base = np.zeros((9, 9))
     base[:6, :6] = D_sub
-    base[:6, 6:] = N / params.mass
+    base[:6, 6:] = N / MASS
     D = np.empty((substeps, 6, 6))
     S = np.empty((substeps, 6, 3))
     power = np.zeros((9, 9))

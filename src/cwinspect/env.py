@@ -11,9 +11,9 @@ or after 1223 steps.  Observations come in two flavours:
 
 The cluster direction is the experiments' one k-means setup.  A non-finite
 state or action, or a non-finite sun angle in all-sensors mode, is refused
-with a ``ValueError``.  An episode starts from the paper's initial state,
-flies the default dynamics constants and holds a frozen :class:`RelativeState`:
-the read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock.
+with a ``ValueError``.  An episode starts from the paper's initial state, as
+every experiment does, and holds a frozen :class:`RelativeState`: the
+read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inspection
-from .dynamics import DynamicsParams, _clamp, step
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _positive, step
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -54,7 +54,6 @@ POINTS_NORM = 100.0  # inspected-point count divided by this
 
 MAX_EPISODE_STEPS = 1223
 RL_STEP_SECONDS = 10.0
-_DYNAMICS = DynamicsParams()  # every episode flies the default constants
 
 # Reference initial condition used by all experiments:
 # [x, y, z, xd, yd, zd] in m and m/s, plus the initial sun angle in rad.
@@ -66,16 +65,16 @@ PAPER_INITIAL_SUN_ANGLE = 3.42
 _STATE_DIVISORS = np.array([POSITION_NORM] * 3 + [1.0 / VELOCITY_NORM] * 3)
 
 
-def delta_v(action, dt: float, mass: float) -> float:
-    """Fuel-use proxy (|Fx| + |Fy| + |Fz|) / m * dt in m/s; a non-finite
-    action is refused with a ``ValueError``."""
-    if not (0.0 < dt < math.inf and mass > 0.0):
-        raise ValueError("dt must be positive and finite and mass positive")
+def delta_v(action, dt: float) -> float:
+    """Fuel-use proxy (|Fx| + |Fy| + |Fz|) / m * dt in m/s for the deputy's
+    mass m; a non-finite action, and a ``dt`` that is not a positive and
+    finite number (or is a bool), is refused with a ``ValueError``."""
+    dt = _positive(dt, "dt")
     fx, fy, fz = np.asarray(action, dtype=float).reshape(3).tolist()
     if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
         raise ValueError("action must be finite")
     # summed left to right, as np.abs(F).sum() adds three entries
-    return float((abs(fx) + abs(fy) + abs(fz)) / mass * dt)
+    return float((abs(fx) + abs(fy) + abs(fz)) / MASS * dt)
 
 
 def normalize_state(vec6) -> np.ndarray:
@@ -195,15 +194,15 @@ class InspectionEnv:
         action = np.asarray(action, dtype=float).reshape(3)
         if not np.isfinite(action).all():
             raise ValueError("action must be finite")
-        u = _clamp(action, _DYNAMICS.u_max)
-        x = step(state.x, u, RL_STEP_SECONDS, _DYNAMICS)
+        u = _clamp(action, U_MAX)
+        x = step(state.x, u, RL_STEP_SECONDS)
         x.setflags(write=False)
         state = self.state = RelativeState(
-            x, state.sun_angle - _DYNAMICS.mean_motion * RL_STEP_SECONDS,
+            x, state.sun_angle - MEAN_MOTION * RL_STEP_SECONDS,
             state.t + RL_STEP_SECONDS)
         newly = inspection.update_inspected(
             self.sphere, x[:3], state.sun_angle, self.config.illumination)
-        dv = delta_v(u, RL_STEP_SECONDS, _DYNAMICS.mass)
+        dv = delta_v(u, RL_STEP_SECONDS)
         self.total_delta_v += dv
         reward = 0.1 * newly - 0.1 * dv
         self.total_reward += reward

@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import inspection
-from .control import (ScriptedOrbitController, lqr_control, lqr_design,
-                      mlp_act, mlp_load)
-from .dynamics import DynamicsParams, _fly, hold_maps
+from .control import (lqr_control, lqr_design, mlp_act, mlp_load,
+                      scripted_orbit_control)
+from .dynamics import MASS, MEAN_MOTION, _fly, _positive, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation
-from .rta import filter_control
+from .rta import DEFAULT_PERIOD, filter_control
 from .safety import NUM_CONSTRAINTS, SafetyParams, h_values
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "inject_noise",
     "run",
     "emit",
+    "write_run",
     "run_batch",
 ]
 
@@ -95,9 +96,8 @@ class NoiseModel:
     disturbance_sigma: float = 5e-5  # [m/s^2]
 
     def __post_init__(self):
-        if not all(0.0 <= v < math.inf for v in (
-                self.position_sigma, self.velocity_sigma, self.disturbance_sigma)):
-            raise ValueError("noise sigmas must be non-negative and finite")
+        for name in ("position_sigma", "velocity_sigma", "disturbance_sigma"):
+            _positive(getattr(self, name), name, zero=True)
 
 
 @dataclass
@@ -107,14 +107,12 @@ class ExperimentConfig:
     illumination: bool = False
     position_scale: float = 65.0
     time_scale: float = 10.0
-    control_rate: float = 0.5  # [Hz] space frame
     max_duration: float = 6000.0  # [s] space frame
     max_steps: int | None = None
     closed_loop: bool = False
     seed: int = 0
     noise: NoiseModel = field(default_factory=NoiseModel)
     weights_path: str | None = None
-    initial_state: tuple = tuple(PAPER_INITIAL_STATE) + (PAPER_INITIAL_SUN_ANGLE,)
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_CHOICES:
@@ -125,22 +123,14 @@ class ExperimentConfig:
             if not isinstance(flag, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {flag!r}")
             setattr(self, name, bool(flag))
-        if not all(0.0 < v < math.inf for v in (self.position_scale, self.time_scale)):
-            raise ValueError("scales must be positive and finite")
-        if not 0.0 < self.control_rate < math.inf:
-            raise ValueError("control_rate must be positive and finite")
-        if not 0.0 < self.max_duration < math.inf:
-            raise ValueError("max_duration must be positive and finite")
+        for name in ("position_scale", "time_scale", "max_duration"):
+            _positive(getattr(self, name), name)
         if self.max_steps is not None and (isinstance(self.max_steps, bool) or not (
                 isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1)):
             raise ValueError("max_steps must be a positive integer or None")
         if isinstance(self.seed, bool) or not (
                 isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        state = tuple(float(v) for v in self.initial_state)
-        if len(state) != 7:
-            raise ValueError("initial_state must have 7 entries (pos, vel, sun angle)")
-        self.initial_state = state
         if isinstance(self.noise, dict):
             try:
                 self.noise = NoiseModel(**self.noise)
@@ -148,6 +138,11 @@ class ExperimentConfig:
                 raise ValueError(f"invalid noise model: {exc}") from exc
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel or a dict of its fields")
+
+    @property
+    def control_rate(self) -> float:
+        """The control rate [Hz] in the space frame: 1 / :data:`DEFAULT_PERIOD`."""
+        return 1.0 / DEFAULT_PERIOD
 
 
 @dataclass
@@ -249,18 +244,17 @@ def inject_noise(x: np.ndarray, model: NoiseModel,
                                rng.normal(0.0, model.velocity_sigma, 3)])
 
 
-def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
+def _resolve_controller(cfg: ExperimentConfig):
     """Build the control callback (x, theta, sphere) -> u_des, a (3,) thrust
     in the box, and its label."""
     name = cfg.controller
     if name == "lqr":
-        ctrl = lqr_design(dyn)
-        return (lambda x, theta, sphere: lqr_control(ctrl, x, dyn)), "lqr"
+        K = lqr_design()
+        return (lambda x, theta, sphere: lqr_control(K, x)), "lqr"
     if name == "scripted" or not cfg.weights_path:
         # an NNC without trained weights flies the scripted circumnavigation
-        ctrl = ScriptedOrbitController(dyn)
         label = "scripted" if name == "scripted" else f"scripted (stand-in for {name})"
-        return (lambda x, theta, sphere: ctrl(x)), label
+        return (lambda x, theta, sphere: scripted_orbit_control(x)), label
     mode = _NNC_MODES[name]
     policy = mlp_load(cfg.weights_path)
     if (mode == OBS_NO_SENSORS) != (policy.input_dim == 6):
@@ -270,7 +264,7 @@ def _resolve_controller(cfg: ExperimentConfig, dyn: DynamicsParams):
 
     def nnc(x, theta, sphere):
         obs = build_observation(x, theta, sphere, mode)
-        return mlp_act(policy, obs, dyn.u_max)
+        return mlp_act(policy, obs)
 
     return nnc, f"mlp:{cfg.weights_path}"
 
@@ -281,7 +275,9 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     Rows are recorded at each control instant: the state at t_k, the raw and
     filtered commands issued there, barrier values of the true state, the
     inspected count after the update at t_k, and the cumulative delta-v
-    including the thrust held over [t_k, t_k + 1/control_rate).
+    including the thrust held over [t_k, t_k + DEFAULT_PERIOD).  The run
+    starts from the paper's initial state, as an :class:`InspectionEnv`
+    episode does.
 
     The step loop runs only what the next step reads: the controller, the
     filter, the inspection update and the hold flight.  It keeps the state
@@ -294,13 +290,12 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     checked copy.  Raises ValueError for a field ``ExperimentConfig`` refuses.
     """
     cfg = dataclasses.replace(cfg)
-    dyn = DynamicsParams()
     safety = SafetyParams()
-    controller, resolved = _resolve_controller(cfg, dyn)
+    controller, resolved = _resolve_controller(cfg)
 
-    dt_c = 1.0 / cfg.control_rate
+    dt_c = DEFAULT_PERIOD
     # the plant flies each hold as the filter plans it
-    D, S = hold_maps(dyn, dt_c)
+    D, S = hold_maps(dt_c)
 
     # any positive duration records the row at t = 0
     max_rows = max(1, math.ceil(cfg.max_duration * cfg.control_rate - 1e-9))
@@ -309,8 +304,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
 
     rng = np.random.default_rng(cfg.seed)
     sphere = inspection.generate_points()
-    x = np.array(cfg.initial_state[:6])
-    theta0 = cfg.initial_state[6]
+    x = PAPER_INITIAL_STATE.copy()
 
     rows = np.zeros((max_rows, len(CSV_COLUMNS)))
     path = np.empty((max_rows, len(D), 3))  # substep positions of each hold
@@ -318,12 +312,12 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
 
     for k in range(max_rows):
         t_k = k * dt_c
-        theta_k = theta0 - dyn.mean_motion * t_k
+        theta_k = PAPER_INITIAL_SUN_ANGLE - MEAN_MOTION * t_k
         sensed = inject_noise(x, cfg.noise, rng) if cfg.closed_loop else x
 
         u_des = controller(sensed, theta_k, sphere)  # (3,), in the thrust box
         if cfg.rta_enabled:
-            res = filter_control(sensed, u_des, safety, dyn, period=dt_c)
+            res = filter_control(sensed, u_des, safety)
             u_act = res.u_act
             rows[k, _INTERVENED] = res.intervened
             rows[k, _DEVIATION] = res.deviation
@@ -345,7 +339,7 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
 
         force = u_act
         if cfg.closed_loop:
-            force = force + dyn.mass * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
+            force = force + MASS * rng.normal(0.0, cfg.noise.disturbance_sigma, 3)
         hold = _fly(D, S, x, force)
         path[k] = hold[:, :3]
         x = hold[-1]
@@ -355,9 +349,9 @@ def run(cfg: ExperimentConfig) -> tuple[TrajectoryLog, dict]:
     # an episode that inspects every point stops before flying its last hold
     flown = path[:k + 1 - success].reshape(-1, 3)
     rows[:, _H] = h_values(rows[:, _X], safety)
-    rows[:, _DELTA_V] = np.cumsum(np.abs(rows[:, _U_ACT]).sum(axis=1) / dyn.mass * dt_c)
+    rows[:, _DELTA_V] = np.cumsum(np.abs(rows[:, _U_ACT]).sum(axis=1) / MASS * dt_c)
     cum_dv = float(rows[-1, _DELTA_V])
-    x0 = np.asarray(cfg.initial_state[:3])
+    x0 = PAPER_INITIAL_STATE[:3]
     nearest = np.sqrt(np.min(np.einsum("ij,ij->i", flown, flown), initial=math.inf))
     min_distance = min(float(np.linalg.norm(x0)), float(nearest))
     in_aviary = bool(np.all(np.abs(x0) / cfg.position_scale <= _AVIARY_HALF_BOX)
@@ -487,17 +481,23 @@ def emit(log: TrajectoryLog, fmt: str, path) -> Path:
 
 # -- batch execution ------------------------------------------------------
 
+def write_run(log: TrajectoryLog, summary: dict, run_dir,
+              formats=("csv", "json")) -> None:
+    """Write one run into the directory ``run_dir``, made if missing: its
+    trajectory as ``trajectory.<fmt>`` through :func:`emit` for each of
+    ``formats``, then its summary as ``summary.json``."""
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for fmt in formats:
+        emit(log, fmt, run_dir / f"trajectory.{fmt}")
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+
+
 def _run_one(args):
     path, out_dir = args
-    cfg = load_config(path)
-    log, summary = run(cfg)
+    log, summary = run(load_config(path))
     stem = Path(path).stem
-    run_dir = Path(out_dir) / stem
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in ("csv", "json"):
-        emit(log, fmt, run_dir / f"trajectory.{fmt}")
-    summary_path = run_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary))
+    write_run(log, summary, Path(out_dir) / stem)
     brief = {k: summary[k] for k in
              ("inspected", "delta_v", "reward", "steps", "success")}
     return stem, brief

@@ -1,12 +1,12 @@
 """Sampled-data Active Set Invariance Filter: minimally modify a desired thrust.
 
-The filtered thrust is held constant over one control period (zero-order
-hold) while the plant is integrated in equal RK4 substeps.  The
-Clohessy-Wiltshire system is linear, so every substep state of the hold is
-affine in the held thrust, x_j = x + D_j x + S_j u, on the maps of
-:func:`cwinspect.dynamics.hold_maps` (which also set the substep count),
-flown as the simulator flies them, bit for bit.  The filter returns the
-thrust closest to u_des that
+The filtered thrust is held constant over the one control period of
+:data:`DEFAULT_PERIOD` = 2 s (zero-order hold) while the plant is integrated
+in equal RK4 substeps.  The Clohessy-Wiltshire system is linear, so every
+substep state of the hold is affine in the held thrust,
+x_j = x + D_j x + S_j u, on the maps of :func:`cwinspect.dynamics.hold_maps`
+(which also set the substep count), flown as the simulator flies them, bit
+for bit.  The filter returns the thrust closest to u_des that
 
   * satisfies the six continuous-time barrier rows c_i.u + b_i >= 0 at x
     (:func:`cwinspect.safety.cbf_rows`),
@@ -14,7 +14,8 @@ thrust closest to u_des that
     and with them every barrier h1..h6, non-negative at every substep state
     x_1..x_J, with the keep-in cone guarded strictly inside the stated one
     (:func:`cwinspect.safety.keep_in_guard`),
-  * lies in the per-axis thrust box |u_k| <= u_max.
+  * lies in the per-axis thrust box |u_k| <= u_max
+    (:data:`cwinspect.dynamics.U_MAX`).
 
 The axis-limit conditions are exact linear rows in u, the same for every
 state and cached with the hold maps.  The others are linearized about the
@@ -45,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _add_thrust, _clamp, _free_motion, hold_maps
+from .dynamics import U_MAX, _add_thrust, _clamp, _free_motion, _positive, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
                      _hold_jacobian, _hold_pass, _hold_terms, cbf_rows,
                      keep_in_guard)
@@ -58,7 +59,8 @@ __all__ = [
     "filter_control",
 ]
 
-#: Hold of the default 0.5 Hz control rate [s].
+#: The one zero-order hold [s] of the simulator's 0.5 Hz control rate, which
+#: the filter plans.
 DEFAULT_PERIOD = 2.0
 
 _FEAS_TOL = 1e-9  # primal feasibility slack accepted by the QP
@@ -109,8 +111,7 @@ def _checked_input(u_des, rows, u_max: float):
     u_des = np.asarray(u_des, dtype=float).reshape(3)
     if np.count_nonzero(np.isfinite(u_des)) != 3:
         raise ValueError("u_des must be finite")
-    if isinstance(u_max, (bool, np.bool_)) or not 0.0 < u_max < math.inf:
-        raise ValueError("u_max must be positive and finite")
+    _positive(u_max, "u_max")
     C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
     b = np.asarray(rows[1], dtype=float).reshape(-1)
     if len(C) != len(b):
@@ -264,14 +265,15 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _hold_plan(params: SafetyParams, dyn: DynamicsParams, period: float):
+def _hold_plan(params: SafetyParams):
     """Cached and read-only: the :func:`cwinspect.safety._hold_terms` of the
     guarded keep-in cone (:func:`cwinspect.safety.keep_in_guard`) and of the
-    stated one, the maps (D, S) of :func:`cwinspect.dynamics.hold_maps`, the
-    exact rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for
-    every state and thrust, and the margins ramped over the hold (J, 9)."""
-    terms = (_hold_terms(params, keep_in_guard(params, dyn)), _hold_terms(params))
-    D, S = hold_maps(dyn, period)
+    stated one, the maps (D, S) of :func:`cwinspect.dynamics.hold_maps` for
+    the hold of :data:`DEFAULT_PERIOD`, the exact rows (J, 6, 3) of the
+    axis-limit conditions k4..k9, the same for every state and thrust, and
+    the margins ramped over the hold (J, 9)."""
+    terms = (_hold_terms(params, keep_in_guard(params)), _hold_terms(params))
+    D, S = hold_maps(DEFAULT_PERIOD)
     J = len(D)
     axis_rows = np.einsum("njkd,jde->njke",
                           np.tile(_AXIS_LIMIT_GRADIENTS, (1, J, 1, 1)), S)[0]
@@ -294,7 +296,7 @@ def _holds(X, U, D, S, terms):
     return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(_ZERO, K0), F
 
 
-def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
+def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
     """Sequential linearization of the hold conditions for the states
     ``idx`` at one stage of :data:`_STAGES`, with the hold ``terms`` of its
     keep-in cone: X, U, C6 and b6 are those states' rows, ``hold`` their
@@ -316,7 +318,6 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
         C_cont, b_cont = np.zeros_like(C6), np.ones_like(b6)
     u = U.copy()  # each state's iterate
     failed = np.zeros(len(idx), dtype=bool)
-    u_max = dyn.u_max
 
     def unsolved(s, C, b):
         """No thrust for position ``s``: on to the next stage, or at the last
@@ -326,12 +327,12 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
         failed[s] = True
         if stage == len(_STAGES) - 1:
             U_act[i] = infeasible_fallback(
-                U[s], (np.vstack([C6[s], C]), np.concatenate([b6[s], b])), u_max)
+                U[s], (np.vstack([C6[s], C]), np.concatenate([b6[s], b])), U_MAX)
             feasible[i] = False
 
     def solved(s, C, b, rows) -> bool:
         """Solve the QP over the rows (C, b), numbered ``rows``, for ``s``."""
-        u_new, act, ok = solve_qp(U[s], (C, b), u_max)
+        u_new, act, ok = solve_qp(U[s], (C, b), U_MAX)
         if ok:
             u[s] = u_new
             active[idx[s]] = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
@@ -384,7 +385,7 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
         np.subtract(K, per[5], out=b_hold.reshape(K.shape))
         b_hold -= np.einsum("nrk,nk->nr", C[:, n_cont:], iterates())
         # rows that no thrust in the box can violate never bind
-        live = b < u_max * np.abs(C).sum(axis=2)
+        live = b < U_MAX * np.abs(C).sum(axis=2)
         if n_linearized == _MAX_LINEARIZATIONS:
             # no linearization reached the exact hold conditions
             for t, s in enumerate(todo):
@@ -406,14 +407,11 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, dyn, out):
     return failed
 
 
-def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
-                   period):
+def _filter_states(X, U, C6, b6, params: SafetyParams):
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
     feasible), feasible False for a least-violation thrust."""
-    if isinstance(period, (bool, np.bool_)):
-        raise ValueError("period must be a duration in seconds, not a bool")
-    terms, D, S, *plan = _hold_plan(params, dyn, float(period))
+    terms, D, S, *plan = _hold_plan(params)
     hold = _holds(X, U, D, S, terms[0])
     H, K, T, K0, floors, F = hold
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
@@ -437,7 +435,7 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
         elif not whole:
             hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], floors[idx], F[idx]
         failed = _hold_qp(idx, *rows, stage, terms[0 if guarded else 1], hold,
-                          (S, *plan), dyn, out)
+                          (S, *plan), out)
         n_failed = np.count_nonzero(failed)
         if n_failed:
             stage_of[idx[failed]] = stage + 1
@@ -447,11 +445,11 @@ def _filter_states(X, U, C6, b6, params: SafetyParams, dyn: DynamicsParams,
     return out
 
 
-def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
-                   period: float = DEFAULT_PERIOD) -> FilterResult:
+def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     """Filter the requests ``u_des`` (3,) for one 6-state (6,), or (N, 3)
-    for states (N, 6), over a hold of ``period`` seconds, on the substeps
-    of :func:`cwinspect.dynamics.hold_maps` that the simulator flies.
+    for states (N, 6), over the hold of :data:`DEFAULT_PERIOD` seconds, on
+    the substeps of :func:`cwinspect.dynamics.hold_maps` that the simulator
+    flies.
 
     ``u_des`` is clamped to the thrust box first so the reported deviation
     measures distance from an admissible request.  A batch takes the path
@@ -459,7 +457,7 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
     with ``active_set`` a tuple of tuples; each row is the result for its
     state alone, bit for bit.
     """
-    C, b = cbf_rows(states, params, dyn)  # refuses any other shape, non-finite states
+    C, b = cbf_rows(states, params)  # refuses any other shape, non-finite states
     single = b.ndim == 1
     X = np.asarray(states, dtype=float).reshape(-1, 6)
     U = np.asarray(u_des, dtype=float)
@@ -468,10 +466,10 @@ def filter_control(states, u_des, params: SafetyParams, dyn: DynamicsParams,
         raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
     if np.count_nonzero(np.isfinite(U)) != U.size:
         raise ValueError("u_des must be finite")
-    U = _clamp(U, dyn.u_max).reshape(-1, 3)
+    U = _clamp(U, U_MAX).reshape(-1, 3)
     if single:
         C, b = C[None], b[None]
-    U_act, active, feasible = _filter_states(X, U, C, b, params, dyn, period)
+    U_act, active, feasible = _filter_states(X, U, C, b, params)
     # np.linalg.norm's arithmetic, one row at a time
     deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
     slack = np.maximum(_ZERO, -((C @ U_act[:, :, None])[..., 0] + b))

@@ -45,7 +45,7 @@ would push it further; while the range rate is positive the free axes
 still carry at least 1/sqrt(2) of the unit position vector in the 1-norm.
 So the braking the box can always deliver is at least
 u_max/(sqrt(2) m) - 3 n^2 r_max - 2 sqrt(2) n v_max - 3 v_max^2 / r_max
-(0.0499 m/s^2 for the default parameters).
+(0.0499 m/s^2 for the default safety parameters).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _as_state_matrix, cw_matrices
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _as_state_matrix, _positive, cw_matrices
 
 __all__ = [
     "SafetyParams",
@@ -77,8 +77,8 @@ NUM_HOLD_CONDITIONS = 9
 # Linear class-K gains of the continuous-time rows: how fast the filter lets
 # each barrier decay toward its boundary at a control instant.  The hold
 # conditions, not these gains, keep every barrier non-negative over the
-# zero-order hold.  The velocity barriers (h3..h6) use gain * period <= 0.8
-# at the default 0.5 Hz control rate so their riding map contracts without
+# zero-order hold.  The velocity barriers (h3..h6) use gain * 2 s <= 0.8
+# for the filter's one 2 s hold so their riding map contracts without
 # overshoot; the braking-cone gains favour tight settling on the keep-out
 # boundary.
 DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
@@ -114,14 +114,12 @@ class SafetyParams:
     r_c: float = 5.0  # [m] chief radius
     r_max: float = 1000.0  # [m] keep-in radius
     nu0: float = 0.2  # [m/s] speed allowance at the origin
-    nu1: float = 2.0 * 0.001027  # [1/s] speed allowance growth with range
+    nu1: float = 2.0 * MEAN_MOTION  # [1/s] speed allowance growth with range
     v_max: float = 1.0  # [m/s] per-axis speed limit
 
     def __post_init__(self):
-        vals = (self.a_max, self.r_d, self.r_c, self.r_max,
-                self.nu0, self.nu1, self.v_max)
-        if not all(0.0 < v < math.inf for v in vals):
-            raise ValueError("all safety parameters must be positive and finite")
+        for name in ("a_max", "r_d", "r_c", "r_max", "nu0", "nu1", "v_max"):
+            _positive(getattr(self, name), name)
         if not self.r_d + self.r_c < self.r_max:
             raise ValueError("keep-out radius must be smaller than keep-in radius")
 
@@ -149,12 +147,8 @@ def _barrier_terms(params: SafetyParams) -> tuple:
                       np.array(-2.0))
 
 
-@lru_cache(maxsize=16)
-def _row_terms(dyn: DynamicsParams) -> tuple:
-    """Cached factors of :func:`cbf_rows`: the transposed drift matrix A^T
-    of :func:`cw_matrices` and the mass."""
-    A, _ = cw_matrices(dyn)
-    return _read_only(A.T, np.array(dyn.mass))
+# factors of cbf_rows: the transposed drift matrix A^T of cw_matrices and the mass
+_DRIFT_T, _MASS = _read_only(cw_matrices()[0].T, np.array(MASS))
 
 
 @lru_cache(maxsize=16)
@@ -232,8 +226,7 @@ def h_values_batch(states, params: SafetyParams) -> np.ndarray:
     return _barriers(X, params, grad=False)[0]
 
 
-def cbf_rows(states, params: SafetyParams,
-             dyn: DynamicsParams) -> tuple[np.ndarray, np.ndarray]:
+def cbf_rows(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
     """Linearized constraint rows c_i . u + b_i >= 0 for one state (6,) or
     states (N, 6).
 
@@ -243,17 +236,16 @@ def cbf_rows(states, params: SafetyParams,
     """
     X, single = _as_state_matrix(states)
     h, G = _barriers(X, params)
-    A_T, mass = _row_terms(dyn)
     # drift f(x) = A x, one row at a time: a batch row is its one-state call
     # (one product over the batch rounds some rows differently)
-    f = (X[:, None] @ A_T)[:, 0]
+    f = (X[:, None] @ _DRIFT_T)[:, 0]
     b = np.einsum("nij,nj->ni", G, f)  # L_f h
     b += DEFAULT_ALPHA_GAINS * h
-    C = G[:, :, 3:] / mass  # L_g h rows
+    C = G[:, :, 3:] / _MASS  # L_g h rows
     return (C[0], b[0]) if single else (C, b)
 
 
-def keep_in_guard(params: SafetyParams, dyn: DynamicsParams) -> tuple[float, float]:
+def keep_in_guard(params: SafetyParams) -> tuple[float, float]:
     """Braking rate a [m/s^2] and radius r [m] of the guarded keep-in cone.
 
     a is the braking the thrust box can always deliver at the keep-in
@@ -261,8 +253,8 @@ def keep_in_guard(params: SafetyParams, dyn: DynamicsParams) -> tuple[float, flo
     r_max less 1 m.  Raises ValueError when no such cone exists: the box
     cannot brake there, or r would not exceed the keep-out radius.
     """
-    n = dyn.mean_motion
-    braking = (dyn.u_max / (math.sqrt(2.0) * dyn.mass) - 3.0 * n**2 * params.r_max
+    n = MEAN_MOTION
+    braking = (U_MAX / (math.sqrt(2.0) * MASS) - 3.0 * n**2 * params.r_max
                - 2.0 * math.sqrt(2.0) * n * params.v_max
                - 3.0 * params.v_max**2 / params.r_max)
     a_g = min(params.a_max, braking - _KEEP_IN_BRAKE_MARGIN)

@@ -17,7 +17,7 @@ import pytest
 import cwinspect as cw
 from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step
 from cwinspect.harness import default_experiment, emit, run
-from cwinspect.rta import filter_control
+from cwinspect.rta import DEFAULT_PERIOD, filter_control
 from cwinspect.safety import _barriers, h_values_batch
 
 DP = cw.DynamicsParams()
@@ -81,22 +81,22 @@ def _sample_safe_states(count, seed, margin=0.05):
     return out
 
 
-def _invariance_min(states, controller, seed, duration=6000.0,
-                    control_rate=0.5):
-    """Filter a family of runs at ``control_rate`` with the library's batched
-    filter and return the minimum barrier value seen at any inner
-    integration state, one RK4 substep of at most DEFAULT_SUBSTEP apart."""
+def _invariance_min(states, controller, seed, duration=6000.0):
+    """Filter a family of runs at the filter's 0.5 Hz control rate with the
+    library's batched filter and return the minimum barrier value seen at
+    any inner integration state, one RK4 substep of at most DEFAULT_SUBSTEP
+    apart."""
     rng = np.random.default_rng(seed)
     X = states.T.copy()  # (6, N)
     n_runs = X.shape[1]
-    dt_c = 1.0 / control_rate
+    dt_c = DEFAULT_PERIOD
     n_sub = math.ceil(dt_c / DEFAULT_SUBSTEP - 1e-12)
-    M, Nmat = rk4_zoh_map(DP, dt_c / n_sub)
-    steps = int(round(duration * control_rate))
+    M, Nmat = rk4_zoh_map(dt_c / n_sub)
+    steps = int(round(duration / dt_c))
     overall_min = np.inf
     for _ in range(steps):
         U = controller(X.T, rng)
-        U = filter_control(X.T, U, SP, DP, period=dt_c).u_act
+        U = filter_control(X.T, U, SP).u_act
         A_in = (U / DP.mass).T  # (3, N)
         for _ in range(n_sub):
             X = M @ X + Nmat @ A_in
@@ -110,10 +110,10 @@ def _invariance_min(states, controller, seed, duration=6000.0,
 @pytest.mark.slow
 def test_criterion_2_forward_invariance_suite():
     states = _sample_safe_states(100, seed=2024)
-    lqr = cw.lqr_design(DP)
+    K = cw.lqr_design()
     families = {
         "zero": lambda S, rng: np.zeros((len(S), 3)),
-        "lqr": lambda S, rng: -S @ lqr.K.T,
+        "lqr": lambda S, rng: -S @ K.T,
         "random": lambda S, rng: rng.uniform(-1.0, 1.0, (len(S), 3)),
     }
     minima = {}
@@ -156,7 +156,7 @@ def test_criterion_3_qp_matches_lattice_search():
         if rng.random() < 0.5:
             v *= rng.uniform(0.8, 1.1) / max(np.linalg.norm(v), 1e-9)
         x = np.concatenate([p, v])
-        C, b = cw.cbf_rows(x, SP, DP)
+        C, b = cw.cbf_rows(x, SP)
         u_des = rng.uniform(-1.0, 1.0, 3)
 
         u_qp, _, qp_feasible = cw.solve_qp(u_des, (C, b), DP.u_max)
@@ -221,7 +221,7 @@ def test_criterion_5_rk4_matches_transition_matrix():
                     rng.normal(0, 0.5, (3, 1000))]).T
     X = X0.copy()
     for _ in range(6000):
-        X = step(X, np.zeros(3), 1.0, DP)
+        X = step(X, np.zeros(3), 1.0)
     ref = X0 @ cw_stm(DP.mean_motion, 6000.0).T
     pos_err = np.abs(X[:, :3] - ref[:, :3]).max()
     vel_err = np.abs(X[:, 3:] - ref[:, 3:]).max()
@@ -236,9 +236,9 @@ def test_criterion_5_rk4_matches_transition_matrix():
 def test_criterion_6_circumnavigation_inspects_all_points():
     rate = 2.0 * DP.mean_motion
     period = 2.0 * math.pi / rate
+    # from the paper's initial state, where every run starts
     cfg = cw.ExperimentConfig(
-        controller="scripted", illumination=False, max_duration=1.2 * period,
-        initial_state=(30.0, 0.0, 0.0, 0.0, 0.0, -rate * 30.0, 3.42))
+        controller="scripted", illumination=False, max_duration=1.2 * period)
     log, summary = run(cfg)
     completion_t = log.t[-1]
 

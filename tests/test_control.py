@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cwinspect.control import (DEFAULT_LQR_Q, DEFAULT_LQR_R, OUTPUT_DIM,
-                               MlpLayer, MlpPolicy,
-                               ScriptedOrbitController, lqr_control,
-                               lqr_design, mlp_act, mlp_load, mlp_loads,
-                               mlp_save, random_policy)
+                               MlpLayer, MlpPolicy, lqr_control, lqr_design,
+                               mlp_act, mlp_load, mlp_loads, mlp_save,
+                               random_policy, scripted_orbit_control)
 from cwinspect.dynamics import DynamicsParams, cw_matrices, step
 
 DP = DynamicsParams()
@@ -23,23 +22,23 @@ DP = DynamicsParams()
 
 class TestLqr:
     def test_closed_loop_hurwitz(self):
-        ctrl = lqr_design(DP)
-        A, B = cw_matrices(DP)
-        eigs = np.linalg.eigvals(A - B @ ctrl.K)
+        K = lqr_design()
+        A, B = cw_matrices()
+        eigs = np.linalg.eigvals(A - B @ K)
         assert np.all(eigs.real < 0.0)
 
     def test_riccati_residual(self):
         from scipy.linalg import solve_continuous_are
-        A, B = cw_matrices(DP)
+        A, B = cw_matrices()
         Q, R = DEFAULT_LQR_Q, DEFAULT_LQR_R
-        ctrl = lqr_design(DP)
+        K = lqr_design()
         # recover P and check the Riccati equation residual independently
         P = solve_continuous_are(A, B, Q, R)
         resid = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
         assert np.linalg.norm(resid, "fro") < 1e-8
         # the numpy Riccati solve gives SciPy's gain to rounding
         K_scipy = np.linalg.solve(R, B.T @ P)
-        assert np.abs(ctrl.K - K_scipy).max() <= 1e-12 * np.abs(K_scipy).max()
+        assert np.abs(K - K_scipy).max() <= 1e-12 * np.abs(K_scipy).max()
 
     @pytest.mark.parametrize("Q, R, match", [
         (np.zeros((6, 6)), None, "stable eigenvalues"),  # nothing to stabilize
@@ -51,45 +50,45 @@ class TestLqr:
         # the weights are the one design's DEFAULT_LQR_Q and DEFAULT_LQR_R:
         # no others can be asked for, valid or not
         with pytest.raises(TypeError):
-            lqr_design(DP, Q, R)
+            lqr_design(Q, R)
 
     def test_zero_state_zero_control(self):
-        ctrl = lqr_design(DP)
-        assert np.allclose(lqr_control(ctrl, np.zeros(6), DP), 0.0)
+        K = lqr_design()
+        assert np.allclose(lqr_control(K, np.zeros(6)), 0.0)
 
     def test_far_state_saturates(self):
-        ctrl = lqr_design(DP)
-        u = lqr_control(ctrl, np.array([100.0, 0, 0, 0, 0, 0]), DP)
-        raw = -ctrl.K @ np.array([100.0, 0, 0, 0, 0, 0])
+        K = lqr_design()
+        u = lqr_control(K, np.array([100.0, 0, 0, 0, 0, 0]))
+        raw = -K @ np.array([100.0, 0, 0, 0, 0, 0])
         assert np.any(np.abs(raw) > DP.u_max)  # would exceed the box
         assert np.all(np.abs(u) <= DP.u_max)
         assert u[0] == -DP.u_max
 
     def test_clamp_is_np_clip_bit_for_bit(self):
-        ctrl = lqr_design(DP)
+        K = lqr_design()
         rng = np.random.default_rng(13)
         for scale in (1.0, 100.0, 1e4):
             for _ in range(50):
                 x = rng.normal(0, scale, 6)
-                expected = np.clip(-ctrl.K @ x, -DP.u_max, DP.u_max)
-                assert lqr_control(ctrl, x, DP).tobytes() == expected.tobytes()
+                expected = np.clip(-K @ x, -DP.u_max, DP.u_max)
+                assert lqr_control(K, x).tobytes() == expected.tobytes()
 
     def test_linear_before_saturation(self):
-        ctrl = lqr_design(DP)
+        K = lqr_design()
         x = np.array([0.5, -0.2, 0.3, 0.001, 0, 0])
-        u1 = lqr_control(ctrl, x, DP)
-        u2 = lqr_control(ctrl, 2 * x, DP)
+        u1 = lqr_control(K, x)
+        u2 = lqr_control(K, 2 * x)
         assert np.all(np.abs(u2) < DP.u_max)
         assert np.allclose(u2, 2 * u1)
 
     def test_unfiltered_lqr_reaches_collision(self):
         # from the mission initial state the raw LQR passes inside 10 m,
         # so any safe outcome is attributable to the filter
-        ctrl = lqr_design(DP)
+        K = lqr_design()
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         min_dist = np.linalg.norm(x[:3])
         for _ in range(2000):
-            x = step(x, lqr_control(ctrl, x, DP), 2.0, DP)
+            x = step(x, lqr_control(K, x), 2.0)
             min_dist = min(min_dist, np.linalg.norm(x[:3]))
             if min_dist < 10.0:
                 break
@@ -327,26 +326,23 @@ class TestMlpInference:
 class TestScriptedOrbit:
     def test_on_reference_control_is_small(self):
         # on the 30 m circle about +y, moving at rate 2n
-        ctrl = ScriptedOrbitController(DP)
-        assert ctrl.rate == 2.0 * DP.mean_motion
+        rate = 2.0 * DP.mean_motion
         p = np.array([30.0, 0.0, 0.0])
-        v = ctrl.rate * 30.0 * np.cross([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-        u = ctrl(np.concatenate([p, v]))
+        v = rate * 30.0 * np.cross([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        u = scripted_orbit_control(np.concatenate([p, v]))
         assert np.linalg.norm(u) < 0.1
 
     def test_output_clamped(self):
-        u = ScriptedOrbitController(DP)(
-            np.array([500.0, 300, -200, 1, 1, -1]))
+        u = scripted_orbit_control(np.array([500.0, 300, -200, 1, 1, -1]))
         assert np.all(np.abs(u) <= DP.u_max)
 
     def test_tracks_radius_within_five_percent(self):
-        ctrl = ScriptedOrbitController(DP)
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
-        period = 2 * math.pi / ctrl.rate
+        period = 2 * math.pi / (2.0 * DP.mean_motion)
         radii = []
         t, dt = 0.0, 2.0
         while t < 2 * period:
-            x = step(x, ctrl(x), dt, DP)
+            x = step(x, scripted_orbit_control(x), dt)
             t += dt
             if t > 1.5 * period:
                 radii.append(np.linalg.norm(x[:3]))
@@ -355,19 +351,18 @@ class TestScriptedOrbit:
 
     def test_plane_tracking(self):
         # deputy converges into the plane orthogonal to the +y normal
-        ctrl = ScriptedOrbitController(DP)
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         for _ in range(1500):
-            x = step(x, ctrl(x), 2.0, DP)
+            x = step(x, scripted_orbit_control(x), 2.0)
         assert abs(x[1]) < 1.0
 
     # the orbit is the experiments' one stand-in: no other radius, plane,
     # rate or gain can be asked for, valid or not
     def test_invalid_arguments(self):
         with pytest.raises(TypeError):
-            ScriptedOrbitController(0.0, params=DP)
+            scripted_orbit_control(np.zeros(6), 0.0)
         with pytest.raises(TypeError):
-            ScriptedOrbitController(plane_normal=(0, 0, 0), params=DP)
+            scripted_orbit_control(np.zeros(6), plane_normal=(0, 0, 0))
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius=math.nan), dict(radius=math.inf), dict(rate=math.inf),
@@ -376,4 +371,4 @@ class TestScriptedOrbit:
     ])
     def test_non_finite_or_degenerate_arguments_rejected(self, kwargs):
         with pytest.raises(TypeError):
-            ScriptedOrbitController(params=DP, **kwargs)
+            scripted_orbit_control(np.zeros(6), **kwargs)

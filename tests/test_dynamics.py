@@ -19,7 +19,7 @@ N = P.mean_motion
 
 
 def derivative(x, u):
-    A, B = cw_matrices(P)
+    A, B = cw_matrices()
     return A @ np.asarray(x, dtype=float) + B @ np.asarray(u, dtype=float)
 
 
@@ -27,7 +27,7 @@ def rk4_oracle(x, u, dt, max_substep=DEFAULT_SUBSTEP):
     """Reference: the classic four-stage RK4 loop over equal substeps no
     longer than ``max_substep``.  Returns the state after every substep,
     shape (J,) + x.shape."""
-    A, B = cw_matrices(P)
+    A, B = cw_matrices()
     x = np.asarray(x, dtype=float)
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
@@ -65,7 +65,7 @@ class TestDerivative:
 
     def test_equilibrium_at_origin(self):
         assert np.allclose(derivative(np.zeros(6), np.zeros(3)), 0.0)
-        assert np.allclose(step(np.zeros(6), np.zeros(3), 1.0, P), 0.0)
+        assert np.allclose(step(np.zeros(6), np.zeros(3), 1.0), 0.0)
 
     def test_radial_offset_acceleration(self):
         d = derivative([100, 0, 0, 0, 0, 0], np.zeros(3))
@@ -86,36 +86,36 @@ class TestDerivative:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="control"):
-            step(np.zeros(6), [np.nan, 0, 0], 10.0, P)
+            step(np.zeros(6), [np.nan, 0, 0], 10.0)
         bad = np.zeros(6)
         bad[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            step(bad, np.zeros(3), 10.0, P)
+            step(bad, np.zeros(3), 10.0)
         with pytest.raises(ValueError, match="finite"):
-            step(np.full((2, 6), np.nan), np.zeros(3), 10.0, P)
+            step(np.full((2, 6), np.nan), np.zeros(3), 10.0)
 
 
 class TestStep:
     def test_tiny_step_is_continuous(self):
         x = np.array([50, -20, 30, 0.1, -0.2, 0.05])
-        assert np.all(np.abs(step(x, np.zeros(3), 1e-9, P) - x) < 1e-9)
+        assert np.all(np.abs(step(x, np.zeros(3), 1e-9) - x) < 1e-9)
 
     def test_nonpositive_dt_rejected(self):
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError):
-                step(np.zeros(6), np.zeros(3), dt, P)
+                step(np.zeros(6), np.zeros(3), dt)
 
     def test_infinite_dt_rejected(self):
         with pytest.raises(ValueError):
-            step(np.zeros(6), np.zeros(3), math.inf, P)
+            step(np.zeros(6), np.zeros(3), math.inf)
         with pytest.raises(ValueError):
-            step(np.zeros((2, 6)), np.zeros(3), math.inf, P)
+            step(np.zeros((2, 6)), np.zeros(3), math.inf)
         with pytest.raises(ValueError):  # substep count overflows
-            step(np.zeros(6), np.zeros(3), 1e308, P)
+            step(np.zeros(6), np.zeros(3), 1e308)
 
     def test_matches_analytic_over_10s(self):
         x = np.array([100.0, 0, 0, 0, 0, 0])
-        got = step(x, np.zeros(3), 10.0, P)
+        got = step(x, np.zeros(3), 10.0)
         ref = cw_stm(N, 10.0) @ x
         assert np.all(np.abs(got[:3] - ref[:3]) < 1e-6)
         assert np.all(np.abs(got[3:] - ref[3:]) < 1e-8)
@@ -125,34 +125,34 @@ class TestStep:
         for _ in range(20):
             x1, x2 = rng.normal(0, 50, 6), rng.normal(0, 50, 6)
             u1, u2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            lhs = step(x1 + x2, u1 + u2, 25.0, P)
-            rhs = (step(x1, u1, 25.0, P) + step(x2, u2, 25.0, P)
-                   - step(np.zeros(6), np.zeros(3), 25.0, P))
+            lhs = step(x1 + x2, u1 + u2, 25.0)
+            rhs = (step(x1, u1, 25.0) + step(x2, u2, 25.0)
+                   - step(np.zeros(6), np.zeros(3), 25.0))
             assert np.all(np.abs(lhs - rhs) < 1e-9)
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(3)
         X = rng.normal(0, 100, (8, 6))
         u = rng.uniform(-1, 1, 3)
-        batch = step(X, u, 7.0, P)
+        batch = step(X, u, 7.0)
         assert batch.shape == (8, 6)
-        assert np.array_equal(batch, [step(x, u, 7.0, P) for x in X])
-        assert step(X[:0], u, 7.0, P).shape == (0, 6)  # an empty batch
+        assert np.array_equal(batch, [step(x, u, 7.0) for x in X])
+        assert step(X[:0], u, 7.0).shape == (0, 6)  # an empty batch
 
     def test_six_states_are_six_rows(self):
         # a (6, 6) batch is six states, not six columns of states
         rng = np.random.default_rng(4)
         X = np.concatenate([rng.normal(0, 300, (6, 3)), rng.normal(0, 0.5, (6, 3))], axis=1)
-        assert np.array_equal(step(X, np.zeros(3), 10.0, P),
-                              [step(x, np.zeros(3), 10.0, P) for x in X])
+        assert np.array_equal(step(X, np.zeros(3), 10.0),
+                              [step(x, np.zeros(3), 10.0) for x in X])
 
     @pytest.mark.parametrize("shape", [(5,), (6, 3), (2, 6, 1)])
     def test_state_shapes_validated(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            step(np.zeros(shape), np.zeros(3), 7.0, P)
+            step(np.zeros(shape), np.zeros(3), 7.0)
 
     def test_zoh_map_reproduces_rk4(self):
-        M, Nmat = rk4_zoh_map(P, 0.2)
+        M, Nmat = rk4_zoh_map(0.2)
         rng = np.random.default_rng(5)
         x = rng.normal(0, 80, 6)
         u = rng.uniform(-1, 1, 3)
@@ -168,7 +168,7 @@ class TestStep:
         rng = np.random.default_rng(int(dt))
         for _ in range(10):
             x, u = random_pair(rng)
-            assert_rel_close(step(x, u, dt, P), rk4_oracle(x, u, dt)[-1])
+            assert_rel_close(step(x, u, dt), rk4_oracle(x, u, dt)[-1])
 
     @pytest.mark.parametrize("dt", [7.0, 25.0])
     def test_batch_matches_rk4_oracle(self, dt):
@@ -176,11 +176,11 @@ class TestStep:
         X = np.array([random_pair(rng)[0] for _ in range(8)])
         u = rng.uniform(-1, 1, 3)
         # the oracle takes the states as columns
-        assert_rel_close(step(X, u, dt, P).T, rk4_oracle(X.T, u, dt)[-1])
+        assert_rel_close(step(X, u, dt).T, rk4_oracle(X.T, u, dt)[-1])
 
     @pytest.mark.parametrize("dt", [7.0, 25.0])
     def test_hold_maps_match_rk4_oracle(self, dt):
-        D, S = hold_maps(P, dt)
+        D, S = hold_maps(dt)
         rng = np.random.default_rng(200 + int(dt))
         x, u = random_pair(rng)
         ref = rk4_oracle(x, u, dt)
@@ -192,13 +192,13 @@ class TestStep:
         # 5000 substeps in one call, composed into one cached hold map
         rng = np.random.default_rng(9)
         x, u = random_pair(rng)
-        assert_rel_close(step(x, u, 1000.0, P),
+        assert_rel_close(step(x, u, 1000.0),
                          rk4_oracle(x, u, 1000.0)[-1])
 
     def test_hold_maps_give_every_substep(self):
-        D, S = hold_maps(P, 2.0)
+        D, S = hold_maps(2.0)
         assert D.shape == (10, 6, 6) and S.shape == (10, 6, 3)
-        M, Nmat = rk4_zoh_map(P, 0.2)
+        M, Nmat = rk4_zoh_map(0.2)
         rng = np.random.default_rng(6)
         x = rng.normal(0, 80, 6)
         u = rng.uniform(-1, 1, 3)
@@ -208,7 +208,7 @@ class TestStep:
             assert np.all(np.abs(x + D[j] @ x + S[j] @ u - y) < 1e-10)
 
     def test_hold_maps_validated_and_read_only(self):
-        D, S = hold_maps(P, 2.0)
+        D, S = hold_maps(2.0)
         with pytest.raises(ValueError):
             D[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -216,17 +216,17 @@ class TestStep:
         for period in (0.0, -2.0, math.inf, math.nan,
                        1e308):  # the substep count overflows
             with pytest.raises(ValueError):
-                hold_maps(P, period)
+                hold_maps(period)
 
     def test_substep_count_bounded(self):
         # 432 bytes per stored substep: a hold of 1e7 s would ask for 21.6 GB,
         # so too many substeps are refused before anything is allocated
         with pytest.raises(ValueError, match="substeps"):
-            step(np.zeros(6), np.zeros(3), 1e7, P)
+            step(np.zeros(6), np.zeros(3), 1e7)
         with pytest.raises(ValueError, match="substeps"):
-            step(np.zeros((2, 6)), np.zeros(3), 1e7, P)
+            step(np.zeros((2, 6)), np.zeros(3), 1e7)
         with pytest.raises(ValueError, match="substeps"):
-            hold_maps(P, DEFAULT_SUBSTEP * (_MAX_SUBSTEPS + 1))
+            hold_maps(DEFAULT_SUBSTEP * (_MAX_SUBSTEPS + 1))
 
 
 class TestAnalytic:
@@ -248,14 +248,14 @@ class TestAnalytic:
         T = 2 * math.pi / N
         ref = cw_stm(N, T) @ x
         assert ref[1] == pytest.approx(-12 * math.pi * 100, rel=1e-12)
-        assert np.all(np.abs(step(x, np.zeros(3), T, P)[:3] - ref[:3]) < 1e-6)
+        assert np.all(np.abs(step(x, np.zeros(3), T)[:3] - ref[:3]) < 1e-6)
 
     def test_cross_track_half_period(self):
         out = cw_stm(N, math.pi / N) @ np.array([0, 0, 10, 0, 0, 0])
         assert out[2] == pytest.approx(-10.0, abs=1e-9)
 
     def test_stm_derivative_matches_system_matrix(self):
-        A, _ = cw_matrices(P)
+        A, _ = cw_matrices()
         dt = 1e-7
         fd = (cw_stm(N, dt) - np.eye(6)) / dt
         assert np.all(np.abs(fd - A) < 1e-7)
@@ -313,7 +313,7 @@ class TestSharedHelpers:
     def test_free_motion_cut_down_flies_as_the_cut_down_states(self, period):
         # the filter forms D @ x once for its states and cuts it down with
         # them: each iterate's hold is still the one flown from the states
-        D, S = hold_maps(P, period)
+        D, S = hold_maps(period)
         rng = np.random.default_rng(4)
         X = np.concatenate([rng.normal(0, 300, (9, 3)), rng.normal(0, 0.5, (9, 3))], axis=1)
         U = rng.uniform(-1, 1, (9, 3))

@@ -72,8 +72,7 @@ class TestState:
         x = env.state.vector()
         env.step([0.2, -0.4, 0.1])
         v = env.state.vector()
-        assert v.tobytes() == step(x, [0.2, -0.4, 0.1], RL_STEP_SECONDS,
-                                   DynamicsParams()).tobytes()
+        assert v.tobytes() == step(x, [0.2, -0.4, 0.1], RL_STEP_SECONDS).tobytes()
         v[0] = 1e6
         assert env.state.x[0] != 1e6
 
@@ -124,14 +123,14 @@ class TestConfig:
 
 class TestDeltaV:
     def test_zero_thrust(self):
-        assert delta_v([0, 0, 0], 10.0, 12.0) == 0.0
+        assert delta_v([0, 0, 0], 10.0) == 0.0
 
     def test_unit_thrust_each_axis(self):
-        assert delta_v([1, 1, 1], 10.0, 12.0) == pytest.approx(2.5)
+        assert delta_v([1, 1, 1], 10.0) == pytest.approx(2.5)
 
     def test_linear_in_dt(self):
-        a = delta_v([0.3, -0.7, 0.1], 10.0, 12.0)
-        b = delta_v([0.3, -0.7, 0.1], 20.0, 12.0)
+        a = delta_v([0.3, -0.7, 0.1], 10.0)
+        b = delta_v([0.3, -0.7, 0.1], 20.0)
         assert b == pytest.approx(2 * a)
 
     @pytest.mark.parametrize("action", [
@@ -139,22 +138,23 @@ class TestDeltaV:
     def test_nonfinite_action_refused(self, action):
         # [inf, 0, 0] used to give an infinite delta-v
         with pytest.raises(ValueError, match="action must be finite"):
-            delta_v(action, 10.0, 12.0)
+            delta_v(action, 10.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(F=arrays(float, 3, elements=st.floats(-1e100, 1e100, allow_subnormal=True)),
-           dt=st.floats(1e-3, 1e3), mass=st.floats(1e-3, 1e3))
-    def test_matches_the_numpy_formula_bit_for_bit(self, F, dt, mass):
-        assert delta_v(F, dt, mass) == float(np.abs(F).sum() / mass * dt)
+           dt=st.floats(1e-3, 1e3))
+    def test_matches_the_numpy_formula_bit_for_bit(self, F, dt):
+        assert delta_v(F, dt) == float(np.abs(F).sum() / DynamicsParams().mass * dt)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            delta_v([0, 0, 0], 0.0, 12.0)
-        with pytest.raises(ValueError):
-            delta_v([0, 0, 0], 10.0, -1.0)
+            delta_v([0, 0, 0], 0.0)
+        # the mass is the one deputy's: no other can be passed
+        with pytest.raises(TypeError):
+            delta_v([0, 0, 0], 10.0, 12.0)
         for dt in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                delta_v([0, 0, 0], dt, 12.0)
+                delta_v([0, 0, 0], dt)
 
 
 class TestObservations:
@@ -237,11 +237,10 @@ class TestStep:
     def test_state_is_the_dynamics_step(self):
         env = InspectionEnv()
         env.reset()
-        dyn = DynamicsParams()
         for action in ([0.2, -0.4, 0.1], [0.0, 0.0, 0.0]):
             x = env.state.vector()
             env.step(action)
-            assert np.array_equal(env.state.vector(), step(x, action, 10.0, dyn))
+            assert np.array_equal(env.state.vector(), step(x, action, 10.0))
 
     def test_sun_angle_arithmetic(self):
         env = InspectionEnv()
@@ -304,8 +303,7 @@ class TestStep:
         assert env.step_index <= MAX_EPISODE_STEPS
 
     def test_reward_telescopes_to_totals(self):
-        from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController()
+        from cwinspect.control import scripted_orbit_control as ctrl
         env = InspectionEnv()
         env.reset()
         total = 0.0
@@ -321,8 +319,7 @@ class TestStep:
         assert total == pytest.approx(summary["reward"], abs=1e-12)
 
     def test_illumination_gating_slows_inspection(self):
-        from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController()
+        from cwinspect.control import scripted_orbit_control as ctrl
 
         def run_episode(illum, steps=120):
             env = InspectionEnv(EnvConfig(illumination=illum))
@@ -336,8 +333,7 @@ class TestStep:
         assert run_episode(True) <= run_episode(False)
 
     def test_full_inspection_terminates_with_success(self):
-        from cwinspect.control import ScriptedOrbitController
-        ctrl = ScriptedOrbitController()
+        from cwinspect.control import scripted_orbit_control as ctrl
         env = InspectionEnv()
         env.reset()
         done = False

@@ -47,6 +47,10 @@ class TestDefaults:
     def test_rates_default_to_lab_window(self):
         cfg = default_experiment(1)
         assert cfg.control_rate == 0.5  # 5 Hz lab at time scale 10
+        # the one hold the filter plans: read-only, and not a field
+        with pytest.raises(AttributeError):
+            cfg.control_rate = 1.0
+        assert "control_rate" not in {f.name for f in dataclasses.fields(cfg)}
 
     def test_out_of_range_rejected(self):
         for n in (0, 7):
@@ -58,10 +62,6 @@ class TestDefaults:
             ExperimentConfig(controller="pid")
         with pytest.raises(ValueError):
             ExperimentConfig(position_scale=-1.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(control_rate=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(initial_state=(1, 2, 3))
 
     # inputs `run` cannot fly are refused when the config is built
     def test_infinite_max_duration_rejected(self):
@@ -155,10 +155,13 @@ class TestConfigFile:
         path.write_text(json.dumps({"controller": "lqr", "thrust": 3}))
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
-        # the substep count follows from the hold; no rate sets it
-        path.write_text(json.dumps({"experiment": 2, "sim_rate": 5.0}))
-        with pytest.raises(ValueError, match="unknown config keys"):
-            load_config(path)
+        # the substep count follows from the hold, the hold is the filter's
+        # one 2 s hold and every run starts from the paper's initial state
+        for key, value in (("sim_rate", 5.0), ("control_rate", 0.5),
+                           ("initial_state", [21.8, -11.3, 41.8, 0, 0, 0, 3.42])):
+            path.write_text(json.dumps({"experiment": 2, key: value}))
+            with pytest.raises(ValueError, match="unknown config keys"):
+                load_config(path)
         # the filter's class-K gains are not configurable
         path.write_text(json.dumps({"experiment": 2, "alpha_gains": [1.0] * 6}))
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -293,10 +296,9 @@ class TestRun:
         cfg.max_steps = 200
         log, _ = run(cfg)
         dt = 1.0 / cfg.control_rate
-        dyn = DynamicsParams()
         assert len(log) == 200
         for k in range(len(log) - 1):
-            x_next = step(log.states[k, :6], log.u_act[k], dt, dyn)
+            x_next = step(log.states[k, :6], log.u_act[k], dt)
             assert np.array_equal(log.states[k + 1, :6], x_next), k
 
     def test_batch_refilter_reproduces_open_loop_experiment2(self):
@@ -305,7 +307,7 @@ class TestRun:
         # request) pair returns the logged filter columns, bit for bit
         log, _ = run(default_experiment(2))
         assert len(log) == 3000
-        res = filter_control(log.states[:, :6], log.u_des, SafetyParams(), DynamicsParams())
+        res = filter_control(log.states[:, :6], log.u_des, SafetyParams())
         assert np.array_equal(res.u_act, log.u_act)
         assert np.array_equal(res.intervened, log.intervened)
         assert np.array_equal(res.deviation, log.deviation)
@@ -382,9 +384,7 @@ class TestRun:
 
     def test_scripted_run_completes_inspection(self):
         cfg = ExperimentConfig(controller="scripted", illumination=False,
-                               max_duration=4000.0,
-                               initial_state=(30.0, 0, 0, 0, 0,
-                                              -2 * 2 * 0.001027 * 30.0, 3.42))
+                               max_duration=4000.0)
         log, summary = run(cfg)
         assert summary["success"]
         assert summary["inspected"] == 99
@@ -404,8 +404,8 @@ def test_controller_output_is_a_thrust_in_the_box(controller, inputs, tmp_path,
                            weights_path=str(weights) if inputs else None)
     outputs, resolve = [], harness._resolve_controller
 
-    def recording(cfg, dyn):
-        ctrl, label = resolve(cfg, dyn)
+    def recording(cfg):
+        ctrl, label = resolve(cfg)
 
         def record(*args):
             outputs.append(ctrl(*args))
@@ -428,7 +428,7 @@ def per_step_figures(cfg, log):
     the closest approach and the aviary flag."""
     dyn, sp = DynamicsParams(), SafetyParams()
     dt = 1.0 / cfg.control_rate
-    D, S = hold_maps(dyn, dt)
+    D, S = hold_maps(dt)
     D, S = D.reshape(-1, 6), S.reshape(-1, 3)
     rng = np.random.default_rng(cfg.seed)
     half_box = 0.5 * np.array([8.0, 8.0, 4.0])
@@ -436,7 +436,7 @@ def per_step_figures(cfg, log):
     h = np.array([h_values(x, sp) for x in X])
     cum, dv = 0.0, []
     for u in log.u_act:
-        cum += delta_v(u, dt, dyn.mass)
+        cum += delta_v(u, dt)
         dv.append(cum)
     min_distance = float(np.linalg.norm(X[0, :3]))
     in_aviary = bool(np.all(np.abs(X[0, :3]) / cfg.position_scale <= half_box))
@@ -725,6 +725,15 @@ class TestCli:
         rc = cli_main(["batch", "--configs", str(cfg_dir),
                        "--out", str(tmp_path / "out"), "--jobs", "1"])
         assert rc == 0
+        # one writer of a run directory: `run` on the same config with its
+        # default formats writes the batch run's files, byte for byte
+        single = tmp_path / "single"
+        assert cli_main(["run", "--config", str(cfg_dir / "one.json"),
+                         "--out", str(single)]) == 0
+        names = ["summary.json", "trajectory.csv", "trajectory.json"]
+        assert sorted(p.name for p in single.iterdir()) == names
+        for name in names:
+            assert (single / name).read_bytes() == (tmp_path / "out" / "one" / name).read_bytes()
 
     def test_batch_zero_jobs_exits_2(self, tmp_path, capsys):
         cfg_dir = tmp_path / "configs"

@@ -10,6 +10,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cwinspect
 
 
@@ -22,7 +25,7 @@ def test_runs_without_scipy():
         sys.modules["scipy"] = None  # any import of scipy now fails
         import numpy as np
         import cwinspect as cw
-        cw.lqr_design(cw.DynamicsParams())
+        cw.lqr_design()
         cfg = cw.default_experiment(2)
         cfg.max_steps = 100
         log, summary = cw.run(cfg)
@@ -40,6 +43,24 @@ def test_runs_without_scipy():
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "None"
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: cwinspect.step(np.zeros(6), np.zeros(3), v),
+    lambda v: cwinspect.dynamics.hold_maps(v),
+    lambda v: cwinspect.delta_v(np.zeros(3), v),
+    lambda v: cwinspect.mlp_act(cwinspect.random_policy(6, hidden=(4,)), np.zeros(6), u_max=v),
+    lambda v: cwinspect.NoiseModel(position_sigma=v),
+    lambda v: cwinspect.ExperimentConfig(position_scale=v),
+    lambda v: cwinspect.ExperimentConfig(max_duration=v),
+    lambda v: cwinspect.SafetyParams(a_max=v),
+], ids=["step", "hold_maps", "delta_v", "mlp_act", "NoiseModel", "position_scale",
+        "max_duration", "SafetyParams"])
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+def test_bool_number_refused(call, value):
+    # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N
+    with pytest.raises(ValueError, match="and finite, not"):
+        call(value)
 
 
 def test_every_exported_name_resolves():

@@ -18,7 +18,7 @@ from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
 
 SP = SafetyParams()
 DP = DynamicsParams()
-GUARD = keep_in_guard(SP, DP)
+GUARD = keep_in_guard(SP)
 
 
 def lattice_search(u_des, C, b, u_max, n=51):
@@ -38,7 +38,7 @@ def assert_rows_match(batch, X, U):
     assert batch.u_act.shape == (len(X), 3) and batch.slack_used.shape == (len(X), 6)
     assert len(batch.active_set) == len(X)
     for k in range(len(X)):
-        res = filter_control(X[k], U[k], SP, DP)
+        res = filter_control(X[k], U[k], SP)
         assert np.array_equal(res.u_act, batch.u_act[k])
         assert np.array_equal(res.slack_used, batch.slack_used[k])
         assert res.deviation == batch.deviation[k]
@@ -61,7 +61,7 @@ def random_instance(rng):
     if rng.random() < 0.5:
         v = rng.uniform(0.8, 1.1) * v / max(np.linalg.norm(v), 1e-9)
     x = np.concatenate([p, v])
-    C, b = cbf_rows(x, SP, DP)
+    C, b = cbf_rows(x, SP)
     u_des = rng.uniform(-1.5, 1.5, 3)
     return C, b, u_des
 
@@ -170,13 +170,6 @@ def test_fallback_rejects_a_nonfinite_request(bad):
         infeasible_fallback([bad, 0.0, 0.0], rows, 1.0)
 
 
-@pytest.mark.parametrize("period", [True, np.True_])
-def test_bool_period_rejected(period):
-    # True used to fly a hold of 1 s
-    with pytest.raises(ValueError, match="period"):
-        filter_control([100.0, 0, 0, 0, 0, 0], np.zeros(3), SP, DP, period=period)
-
-
 class TestFallback:
     def test_consistent_with_qp_when_feasible(self):
         C = np.array([[1.0, 0.2, 0], [0, 1.0, -0.3]])
@@ -266,7 +259,7 @@ def test_fallback_no_worse_than_lbfgsb(problem):
 class TestFilter:
     def test_feasible_request_passes_through(self):
         x = np.array([100.0, 0, 0, 0, 0, 0])
-        res = filter_control(x, np.array([0.01, 0.0, -0.02]), SP, DP)
+        res = filter_control(x, np.array([0.01, 0.0, -0.02]), SP)
         assert isinstance(res, FilterResult)
         assert not res.intervened
         assert res.deviation == 0.0
@@ -277,7 +270,7 @@ class TestFilter:
         # xd at the +1 m/s limit with the drift term vanishing (p along y):
         # the axis row forces Fx <= 0, so the projection of (1,0,0) is zero
         x = np.array([0.0, 500.0, 0.0, 1.0, 0.0, 0.0])
-        res = filter_control(x, np.array([1.0, 0.0, 0.0]), SP, DP)
+        res = filter_control(x, np.array([1.0, 0.0, 0.0]), SP)
         assert res.feasible
         assert np.allclose(res.u_act, [0.0, 0.0, 0.0], atol=1e-9)
         assert res.intervened
@@ -285,7 +278,7 @@ class TestFilter:
 
     def test_request_clamped_before_filtering(self):
         x = np.array([100.0, 0, 0, 0, 0, 0])
-        res = filter_control(x, np.array([5.0, 0.0, 0.0]), SP, DP)
+        res = filter_control(x, np.array([5.0, 0.0, 0.0]), SP)
         # deviation measures distance from the admissible (clamped) request
         assert res.deviation == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(res.u_act, [1.0, 0, 0])
@@ -298,9 +291,9 @@ class TestFilter:
                 continue
             x = np.concatenate([p, rng.normal(0, 0.4, 3)])
             u_des = rng.uniform(-1, 1, 3)
-            res = filter_control(x, u_des, SP, DP)
+            res = filter_control(x, u_des, SP)
             if res.feasible:
-                C, b = cbf_rows(x, SP, DP)
+                C, b = cbf_rows(x, SP)
                 assert np.all(C @ res.u_act + b >= -1e-8)
                 assert np.all(np.abs(res.u_act) <= DP.u_max + 1e-12)
             assert res.intervened == (res.deviation > 1e-9)
@@ -308,7 +301,7 @@ class TestFilter:
     def test_minimal_invasiveness(self):
         # a request is admissible when it meets the continuous rows and its
         # hold keeps every hold condition non-negative at every substep
-        D, S = hold_maps(DP, DEFAULT_PERIOD)
+        D, S = hold_maps(DEFAULT_PERIOD)
         rng = np.random.default_rng(43)
         checked = 0
         for _ in range(300):
@@ -317,10 +310,10 @@ class TestFilter:
                 continue
             x = np.concatenate([p, rng.normal(0, 0.3, 3)])
             u_des = rng.uniform(-1, 1, 3)
-            C, b = cbf_rows(x, SP, DP)
+            C, b = cbf_rows(x, SP)
             hold = x + D @ x + S @ u_des
             if np.all(C @ u_des + b >= 1e-9) and hold_values(hold, SP, GUARD).min() >= 0.0:
-                res = filter_control(x, u_des, SP, DP)
+                res = filter_control(x, u_des, SP)
                 assert res.deviation == 0.0
                 checked += 1
         assert checked > 50
@@ -330,10 +323,10 @@ class TestFilter:
         X = np.concatenate([rng.normal(0, 60, (40, 3)), rng.normal(0, 0.3, (40, 3))], axis=1)
         X[:20, :3] *= 10.6 / np.linalg.norm(X[:20, :3], axis=1, keepdims=True)
         U = rng.uniform(-1, 1, (40, 3))
-        batch = filter_control(X, U, SP, DP)
+        batch = filter_control(X, U, SP)
         assert_rows_match(batch, X, U)
         assert batch.intervened[:20].any()
-        assert filter_control(X[:0], U[:0], SP, DP).u_act.shape == (0, 3)
+        assert filter_control(X[:0], U[:0], SP).u_act.shape == (0, 3)
 
     def test_batch_of_random_safe_states_matches_single(self):
         # states near the keep-out sphere or the speed limits, every h_i >= 0
@@ -350,7 +343,7 @@ class TestFilter:
                 X.append(np.concatenate([p, v]))
         X = np.array(X)
         U = rng.uniform(-1, 1, (600, 3))
-        batch = filter_control(X, U, SP, DP)
+        batch = filter_control(X, U, SP)
         assert batch.intervened.sum() > 100
         assert_rows_match(batch, X, U)
 
@@ -381,7 +374,7 @@ class TestFilter:
         order = rng.permutation(len(X))
         X, U = X[order], U[order]
         outside = hold_values(X, SP, GUARD).min(axis=1) < 0.0
-        batch = filter_control(X, U, SP, DP)
+        batch = filter_control(X, U, SP)
         assert_rows_match(batch, X, U)
         intervened, feasible = batch.intervened, batch.feasible
         assert (intervened & ~outside).sum() >= 3 and (intervened & outside).sum() >= 3
@@ -392,11 +385,11 @@ class TestFilter:
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(ValueError, match="states must be finite"):
-            filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP, DP)
+            filter_control([np.nan, 0, 0, 0, 0, 0], np.zeros(3), SP)
         with pytest.raises(ValueError, match="states must be finite"):
-            filter_control(np.full((2, 6), np.inf), np.zeros((2, 3)), SP, DP)
+            filter_control(np.full((2, 6), np.inf), np.zeros((2, 3)), SP)
         with pytest.raises(ValueError, match="u_des"):
-            filter_control(np.zeros((2, 6)), [[0.0, np.nan, 0.0]] * 2, SP, DP)
+            filter_control(np.zeros((2, 6)), [[0.0, np.nan, 0.0]] * 2, SP)
 
     @pytest.mark.parametrize("x_shape, u_shape", [
         ((6,), (1, 3)), ((6,), (2,)), ((3, 6), (2, 3)), ((3, 6), (3,)), ((2, 6), (2, 2))])
@@ -404,18 +397,18 @@ class TestFilter:
         X = np.zeros(x_shape)
         X[..., 0] = 100.0
         with pytest.raises(ValueError, match="u_des"):
-            filter_control(X, np.zeros(u_shape), SP, DP)
+            filter_control(X, np.zeros(u_shape), SP)
 
     def test_overflowing_rows_rejected(self):
         # finite states whose rows overflow are refused, as non-finite states are
         with np.errstate(all="ignore"), pytest.raises(ValueError):
-            filter_control([1e300, 1e300, 0, 1e300, 0, 0], np.zeros(3), SP, DP)
+            filter_control([1e300, 1e300, 0, 1e300, 0, 0], np.zeros(3), SP)
 
 
 def fly_hold(x, u):
     """Barrier values (10, 6) at every 0.2 s substep of the default hold of
     thrust ``u``, integrated one RK4 substep at a time."""
-    M, N = rk4_zoh_map(DP, DEFAULT_PERIOD / 10)
+    M, N = rk4_zoh_map(DEFAULT_PERIOD / 10)
     out = []
     for _ in range(10):
         x = M @ x + N @ (np.asarray(u) / DP.mass)
@@ -430,7 +423,7 @@ class TestHold:
 
     def check(self, x, u_des):
         assert fly_hold(x, u_des).min() < 0.0  # the request alone fails
-        res = filter_control(x, u_des, SP, DP)
+        res = filter_control(x, u_des, SP)
         assert res.feasible and res.intervened
         assert fly_hold(x, res.u_act).min() >= 0.0
         return res
@@ -441,7 +434,7 @@ class TestHold:
         # deputy passes the square-root corner of h1 during the hold
         x = np.array([10.3, 0.0, 0.0, -0.06, 0.0, 0.0])
         u_des = np.array([-0.5, 0.0, 0.0])
-        C, b = cbf_rows(x, SP, DP)
+        C, b = cbf_rows(x, SP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 0].min() < 0.0
         self.check(x, u_des)
@@ -452,7 +445,7 @@ class TestHold:
         # it, but the velocity turns and grows over the hold
         x = np.array([100.0, 0.0, 0.0, 0.0, 0.40, 0.0])
         u_des = np.array([0.0, 0.0, 1.0])
-        C, b = cbf_rows(x, SP, DP)
+        C, b = cbf_rows(x, SP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 2].min() < 0.0
         self.check(x, u_des)
@@ -465,7 +458,7 @@ class TestHold:
         x = np.concatenate([998.0 * p_hat, [-0.78, -0.999, 0.9]])
         u_des = np.array([-1.0, 0.0, 0.0])
         assert hold_values(x, SP, GUARD).min() >= 0.0  # inside the guarded set
-        C, b = cbf_rows(x, SP, DP)
+        C, b = cbf_rows(x, SP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 1].min() < 0.0
         self.check(x, u_des)
@@ -478,7 +471,7 @@ class TestHold:
         monkeypatch.setattr(rta, "_MAX_LINEARIZATIONS", 0)
         x = np.array([10.3, 0.0, 0.0, -0.06, 0.0, 0.0])
         u_des = np.array([-0.5, 0.0, 0.0])
-        res = filter_control(x, u_des, SP, DP)
+        res = filter_control(x, u_des, SP)
         assert not res.feasible and res.intervened
         assert fly_hold(x, res.u_act).min() >= 0.0
 
@@ -488,7 +481,7 @@ class TestHoldRows:
         # the filter multiplies only the gradients of k1..k3 with the hold
         # map and takes the exact rows of k4..k9 from the cached plan: the
         # rows equal those of the full product, bit for bit
-        _, _, S, axis_rows, _ = rta._hold_plan(SP, DP, DEFAULT_PERIOD)
+        _, _, S, axis_rows, _ = rta._hold_plan(SP)
         rng = np.random.default_rng(59)
         H = np.concatenate([rng.normal(0, 300, (5, len(S), 3)),
                             rng.normal(0, 0.5, (5, len(S), 3))], axis=2)
@@ -511,9 +504,9 @@ class TestKeepInGuardLooseEnd:
     def test_unguarded_stage_thrust_keeps_the_flown_hold_safe(self):
         assert 998.99 < np.linalg.norm(self.X[:3]) < 999.0
         assert 0.0 < hold_values(self.X, SP, GUARD).min() < 1e-3
-        res = filter_control(self.X, self.U, SP, DP)
+        res = filter_control(self.X, self.U, SP)
         assert res.feasible and res.intervened
-        D, S = hold_maps(DP, DEFAULT_PERIOD)
+        D, S = hold_maps(DEFAULT_PERIOD)
         flown = _fly(D, S, self.X, res.u_act)
         assert h_values_batch(flown, SP).min() >= 4e-9
         assert hold_values(flown, SP, GUARD).min() >= 2e-9
@@ -523,7 +516,7 @@ class TestKeepInGuardLooseEnd:
                        "every guarded condition over the hold")
     def test_a_guarded_stage_serves_the_state(self, monkeypatch):
         monkeypatch.setattr(rta, "_STAGES", rta._STAGES[:2])
-        assert filter_control(self.X, self.U, SP, DP).feasible
+        assert filter_control(self.X, self.U, SP).feasible
 
 
 @pytest.fixture(scope="module")
@@ -549,10 +542,10 @@ class TestRecordedRequests:
     def test_batch_is_its_one_state_calls(self, exp2_requests):
         # 300 open- and 300 closed-loop requests in one batch
         X, U = exp2_requests
-        batch = filter_control(X, U, SP, DP)
+        batch = filter_control(X, U, SP)
         assert batch.intervened.sum() > 50
         for k in range(len(X)):
-            res = filter_control(X[k], U[k], SP, DP)
+            res = filter_control(X[k], U[k], SP)
             assert res.u_act.tobytes() == batch.u_act[k].tobytes()
             assert res.slack_used.tobytes() == batch.slack_used[k].tobytes()
             assert np.float64(res.deviation).tobytes() == batch.deviation[k].tobytes()
@@ -585,7 +578,7 @@ class TestRecordedRequests:
         monkeypatch.setattr(rta, "solve_qp", spy_solve)
         X, U = exp2_requests
         for x, u in zip(X[::4], U[::4]):
-            filter_control(x, u, SP, DP)
+            filter_control(x, u, SP)
         assert len(calls) == len(seen) > 50
         for (u_des, C, b, u_max), (u0, A, d) in zip(calls, seen):
             A_ref = np.concatenate([C, np.vstack([-np.eye(3), np.eye(3)])])
@@ -607,7 +600,7 @@ class TestRecordedRequests:
 
         monkeypatch.setattr(rta, "solve_qp", spy)
         for x, u in zip(*exp2_requests):
-            filter_control(x, u, SP, DP)
+            filter_control(x, u, SP)
         solved = [r for r in results if r[4][2]]
         assert len(solved) > 300 and sum(bool(r[4][1]) for r in solved) > 100
         for u_des, C, b, u_max, (u, active, _) in solved:

@@ -103,7 +103,7 @@ class TestBarrierValues:
             with pytest.raises(ValueError):
                 h_values_batch(bad, SP)
             with pytest.raises(ValueError):
-                cbf_rows(bad, SP, DP)
+                cbf_rows(bad, SP)
         assert h_values_batch(np.zeros((0, 6)), SP).shape == (0, 6)
 
 
@@ -131,7 +131,7 @@ class TestOneOrBatch:
 
     @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("fn", [h_values, is_safe, lambda x, p: cbf_rows(x, p, DP)],
+    @pytest.mark.parametrize("fn", [h_values, is_safe, cbf_rows],
                              ids=["h_values", "is_safe", "cbf_rows"])
     def test_nonfinite_states_rejected(self, fn, bad, batch):
         # these used to return NaN values and rows and a False safe-set check
@@ -187,35 +187,35 @@ class TestGradients:
 class TestRows:
     def test_axis_row_at_drift_free_point(self):
         # p along y so the drift term of h4 vanishes; xd at the limit
-        C, b = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP, DP)
+        C, b = cbf_rows(state([0, 500, 0], [1, 0, 0]), SP)
         assert np.allclose(C[3], [-2.0 / DP.mass, 0, 0])
         assert np.allclose(C[3], [-1.0 / 6.0, 0, 0])
         assert b[3] == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_zero_at_boundary(self):
         # at h = 0 the class-K term vanishes: the row's b is L_f h alone
-        A, _ = cw_matrices(DP)
+        A, _ = cw_matrices()
         x = state([0, 500, 50], [1, 0.2, 0])
         assert h_values(x, SP)[3] == 0.0
-        _, b = cbf_rows(x, SP, DP)
+        _, b = cbf_rows(x, SP)
         assert b[3] == grad_h(x, SP)[0, 3] @ (A @ x)
 
     def test_deep_safe_rows_admit_zero_thrust(self):
-        C, b = cbf_rows(state([100, 0, 0], [0, 0, 0]), SP, DP)
+        C, b = cbf_rows(state([100, 0, 0], [0, 0, 0]), SP)
         assert np.all(b > 0.0)
         assert np.all(np.linalg.norm(C, axis=1) < 10.0)
 
     def test_rows_time_invariant(self):
         x = state([80, -20, 30], [0.1, 0.2, -0.1])
-        Ca, ba = cbf_rows(x, SP, DP)
-        Cb, bb = cbf_rows(x, SP, DP)  # h depends on state only; no time input exists
+        Ca, ba = cbf_rows(x, SP)
+        Cb, bb = cbf_rows(x, SP)  # h depends on state only; no time input exists
         assert np.array_equal(Ca, Cb) and np.array_equal(ba, bb)
 
     def test_boundary_equality_zeroes_hdot(self):
         # with h_i = 0, any u on row-i equality gives hdot_i = -alpha(0) = 0
-        A, B = cw_matrices(DP)
+        A, B = cw_matrices()
         x = state([0, 500, 0], [1, 0, 0])  # h4 = 0 exactly
-        C, b = cbf_rows(x, SP, DP)
+        C, b = cbf_rows(x, SP)
         c, b = C[3], b[3]
         u = np.array([-b / c[0] if c[0] else 0.0, 0.4, -0.2])
         assert c @ u + b == pytest.approx(0.0, abs=1e-12)
@@ -225,10 +225,10 @@ class TestRows:
 
     def test_batch_matches_scalar(self):
         X = random_nonsingular_states(20, seed=8)
-        C, b = cbf_rows(X, SP, DP)
+        C, b = cbf_rows(X, SP)
         assert C.shape == (20, 6, 3) and b.shape == (20, 6)
         for k in range(20):
-            Ck, bk = cbf_rows(X[k], SP, DP)
+            Ck, bk = cbf_rows(X[k], SP)
             assert Ck.shape == (6, 3) and bk.shape == (6,)
             assert np.allclose(C[k], Ck)
             assert np.allclose(b[k], bk)
@@ -248,7 +248,7 @@ class TestRows:
         unit[:3] = np.eye(3)
         X[2:102, :3] = SP.collision_radius * unit[:100]  # on the keep-out sphere
         X[102:202, :3] = SP.r_max * unit[100:]  # on the keep-in sphere
-        A, _ = cw_matrices(DP)
+        A, _ = cw_matrices()
 
         def row_formula(states):
             h, G = h_values_batch(states, SP), grad_h(states, SP)
@@ -257,11 +257,11 @@ class TestRows:
                     + DEFAULT_ALPHA_GAINS * h)
 
         C_ref, b_ref = row_formula(X)
-        C, b = cbf_rows(X, SP, DP)
+        C, b = cbf_rows(X, SP)
         assert np.array_equal(C, C_ref) and np.array_equal(b, b_ref)
         for x in X:
             C_ref, b_ref = row_formula(x[None])
-            C, b = cbf_rows(x, SP, DP)
+            C, b = cbf_rows(x, SP)
             assert np.array_equal(C, C_ref[0]) and np.array_equal(b, b_ref[0])
 
 
@@ -305,7 +305,7 @@ class TestHoldConditions:
         rng = np.random.default_rng(13)
         X = np.concatenate([rng.uniform(900, 1000, (2000, 1)) * [[1.0, 0, 0]],
                             rng.uniform(-1.0, 1.0, (2000, 3))], axis=1)
-        inside = hold_values(X, SP, keep_in_guard(SP, DP))[:, 1] >= 0.0
+        inside = hold_values(X, SP, keep_in_guard(SP))[:, 1] >= 0.0
         assert inside.any()
         assert np.all(h_values_batch(X[inside], SP)[:, 1] >= 0.0)
 
@@ -315,14 +315,14 @@ class TestHoldConditions:
         x = state([999.99, 0, 0], [math.sqrt(2 * SP.a_max * 0.01), 1.0, 1.0])
         h = h_values(x, SP)
         assert np.all(h >= -1e-12) and h[1] == pytest.approx(0.0, abs=1e-12)
-        C, b = cbf_rows(x, SP, DP)  # c.u + b = dh2/dt since alpha(0) = 0
+        C, b = cbf_rows(x, SP)  # c.u + b = dh2/dt since alpha(0) = 0
         best = b[1] + DP.u_max * np.abs(C[1]).sum()
         assert best == pytest.approx(-0.0019, abs=1e-4)
-        assert hold_values(x, SP, keep_in_guard(SP, DP))[1] < 0.0  # outside the guard
+        assert hold_values(x, SP, keep_in_guard(SP))[1] < 0.0  # outside the guard
 
     @pytest.mark.parametrize("guarded", [False, True])
     def test_gradients_match_finite_differences(self, guarded):
-        keep_in = keep_in_guard(SP, DP) if guarded else None
+        keep_in = keep_in_guard(SP) if guarded else None
         X = random_nonsingular_states(200, seed=14)
         G = hold_gradients(X, SP, keep_in)
         eps = 1e-6
@@ -360,22 +360,30 @@ class TestParams:
         (record, f.name) for record in (SafetyParams, DynamicsParams)
         for f in dataclasses.fields(record)])
     def test_nonfinite_fields_rejected(self, record, field):
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                record(**{field: bad})
+        if record is DynamicsParams:
+            # the one spacecraft pair takes no value at all, finite or not:
+            # DynamicsParams(u_max=0.1) used to fly a weaker thruster
+            for value in (math.inf, math.nan, 0.1, getattr(DynamicsParams(), field)):
+                with pytest.raises(TypeError):
+                    DynamicsParams(**{field: value})
+        else:
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    record(**{field: bad})
 
     def test_keep_in_guard(self):
         # the braking the box always delivers, u_max/(sqrt(2) m) less drift,
         # Coriolis and centripetal terms, is 0.0499 for the defaults
-        a_g, r_g = keep_in_guard(SP, DP)
+        a_g, r_g = keep_in_guard(SP)
         assert 0.045 < a_g < 0.0499 and r_g == 999.0
         # a smaller stated braking rate is planned as it is
-        assert keep_in_guard(SafetyParams(a_max=0.03), DP) == (0.03, 999.0)
-        # a box that cannot brake at the keep-in sphere has no guard
+        assert keep_in_guard(SafetyParams(a_max=0.03)) == (0.03, 999.0)
+        # a speed limit the box cannot brake from at the keep-in sphere has
+        # no guard: v_max = 5 m/s leaves -0.034 m/s^2
+        with pytest.raises(ValueError, match="cannot brake"):
+            keep_in_guard(SafetyParams(v_max=5.0))
         with pytest.raises(ValueError):
-            keep_in_guard(SP, DynamicsParams(u_max=0.1))
-        with pytest.raises(ValueError):
-            keep_in_guard(SafetyParams(r_max=10.5), DP)
+            keep_in_guard(SafetyParams(r_max=10.5))
 
 
 # The passes as they were written before their per-call overhead was cut:
@@ -414,12 +422,12 @@ def barriers_formula(X, params):
     return h, G
 
 
-def rows_formula(x, params, dyn):
+def rows_formula(x, params):
     """The rows (6, 3), (6,) of one state (6,)."""
     h, G = barriers_formula(x[None], params)
-    A, _ = cw_matrices(dyn)
+    A, _ = cw_matrices()
     b = np.einsum("nij,nj->ni", G, x[None] @ A.T) + DEFAULT_ALPHA_GAINS * h
-    return G[0, :, 3:] / dyn.mass, b[0]
+    return G[0, :, 3:] / DP.mass, b[0]
 
 
 def hold_pass_formula(X, params, keep_in=None):
@@ -501,10 +509,10 @@ class TestPassesMatchTheirFormulas:
     @given(X=ORACLE_BATCH)
     def test_rows(self, X):
         # one state's rows, alone or as a row of a batch
-        C_batch, b_batch = cbf_rows(X, SP, DP)
+        C_batch, b_batch = cbf_rows(X, SP)
         for k, x in enumerate(X):
-            C_ref, b_ref = rows_formula(x, SP, DP)
-            C, b = cbf_rows(x, SP, DP)
+            C_ref, b_ref = rows_formula(x, SP)
+            C, b = cbf_rows(x, SP)
             assert same_bits(C, C_ref) and same_bits(b, b_ref)
             assert same_bits(C_batch[k], C_ref) and same_bits(b_batch[k], b_ref)
 
@@ -515,15 +523,15 @@ class TestPassesMatchTheirFormulas:
         rng = np.random.default_rng(8)
         X = np.concatenate([rng.normal(0, 300, (3000, 3)), rng.normal(0, 0.5, (3000, 3))], axis=1)
         X[:1000] *= np.exp(rng.normal(0, 2, (1000, 1)))
-        C, b = cbf_rows(X, SP, DP)
+        C, b = cbf_rows(X, SP)
         for k, x in enumerate(X):
-            C1, b1 = cbf_rows(x, SP, DP)
+            C1, b1 = cbf_rows(x, SP)
             assert same_bits(C[k], C1) and same_bits(b[k], b1), k
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(X=ORACLE_BATCH, guarded=st.booleans(), layout=st.sampled_from(["row", "column"]))
     def test_hold_pass_and_jacobian(self, X, guarded, layout):
-        keep_in = keep_in_guard(SP, DP) if guarded else None
+        keep_in = keep_in_guard(SP) if guarded else None
         X = X[:, None] if layout == "row" else X[None]  # (N, 1, 6) or (1, N, 6)
         K_ref, T_ref = hold_pass_formula(X, SP, keep_in)
         terms = _hold_terms(SP, keep_in)

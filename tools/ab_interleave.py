@@ -22,9 +22,10 @@ Workloads, one unit each:
 - ``nnc``: reference experiment 4 (all-sensors NNC, illumination) flown by
   ``random_policy(11, seed=s)`` for s = 1..4, 250 steps each unless
   ``--steps`` caps them;
-- ``filter``: the requests ``filter_control`` gets in reference experiment
+- ``filter``: the calls ``filter_control`` gets in reference experiment
   2, open and closed loop (3000 steps each unless ``--steps`` caps them),
-  recorded once per tree and replayed one call at a time; the outputs
+  recorded once per tree with the arguments that tree's ``run`` passes and
+  replayed one call at a time with them unchanged; the outputs
   compared are every call's ``u_act``, ``active_set``, ``feasible`` and
   ``slack_used``, and a step is one filter call.  It times the filter alone,
   without the rest of the episode;
@@ -64,6 +65,8 @@ EXP2_STEPS = 3000
 NNC_STEPS = 250
 NNC_SEEDS = (1, 2, 3, 4)
 SIDES = ("a", "b")
+# (package name, steps) -> the recorded filter_control calls of filter_unit
+FILTER_CALLS = {}
 
 
 def load_tree(tree: Path, name: str):
@@ -110,32 +113,34 @@ def exp2_unit(cw, steps: int, workdir: Path):
 def filter_unit(cw, steps: int, workdir: Path):
     """Replay the exp2 requests one filter call at a time; returns (calls,
     digest of every call's u_act, active_set, feasible and slack_used).  The
-    requests are recorded in the first call for each tree and kept in
-    ``workdir``; ``run`` filters with the default parameters."""
-    stream = workdir / f"filter_requests_{cw.__name__}.npz"
-    if not stream.exists():
+    calls are recorded in the first call for each tree, each with the
+    arguments that tree's ``run`` passed (its arrays copied), and replayed
+    with those arguments unchanged, so trees whose ``filter_control`` takes
+    different arguments still compare."""
+    key = (cw.__name__, steps)
+    if key not in FILTER_CALLS:
         seen = []
         filter_control = cw.harness.filter_control
 
-        def record(x, u_des, safety, dyn, period):
-            seen.append(np.concatenate([x, u_des, [period]]))
-            return filter_control(x, u_des, safety, dyn, period=period)
+        def record(*args, **kwargs):
+            seen.append((tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args),
+                         kwargs))
+            return filter_control(*args, **kwargs)
 
         cw.harness.filter_control = record
         try:
             exp2_unit(cw, steps, workdir)
         finally:
             cw.harness.filter_control = filter_control
-        np.savez(stream, requests=np.array(seen))
-    requests = np.load(stream)["requests"]
-    safety, dyn, filter_control = cw.SafetyParams(), cw.DynamicsParams(), cw.filter_control
+        FILTER_CALLS[key] = seen
+    calls, filter_control = FILTER_CALLS[key], cw.filter_control
     digest = hashlib.sha256()
-    for r in requests:
-        res = filter_control(r[:6], r[6:9], safety, dyn, period=float(r[9]))
+    for args, kwargs in calls:
+        res = filter_control(*args, **kwargs)
         digest.update(res.u_act.tobytes())
         digest.update(res.slack_used.tobytes())
         digest.update(repr((res.active_set, res.feasible)).encode())
-    return len(requests), digest.hexdigest()
+    return len(calls), digest.hexdigest()
 
 
 def nnc_unit(cw, steps: int, workdir: Path):
