@@ -78,6 +78,13 @@ def _positive(value, name: str, zero: bool = False) -> float:
     return float(value)
 
 
+def _integer(value, name: str, minimum: int) -> None:
+    """A ``ValueError`` unless ``value`` is an int or a numpy integer of at
+    least ``minimum``; a bool is refused."""
+    if type(value) is bool or not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, not {value!r}")
+
+
 def cw_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Return the Clohessy-Wiltshire system pair (A, B) for xdot = A x + B u.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inspection
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _positive, step
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _integer, _positive, step
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -133,9 +133,7 @@ class EnvConfig:
         if not isinstance(self.illumination, (bool, np.bool_)):
             raise ValueError(f"illumination must be a bool, got {self.illumination!r}")
         self.illumination = bool(self.illumination)
-        if isinstance(self.max_steps, bool) or not (
-                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        _integer(self.max_steps, "max_steps", 1)
 
     @property
     def dt(self) -> float:

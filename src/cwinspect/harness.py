@@ -23,7 +23,7 @@ import numpy as np
 from . import inspection
 from .control import (lqr_control, lqr_design, mlp_act, mlp_load,
                       scripted_orbit_control)
-from .dynamics import MASS, MEAN_MOTION, _fly, _positive, hold_maps
+from .dynamics import MASS, MEAN_MOTION, _fly, _integer, _positive, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation
 from .rta import DEFAULT_PERIOD, filter_control
@@ -125,12 +125,9 @@ class ExperimentConfig:
             setattr(self, name, bool(flag))
         for name in ("position_scale", "time_scale", "max_duration"):
             _positive(getattr(self, name), name)
-        if self.max_steps is not None and (isinstance(self.max_steps, bool) or not (
-                isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1)):
-            raise ValueError("max_steps must be a positive integer or None")
-        if isinstance(self.seed, bool) or not (
-                isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.max_steps is not None:
+            _integer(self.max_steps, "max_steps", 1)
+        _integer(self.seed, "seed", 0)
         if isinstance(self.noise, dict):
             try:
                 self.noise = NoiseModel(**self.noise)
@@ -192,9 +189,9 @@ def default_experiment(n: int) -> ExperimentConfig:
     """Reference configuration for experiment ``n`` (1..6).  Without
     ``weights_path`` an NNC row flies the scripted stand-in, so experiments
     5 and 6 then fly and log the same rows."""
-    # True and 2.0 would match the table's keys 1 and 2
-    if n is True or not isinstance(n, (int, np.integer)) or n not in _EXPERIMENT_TABLE:
-        raise ValueError(f"experiment number must be an integer 1..6, got {n!r}")
+    _integer(n, "experiment number", 1)  # True and 2.0 would match keys 1 and 2
+    if n not in _EXPERIMENT_TABLE:
+        raise ValueError(f"experiment number must be at most {len(_EXPERIMENT_TABLE)}, not {n!r}")
     controller, rta, illum, pos_scale, time_scale = _EXPERIMENT_TABLE[n]
     return ExperimentConfig(
         controller=controller,
@@ -512,8 +509,7 @@ def run_batch(config_dir, out_dir, jobs: int = 1) -> dict:
     carries its own seed so streams stay isolated.  Returns the merged index,
     also written to ``out_dir``/index.json.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    _integer(jobs, "jobs", 1)
     paths = sorted(Path(config_dir).glob("*.json"))
     if not paths:
         raise ValueError(f"no *.json configs found in {config_dir}")

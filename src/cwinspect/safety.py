@@ -15,7 +15,13 @@ returns the six rows of a state as arrays (C, b).  :func:`h_values` and
 same form, without the leading axis for one state.  Values, gradients and
 rows come from one pass per state over the terms they share (range, speed,
 p.v, the braking-cone roots), as do the hold conditions below and the
-gradients the filter linearizes them with.
+gradients the filter linearizes them with.  The rows of one state (6,),
+which the filter forms once per decision, come from a pass in Python
+floats, without numpy's per-call cost on six-element arrays; a batch
+(N, 6) takes the array pass.  The float pass adds its sums in the order
+of the array pass (p.v and each row's L_f h in the pairs numpy's einsum
+adds), so the two give the same bits and a batch row is its one-state
+call.
 
 Outside their nominal domains the square roots extend as odd functions,
 sign(s)*sqrt(2 a_max |s|), so a violated constraint reports a meaningful
@@ -149,6 +155,10 @@ def _barrier_terms(params: SafetyParams) -> tuple:
 
 # factors of cbf_rows: the transposed drift matrix A^T of cw_matrices and the mass
 _DRIFT_T, _MASS = _read_only(cw_matrices()[0].T, np.array(MASS))
+# the entries (3, 0), (3, 4), (4, 3) and (5, 2) of A, its nonzero entries
+# off the identity block, and the gains as floats
+_A30, _A34, _A43, _A52 = _DRIFT_T.T[(3, 3, 4, 5), (0, 4, 3, 2)].tolist()
+_GAINS = DEFAULT_ALPHA_GAINS.tolist()
 
 
 @lru_cache(maxsize=16)
@@ -212,6 +222,51 @@ def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
     return h, G
 
 
+def _one_state_rows(x: list, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (C, b) of :func:`cbf_rows` for one state, six floats, in
+    Python floats: the arithmetic of :func:`_barriers` and of the drift and
+    L_f h lines of :func:`cbf_rows` for a batch of one, in the same order."""
+    if not all(map(math.isfinite, x)):
+        raise ValueError("states must be finite")
+    p0, p1, p2, v0, v1, v2 = x
+    rho = math.sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+    speed = math.sqrt((v0 * v0 + v1 * v1) + v2 * v2)
+    pv = (p0 * v0 + p2 * v2) + p1 * v1  # einsum's pair order
+    a_max, nu1 = params.a_max, params.nu1
+    dev0 = rho - params.collision_radius
+    dev1 = params.r_max - rho
+    root0 = math.sqrt(2.0 * a_max * abs(dev0))
+    root1 = math.sqrt(2.0 * a_max * abs(dev1))
+    rdot = pv / (rho if rho > 0.0 else math.inf)  # 0 at the origin
+    v_max2 = params.v_max ** 2
+    h = (math.copysign(root0, dev0) + rdot, math.copysign(root1, dev1) - rdot,
+         (rho * nu1 + params.nu0) - speed,
+         v_max2 - v0 * v0, v_max2 - v1 * v1, v_max2 - v2 * v2)
+    rho_f = max(rho, _SMOOTH_FLOOR)
+    speed_f = max(speed, _SMOOTH_FLOOR)
+    p_hat = (p0 / rho_f, p1 / rho_f, p2 / rho_f)
+    rdot_f = pv / rho_f
+    drdot_dp = [(v - rdot_f * e) / rho_f for v, e in zip((v0, v1, v2), p_hat)]
+    q0 = a_max / max(root0, _SMOOTH_FLOOR)
+    q1 = -(a_max / max(root1, _SMOOTH_FLOOR))
+    # the gradients of h1..h3; those of h4..h6 are -2 v on the diagonal
+    G = ([q0 * e + d for e, d in zip(p_hat, drdot_dp)] + list(p_hat),
+         [q1 * e - d for e, d in zip(p_hat, drdot_dp)] + [-e for e in p_hat],
+         [e * nu1 for e in p_hat] + [-v0 / speed_f, -v1 / speed_f, -v2 / speed_f])
+    # the drift f = A x, the nonzero products of each row summed in order;
+    # the signed zeros that A's zero entries add to the array pass's sums,
+    # and einsum's start from +0.0 below, change no bit of the rows
+    f0, f1, f2, f3, f4, f5 = (v0, v1, v2, p0 * _A30 + v1 * _A34, v0 * _A43, p2 * _A52)
+    # L_f h in einsum's pair order, plus gain * h
+    b = [(((g[0] * f0 + g[2] * f2) + g[4] * f4) + ((g[1] * f1 + g[3] * f3) + g[5] * f5))
+         + gain * hi for g, gain, hi in zip(G, _GAINS, h)]
+    diag = [v0 * -2.0, v1 * -2.0, v2 * -2.0]
+    b += [d * f + gain * hi for d, f, gain, hi in zip(diag, (f3, f4, f5), _GAINS[3:], h[3:])]
+    C = [g / MASS for g in G[0][3:] + G[1][3:] + G[2][3:]]  # L_g h
+    C += (diag[0] / MASS, 0.0, 0.0, 0.0, diag[1] / MASS, 0.0, 0.0, 0.0, diag[2] / MASS)
+    return np.array(C).reshape(6, 3), np.array(b)
+
+
 def h_values(states, params: SafetyParams) -> np.ndarray:
     """Barrier values h1..h6 for one state (6,) or states (N, 6); returns
     (6,) or (N, 6)."""
@@ -234,15 +289,17 @@ def cbf_rows(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
     shape (..., 6) with b_i = L_f h_i + gain_i * h_i, the gains of
     :data:`DEFAULT_ALPHA_GAINS`, without the leading axis for one state.
     """
-    X, single = _as_state_matrix(states)
+    arr = np.asarray(states, dtype=float)
+    if arr.shape == (6,):
+        return _one_state_rows(arr.tolist(), params)
+    X, _ = _as_state_matrix(arr)
     h, G = _barriers(X, params)
     # drift f(x) = A x, one row at a time: a batch row is its one-state call
     # (one product over the batch rounds some rows differently)
     f = (X[:, None] @ _DRIFT_T)[:, 0]
     b = np.einsum("nij,nj->ni", G, f)  # L_f h
     b += DEFAULT_ALPHA_GAINS * h
-    C = G[:, :, 3:] / _MASS  # L_g h rows
-    return (C[0], b[0]) if single else (C, b)
+    return G[:, :, 3:] / _MASS, b  # L_g h rows
 
 
 def keep_in_guard(params: SafetyParams) -> tuple[float, float]:

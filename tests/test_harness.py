@@ -742,4 +742,4 @@ class TestCli:
         rc = cli_main(["batch", "--configs", str(cfg_dir),
                        "--out", str(tmp_path / "out"), "--jobs", "0"])
         assert rc == 2
-        assert "jobs must be a positive integer" in capsys.readouterr().err
+        assert "jobs must be an integer of at least 1" in capsys.readouterr().err

@@ -63,6 +63,24 @@ def test_bool_number_refused(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("call, minimum", [
+    (lambda v: cwinspect.EnvConfig(max_steps=v), 1),
+    (lambda v: cwinspect.ExperimentConfig(max_steps=v), 1),
+    (lambda v: cwinspect.ExperimentConfig(seed=v), 0),
+    (cwinspect.default_experiment, 1),
+    (lambda v: cwinspect.run_batch(".", ".", jobs=v), 1),
+], ids=["EnvConfig.max_steps", "ExperimentConfig.max_steps", "ExperimentConfig.seed",
+        "default_experiment", "run_batch.jobs"])
+@pytest.mark.parametrize("value", [True, np.True_, 1.5, None],
+                         ids=["True", "np.True_", "1.5", "below_minimum"])
+def test_integer_refused(call, minimum, value):
+    # one check and one message for every integer input
+    if value is None:
+        value = minimum - 1
+    with pytest.raises(ValueError, match=f"must be an integer of at least {minimum}, not"):
+        call(value)
+
+
 def test_every_exported_name_resolves():
     # each module's __all__ and each name the package imports must exist,
     # so a deleted function cannot linger as an advertised export

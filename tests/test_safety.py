@@ -474,12 +474,18 @@ def same_bits(a, b):
 @st.composite
 def oracle_state(draw):
     """A state anywhere in the keep-in sphere and speed box, at the origin,
-    on the keep-out or keep-in sphere (where a braking-cone root is 0) or
-    with one axis at +-v_max; signed zeros included."""
+    on the keep-out or keep-in sphere (where a braking-cone root is 0), with
+    one axis at +-v_max, or with a range or speed that is not 0 but below
+    the 1e-6 floor of the gradients; signed zeros included."""
     p = [draw(st.floats(-1200.0, 1200.0)) for _ in range(3)]
     v = [draw(st.floats(-1.5, 1.5)) for _ in range(3)]
-    kind = draw(st.sampled_from(["free", "origin", "keep_out", "keep_in", "axis"]))
-    if kind == "origin":
+    kind = draw(st.sampled_from(["free", "origin", "keep_out", "keep_in", "axis", "floor"]))
+    if kind == "floor":  # one axis of p or v, the others signed zeros
+        w = p if draw(st.booleans()) else v
+        w[:] = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+        w[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0])) * draw(
+            st.floats(0.0, 1e-6, exclude_min=True, exclude_max=True))
+    elif kind == "origin":
         p = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
     elif kind in ("keep_out", "keep_in"):
         p = [0.0, 0.0, 0.0]
