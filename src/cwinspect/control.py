@@ -97,9 +97,11 @@ def lqr_design() -> np.ndarray:
 
 def lqr_control(K: np.ndarray, x) -> np.ndarray:
     """u = clamp(-K x) to the per-axis thrust box for the gain ``K`` of
-    :func:`lqr_design` and the 6-state ``x``."""
-    u = -K @ np.asarray(x, dtype=float).reshape(6)
-    return _clamp(u, U_MAX)
+    :func:`lqr_design` and the finite 6-state ``x``."""
+    x = np.asarray(x, dtype=float).reshape(6)
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError("state must be finite")
+    return _clamp(-K @ x, U_MAX)
 
 
 @dataclass
@@ -260,9 +262,11 @@ def scripted_orbit_control(x) -> np.ndarray:
     (normal +y), moving tangentially at rate 2n times the radius.  The
     control law cancels the natural relative acceleration and applies
     critically damped PD tracking, so a deputy on the reference needs only
-    the small centripetal feedforward.
+    the small centripetal feedforward.  A non-finite state is refused.
     """
     x = np.asarray(x, dtype=float).reshape(6)
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError("state must be finite")
     p, v = x[:3], x[3:]
     p_in = p - np.dot(p, _ORBIT_NORMAL) * _ORBIT_NORMAL
     rho = np.linalg.norm(p_in)

@@ -109,10 +109,10 @@ def _clamp(u: np.ndarray, limit: float) -> np.ndarray:
 
 
 def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """Finite states of shape (6,) or (N, 6) as an (N, 6) array; returns
-    (array, was_single).  Raises ``ValueError`` on any other shape and on
-    non-finite entries."""
-    arr = np.asarray(x, dtype=float)
+    """Finite states of shape (6,) or (N, 6) as a C-contiguous (N, 6) array;
+    returns (array, was_single).  Raises ``ValueError`` on any other shape
+    and on non-finite entries."""
+    arr = np.asarray(x, dtype=float, order="C")
     single = arr.shape == (6,)
     X = arr[None, :] if single else arr
     if X.ndim != 2 or X.shape[1] != 6:
@@ -231,10 +231,11 @@ def cw_stm(n: float, t: float) -> np.ndarray:
     Maps a free-motion (u = 0) state [x, y, z, xd, yd, zd] at time 0 to the
     state at time ``t``.  Exact to machine precision; serves as the oracle
     for the propagation substep.  Raises ``ValueError`` unless ``n`` is
-    positive and finite and ``t`` is finite.
+    positive and finite and ``t`` is finite, neither a bool.
     """
-    if not (0.0 < n < math.inf and math.isfinite(t)):
-        raise ValueError("n must be positive and finite and t finite")
+    _positive(n, "n")
+    if type(t) in (bool, np.bool_) or not math.isfinite(t):
+        raise ValueError(f"t must be a finite number, not {t!r}")
     nt = n * t
     c = math.cos(nt)
     s = math.sin(nt)
@@ -252,8 +253,9 @@ def sun_vector(angle: float) -> np.ndarray:
     """Unit vector from the chief toward the Sun for sun angle ``angle``.
 
     The Sun rotates in the x-y plane of Hill's frame, so the z component
-    is identically zero.
+    is identically zero.  Raises ``ValueError`` unless ``angle`` is a finite
+    number, not a bool.
     """
-    if not math.isfinite(angle):
-        raise ValueError("sun angle must be finite")
+    if type(angle) in (bool, np.bool_) or not math.isfinite(angle):
+        raise ValueError(f"sun angle must be a finite number, not {angle!r}")
     return np.array([math.cos(angle), math.sin(angle), 0.0])

@@ -235,8 +235,10 @@ def load_config(path) -> ExperimentConfig:
 
 def inject_noise(x: np.ndarray, model: NoiseModel,
                  rng: np.random.Generator) -> np.ndarray:
-    """The 6-state ``x`` plus Gaussian noise on position and velocity (three
-    draws each, position first).  Deterministic under a fixed generator."""
+    """The finite 6-state ``x`` plus Gaussian noise on position and velocity
+    (three draws each, position first), deterministic under a fixed one."""
+    if not all(map(math.isfinite, np.asarray(x, dtype=float).reshape(6).tolist())):
+        raise ValueError("state must be finite")
     return x + np.concatenate([rng.normal(0.0, model.position_sigma, 3),
                                rng.normal(0.0, model.velocity_sigma, 3)])
 

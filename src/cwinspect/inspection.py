@@ -106,8 +106,10 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     Point i is marked when r_i . p > 0 (strict: the 90 deg half-angle field
     of view) and, with illumination enabled, r_i . r_sun > 0 (strict).  A
     deputy inside the sphere marks nothing.  Returns the number newly marked
-    by this call.
+    by this call.  ``illumination_enabled`` must be a bool.
     """
+    if type(illumination_enabled) not in (bool, np.bool_):
+        raise ValueError(f"illumination_enabled must be a bool, not {illumination_enabled!r}")
     p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0

@@ -23,7 +23,9 @@ hold flown by the current iterate, starting from the optimum over the
 continuous rows alone, with the terms of the pass that evaluated that hold,
 and the QP is solved again (sequential linearization) until the exact
 substep values hold.  Each QP is solved exactly by a dual active-set method
-(Goldfarb & Idnani 1983).  A batch row is its one state's call, bit for bit.
+(Goldfarb & Idnani 1983).  One state (6,) and a batch (N, 6) take their own
+control paths over the same kernels, the batch's with the index bookkeeping
+of many states, and a batch row is its one state's call, bit for bit.
 
 A condition already violated at x need only not get worse over the hold.
 When the linearized QP admits no thrust, or eight linearizations do not
@@ -92,8 +94,9 @@ _TWICE_FEAS_TOL = np.array(2.0 * _FEAS_TOL)
 
 @dataclass
 class FilterResult:
-    """Outcome of one filter evaluation; for a batch of N states each field
-    holds one entry per state: (N, ...) arrays and a tuple of N tuples."""
+    """Outcome of one filter evaluation, with the stage of :data:`_STAGES`
+    that served it; for a batch of N states each field holds one entry per
+    state: (N, ...) arrays and a tuple of N tuples."""
 
     u_act: np.ndarray  # (3,) or (N, 3) [N]
     intervened: bool  # or (N,) bool
@@ -103,6 +106,9 @@ class FilterResult:
     active_set: tuple
     feasible: bool  # or (N,) bool
     slack_used: np.ndarray  # (6,) or (N, 6): per continuous row max(0, -(c.u+b)) at u_act
+    # 0 guarded with the continuous rows (or the request as it is), 1 guarded
+    # without them, 2 unguarded, 3 the least-violation fallback; or (N,) int
+    stage: int
 
 
 def _checked_input(u_des, rows, u_max: float):
@@ -296,6 +302,34 @@ def _holds(X, U, D, S, terms):
     return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(_ZERO, K0), F
 
 
+def _row_numbers(act, rows, n_rows: int) -> tuple:
+    """The filter's numbers of the constraints ``act`` of :func:`solve_qp`
+    over the rows numbered ``rows``, of ``n_rows``: the box faces follow."""
+    return tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows) for a in act)
+
+
+def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, terms, plan):
+    """QP rows C (n, R, 3), b (n, R) for the holds H (n, J, 6) of iterates U
+    (n, 3), whose :func:`cwinspect.safety._hold_pass` gave K and T: the
+    continuous rows, those of k1..k3 linearized at the hold toward
+    ``targets``, the exact rows of k4..k9; and the mask of the rows that a
+    thrust in the box can violate (the others never bind)."""
+    S, axis_rows, _ = plan
+    n, n_cont = C_cont.shape[:2]
+    n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS
+    C = np.empty((n, n_rows, 3))
+    C[:, :n_cont] = C_cont
+    C_hold = C[:, n_cont:].reshape(n, len(S), NUM_HOLD_CONDITIONS, 3)
+    np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), S, out=C_hold[:, :, :3])
+    C_hold[:, :, 3:] = axis_rows
+    b = np.empty((n, n_rows))
+    b[:, :n_cont] = b_cont
+    b_hold = b[:, n_cont:]
+    np.subtract(K, targets, out=b_hold.reshape(K.shape))
+    b_hold -= np.einsum("nrk,nk->nr", C[:, n_cont:], U)
+    return C, b, b < U_MAX * np.abs(C).sum(axis=2)
+
+
 def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
     """Sequential linearization of the hold conditions for the states
     ``idx`` at one stage of :data:`_STAGES`, with the hold ``terms`` of its
@@ -308,7 +342,7 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
     those get the least-violation thrust instead."""
     U_act, active, feasible = out
     H, K, T, K0, floors, F = hold
-    S, axis_rows, ramp = plan
+    S, _, ramp = plan
     n_cont = C6.shape[1]
     n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
     with_cont = _STAGES[stage][1]
@@ -335,14 +369,10 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
         u_new, act, ok = solve_qp(U[s], (C, b), U_MAX)
         if ok:
             u[s] = u_new
-            active[idx[s]] = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
-                                   for a in act)
+            active[idx[s]] = _row_numbers(act, rows, n_rows)
         else:
             unsolved(s, C, b)
         return ok
-
-    def iterates():
-        return u if len(todo) == len(u) else u[todo]
 
     # positions in idx still being solved, with their states, free motion,
     # rows, floors and targets, cut down together when some drop out
@@ -354,38 +384,19 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
         # rows when its hold keeps the conditions, and otherwise a point to
         # linearize at that is closer to the solution than the request.
         kept = [solved(s, C_cont[s], b_cont[s], range(n_cont)) for s in todo]
-        if not all(kept):
-            todo, per = todo[kept], [a[kept] for a in per]
+        todo, per = todo[kept], [a[kept] for a in per]
         # an optimum with no active row is its request, whose hold is known
         if len(todo) < len(idx) or any(active[i] for i in idx):
-            H = _add_thrust(per[0], per[1], S, iterates())
+            H = _add_thrust(per[0], per[1], S, u[todo])
             K, T = _hold_pass(H, terms)
     for n_linearized in range(_MAX_LINEARIZATIONS + 1):
         held = (K >= per[4]).all(axis=(1, 2))
-        n_held = np.count_nonzero(held)
-        if n_held == len(todo):
+        if held.all():
             break
-        if n_held:
-            keep = ~held
-            todo = todo[keep]
-            H, K, T = H[keep], K[keep], [t[keep] for t in T]
-            per = [a[keep] for a in per]
-        n = len(todo)
-        # rows: the continuous ones, those of k1..k3 linearized at the hold,
-        # then the exact rows of k4..k9
-        C = np.empty((n, n_rows, 3))
-        C[:, :n_cont] = per[2]
-        C_hold = C[:, n_cont:].reshape(n, len(S), NUM_HOLD_CONDITIONS, 3)
-        np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), S,
-                  out=C_hold[:, :, :3])
-        C_hold[:, :, 3:] = axis_rows
-        b = np.empty((n, n_rows))
-        b[:, :n_cont] = per[3]
-        b_hold = b[:, n_cont:]
-        np.subtract(K, per[5], out=b_hold.reshape(K.shape))
-        b_hold -= np.einsum("nrk,nk->nr", C[:, n_cont:], iterates())
-        # rows that no thrust in the box can violate never bind
-        live = b < U_MAX * np.abs(C).sum(axis=2)
+        keep = ~held
+        todo, per = todo[keep], [a[keep] for a in per]
+        H, K, T = H[keep], K[keep], [t[keep] for t in T]
+        C, b, live = _linearized_rows(H, K, T, per[2], per[3], per[5], u[todo], terms, plan)
         if n_linearized == _MAX_LINEARIZATIONS:
             # no linearization reached the exact hold conditions
             for t, s in enumerate(todo):
@@ -393,32 +404,24 @@ def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
             break
         rows = [r.nonzero()[0] for r in live]
         kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
-        if not all(kept):
-            todo, per = todo[kept], [a[kept] for a in per]
-            if not todo.size:
-                break
-        H = _add_thrust(per[0], per[1], S, iterates())
+        todo, per = todo[kept], [a[kept] for a in per]
+        if not todo.size:
+            break
+        H = _add_thrust(per[0], per[1], S, u[todo])
         K, T = _hold_pass(H, terms)
     # every other state's iterate keeps its hold conditions
-    if np.count_nonzero(failed):
-        U_act[idx[~failed]] = u[~failed]
-    else:
-        U_act[idx] = u
+    U_act[idx[~failed]] = u[~failed]
     return failed
 
 
 def _filter_states(X, U, C6, b6, params: SafetyParams):
     """The filter for states X (n, 6), clamped requests U (n, 3) and their
     continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
-    feasible), feasible False for a least-violation thrust."""
+    feasible, stage), feasible False for a least-violation thrust."""
     terms, D, S, *plan = _hold_plan(params)
-    hold = _holds(X, U, D, S, terms[0])
-    H, K, T, K0, floors, F = hold
+    H, K, T, K0, floors, F = _holds(X, U, D, S, terms[0])
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
                   & (K >= floors).all(axis=(1, 2)))
-    pending = len(X) - np.count_nonzero(admissible)
-    if not pending:  # every request is its own thrust
-        return U, [()] * len(X), admissible
     out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
     # The rows of a state outside the guarded set can demand more recovery
     # than the thrust box allows: such a state starts at the second stage.
@@ -428,21 +431,65 @@ def _filter_states(X, U, C6, b6, params: SafetyParams):
         idx = (stage_of == stage).nonzero()[0]
         if not idx.size:
             continue
-        whole = len(idx) == len(X)  # every state, in order
-        rows = (X, U, C6, b6) if whole else (X[idx], U[idx], C6[idx], b6[idx])
-        if not guarded:
-            hold = _holds(rows[0], rows[1], D, S, terms[1])
-        elif not whole:
+        rows = (X[idx], U[idx], C6[idx], b6[idx])
+        if guarded:
             hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], floors[idx], F[idx]
+        else:
+            hold = _holds(rows[0], rows[1], D, S, terms[1])
         failed = _hold_qp(idx, *rows, stage, terms[0 if guarded else 1], hold,
                           (S, *plan), out)
-        n_failed = np.count_nonzero(failed)
-        if n_failed:
-            stage_of[idx[failed]] = stage + 1
-        pending -= len(idx) - n_failed
-        if not pending:
-            break  # every state has its thrust
-    return out
+        stage_of[idx[failed]] = stage + 1
+    return (*out, np.where(admissible, 0, stage_of))
+
+
+def _filter_one(X, U, C6, b6, params: SafetyParams):
+    """:func:`_filter_states` for one state X (1, 6), request U (1, 3) and
+    rows C6 (1, 6, 3), b6 (1, 6): the stages of :func:`_hold_qp` on the same
+    kernels, without a batch's index bookkeeping."""
+    terms, D, *plan = _hold_plan(params)
+    S, _, ramp = plan
+    hold = _holds(X, U, D, S, terms[0])
+    if ((hold[1] >= hold[4]).all()
+            and (np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all()):
+        return U, (), True, 0  # the request is its own thrust
+    n_rows = C6.shape[1] + len(S) * NUM_HOLD_CONDITIONS
+    u_des = U[0]
+    # a state outside the guarded set (a floor min(0, k0) below 0) starts at the second stage
+    for stage in range(int(hold[4].any()), len(_STAGES)):
+        guarded, with_cont = _STAGES[stage]
+        stage_terms = terms[0 if guarded else 1]
+        H, K, T, K0, floors, F = hold if guarded else _holds(X, U, D, S, stage_terms)
+        targets = np.minimum(_MARGINS, K0 + ramp) + _TWICE_FEAS_TOL
+        u, active = U, ()
+        C_cont, b_cont = (C6, b6) if with_cont else (np.zeros_like(C6), np.ones_like(b6))
+        if with_cont:
+            C, b = C6[0], b6[0]
+            u_new, act, ok = solve_qp(u_des, (C, b), U_MAX)
+            if not ok:
+                continue
+            if act:
+                u, active = u_new[None], _row_numbers(act, range(len(b)), n_rows)
+                H = _add_thrust(X, F, S, u)
+                K, T = _hold_pass(H, stage_terms)
+        for n_linearized in range(_MAX_LINEARIZATIONS + 1):
+            if (K >= floors).all():
+                return u, active, True, stage
+            C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u,
+                                          stage_terms, plan)
+            if n_linearized == _MAX_LINEARIZATIONS:
+                C, b = C[0, live[0]], b[0, live[0]]
+                break
+            rows = live[0].nonzero()[0]
+            C, b = C[0, rows], b[0, rows]
+            u_new, act, ok = solve_qp(u_des, (C, b), U_MAX)
+            if not ok:
+                break
+            u, active = u_new[None], _row_numbers(act, rows, n_rows)
+            H = _add_thrust(X, F, S, u)
+            K, T = _hold_pass(H, stage_terms)
+    # no stage found a thrust: the least violation of the last stage's rows
+    rows = (np.vstack([C6[0], C]), np.concatenate([b6[0], b]))
+    return infeasible_fallback(u_des, rows, U_MAX)[None], (), False, len(_STAGES)
 
 
 def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
@@ -459,7 +506,7 @@ def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     """
     C, b = cbf_rows(states, params)  # refuses any other shape, non-finite states
     single = b.ndim == 1
-    X = np.asarray(states, dtype=float).reshape(-1, 6)
+    X = np.asarray(states, dtype=float, order="C").reshape(-1, 6)
     U = np.asarray(u_des, dtype=float)
     shape = (3,) if single else (len(X), 3)
     if U.shape != shape:
@@ -469,14 +516,15 @@ def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     U = _clamp(U, U_MAX).reshape(-1, 3)
     if single:
         C, b = C[None], b[None]
-    U_act, active, feasible = _filter_states(X, U, C, b, params)
+    U_act, active, feasible, stage = (_filter_one if single else _filter_states)(
+        X, U, C, b, params)
     # np.linalg.norm's arithmetic, one row at a time
     deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
     slack = np.maximum(_ZERO, -((C @ U_act[:, :, None])[..., 0] + b))
-    feasible &= (slack <= _FEAS_TOL_0D).all(axis=1)  # the continuous rows too
+    met = (slack <= _FEAS_TOL_0D).all(axis=1)  # the continuous rows too
     if single:
         return FilterResult(U_act[0], deviation[0] > _INTERVENTION_TOL, deviation[0],
-                            active[0], bool(feasible[0]), slack[0])
+                            active, feasible and bool(met[0]), slack[0], stage)
     deviation = np.array(deviation)
     return FilterResult(U_act, deviation > _INTERVENTION_TOL, deviation,
-                        tuple(active), feasible, slack)
+                        tuple(active), feasible & met, slack, stage)

@@ -168,8 +168,10 @@ def _hold_terms(params: SafetyParams, keep_in=None) -> tuple:
     rho the range, c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)),
     2 a (r - rho), nu0 + nu1 rho), the terms of k1..k3 without range rate
     and speed; (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2
-    and (p_hat, v_hat) in that of k3; then v_max."""
+    and (p_hat, v_hat) in that of k3; then v_max.  a and r must be positive and finite."""
     a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
+    _positive(a_in, "keep-in braking rate")
+    _positive(r_in, "keep-in radius")
     return _read_only(np.array([1.0, -1.0, params.nu1]),
                       np.array([-params.collision_radius, r_in, params.nu0]),
                       np.array([2.0 * params.a_max, 2.0 * a_in, 1.0]),

@@ -54,13 +54,42 @@ def test_runs_without_scipy():
     lambda v: cwinspect.ExperimentConfig(position_scale=v),
     lambda v: cwinspect.ExperimentConfig(max_duration=v),
     lambda v: cwinspect.SafetyParams(a_max=v),
+    lambda v: cwinspect.cw_stm(v, 1.0),
 ], ids=["step", "hold_maps", "delta_v", "mlp_act", "NoiseModel", "position_scale",
-        "max_duration", "SafetyParams"])
+        "max_duration", "SafetyParams", "cw_stm"])
 @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
 def test_bool_number_refused(call, value):
     # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N
     with pytest.raises(ValueError, match="and finite, not"):
         call(value)
+
+
+NAN_STATE = np.array([100.0, 0.0, np.nan, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    *[(lambda fn=fn, a=a: fn(np.zeros(6), cwinspect.SafetyParams(), keep_in=(a, 900.0)),
+       "keep-in braking rate")
+      for fn in (cwinspect.safety.hold_values, cwinspect.safety.hold_gradients)
+      for a in (np.nan, -1.0)],
+    (lambda: cwinspect.inject_noise(NAN_STATE, cwinspect.NoiseModel(), np.random.default_rng(0)),
+     "state must be finite"),
+    (lambda: cwinspect.lqr_control(cwinspect.lqr_design(), NAN_STATE), "state must be finite"),
+    (lambda: cwinspect.scripted_orbit_control(NAN_STATE), "state must be finite"),
+    (lambda: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], 0.0, "no"),
+     "illumination_enabled must be a bool"),
+    (lambda: cwinspect.sun_vector(True), "sun angle must be a finite number"),
+    (lambda: cwinspect.sun_vector(np.True_), "sun angle must be a finite number"),
+    (lambda: cwinspect.cw_stm(0.001, True), "t must be a finite number"),
+], ids=["hold_values.nan_braking", "hold_values.negative_braking",
+        "hold_gradients.nan_braking", "hold_gradients.negative_braking",
+        "inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
+        "update_inspected.string_illumination", "sun_vector.True", "sun_vector.np.True_",
+        "cw_stm.bool_t"])
+def test_bad_input_refused(call, match):
+    # each returned NaN, or took the value as a number or a truth value
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("call, minimum", [

@@ -45,6 +45,7 @@ def assert_rows_match(batch, X, U):
         assert res.intervened == batch.intervened[k]
         assert res.feasible == batch.feasible[k]
         assert res.active_set == batch.active_set[k]
+        assert res.stage == batch.stage[k]
 
 
 def random_instance(rng):
@@ -399,6 +400,27 @@ class TestFilter:
         with pytest.raises(ValueError, match="u_des"):
             filter_control(X, np.zeros(u_shape), SP)
 
+    @pytest.mark.parametrize("layout", ["fortran", "stride16"])
+    def test_batch_layout_keeps_the_bits(self, layout):
+        # a batch that is not C-contiguous gets the results of its C-ordered
+        # copy, and so of its one-state calls
+        rng = np.random.default_rng(61)
+        X = np.concatenate([rng.normal(0, 60, (30, 3)), rng.normal(0, 0.3, (30, 3))], axis=1)
+        X[:15, :3] *= 10.6 / np.linalg.norm(X[:15, :3], axis=1, keepdims=True)
+        U = rng.uniform(-1, 1, (30, 3))
+        if layout == "fortran":
+            view = np.asfortranarray(X)
+        else:
+            wide = np.zeros((30, 12))
+            wide[:, ::2] = X
+            view = wide[:, ::2]
+        assert not view.flags.c_contiguous
+        batch, ref = filter_control(view, U, SP), filter_control(X, U, SP)
+        for field in ("u_act", "deviation", "slack_used", "feasible", "stage"):
+            assert getattr(batch, field).tobytes() == getattr(ref, field).tobytes()
+        assert batch.active_set == ref.active_set and batch.intervened[:15].any()
+        assert_rows_match(batch, X, U)
+
     def test_overflowing_rows_rejected(self):
         # finite states whose rows overflow are refused, as non-finite states are
         with np.errstate(all="ignore"), pytest.raises(ValueError):
@@ -519,6 +541,39 @@ class TestKeepInGuardLooseEnd:
         assert filter_control(self.X, self.U, SP).feasible
 
 
+# (state, request, the stage that serves it) with every linearization allowed
+PINNED = [
+    ([100.0, 0, 0, 0, 0, 0], [0.01, 0.0, -0.02], 0),  # the request as it is
+    ([10.3, 0, 0, -0.06, 0, 0], [-0.5, 0, 0], 0),  # keep-out corner
+    ([10.2, 0, 0, -0.25, 0, 0], [-0.3, 0.1, 0], 1),  # outside the guarded set
+    (TestKeepInGuardLooseEnd.X, TestKeepInGuardLooseEnd.U, 2),
+]
+
+
+@pytest.mark.parametrize("linearizations", [rta._MAX_LINEARIZATIONS, 0])
+def test_stage_served(monkeypatch, linearizations):
+    # each decision reports the stage that served it, alone and in a batch;
+    # with no linearization allowed, the keep-out corner falls through every
+    # stage to the least-violation fallback
+    monkeypatch.setattr(rta, "_MAX_LINEARIZATIONS", linearizations)
+    X = np.array([x for x, _, _ in PINNED], dtype=float)
+    U = np.array([u for _, u, _ in PINNED], dtype=float)
+    alone = [filter_control(x, u, SP) for x, u in zip(X, U)]
+    assert all(type(res.stage) is int for res in alone)
+    stages = [res.stage for res in alone]
+    if linearizations:
+        assert stages == [stage for *_, stage in PINNED]
+    else:
+        assert stages[1] == 3 and not alone[1].feasible
+    batch = filter_control(X, U, SP)
+    assert batch.stage.dtype.kind == "i" and batch.stage.tolist() == stages
+    assert_rows_match(batch, X, U)
+    # a batch whose every state is at the second stage, one of them after
+    # the first failed it (this used to fail inside numpy: the second stage
+    # took the first stage's cut-down holds)
+    assert_rows_match(filter_control(X[1:3], U[1:3], SP), X[1:3], U[1:3])
+
+
 @pytest.fixture(scope="module")
 def exp2_requests():
     """(states, requests) the filter gets in the first 300 steps of
@@ -549,8 +604,8 @@ class TestRecordedRequests:
             assert res.u_act.tobytes() == batch.u_act[k].tobytes()
             assert res.slack_used.tobytes() == batch.slack_used[k].tobytes()
             assert np.float64(res.deviation).tobytes() == batch.deviation[k].tobytes()
-            assert (res.intervened, res.feasible, res.active_set) == (
-                batch.intervened[k], batch.feasible[k], batch.active_set[k])
+            assert (res.intervened, res.feasible, res.active_set, res.stage) == (
+                batch.intervened[k], batch.feasible[k], batch.active_set[k], batch.stage[k])
 
     def test_qp_form(self, exp2_requests, monkeypatch):
         # solve_qp hands the dual active-set method the rows and box faces in

@@ -545,6 +545,30 @@ class TestPassesMatchTheirFormulas:
         assert same_bits(K, K_ref) and all(same_bits(t, r) for t, r in zip(T, T_ref))
         assert same_bits(_hold_jacobian(X, T, terms), hold_jacobian_formula(X, T_ref, SP, keep_in))
 
+    @pytest.mark.parametrize("layout", ["fortran", "stride16"])
+    def test_batch_layout_keeps_the_bits(self, layout):
+        # a batch that is not C-contiguous gets the rows and values of its
+        # C-ordered copy and of its one-state calls: einsum summed p.v in
+        # sequence on such rows, and 8 of these 200 rows differed in either
+        # layout
+        rng = np.random.default_rng(9)
+        X = np.concatenate([rng.normal(0, 300, (200, 3)), rng.normal(0, 0.5, (200, 3))], axis=1)
+        if layout == "fortran":
+            view = np.asfortranarray(X)
+        else:
+            wide = np.zeros((200, 12))
+            wide[:, ::2] = X
+            view = wide[:, ::2]
+        assert not view.flags.c_contiguous and np.array_equal(view, X)
+        (C, b), (C_ref, b_ref) = cbf_rows(view, SP), cbf_rows(X, SP)
+        assert same_bits(C, C_ref) and same_bits(b, b_ref)
+        h = h_values(view, SP)
+        assert same_bits(h, h_values(X, SP))
+        for k, x in enumerate(X):
+            C1, b1 = cbf_rows(x, SP)
+            assert same_bits(C[k], C1) and same_bits(b[k], b1), k
+            assert same_bits(h[k], h_values(x, SP)), k
+
     def test_norms_are_np_linalg_norm(self):
         # the barrier pass adds the three squares in np.linalg.norm's order
         rng = np.random.default_rng(3)

@@ -17,7 +17,11 @@ Four tables, for comparing the logs of two commits byte for byte:
   every barrier at least 0.05), flown 100 holds of ``DEFAULT_PERIOD`` on
   ``hold_maps`` under zero, LQR and seeded random requests: SHA-256 of the
   ``u_act``, active sets, ``feasible`` and ``slack_used`` of every hold /
-  intervened / infeasible results / holds.
+  intervened / infeasible results / holds.  After each hold every 8th state
+  is filtered again alone, and any difference from its batch row in
+  ``u_act``, ``active_set``, ``feasible``, ``slack_used`` or ``stage``
+  raises, so the table also guards the one-state path against the batch
+  path.
 
 Run from a checkout with ``PYTHONPATH=src python tools/log_hashes.py``.
 The hashes depend on the BLAS build and the CPU, so compare tables made on
@@ -50,6 +54,7 @@ LOOPS = (("open", False), ("closed", True))
 ENV_MODES = {OBS_NO_SENSORS: 6, OBS_ALL_SENSORS: 11}
 FILTER_STATES = 64
 FILTER_HOLDS = 100
+FILTER_ALONE_EVERY = 8
 
 
 def _sha(data: bytes) -> str:
@@ -108,6 +113,15 @@ def _filter_batch(family: str):
         else:
             U = rng.uniform(-1.0, 1.0, (len(X), 3))
         res = filter_control(X, U, params)
+        for k in range(0, len(X), FILTER_ALONE_EVERY):
+            alone = filter_control(X[k], U[k], params)
+            if not (alone.u_act.tobytes() == res.u_act[k].tobytes()
+                    and alone.active_set == res.active_set[k]
+                    and alone.feasible == res.feasible[k]
+                    and alone.slack_used.tobytes() == res.slack_used[k].tobytes()
+                    and alone.stage == res.stage[k]):
+                raise AssertionError(f"filter batch {family}: state {k} alone differs "
+                                     "from its batch row")
         digest.update(res.u_act.tobytes() + repr(res.active_set).encode()
                       + res.feasible.tobytes() + res.slack_used.tobytes())
         intervened += int(np.count_nonzero(res.intervened))
