@@ -85,6 +85,14 @@ def _integer(value, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {minimum}, not {value!r}")
 
 
+def _flag(value, name: str) -> bool:
+    """``value`` as a bool; a ``ValueError`` unless it is a bool or a numpy
+    bool."""
+    if type(value) not in (bool, np.bool_):
+        raise ValueError(f"{name} must be a bool, not {value!r}")
+    return bool(value)
+
+
 def cw_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Return the Clohessy-Wiltshire system pair (A, B) for xdot = A x + B u.
 

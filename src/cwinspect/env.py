@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inspection
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _integer, _positive, step
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _flag, _integer, _positive, step
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -130,9 +130,7 @@ class EnvConfig:
     def __post_init__(self):
         if self.mode not in (OBS_NO_SENSORS, OBS_ALL_SENSORS):
             raise ValueError(f"unknown observation mode {self.mode!r}")
-        if not isinstance(self.illumination, (bool, np.bool_)):
-            raise ValueError(f"illumination must be a bool, got {self.illumination!r}")
-        self.illumination = bool(self.illumination)
+        self.illumination = _flag(self.illumination, "illumination")
         _integer(self.max_steps, "max_steps", 1)
 
     @property

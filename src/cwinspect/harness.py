@@ -23,7 +23,7 @@ import numpy as np
 from . import inspection
 from .control import (lqr_control, lqr_design, mlp_act, mlp_load,
                       scripted_orbit_control)
-from .dynamics import MASS, MEAN_MOTION, _fly, _integer, _positive, hold_maps
+from .dynamics import MASS, MEAN_MOTION, _flag, _fly, _integer, _positive, hold_maps
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation
 from .rta import DEFAULT_PERIOD, filter_control
@@ -119,10 +119,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown controller {self.controller!r}; "
                              f"choose from {CONTROLLER_CHOICES}")
         for name in ("rta_enabled", "illumination", "closed_loop"):
-            flag = getattr(self, name)
-            if not isinstance(flag, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {flag!r}")
-            setattr(self, name, bool(flag))
+            setattr(self, name, _flag(getattr(self, name), name))
         for name in ("position_scale", "time_scale", "max_duration"):
             _positive(getattr(self, name), name)
         if self.max_steps is not None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import sun_vector
+from .dynamics import _flag, sun_vector
 
 __all__ = [
     "SPHERE_POINT_COUNT",
@@ -108,8 +108,7 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     deputy inside the sphere marks nothing.  Returns the number newly marked
     by this call.  ``illumination_enabled`` must be a bool.
     """
-    if type(illumination_enabled) not in (bool, np.bool_):
-        raise ValueError(f"illumination_enabled must be a bool, not {illumination_enabled!r}")
+    _flag(illumination_enabled, "illumination_enabled")
     p, dist = _deputy_position(deputy_position)
     if dist <= sphere.radius:
         return 0

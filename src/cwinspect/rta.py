@@ -23,9 +23,10 @@ hold flown by the current iterate, starting from the optimum over the
 continuous rows alone, with the terms of the pass that evaluated that hold,
 and the QP is solved again (sequential linearization) until the exact
 substep values hold.  Each QP is solved exactly by a dual active-set method
-(Goldfarb & Idnani 1983).  One state (6,) and a batch (N, 6) take their own
-control paths over the same kernels, the batch's with the index bookkeeping
-of many states, and a batch row is its one state's call, bit for bit.
+(Goldfarb & Idnani 1983).  A batch (N, 6) screens its requests together in
+one hold pass and hands each state whose request fails that screen to the
+one stage walker that a single state (6,) takes, so a batch row is its one
+state's call, bit for bit.
 
 A condition already violated at x need only not get worse over the hold.
 When the linearized QP admits no thrust, or eight linearizations do not
@@ -330,128 +331,14 @@ def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, terms, plan):
     return C, b, b < U_MAX * np.abs(C).sum(axis=2)
 
 
-def _hold_qp(idx, X, U, C6, b6, stage, terms, hold, plan, out):
-    """Sequential linearization of the hold conditions for the states
-    ``idx`` at one stage of :data:`_STAGES`, with the hold ``terms`` of its
-    keep-in cone: X, U, C6 and b6 are those states' rows, ``hold`` their
-    :func:`_holds` and ``plan`` the maps, rows and margins of
-    :func:`_hold_plan`.  Writes each result into ``out`` = (U_act, active,
-    feasible) at ``idx`` and returns a mask over ``idx`` of the states for
-    which no thrust was found: their linearized QP admits none, or no
-    linearization reaches the exact hold conditions.  At the last stage
-    those get the least-violation thrust instead."""
-    U_act, active, feasible = out
-    H, K, T, K0, floors, F = hold
-    S, _, ramp = plan
-    n_cont = C6.shape[1]
-    n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS  # the box faces follow
-    with_cont = _STAGES[stage][1]
-    if with_cont:
-        C_cont, b_cont = C6, b6
-    else:  # rows that never bind, keeping the row numbering
-        C_cont, b_cont = np.zeros_like(C6), np.ones_like(b6)
-    u = U.copy()  # each state's iterate
-    failed = np.zeros(len(idx), dtype=bool)
-
-    def unsolved(s, C, b):
-        """No thrust for position ``s``: on to the next stage, or at the last
-        the least-violation thrust over (C, b) and the continuous rows."""
-        i = idx[s]
-        active[i] = ()
-        failed[s] = True
-        if stage == len(_STAGES) - 1:
-            U_act[i] = infeasible_fallback(
-                U[s], (np.vstack([C6[s], C]), np.concatenate([b6[s], b])), U_MAX)
-            feasible[i] = False
-
-    def solved(s, C, b, rows) -> bool:
-        """Solve the QP over the rows (C, b), numbered ``rows``, for ``s``."""
-        u_new, act, ok = solve_qp(U[s], (C, b), U_MAX)
-        if ok:
-            u[s] = u_new
-            active[idx[s]] = _row_numbers(act, rows, n_rows)
-        else:
-            unsolved(s, C, b)
-        return ok
-
-    # positions in idx still being solved, with their states, free motion,
-    # rows, floors and targets, cut down together when some drop out
-    todo = np.arange(len(idx))
-    per = [X, F, C_cont, b_cont, floors, np.minimum(_MARGINS, K0 + ramp) + _TWICE_FEAS_TOL]
-
-    if with_cont:
-        # The optimum over the continuous rows alone is the optimum over all
-        # rows when its hold keeps the conditions, and otherwise a point to
-        # linearize at that is closer to the solution than the request.
-        kept = [solved(s, C_cont[s], b_cont[s], range(n_cont)) for s in todo]
-        todo, per = todo[kept], [a[kept] for a in per]
-        # an optimum with no active row is its request, whose hold is known
-        if len(todo) < len(idx) or any(active[i] for i in idx):
-            H = _add_thrust(per[0], per[1], S, u[todo])
-            K, T = _hold_pass(H, terms)
-    for n_linearized in range(_MAX_LINEARIZATIONS + 1):
-        held = (K >= per[4]).all(axis=(1, 2))
-        if held.all():
-            break
-        keep = ~held
-        todo, per = todo[keep], [a[keep] for a in per]
-        H, K, T = H[keep], K[keep], [t[keep] for t in T]
-        C, b, live = _linearized_rows(H, K, T, per[2], per[3], per[5], u[todo], terms, plan)
-        if n_linearized == _MAX_LINEARIZATIONS:
-            # no linearization reached the exact hold conditions
-            for t, s in enumerate(todo):
-                unsolved(s, C[t, live[t]], b[t, live[t]])
-            break
-        rows = [r.nonzero()[0] for r in live]
-        kept = [solved(s, C[t, rows[t]], b[t, rows[t]], rows[t]) for t, s in enumerate(todo)]
-        todo, per = todo[kept], [a[kept] for a in per]
-        if not todo.size:
-            break
-        H = _add_thrust(per[0], per[1], S, u[todo])
-        K, T = _hold_pass(H, terms)
-    # every other state's iterate keeps its hold conditions
-    U_act[idx[~failed]] = u[~failed]
-    return failed
-
-
-def _filter_states(X, U, C6, b6, params: SafetyParams):
-    """The filter for states X (n, 6), clamped requests U (n, 3) and their
-    continuous rows C6 (n, 6, 3), b6 (n, 6).  Returns (U_act, active list,
-    feasible, stage), feasible False for a least-violation thrust."""
-    terms, D, S, *plan = _hold_plan(params)
-    H, K, T, K0, floors, F = _holds(X, U, D, S, terms[0])
-    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
-                  & (K >= floors).all(axis=(1, 2)))
-    out = (U.copy(), [()] * len(X), np.ones(len(X), dtype=bool))
-    # The rows of a state outside the guarded set can demand more recovery
-    # than the thrust box allows: such a state starts at the second stage.
-    stage_of = (floors < _ZERO).any(axis=(1, 2)).astype(int)
-    stage_of[admissible] = len(_STAGES)  # served by its request
-    for stage, (guarded, _) in enumerate(_STAGES):
-        idx = (stage_of == stage).nonzero()[0]
-        if not idx.size:
-            continue
-        rows = (X[idx], U[idx], C6[idx], b6[idx])
-        if guarded:
-            hold = H[idx], K[idx], [t[idx] for t in T], K0[idx], floors[idx], F[idx]
-        else:
-            hold = _holds(rows[0], rows[1], D, S, terms[1])
-        failed = _hold_qp(idx, *rows, stage, terms[0 if guarded else 1], hold,
-                          (S, *plan), out)
-        stage_of[idx[failed]] = stage + 1
-    return (*out, np.where(admissible, 0, stage_of))
-
-
-def _filter_one(X, U, C6, b6, params: SafetyParams):
-    """:func:`_filter_states` for one state X (1, 6), request U (1, 3) and
-    rows C6 (1, 6, 3), b6 (1, 6): the stages of :func:`_hold_qp` on the same
-    kernels, without a batch's index bookkeeping."""
+def _stages(X, U, C6, b6, hold, params: SafetyParams):
+    """The stages of :data:`_STAGES` for one state X (1, 6) whose request
+    U (1, 3) fails the screen, with its continuous rows C6 (1, 6, 3), b6 (1, 6)
+    and the :func:`_holds` of the request under the guarded cone.  Returns
+    (u (1, 3), active set, feasible, stage), feasible False for the
+    least-violation thrust."""
     terms, D, *plan = _hold_plan(params)
     S, _, ramp = plan
-    hold = _holds(X, U, D, S, terms[0])
-    if ((hold[1] >= hold[4]).all()
-            and (np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all()):
-        return U, (), True, 0  # the request is its own thrust
     n_rows = C6.shape[1] + len(S) * NUM_HOLD_CONDITIONS
     u_des = U[0]
     # a state outside the guarded set (a floor min(0, k0) below 0) starts at the second stage
@@ -461,8 +348,13 @@ def _filter_one(X, U, C6, b6, params: SafetyParams):
         H, K, T, K0, floors, F = hold if guarded else _holds(X, U, D, S, stage_terms)
         targets = np.minimum(_MARGINS, K0 + ramp) + _TWICE_FEAS_TOL
         u, active = U, ()
+        # without the continuous rows: rows that never bind, keeping the row numbering
         C_cont, b_cont = (C6, b6) if with_cont else (np.zeros_like(C6), np.ones_like(b6))
         if with_cont:
+            # The optimum over the continuous rows alone is the optimum over
+            # all rows when its hold keeps the conditions, and otherwise a
+            # point to linearize at that is closer to the solution than the
+            # request; an optimum with no active row is its request.
             C, b = C6[0], b6[0]
             u_new, act, ok = solve_qp(u_des, (C, b), U_MAX)
             if not ok:
@@ -492,6 +384,37 @@ def _filter_one(X, U, C6, b6, params: SafetyParams):
     return infeasible_fallback(u_des, rows, U_MAX)[None], (), False, len(_STAGES)
 
 
+def _filter_one(X, U, C6, b6, params: SafetyParams):
+    """The filter for one state X (1, 6), request U (1, 3) and rows
+    C6 (1, 6, 3), b6 (1, 6).  Returns (U_act (1, 3), active set, feasible,
+    stage)."""
+    terms, D, S, *_ = _hold_plan(params)
+    hold = _holds(X, U, D, S, terms[0])
+    if ((hold[1] >= hold[4]).all()
+            and (np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all()):
+        return U, (), True, 0  # the request is its own thrust
+    return _stages(X, U, C6, b6, hold, params)
+
+
+def _filter_states(X, U, C6, b6, params: SafetyParams):
+    """The filter for states X (n, 6), clamped requests U (n, 3) and rows
+    C6 (n, 6, 3), b6 (n, 6): one screen of all the requests, then
+    :func:`_stages` for each state that fails it, on its slice of the
+    screen's holds.  Returns (U_act, active list, feasible, stage)."""
+    terms, D, S, *_ = _hold_plan(params)
+    H, K, (floored, rdot), K0, floors, F = _holds(X, U, D, S, terms[0])
+    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
+                  & (K >= floors).all(axis=(1, 2)))
+    U_act, active = U.copy(), [()] * len(X)
+    feasible, stage = np.ones(len(X), dtype=bool), np.zeros(len(X), dtype=int)
+    for i in (~admissible).nonzero()[0]:
+        s = slice(i, i + 1)
+        hold = H[s], K[s], (floored[s], rdot[s]), K0[s], floors[s], F[s]
+        u, active[i], feasible[i], stage[i] = _stages(X[s], U[s], C6[s], b6[s], hold, params)
+        U_act[i] = u[0]
+    return U_act, active, feasible, stage
+
+
 def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     """Filter the requests ``u_des`` (3,) for one 6-state (6,), or (N, 3)
     for states (N, 6), over the hold of :data:`DEFAULT_PERIOD` seconds, on
@@ -499,10 +422,11 @@ def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     flies.
 
     ``u_des`` is clamped to the thrust box first so the reported deviation
-    measures distance from an admissible request.  A batch takes the path
-    of one state and returns its fields as arrays with a leading axis N,
-    with ``active_set`` a tuple of tuples; each row is the result for its
-    state alone, bit for bit.
+    measures distance from an admissible request.  A batch screens its
+    requests together, walks the stages of each rejected state as one state
+    does, and returns its fields as arrays with a leading axis N, with
+    ``active_set`` a tuple of tuples; each row is the result for its state
+    alone, bit for bit.
     """
     C, b = cbf_rows(states, params)  # refuses any other shape, non-finite states
     single = b.ndim == 1

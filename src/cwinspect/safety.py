@@ -168,10 +168,13 @@ def _hold_terms(params: SafetyParams, keep_in=None) -> tuple:
     rho the range, c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)),
     2 a (r - rho), nu0 + nu1 rho), the terms of k1..k3 without range rate
     and speed; (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2
-    and (p_hat, v_hat) in that of k3; then v_max.  a and r must be positive and finite."""
+    and (p_hat, v_hat) in that of k3; then v_max.  a and r must be positive
+    and finite, and r must exceed the keep-out radius r_d + r_c."""
     a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
     _positive(a_in, "keep-in braking rate")
-    _positive(r_in, "keep-in radius")
+    if not _positive(r_in, "keep-in radius") > params.collision_radius:
+        raise ValueError("the keep-in radius must exceed the keep-out radius "
+                         f"{params.collision_radius}, not {r_in!r}")
     return _read_only(np.array([1.0, -1.0, params.nu1]),
                       np.array([-params.collision_radius, r_in, params.nu0]),
                       np.array([2.0 * params.a_max, 2.0 * a_in, 1.0]),

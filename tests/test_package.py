@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -81,11 +82,14 @@ NAN_STATE = np.array([100.0, 0.0, np.nan, 0.0, 0.0, 0.0])
     (lambda: cwinspect.sun_vector(True), "sun angle must be a finite number"),
     (lambda: cwinspect.sun_vector(np.True_), "sun angle must be a finite number"),
     (lambda: cwinspect.cw_stm(0.001, True), "t must be a finite number"),
+    (lambda: cwinspect.safety.hold_values(np.array([100.0, 0, 0, 0, 0, 0]),
+                                          cwinspect.SafetyParams(), keep_in=(0.05, 1.0)),
+     "keep-in radius must exceed the keep-out radius"),
 ], ids=["hold_values.nan_braking", "hold_values.negative_braking",
         "hold_gradients.nan_braking", "hold_gradients.negative_braking",
         "inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
         "update_inspected.string_illumination", "sun_vector.True", "sun_vector.np.True_",
-        "cw_stm.bool_t"])
+        "cw_stm.bool_t", "hold_values.keep_in_inside_keep_out"])
 def test_bad_input_refused(call, match):
     # each returned NaN, or took the value as a number or a truth value
     with pytest.raises(ValueError, match=match):
@@ -107,6 +111,22 @@ def test_integer_refused(call, minimum, value):
     if value is None:
         value = minimum - 1
     with pytest.raises(ValueError, match=f"must be an integer of at least {minimum}, not"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: cwinspect.ExperimentConfig(rta_enabled=v), "rta_enabled"),
+    (lambda v: cwinspect.ExperimentConfig(illumination=v), "illumination"),
+    (lambda v: cwinspect.ExperimentConfig(closed_loop=v), "closed_loop"),
+    (lambda v: cwinspect.EnvConfig(illumination=v), "illumination"),
+    (lambda v: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], 0.0, v),
+     "illumination_enabled"),
+], ids=["ExperimentConfig.rta_enabled", "ExperimentConfig.illumination",
+        "ExperimentConfig.closed_loop", "EnvConfig.illumination", "update_inspected"])
+@pytest.mark.parametrize("value", ["yes", 1], ids=["yes", "1"])
+def test_flag_refused(call, name, value):
+    # one check and one message for every bool flag
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a bool, not {value!r}")):
         call(value)
 
 

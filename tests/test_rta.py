@@ -607,6 +607,25 @@ class TestRecordedRequests:
             assert (res.intervened, res.feasible, res.active_set, res.stage) == (
                 batch.intervened[k], batch.feasible[k], batch.active_set[k], batch.stage[k])
 
+    def test_batch_walks_its_states_qps(self, exp2_requests, monkeypatch):
+        # a batch hands each state that fails its screen to the one-state
+        # walker: the same QPs as the states filtered one at a time, in order
+        qps = []
+        solve = rta.solve_qp
+
+        def spy(u_des, rows, u_max):
+            qps.append(b"".join(np.asarray(a, dtype=float).tobytes()
+                                for a in (u_des, *rows)))
+            return solve(u_des, rows, u_max)
+
+        monkeypatch.setattr(rta, "solve_qp", spy)
+        X, U = exp2_requests
+        filter_control(X, U, SP)
+        batch, qps[:] = list(qps), []
+        for x, u in zip(X, U):
+            filter_control(x, u, SP)
+        assert len(batch) > 100 and batch == qps
+
     def test_qp_form(self, exp2_requests, monkeypatch):
         # solve_qp hands the dual active-set method the rows and box faces in
         # the form a_j . u >= d_j, A = [C; -I; I], d = [-b; -u_max (6)], and

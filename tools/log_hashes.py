@@ -20,8 +20,9 @@ Four tables, for comparing the logs of two commits byte for byte:
   intervened / infeasible results / holds.  After each hold every 8th state
   is filtered again alone, and any difference from its batch row in
   ``u_act``, ``active_set``, ``feasible``, ``slack_used`` or ``stage``
-  raises, so the table also guards the one-state path against the batch
-  path.
+  raises.  Both shapes walk the stages with the same function, so this
+  guards the batch's screen (one hold pass over all its states) against
+  the one-state screen.
 
 Run from a checkout with ``PYTHONPATH=src python tools/log_hashes.py``.
 The hashes depend on the BLAS build and the CPU, so compare tables made on
