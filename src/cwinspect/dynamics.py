@@ -70,12 +70,14 @@ class DynamicsParams:
 def _positive(value, name: str, zero: bool = False) -> float:
     """``value`` as a float; a ``ValueError`` unless it is a finite number
     above 0 (at least 0 with ``zero``) and not a bool."""
-    # type() in place of isinstance: faster, and neither bool type has subclasses
-    if type(value) in (bool, np.bool_) or not (
-            (value >= 0.0 if zero else value > 0.0) and value < math.inf):
-        raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'} "
-                         f"and finite, not {value!r}")
-    return float(value)
+    try:  # type() in place of isinstance: faster, and neither bool type has subclasses
+        if type(value) not in (bool, np.bool_) and (
+                value >= 0.0 if zero else value > 0.0) and value < math.inf:
+            return float(value)
+    except TypeError:  # a string or None does not compare with a float
+        pass
+    raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'} "
+                     f"and finite, not {value!r}")
 
 
 def _integer(value, name: str, minimum: int) -> None:

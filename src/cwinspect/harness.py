@@ -125,6 +125,9 @@ class ExperimentConfig:
         if self.max_steps is not None:
             _integer(self.max_steps, "max_steps", 1)
         _integer(self.seed, "seed", 0)
+        if not isinstance(self.weights_path, (str, type(None))):
+            raise ValueError(f"weights_path must be a path string or None, "
+                             f"not {self.weights_path!r}")
         if isinstance(self.noise, dict):
             try:
                 self.noise = NoiseModel(**self.noise)

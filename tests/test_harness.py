@@ -705,6 +705,21 @@ class TestCli:
         assert err.startswith("error: ") and "missing.json" in err
         assert not (tmp_path / "out" / "index.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_non_string_weights_path_exits_2(self, tmp_path, capsys, command):
+        # Path(5) raised a TypeError that escaped both commands as a traceback
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        cfg = cfg_dir / "one.json"
+        cfg.write_text(json.dumps({"experiment": 4, "weights_path": 5}))
+        given = ["--config", str(cfg)] if command == "run" else ["--configs", str(cfg_dir)]
+        rc = cli_main([command, *given, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "weights_path" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_weights_ok(self, tmp_path, capsys):
         from cwinspect.control import mlp_save, random_policy
         path = tmp_path / "w.json"

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from cwinspect import inspection
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.harness import default_experiment, run
-from cwinspect.inspection import (SPHERE_POINT_COUNT, SPHERE_RADIUS,
-                                  InspectionSphere, generate_points,
+from cwinspect.inspection import (SPHERE_POINT_COUNT, SPHERE_POINTS,
+                                  SPHERE_RADIUS, generate_points,
                                   inspected_count, nearest_uninspected_cluster,
                                   update_inspected)
 
@@ -25,26 +25,23 @@ def _oracle_pp_init(pts, k, rng):
     centers[0] = pts[rng.integers(len(pts))]
     d2 = np.sum((pts - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = pts[rng.integers(len(pts))]
-            continue
-        centers[j] = pts[rng.choice(len(pts), p=d2 / total)]
+        centers[j] = pts[rng.choice(len(pts), p=d2 / d2.sum())]
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
     return centers
 
 
-def kmeans_oracle(sphere, deputy_position):
-    """Reference: the uncached cluster direction, seeded k-means++ and the
-    full Lloyd loop (at most 50 steps, until no centre moves 1e-6) rerun on
-    every call, with the module's cluster count and seed."""
+def kmeans_oracle(sphere, deputy_position, init=_oracle_pp_init):
+    """Reference: the uncached cluster direction, seeded k-means++ (or
+    ``init``) and the full Lloyd loop (at most 50 steps, until no centre
+    moves 1e-6) rerun on every call, with the module's cluster count and
+    seed."""
     pts = sphere.points[~sphere.inspected]
     if len(pts) == 0:
         return np.zeros(3)
     p = np.asarray(deputy_position, dtype=float).reshape(3)
     kk = min(inspection.DEFAULT_CLUSTER_COUNT, len(pts))
     rng = np.random.default_rng(inspection.KMEANS_SEED)
-    centers = _oracle_pp_init(pts, kk, rng)
+    centers = init(pts, kk, rng)
     for _ in range(50):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
@@ -106,6 +103,28 @@ class TestLattice:
         a = generate_points()
         b = generate_points()
         assert np.array_equal(a.points, b.points)
+
+    def test_the_chief_is_read_only(self):
+        # a sphere is its inspected mask: points and radius are read through
+        # the class, and neither a sphere nor a write can change them
+        sph = generate_points()
+        assert [f.name for f in dataclasses.fields(sph)] == ["inspected"]
+        assert sph.points is SPHERE_POINTS and sph.radius == SPHERE_RADIUS
+        for name, value in (("points", -SPHERE_POINTS), ("radius", 3.0)):
+            with pytest.raises(AttributeError):
+                setattr(sph, name, value)
+        built = (SPHERE_POINTS, inspection._UNIT, inspection._COORDS,
+                 inspection._PAIR_TABLE)
+        for table in built:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+        assert not generate_points().inspected.any()
+        # the tables hold what a per-call formula gives, bit for bit
+        assert inspection._UNIT.tobytes() == (SPHERE_POINTS / SPHERE_RADIUS).tobytes()
+        assert inspection._COORDS.tobytes() == SPHERE_POINTS.T.copy().tobytes()
+        for i, row in enumerate(inspection._PAIR_TABLE):
+            assert row.tobytes() == np.sum((SPHERE_POINTS - SPHERE_POINTS[i]) ** 2,
+                                           axis=-1).tobytes()
 
     # the lattice is the paper's one chief model: no other radius or count
     # can be asked for, valid or not
@@ -209,37 +228,23 @@ class TestVisibility:
 
     @pytest.mark.parametrize("illumination", [False, True])
     def test_matches_per_call_formula_on_a_custom_sphere(self, illumination):
-        # the unit vectors are kept per sphere: on non-default points and
-        # radius, and after points or radius is assigned, every call marks
-        # what the per-call formula marks
+        # the unit vectors are built once at import: on spheres whose masks
+        # start empty, half set and reassigned, every call marks what the
+        # per-call formula marks
         rng = np.random.default_rng(8)
-
-        def lattice(count, radius):
-            v = rng.normal(size=(count, 3))
-            v /= np.linalg.norm(v, axis=1)[:, None]
-            return radius * v * rng.uniform(0.9, 1.1, (count, 1))
-
-        sph = InspectionSphere(lattice(40, 7.3), np.zeros(40, dtype=bool), 7.3)
-        mask = np.zeros(40, dtype=bool)
-
-        def fly(calls):
-            for _ in range(calls):
+        sph = generate_points()
+        for start in (np.zeros(SPHERE_POINT_COUNT, dtype=bool),
+                      rng.random(SPHERE_POINT_COUNT) < 0.5):
+            mask = start.copy()
+            sph.inspected = start
+            for _ in range(30):
                 p = rng.normal(0, 30, 3)
                 theta = rng.uniform(-10, 10)
                 expected = self._per_call_oracle(sph, mask, p, theta, illumination)
                 assert update_inspected(sph, p, theta, illumination) == expected
                 assert np.array_equal(sph.inspected, mask)
 
-        fly(30)
-        sph.points = lattice(40, 7.3)
-        sph.inspected[:] = mask[:] = False
-        fly(30)
-        sph.radius = 3.1
-        sph.inspected[:] = mask[:] = False
-        fly(30)
-
     def test_generated_points_are_read_only(self):
-        # they change only by assignment, which drops the kept unit vectors
         with pytest.raises(ValueError, match="read-only"):
             generate_points().points[0, 0] = 1.0
 
@@ -380,42 +385,6 @@ class TestClusterMemo:
             assert_same_cluster(nearest_uninspected_cluster(sph, pos),
                                 kmeans_oracle(sph, pos))
 
-    @staticmethod
-    def _random_points(rng, count, radius):
-        v = rng.normal(size=(count, 3))
-        return radius * v / np.linalg.norm(v, axis=1)[:, None]
-
-    def test_custom_sphere_points_then_radius_reassigned(self):
-        # the sphere keeps its points' bytes until points is assigned; each
-        # assignment keys the memo on the new points
-        rng = np.random.default_rng(11)
-        sph = InspectionSphere(self._random_points(rng, 45, 7.0),
-                               rng.random(45) < 0.3, 7.0)
-        self._assert_calls_match_oracle(sph, rng)
-        # Fortran order: the key is the points' values, not their layout
-        sph.points = np.asfortranarray(self._random_points(rng, 45, 7.0))
-        self._assert_calls_match_oracle(sph, rng)
-        key = sph._points_key
-        sph.radius = 3.0
-        self._assert_calls_match_oracle(sph, rng)
-        sph.points = sph.points * (3.0 / 7.0)
-        self._assert_calls_match_oracle(sph, rng)
-        assert sph._points_key != key
-
-    def test_custom_points_are_kept_as_a_read_only_copy(self):
-        # writing the array a sphere was given cannot leave the memo (or the
-        # unit vectors) behind the sphere's points
-        rng = np.random.default_rng(16)
-        given = self._random_points(rng, 40, 10.0)
-        sph = InspectionSphere(given, np.zeros(40, dtype=bool), 10.0)
-        pos = [50.0, 0.0, 0.0]
-        before = nearest_uninspected_cluster(sph, pos)
-        given[:] = -given
-        assert_same_cluster(nearest_uninspected_cluster(sph, pos), before)
-        assert_same_cluster(before, kmeans_oracle(sph, pos))
-        with pytest.raises(ValueError, match="read-only"):
-            sph.points[0, 0] = 1.0
-
     def test_inspected_reassigned_and_mutated_in_place(self):
         rng = np.random.default_rng(12)
         sph = generate_points()
@@ -428,17 +397,22 @@ class TestClusterMemo:
         self._assert_calls_match_oracle(sph, rng)
 
     def test_two_spheres_called_alternately(self):
-        # the memo is shared: entries of one sphere never answer the other
+        # the memo is shared and keyed on the mask alone: entries of one
+        # sphere never answer the other while their masks differ, and do
+        # once they agree
         rng = np.random.default_rng(13)
-        mask = rng.random(SPHERE_POINT_COUNT) < 0.4
-        a = generate_points()
-        b = InspectionSphere(self._random_points(rng, SPHERE_POINT_COUNT, 10.0),
-                             np.zeros(SPHERE_POINT_COUNT, dtype=bool), 10.0)
-        a.inspected[:] = b.inspected[:] = mask
+        a, b = generate_points(), generate_points()
+        a.inspected[:] = rng.random(SPHERE_POINT_COUNT) < 0.4
+        b.inspected[:] = rng.random(SPHERE_POINT_COUNT) < 0.4
         for _ in range(3):
             self._assert_calls_match_oracle(a, rng, calls=2)
             self._assert_calls_match_oracle(b, rng, calls=2)
             a.inspected[rng.integers(SPHERE_POINT_COUNT)] = True
+        self._assert_calls_match_oracle(a, rng, calls=1)
+        b.inspected[:] = a.inspected
+        misses = inspection._clusters.cache_info().misses
+        self._assert_calls_match_oracle(b, rng, calls=2)
+        assert inspection._clusters.cache_info().misses == misses
 
     @pytest.mark.parametrize("k, seed", [(6, 5), (3, 0), (4, 2**31 + 7)])
     def test_patched_seed_and_count_are_honoured(self, monkeypatch, k, seed):
@@ -535,49 +509,58 @@ class TestOracleProperty:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mask=st.lists(st.booleans(), min_size=SPHERE_POINT_COUNT,
                          max_size=SPHERE_POINT_COUNT),
-           copies=st.integers(1, 3), collapse=st.integers(0, 99),
-           seed=st.integers(0, 2**32 - 1))
-    def test_seeding_matches_rng_choice(self, mask, copies, collapse, seed):
-        # k-means++ seeding against the rng.choice loop: the same centres
-        # and the same draws taken from the generator, on random masks with
-        # repeated points and with the first points made to coincide (the
-        # zero-total branch)
-        pts = np.repeat(generate_points().points[~np.array(mask)], copies, axis=0)
-        if not len(pts):
+           k=st.integers(1, SPHERE_POINT_COUNT), seed=st.integers(0, 2**32 - 1))
+    def test_seeding_matches_rng_choice(self, mask, k, seed):
+        # k-means++ seeding against the rng.choice loop on random lattice
+        # masks, up to one seed per point: the same centres and the same
+        # draws taken from the generator (rng.choice refuses the all-zero
+        # weights the seeding no longer guards against)
+        idx = np.flatnonzero(~np.array(mask))
+        if not len(idx):
             return
-        pts[:collapse] = pts[0]
-        k = min(inspection.DEFAULT_CLUSTER_COUNT, len(pts))
+        k = min(k, len(idx))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = inspection._kmeans_pp_init(pts.T.copy(), k, rng)
-        assert got.T.tobytes() == _oracle_pp_init(pts, k, ref_rng).tobytes()
+        got = inspection._kmeans_pp_init(idx, k, rng)
+        assert got.T.tobytes() == _oracle_pp_init(SPHERE_POINTS[idx], k, ref_rng).tobytes()
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_duplicated_points_leave_a_cluster_empty(self, cluster_setup, seed):
-        # two distinct locations: after both are seeded every remaining
-        # distance is 0 (k-means++'s total <= 0 branch), so k = 4 repeats
-        # centres and the tie-broken assignment leaves clusters empty
+    def test_duplicated_points_leave_a_cluster_empty(self, monkeypatch, cluster_setup, seed):
+        # no lattice mask seen leaves a cluster empty, so the seeding is made
+        # to draw one point k times: the tie-broken assignment then leaves
+        # the repeated centres empty, each Lloyd step peeling one off, and
+        # each keeps its centre as the loop oracle's does (without the guard
+        # it would become 0 / 0)
         cluster_setup(k=4, seed=seed)
-        pts = np.array([[10.0, 0.0, 0.0]] * 6 + [[0.0, 10.0, 0.0]] * 4)
-        sph = InspectionSphere(pts, np.zeros(len(pts), dtype=bool), 10.0)
+
+        def one_point(pts, k, rng):
+            return np.repeat(pts[rng.integers(len(pts))][None, :], k, axis=0)
+
+        monkeypatch.setattr(inspection, "_kmeans_pp_init",
+                            lambda idx, k, rng: one_point(SPHERE_POINTS[idx], k, rng).T)
+        sph = generate_points()
+        sph.inspected[::3] = True
         for pos in ([50.0, 0.0, 0.0], [0.0, 50.0, 0.0], [0.0, 0.0, 50.0]):
             assert_same_cluster(nearest_uninspected_cluster(sph, pos),
-                                kmeans_oracle(sph, pos))
-        centers = np.array(inspection._clusters(
-            pts.tobytes(), sph.inspected.tobytes(), 4, seed)[0])
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        sizes = np.bincount(np.argmin(d2, axis=1), minlength=4)
-        assert (sizes == 0).any() and sizes.sum() == len(pts)
+                                kmeans_oracle(sph, pos, init=one_point))
+        centers = np.array(inspection._clusters(sph.inspected.tobytes(), 4, seed)[0])
+        assert np.isfinite(centers).all() and len(np.unique(centers, axis=0)) == 4
 
-    def test_antipodal_fallback(self, cluster_setup):
-        # one cluster of two antipodal points has its centroid at the origin
-        cluster_setup(k=1)
-        pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
-        sph = InspectionSphere(pts, np.zeros(2, dtype=bool), 10.0)
+    def test_antipodal_fallback(self, monkeypatch):
+        # a cluster balanced about the origin has no direction; no lattice
+        # mask seen yields one, so the clustering is made to return it: the
+        # direction falls back to the nearest uninspected point
+        monkeypatch.setattr(inspection, "_clusters",
+                            lambda mask_key, count, seed: (((0.0, 0.0, 0.0),), (None,)))
+        sph = generate_points()
+        unit_x = SPHERE_POINTS[:, 0] / SPHERE_RADIUS
+        sph.inspected[:] = np.abs(unit_x) < 0.9
+        pts = SPHERE_POINTS[~sph.inspected]
         for pos in ([-50.0, 3.0, 0.0], [50.0, 0.0, 1.0]):
             res = nearest_uninspected_cluster(sph, pos)
-            assert_same_cluster(res, kmeans_oracle(sph, pos))
-            assert np.array_equal(res, [math.copysign(1.0, pos[0]), 0.0, 0.0])
+            q = pts[np.argmin(np.linalg.norm(pts - pos, axis=1))]
+            assert res.tobytes() == (q / np.linalg.norm(q)).tobytes()
+            assert math.copysign(1.0, res[0]) == math.copysign(1.0, pos[0])
 
     @pytest.mark.parametrize("k", [1, 6, 8])
     def test_single_uninspected_point(self, cluster_setup, k):

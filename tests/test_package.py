@@ -58,9 +58,11 @@ def test_runs_without_scipy():
     lambda v: cwinspect.cw_stm(v, 1.0),
 ], ids=["step", "hold_maps", "delta_v", "mlp_act", "NoiseModel", "position_scale",
         "max_duration", "SafetyParams", "cw_stm"])
-@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("value", [True, np.True_, "1.0", None],
+                         ids=["True", "np.True_", "str", "None"])
 def test_bool_number_refused(call, value):
-    # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N
+    # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N;
+    # a string or None raised a bare TypeError from the comparison
     with pytest.raises(ValueError, match="and finite, not"):
         call(value)
 

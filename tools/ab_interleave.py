@@ -35,8 +35,10 @@ Workloads, one unit each:
   unit, each one's inspected mask and deputy position, recorded once per
   tree and replayed one call at a time on one sphere; the outputs compared
   are every returned direction's bytes, and a step is one call.  Each
-  replay starts with the tree's ``inspection`` caches cleared, as a fresh
-  process does.  The calls are also timed apart: ``fresh`` ones, whose mask
+  replay starts with the tree's ``inspection`` memos cleared (the cluster
+  memo and the seeded generator), as a fresh process does; the pair table
+  of squared distances is built at import and is not cleared per replay.
+  The calls are also timed apart: ``fresh`` ones, whose mask
   differs from the previous call's (as the benchmark tags a call fresh; the
   memo may still hold that mask from an earlier episode), and memo ``hit``
   ones, whose mask does not.
