@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _positive, cw_matrices
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _positive, _vector, cw_matrices
 
 __all__ = [
     "lqr_design",
@@ -98,10 +98,7 @@ def lqr_design() -> np.ndarray:
 def lqr_control(K: np.ndarray, x) -> np.ndarray:
     """u = clamp(-K x) to the per-axis thrust box for the gain ``K`` of
     :func:`lqr_design` and the finite 6-state ``x``."""
-    x = np.asarray(x, dtype=float).reshape(6)
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError("state must be finite")
-    return _clamp(-K @ x, U_MAX)
+    return _clamp(-K @ _vector(x, "state", 6), U_MAX)
 
 
 @dataclass
@@ -227,12 +224,7 @@ def mlp_act(policy: MlpPolicy, observation, u_max: float = U_MAX) -> np.ndarray:
     thrust commands, clamped to the box of half-width ``u_max``, a positive
     and finite number (not a bool)."""
     _positive(u_max, "u_max")
-    x = np.asarray(observation, dtype=float).reshape(-1)
-    if x.shape != (policy.input_dim,):
-        raise ValueError(
-            f"observation length {x.shape[0]} != input_dim {policy.input_dim}")
-    if not np.isfinite(x).all():
-        raise ValueError("observation must be finite")
+    x = _vector(observation, "observation", policy.input_dim)
     for layer in policy.layers:
         x = layer.weights @ x + layer.bias
         if layer.activation == "tanh":
@@ -264,9 +256,7 @@ def scripted_orbit_control(x) -> np.ndarray:
     critically damped PD tracking, so a deputy on the reference needs only
     the small centripetal feedforward.  A non-finite state is refused.
     """
-    x = np.asarray(x, dtype=float).reshape(6)
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError("state must be finite")
+    x = _vector(x, "state", 6)
     p, v = x[:3], x[3:]
     p_in = p - np.dot(p, _ORBIT_NORMAL) * _ORBIT_NORMAL
     rho = np.linalg.norm(p_in)

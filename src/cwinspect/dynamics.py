@@ -74,10 +74,33 @@ def _positive(value, name: str, zero: bool = False) -> float:
         if type(value) not in (bool, np.bool_) and (
                 value >= 0.0 if zero else value > 0.0) and value < math.inf:
             return float(value)
-    except TypeError:  # a string or None does not compare with a float
+    except (TypeError, ValueError):  # a string or None; an array of several numbers
         pass
     raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'} "
                      f"and finite, not {value!r}")
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float; a ``ValueError`` unless it is a finite number
+    and not a bool."""
+    try:
+        if type(value) not in (bool, np.bool_) and abs(value) < math.inf:
+            return float(value)
+    except (TypeError, ValueError):  # as in _positive
+        pass
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
+def _vector(value, name: str, size: int) -> np.ndarray:
+    """``value`` as a float (size,) array; a ``ValueError`` unless it holds
+    ``size`` numbers, all finite."""
+    try:
+        x = np.asarray(value, dtype=float).reshape(size)
+        if all(map(math.isfinite, x.tolist())):
+            return x
+    except (TypeError, ValueError):  # not numbers, or not ``size`` of them
+        pass
+    raise ValueError(f"{name} must be finite and hold {size} numbers, not {value!r}")
 
 
 def _integer(value, name: str, minimum: int) -> None:
@@ -191,18 +214,14 @@ def step(x, u, dt: float) -> np.ndarray:
     Raises ``ValueError`` on any other shape, on non-finite input and on
     the ``dt`` that :func:`hold_maps` refuses.
     """
-    D, S = hold_maps(_positive(dt, "dt"))
+    D, S = _hold_maps(_positive(dt, "dt"))
     X, single = _as_state_matrix(x)
-    u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError("control must be finite")
-    u = u.reshape(3)
+    u = _vector(u, "control", 3)
     if single:
         return _fly(D[-1], S[-1], X[0], u)
     return _fly(D[-1:], S[-1:], X, u)[:, -1]
 
 
-@lru_cache(maxsize=4, typed=True)  # typed: True is refused, not served as 1.0
 def hold_maps(period: float) -> tuple[np.ndarray, np.ndarray]:
     """Every substep state of one zero-order hold as an affine map.
 
@@ -215,7 +234,11 @@ def hold_maps(period: float) -> tuple[np.ndarray, np.ndarray]:
     cached and read-only.  Raises ``ValueError`` unless ``period`` is a
     positive and finite number, not a bool, and J is at most 100,000.
     """
-    period = _positive(period, "period")
+    return _hold_maps(_positive(period, "period"))
+
+
+@lru_cache(maxsize=4)
+def _hold_maps(period: float) -> tuple[np.ndarray, np.ndarray]:
     ratio = period / DEFAULT_SUBSTEP - 1e-12
     if not ratio <= _MAX_SUBSTEPS:  # refuses an infinite ratio too
         raise ValueError(f"a hold of {ratio:.6g} substeps exceeds {_MAX_SUBSTEPS}")
@@ -244,8 +267,7 @@ def cw_stm(n: float, t: float) -> np.ndarray:
     positive and finite and ``t`` is finite, neither a bool.
     """
     _positive(n, "n")
-    if type(t) in (bool, np.bool_) or not math.isfinite(t):
-        raise ValueError(f"t must be a finite number, not {t!r}")
+    _finite(t, "t")
     nt = n * t
     c = math.cos(nt)
     s = math.sin(nt)
@@ -266,6 +288,5 @@ def sun_vector(angle: float) -> np.ndarray:
     is identically zero.  Raises ``ValueError`` unless ``angle`` is a finite
     number, not a bool.
     """
-    if type(angle) in (bool, np.bool_) or not math.isfinite(angle):
-        raise ValueError(f"sun angle must be a finite number, not {angle!r}")
+    _finite(angle, "sun angle")
     return np.array([math.cos(angle), math.sin(angle), 0.0])

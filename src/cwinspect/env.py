@@ -19,13 +19,13 @@ read-only 6-state from :func:`cwinspect.dynamics.step`, its sun angle, its clock
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inspection
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _clamp, _flag, _integer, _positive, step
+from .dynamics import (MASS, MEAN_MOTION, U_MAX, _clamp, _finite, _flag, _integer, _positive,
+                       _vector, step)
 
 __all__ = [
     "OBS_NO_SENSORS",
@@ -70,18 +70,13 @@ def delta_v(action, dt: float) -> float:
     mass m; a non-finite action, and a ``dt`` that is not a positive and
     finite number (or is a bool), is refused with a ``ValueError``."""
     dt = _positive(dt, "dt")
-    fx, fy, fz = np.asarray(action, dtype=float).reshape(3).tolist()
-    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
-        raise ValueError("action must be finite")
+    fx, fy, fz = _vector(action, "action", 3).tolist()
     # summed left to right, as np.abs(F).sum() adds three entries
     return float((abs(fx) + abs(fy) + abs(fz)) / MASS * dt)
 
 
 def normalize_state(vec6) -> np.ndarray:
-    x = np.asarray(vec6, dtype=float).reshape(6)
-    if not np.isfinite(x).all():
-        raise ValueError("state must be finite")
-    return x / _STATE_DIVISORS
+    return _vector(vec6, "state", 6) / _STATE_DIVISORS
 
 
 def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
@@ -91,14 +86,14 @@ def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
     mask (see :func:`cwinspect.inspection.nearest_uninspected_cluster`), so
     only a call after newly inspected points clusters again; a call with the
     same mask only picks the centre nearest the deputy.  Raises ValueError
-    for a non-finite state, or in all-sensors mode a non-finite sun angle."""
+    for a non-finite state, or in all-sensors mode a sun angle that is not a
+    finite number (a bool included)."""
     base = normalize_state(x)
     if mode == OBS_NO_SENSORS:
         return base
     if mode != OBS_ALL_SENSORS:
         raise ValueError(f"unknown observation mode {mode!r}")
-    if not math.isfinite(sun_angle):
-        raise ValueError("sun angle must be finite")
+    _finite(sun_angle, "sun angle")
     obs = np.empty(11)
     obs[:6] = base
     obs[6] = inspection.inspected_count(sphere) / POINTS_NORM
@@ -187,10 +182,7 @@ class InspectionEnv:
             raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episode is done; call reset()")
-        action = np.asarray(action, dtype=float).reshape(3)
-        if not np.isfinite(action).all():
-            raise ValueError("action must be finite")
-        u = _clamp(action, U_MAX)
+        u = _clamp(_vector(action, "action", 3), U_MAX)
         x = step(state.x, u, RL_STEP_SECONDS)
         x.setflags(write=False)
         state = self.state = RelativeState(

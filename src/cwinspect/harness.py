@@ -23,7 +23,8 @@ import numpy as np
 from . import inspection
 from .control import (lqr_control, lqr_design, mlp_act, mlp_load,
                       scripted_orbit_control)
-from .dynamics import MASS, MEAN_MOTION, _flag, _fly, _integer, _positive, hold_maps
+from .dynamics import (MASS, MEAN_MOTION, _flag, _fly, _integer, _positive, _vector,
+                       hold_maps)
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
     PAPER_INITIAL_SUN_ANGLE, build_observation
 from .rta import DEFAULT_PERIOD, filter_control
@@ -237,8 +238,7 @@ def inject_noise(x: np.ndarray, model: NoiseModel,
                  rng: np.random.Generator) -> np.ndarray:
     """The finite 6-state ``x`` plus Gaussian noise on position and velocity
     (three draws each, position first), deterministic under a fixed one."""
-    if not all(map(math.isfinite, np.asarray(x, dtype=float).reshape(6).tolist())):
-        raise ValueError("state must be finite")
+    x = _vector(x, "state", 6)
     return x + np.concatenate([rng.normal(0.0, model.position_sigma, 3),
                                rng.normal(0.0, model.velocity_sigma, 3)])
 

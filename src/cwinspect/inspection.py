@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _flag, sun_vector
+from .dynamics import _flag, _vector, sun_vector
 
 __all__ = [
     "SPHERE_POINT_COUNT",
@@ -88,11 +88,20 @@ SPHERE_POINTS, _UNIT, _COORDS, _PAIR_TABLE = _chief()
 class InspectionSphere:
     """Which of the chief's :data:`SPHERE_POINTS` the deputy has inspected.
     ``points`` and ``radius`` are the module's constants, read through the
-    class; assigning either on a sphere raises ``AttributeError``."""
+    class; assigning either on a sphere raises ``AttributeError``.  A mask
+    that is not a (99,) bool array is refused with a ``ValueError``."""
 
     inspected: np.ndarray  # (99,) bool
     points = SPHERE_POINTS  # (99, 3) [m], on the sphere surface
     radius = SPHERE_RADIUS  # [m]
+
+    def __post_init__(self):
+        mask = self.inspected
+        if not (isinstance(mask, np.ndarray) and mask.shape == (SPHERE_POINT_COUNT,)
+                and mask.dtype == bool):
+            raise ValueError(f"inspected must be a ({SPHERE_POINT_COUNT},) bool array, not a "
+                             f"{type(mask).__name__} of shape {np.shape(mask)}, "
+                             f"dtype {np.asarray(mask).dtype}")
 
 
 def generate_points() -> InspectionSphere:
@@ -101,15 +110,13 @@ def generate_points() -> InspectionSphere:
 
 
 def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
-    """The deputy position as a (3,) array and its norm, which is finite
-    exactly when every entry is (and the norm stays below ~1e154 m)."""
-    p = np.asarray(deputy_position, dtype=float)
-    if p.size == 3:
-        p = p.reshape(3)
-        dist = math.sqrt(p.dot(p))
-        if math.isfinite(dist):
-            return p, dist
-    raise ValueError("deputy position must be 3 finite numbers")
+    """The deputy position as a (3,) array and its norm, refused unless both
+    are finite (the norm overflows above ~1e154 m)."""
+    p = _vector(deputy_position, "deputy position", 3)
+    dist = math.sqrt(p.dot(p))
+    if not math.isfinite(dist):
+        raise ValueError(f"deputy position must have a finite norm, not {p!r}")
+    return p, dist
 
 
 def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float,

@@ -18,10 +18,10 @@ for bit.  The filter returns the thrust closest to u_des that
     (:data:`cwinspect.dynamics.U_MAX`).
 
 The axis-limit conditions are exact linear rows in u, the same for every
-state and cached with the hold maps.  The others are linearized about the
-hold flown by the current iterate, starting from the optimum over the
-continuous rows alone, with the terms of the pass that evaluated that hold,
-and the QP is solved again (sequential linearization) until the exact
+state, built at import with the hold maps.  The others are linearized
+about the hold flown by the current iterate, starting from the optimum over
+the continuous rows alone, with the terms of the pass that evaluated that
+hold, and the QP is solved again (sequential linearization) until the exact
 substep values hold.  Each QP is solved exactly by a dual active-set method
 (Goldfarb & Idnani 1983).  A batch (N, 6) screens its requests together in
 one hold pass and hands each state whose request fails that screen to the
@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import U_MAX, _add_thrust, _clamp, _free_motion, _positive, hold_maps
+from .dynamics import (U_MAX, _add_thrust, _clamp, _free_motion, _positive, _vector,
+                       hold_maps)
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
-                     _hold_jacobian, _hold_pass, _hold_terms, cbf_rows,
-                     keep_in_guard)
+                     _hold_jacobian, _hold_pass, cbf_rows)
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -79,6 +78,16 @@ _PENALTY_WEIGHT = 1e-6  # tie-break weight pulling the fallback toward u_des
 # the keep-out sphere.
 _HOLD_MARGIN = 1e-3
 _MARGINS = np.where(np.arange(NUM_HOLD_CONDITIONS) < 3, _HOLD_MARGIN, 0.0)
+# The plan of the one hold, read-only: the maps (D, S) of hold_maps, the
+# exact rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for
+# every state and thrust, and the margins ramped over the hold (J, 9).
+_D, _S = hold_maps(DEFAULT_PERIOD)
+_J = len(_S)
+_AXIS_ROWS = np.einsum("njkd,jde->njke",
+                       np.tile(_AXIS_LIMIT_GRADIENTS, (1, _J, 1, 1)), _S)[0]
+_RAMP = _MARGINS * (np.arange(1, _J + 1)[:, None] / _J)
+_AXIS_ROWS.setflags(write=False)
+_RAMP.setflags(write=False)
 _MAX_LINEARIZATIONS = 8
 _MAX_QP_ITER = 100
 # What the filter enforces, (keep-in guarded, continuous rows), in the order
@@ -115,9 +124,7 @@ class FilterResult:
 def _checked_input(u_des, rows, u_max: float):
     """A finite request (3,), and finite rows (C, b) as (N, 3) and (N,)
     arrays of one length, for a positive and finite ``u_max``."""
-    u_des = np.asarray(u_des, dtype=float).reshape(3)
-    if np.count_nonzero(np.isfinite(u_des)) != 3:
-        raise ValueError("u_des must be finite")
+    u_des = _vector(u_des, "u_des", 3)
     _positive(u_max, "u_max")
     C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
     b = np.asarray(rows[1], dtype=float).reshape(-1)
@@ -271,33 +278,14 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
     return _clamp(u, u_max)
 
 
-@lru_cache(maxsize=16)
-def _hold_plan(params: SafetyParams):
-    """Cached and read-only: the :func:`cwinspect.safety._hold_terms` of the
-    guarded keep-in cone (:func:`cwinspect.safety.keep_in_guard`) and of the
-    stated one, the maps (D, S) of :func:`cwinspect.dynamics.hold_maps` for
-    the hold of :data:`DEFAULT_PERIOD`, the exact rows (J, 6, 3) of the
-    axis-limit conditions k4..k9, the same for every state and thrust, and
-    the margins ramped over the hold (J, 9)."""
-    terms = (_hold_terms(params, keep_in_guard(params)), _hold_terms(params))
-    D, S = hold_maps(DEFAULT_PERIOD)
-    J = len(D)
-    axis_rows = np.einsum("njkd,jde->njke",
-                          np.tile(_AXIS_LIMIT_GRADIENTS, (1, J, 1, 1)), S)[0]
-    ramp = _MARGINS * (np.arange(1, J + 1)[:, None] / J)
-    for a in (axis_rows, ramp):
-        a.setflags(write=False)
-    return terms, D, S, axis_rows, ramp
-
-
-def _holds(X, U, D, S, terms):
+def _holds(X, U, terms):
     """Holds (k, J, 6) flown from states X (k, 6) under thrusts U (k, 3), their
     conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
     the conditions at the states (k, 1, 9) and their floors min(0, k0), and
     the states' free motion (:func:`cwinspect.dynamics._free_motion`), which
     every later iterate's hold reuses."""
-    F = _free_motion(D, X)
-    H = _add_thrust(X, F, S, U)
+    F = _free_motion(_D, X)
+    H = _add_thrust(X, F, _S, U)
     K, (floored, rdot) = _hold_pass(np.concatenate([X[:, None], H], axis=1), terms)
     K0 = K[:, :1]
     return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(_ZERO, K0), F
@@ -309,20 +297,19 @@ def _row_numbers(act, rows, n_rows: int) -> tuple:
     return tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows) for a in act)
 
 
-def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, terms, plan):
+def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, terms):
     """QP rows C (n, R, 3), b (n, R) for the holds H (n, J, 6) of iterates U
     (n, 3), whose :func:`cwinspect.safety._hold_pass` gave K and T: the
     continuous rows, those of k1..k3 linearized at the hold toward
     ``targets``, the exact rows of k4..k9; and the mask of the rows that a
     thrust in the box can violate (the others never bind)."""
-    S, axis_rows, _ = plan
     n, n_cont = C_cont.shape[:2]
-    n_rows = n_cont + len(S) * NUM_HOLD_CONDITIONS
+    n_rows = n_cont + _J * NUM_HOLD_CONDITIONS
     C = np.empty((n, n_rows, 3))
     C[:, :n_cont] = C_cont
-    C_hold = C[:, n_cont:].reshape(n, len(S), NUM_HOLD_CONDITIONS, 3)
-    np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), S, out=C_hold[:, :, :3])
-    C_hold[:, :, 3:] = axis_rows
+    C_hold = C[:, n_cont:].reshape(n, _J, NUM_HOLD_CONDITIONS, 3)
+    np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), _S, out=C_hold[:, :, :3])
+    C_hold[:, :, 3:] = _AXIS_ROWS
     b = np.empty((n, n_rows))
     b[:, :n_cont] = b_cont
     b_hold = b[:, n_cont:]
@@ -337,16 +324,14 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
     and the :func:`_holds` of the request under the guarded cone.  Returns
     (u (1, 3), active set, feasible, stage), feasible False for the
     least-violation thrust."""
-    terms, D, *plan = _hold_plan(params)
-    S, _, ramp = plan
-    n_rows = C6.shape[1] + len(S) * NUM_HOLD_CONDITIONS
+    n_rows = C6.shape[1] + _J * NUM_HOLD_CONDITIONS
     u_des = U[0]
     # a state outside the guarded set (a floor min(0, k0) below 0) starts at the second stage
     for stage in range(int(hold[4].any()), len(_STAGES)):
         guarded, with_cont = _STAGES[stage]
-        stage_terms = terms[0 if guarded else 1]
-        H, K, T, K0, floors, F = hold if guarded else _holds(X, U, D, S, stage_terms)
-        targets = np.minimum(_MARGINS, K0 + ramp) + _TWICE_FEAS_TOL
+        stage_terms = params._guarded_hold_terms if guarded else params._hold_terms
+        H, K, T, K0, floors, F = hold if guarded else _holds(X, U, stage_terms)
+        targets = np.minimum(_MARGINS, K0 + _RAMP) + _TWICE_FEAS_TOL
         u, active = U, ()
         # without the continuous rows: rows that never bind, keeping the row numbering
         C_cont, b_cont = (C6, b6) if with_cont else (np.zeros_like(C6), np.ones_like(b6))
@@ -361,13 +346,12 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
                 continue
             if act:
                 u, active = u_new[None], _row_numbers(act, range(len(b)), n_rows)
-                H = _add_thrust(X, F, S, u)
+                H = _add_thrust(X, F, _S, u)
                 K, T = _hold_pass(H, stage_terms)
         for n_linearized in range(_MAX_LINEARIZATIONS + 1):
             if (K >= floors).all():
                 return u, active, True, stage
-            C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u,
-                                          stage_terms, plan)
+            C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u, stage_terms)
             if n_linearized == _MAX_LINEARIZATIONS:
                 C, b = C[0, live[0]], b[0, live[0]]
                 break
@@ -377,7 +361,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
             if not ok:
                 break
             u, active = u_new[None], _row_numbers(act, rows, n_rows)
-            H = _add_thrust(X, F, S, u)
+            H = _add_thrust(X, F, _S, u)
             K, T = _hold_pass(H, stage_terms)
     # no stage found a thrust: the least violation of the last stage's rows
     rows = (np.vstack([C6[0], C]), np.concatenate([b6[0], b]))
@@ -388,8 +372,7 @@ def _filter_one(X, U, C6, b6, params: SafetyParams):
     """The filter for one state X (1, 6), request U (1, 3) and rows
     C6 (1, 6, 3), b6 (1, 6).  Returns (U_act (1, 3), active set, feasible,
     stage)."""
-    terms, D, S, *_ = _hold_plan(params)
-    hold = _holds(X, U, D, S, terms[0])
+    hold = _holds(X, U, params._guarded_hold_terms)
     if ((hold[1] >= hold[4]).all()
             and (np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all()):
         return U, (), True, 0  # the request is its own thrust
@@ -401,8 +384,7 @@ def _filter_states(X, U, C6, b6, params: SafetyParams):
     C6 (n, 6, 3), b6 (n, 6): one screen of all the requests, then
     :func:`_stages` for each state that fails it, on its slice of the
     screen's holds.  Returns (U_act, active list, feasible, stage)."""
-    terms, D, S, *_ = _hold_plan(params)
-    H, K, (floored, rdot), K0, floors, F = _holds(X, U, D, S, terms[0])
+    H, K, (floored, rdot), K0, floors, F = _holds(X, U, params._guarded_hold_terms)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
                   & (K >= floors).all(axis=(1, 2)))
     U_act, active = U.copy(), [()] * len(X)

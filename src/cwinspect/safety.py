@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _as_state_matrix, _positive, cw_matrices
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _as_state_matrix, _flag, _positive, cw_matrices
 
 __all__ = [
     "SafetyParams",
@@ -113,7 +113,9 @@ _KEEP_IN_RADIUS_MARGIN = 1.0
 
 @dataclass(frozen=True)
 class SafetyParams:
-    """Constants of the six safety constraints (defaults per the mission)."""
+    """Constants of the six safety constraints (defaults per the mission).
+    A record builds its barrier and hold factors once, on first use, and
+    keeps them read-only; only the guarded ones need :func:`keep_in_guard`."""
 
     a_max: float = 0.078  # [m/s^2] max deceleration available for braking
     r_d: float = 5.0  # [m] deputy radius
@@ -133,24 +135,45 @@ class SafetyParams:
     def collision_radius(self) -> float:
         return self.r_d + self.r_c
 
+    @cached_property
+    def _barrier_terms(self) -> tuple:
+        """Factors of :func:`_barriers`: with rho the range, (s, o) form
+        (rho - (r_d + r_c), r_max - rho, nu0 + nu1 rho) as rho * s + o; then
+        2 a_max, a_max and v_max^2; w scales (p_hat, v_hat) into the gradient
+        of h3, and -2 v is that of h4..h6."""
+        return _read_only(np.array([1.0, -1.0, self.nu1]),
+                          np.array([-self.collision_radius, self.r_max, self.nu0]),
+                          np.array(2.0 * self.a_max), np.array(self.a_max),
+                          np.array(self.v_max**2), np.array([[self.nu1], [-1.0]]),
+                          np.array(-2.0))
+
+    @cached_property
+    def _hold_terms(self) -> tuple:
+        """Factors of :func:`_hold_pass` and :func:`_hold_jacobian` on the
+        stated keep-in cone (a, r) = (a_max, r_max): with rho the range,
+        c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)), 2 a (r - rho),
+        nu0 + nu1 rho), the terms of k1..k3 without range rate and speed;
+        (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2 and
+        (p_hat, v_hat) in that of k3; then v_max."""
+        return self._cone_terms(self.a_max, self.r_max)
+
+    @cached_property
+    def _guarded_hold_terms(self) -> tuple:
+        """The same on the guarded keep-in cone of :func:`keep_in_guard`."""
+        return self._cone_terms(*keep_in_guard(self))
+
+    def _cone_terms(self, a_in: float, r_in: float) -> tuple:
+        return _read_only(np.array([1.0, -1.0, self.nu1]),
+                          np.array([-self.collision_radius, r_in, self.nu0]),
+                          np.array([2.0 * self.a_max, 2.0 * a_in, 1.0]),
+                          np.array([[2.0 * self.a_max], [-2.0 * a_in]]),
+                          np.array([[self.nu1], [-1.0]]), np.array(self.v_max))
+
 
 def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@lru_cache(maxsize=16)
-def _barrier_terms(params: SafetyParams) -> tuple:
-    """Cached factors of :func:`_barriers`: with rho the range, (s, o) form
-    (rho - (r_d + r_c), r_max - rho, nu0 + nu1 rho) as rho * s + o; then
-    2 a_max, a_max and v_max^2; w scales (p_hat, v_hat) into the gradient
-    of h3, and -2 v is that of h4..h6."""
-    return _read_only(np.array([1.0, -1.0, params.nu1]),
-                      np.array([-params.collision_radius, params.r_max, params.nu0]),
-                      np.array(2.0 * params.a_max), np.array(params.a_max),
-                      np.array(params.v_max**2), np.array([[params.nu1], [-1.0]]),
-                      np.array(-2.0))
 
 
 # factors of cbf_rows: the transposed drift matrix A^T of cw_matrices and the mass
@@ -159,27 +182,6 @@ _DRIFT_T, _MASS = _read_only(cw_matrices()[0].T, np.array(MASS))
 # off the identity block, and the gains as floats
 _A30, _A34, _A43, _A52 = _DRIFT_T.T[(3, 3, 4, 5), (0, 4, 3, 2)].tolist()
 _GAINS = DEFAULT_ALPHA_GAINS.tolist()
-
-
-@lru_cache(maxsize=16)
-def _hold_terms(params: SafetyParams, keep_in=None) -> tuple:
-    """Cached factors of :func:`_hold_pass` and :func:`_hold_jacobian` on
-    the keep-in cone ``keep_in`` = (a, r), by default (a_max, r_max): with
-    rho the range, c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)),
-    2 a (r - rho), nu0 + nu1 rho), the terms of k1..k3 without range rate
-    and speed; (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2
-    and (p_hat, v_hat) in that of k3; then v_max.  a and r must be positive
-    and finite, and r must exceed the keep-out radius r_d + r_c."""
-    a_in, r_in = (params.a_max, params.r_max) if keep_in is None else keep_in
-    _positive(a_in, "keep-in braking rate")
-    if not _positive(r_in, "keep-in radius") > params.collision_radius:
-        raise ValueError("the keep-in radius must exceed the keep-out radius "
-                         f"{params.collision_radius}, not {r_in!r}")
-    return _read_only(np.array([1.0, -1.0, params.nu1]),
-                      np.array([-params.collision_radius, r_in, params.nu0]),
-                      np.array([2.0 * params.a_max, 2.0 * a_in, 1.0]),
-                      np.array([[2.0 * params.a_max], [-2.0 * a_in]]),
-                      np.array([[params.nu1], [-1.0]]), np.array(params.v_max))
 
 
 def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
@@ -198,7 +200,7 @@ def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
     rho = norms[:, 0]
     v = X[:, 3:]
     pv = np.einsum("ij,ij->i", X[:, :3], v)
-    s, o, two_a, a_max, v_max2, w, minus_two = _barrier_terms(params)
+    s, o, two_a, a_max, v_max2, w, minus_two = params._barrier_terms
     # the braking-cone distances rho - (r_d + r_c) and r_max - rho, then
     # nu0 + nu1 rho
     dev = rho[:, None] * s + o
@@ -331,8 +333,9 @@ def keep_in_guard(params: SafetyParams) -> tuple[float, float]:
 
 
 def _hold_pass(X: np.ndarray, terms):
-    """Hold conditions K (..., 9) of states X (..., 6), with the
-    :func:`_hold_terms` of a keep-in cone, and the terms T that their
+    """Hold conditions K (..., 9) of states X (..., 6), with the hold
+    factors ``terms`` of a keep-in cone (:attr:`SafetyParams._hold_terms`
+    or :attr:`SafetyParams._guarded_hold_terms`), and the terms T that their
     gradients reuse: floored range and speed (..., 2), range rate."""
     shape = X.shape[:-1]
     PV = X.reshape(shape + (2, 3))
@@ -375,31 +378,32 @@ def _hold_jacobian(X: np.ndarray, T, terms) -> np.ndarray:
     return G
 
 
-def _checked_states(states) -> np.ndarray:
+def _checked_states(states, params: SafetyParams, guarded) -> tuple:
+    """Finite states X (..., 6) and the hold factors of their keep-in cone."""
     X = np.asarray(states, dtype=float)
     if X.shape[-1:] != (6,):
         raise ValueError(f"states must have shape (..., 6), not {X.shape}")
     if np.count_nonzero(np.isfinite(X)) != X.size:
         raise ValueError("states must be finite")
-    return X
+    return X, params._guarded_hold_terms if _flag(guarded, "guarded") else params._hold_terms
 
 
-def hold_values(states, params: SafetyParams, keep_in=None) -> np.ndarray:
+def hold_values(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
     """Hold conditions k1..k9 (see the module docstring) for states of shape
-    (..., 6); returns (..., 9).  k2 is evaluated on the keep-in cone
-    ``keep_in`` = (a, r), by default the stated one (a_max, r_max); the
-    filter passes :func:`keep_in_guard`.  Raises ``ValueError`` on any other
-    last axis and on non-finite states."""
-    return _hold_pass(_checked_states(states), _hold_terms(params, keep_in))[0]
+    (..., 6); returns (..., 9).  k2 is evaluated on the stated keep-in cone
+    (a_max, r_max), or with ``guarded`` on the cone of :func:`keep_in_guard`
+    that the filter plans.  Raises ``ValueError`` on any other last axis, on
+    non-finite states, on a ``guarded`` that is not a bool and, guarded, as
+    :func:`keep_in_guard` does."""
+    return _hold_pass(*_checked_states(states, params, guarded))[0]
 
 
-def hold_gradients(states, params: SafetyParams, keep_in=None) -> np.ndarray:
-    """Gradients dk_i/dx of :func:`hold_values` for states (..., 6); returns
-    (..., 9, 6).  Norms are floored at singular points as in the barrier
-    gradients of :func:`cbf_rows`.  Raises ``ValueError`` as
+def hold_gradients(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
+    """Gradients dk_i/dx of :func:`hold_values` for states (..., 6) on the
+    same cone; returns (..., 9, 6).  Norms are floored at singular points as
+    in the barrier gradients of :func:`cbf_rows`.  Raises ``ValueError`` as
     :func:`hold_values` does."""
-    X = _checked_states(states)
-    terms = _hold_terms(params, keep_in)
+    X, terms = _checked_states(states, params, guarded)
     G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
     G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, terms)[1], terms)
     G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS

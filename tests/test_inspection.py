@@ -139,6 +139,15 @@ class TestLattice:
         with pytest.raises(TypeError):
             generate_points(**kwargs)
 
+    @pytest.mark.parametrize("mask", [
+        np.zeros(SPHERE_POINT_COUNT - 1, dtype=bool), np.zeros(SPHERE_POINT_COUNT, dtype=int),
+        np.zeros(SPHERE_POINT_COUNT)], ids=["98_bools", "99_ints", "99_floats"])
+    def test_malformed_mask_refused(self, mask):
+        # a (98,) mask gave a cluster direction, and a (99,) int mask raised
+        # an IndexError inside the clustering
+        with pytest.raises(ValueError, match=r"inspected must be a \(99,\) bool array"):
+            inspection.InspectionSphere(mask)
+
 
 class TestVisibility:
     def test_hemisphere_count_from_positive_x(self):

@@ -46,35 +46,50 @@ def test_runs_without_scipy():
     assert out.stdout.strip() == "None"
 
 
-@pytest.mark.parametrize("call", [
-    lambda v: cwinspect.step(np.zeros(6), np.zeros(3), v),
-    lambda v: cwinspect.dynamics.hold_maps(v),
-    lambda v: cwinspect.delta_v(np.zeros(3), v),
-    lambda v: cwinspect.mlp_act(cwinspect.random_policy(6, hidden=(4,)), np.zeros(6), u_max=v),
-    lambda v: cwinspect.NoiseModel(position_sigma=v),
-    lambda v: cwinspect.ExperimentConfig(position_scale=v),
-    lambda v: cwinspect.ExperimentConfig(max_duration=v),
-    lambda v: cwinspect.SafetyParams(a_max=v),
-    lambda v: cwinspect.cw_stm(v, 1.0),
+POSITIVE, FINITE = "and finite, not", "must be a finite number, not"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda v: cwinspect.step(np.zeros(6), np.zeros(3), v), POSITIVE),
+    (lambda v: cwinspect.dynamics.hold_maps(v), POSITIVE),
+    (lambda v: cwinspect.delta_v(np.zeros(3), v), POSITIVE),
+    (lambda v: cwinspect.mlp_act(cwinspect.random_policy(6, hidden=(4,)), np.zeros(6), u_max=v),
+     POSITIVE),
+    (lambda v: cwinspect.NoiseModel(position_sigma=v), POSITIVE),
+    (lambda v: cwinspect.ExperimentConfig(position_scale=v), POSITIVE),
+    (lambda v: cwinspect.ExperimentConfig(max_duration=v), POSITIVE),
+    (lambda v: cwinspect.SafetyParams(a_max=v), POSITIVE),
+    (lambda v: cwinspect.cw_stm(v, 1.0), POSITIVE),
+    (lambda v: cwinspect.cw_stm(0.001, v), FINITE),
+    (lambda v: cwinspect.sun_vector(v), FINITE),
+    (lambda v: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], v, True),
+     FINITE),
+    (lambda v: cwinspect.build_observation(np.full(6, 50.0), v, cwinspect.generate_points(),
+                                           cwinspect.env.OBS_ALL_SENSORS), FINITE),
 ], ids=["step", "hold_maps", "delta_v", "mlp_act", "NoiseModel", "position_scale",
-        "max_duration", "SafetyParams", "cw_stm"])
-@pytest.mark.parametrize("value", [True, np.True_, "1.0", None],
-                         ids=["True", "np.True_", "str", "None"])
-def test_bool_number_refused(call, value):
-    # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N;
-    # a string or None raised a bare TypeError from the comparison
-    with pytest.raises(ValueError, match="and finite, not"):
+        "max_duration", "SafetyParams", "cw_stm", "cw_stm.t", "sun_vector",
+        "update_inspected.sun_angle", "build_observation.sun_angle"])
+@pytest.mark.parametrize("value", [True, np.True_, "1.0", None, np.array([1.0, 2.0])],
+                         ids=["True", "np.True_", "str", "None", "array"])
+def test_bool_number_refused(call, match, value):
+    # each took True as 1: step flew a 1 s hold, mlp_act clamped to +-1 N,
+    # build_observation gave a sun angle of 1; a string or None raised a
+    # bare TypeError, and an array numpy's "truth value ... is ambiguous"
+    # (hold_maps: "unhashable type")
+    with pytest.raises(ValueError, match=match):
         call(value)
 
 
 NAN_STATE = np.array([100.0, 0.0, np.nan, 0.0, 0.0, 0.0])
 
 
+def _env_step(action):
+    env = cwinspect.InspectionEnv(cwinspect.EnvConfig())
+    env.reset()
+    return env.step(action)
+
+
 @pytest.mark.parametrize("call, match", [
-    *[(lambda fn=fn, a=a: fn(np.zeros(6), cwinspect.SafetyParams(), keep_in=(a, 900.0)),
-       "keep-in braking rate")
-      for fn in (cwinspect.safety.hold_values, cwinspect.safety.hold_gradients)
-      for a in (np.nan, -1.0)],
     (lambda: cwinspect.inject_noise(NAN_STATE, cwinspect.NoiseModel(), np.random.default_rng(0)),
      "state must be finite"),
     (lambda: cwinspect.lqr_control(cwinspect.lqr_design(), NAN_STATE), "state must be finite"),
@@ -84,16 +99,32 @@ NAN_STATE = np.array([100.0, 0.0, np.nan, 0.0, 0.0, 0.0])
     (lambda: cwinspect.sun_vector(True), "sun angle must be a finite number"),
     (lambda: cwinspect.sun_vector(np.True_), "sun angle must be a finite number"),
     (lambda: cwinspect.cw_stm(0.001, True), "t must be a finite number"),
-    (lambda: cwinspect.safety.hold_values(np.array([100.0, 0, 0, 0, 0, 0]),
-                                          cwinspect.SafetyParams(), keep_in=(0.05, 1.0)),
-     "keep-in radius must exceed the keep-out radius"),
-], ids=["hold_values.nan_braking", "hold_values.negative_braking",
-        "hold_gradients.nan_braking", "hold_gradients.negative_braking",
-        "inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
+    # a vector of the wrong size: numpy's "cannot reshape array of size 7
+    # into shape (6,)" named no argument
+    (lambda: cwinspect.step(np.zeros(6), np.zeros(4), 1.0), r"control must be finite and hold 3"),
+    (lambda: cwinspect.lqr_control(cwinspect.lqr_design(), np.zeros(7)),
+     r"state must be finite and hold 6"),
+    (lambda: cwinspect.scripted_orbit_control(np.zeros(5)), r"state must be finite and hold 6"),
+    (lambda: cwinspect.normalize_state([1.0] * 7), r"state must be finite and hold 6"),
+    (lambda: cwinspect.inject_noise(np.zeros(7), cwinspect.NoiseModel(), np.random.default_rng(0)),
+     r"state must be finite and hold 6"),
+    (lambda: cwinspect.delta_v(np.zeros(4), 1.0), r"action must be finite and hold 3"),
+    (lambda: _env_step(np.zeros(2)), r"action must be finite and hold 3"),
+    (lambda: cwinspect.mlp_act(cwinspect.random_policy(6, hidden=(4,)), np.zeros(7)),
+     r"observation must be finite and hold 6"),
+    (lambda: cwinspect.solve_qp(np.zeros(2), (np.eye(3), np.zeros(3)), 1.0),
+     r"u_des must be finite and hold 3"),
+    (lambda: cwinspect.nearest_uninspected_cluster(cwinspect.generate_points(), np.zeros(4)),
+     r"deputy position must be finite and hold 3"),
+], ids=["inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
         "update_inspected.string_illumination", "sun_vector.True", "sun_vector.np.True_",
-        "cw_stm.bool_t", "hold_values.keep_in_inside_keep_out"])
+        "cw_stm.bool_t", "step.wrong_size", "lqr_control.wrong_size",
+        "scripted_orbit_control.wrong_size", "normalize_state.wrong_size",
+        "inject_noise.wrong_size", "delta_v.wrong_size", "InspectionEnv.step.wrong_size",
+        "mlp_act.wrong_size", "solve_qp.wrong_size", "nearest_uninspected_cluster.wrong_size"])
 def test_bad_input_refused(call, match):
-    # each returned NaN, or took the value as a number or a truth value
+    # each returned NaN, took the value as a number or a truth value, or
+    # raised an error that did not name the argument
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -123,8 +154,11 @@ def test_integer_refused(call, minimum, value):
     (lambda v: cwinspect.EnvConfig(illumination=v), "illumination"),
     (lambda v: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], 0.0, v),
      "illumination_enabled"),
+    (lambda v: cwinspect.safety.hold_values(np.zeros(6), cwinspect.SafetyParams(), guarded=v),
+     "guarded"),
 ], ids=["ExperimentConfig.rta_enabled", "ExperimentConfig.illumination",
-        "ExperimentConfig.closed_loop", "EnvConfig.illumination", "update_inspected"])
+        "ExperimentConfig.closed_loop", "EnvConfig.illumination", "update_inspected",
+        "hold_values.guarded"])
 @pytest.mark.parametrize("value", ["yes", 1], ids=["yes", "1"])
 def test_flag_refused(call, name, value):
     # one check and one message for every bool flag

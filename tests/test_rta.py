@@ -14,11 +14,10 @@ from cwinspect.dynamics import DynamicsParams, _fly, hold_maps, rk4_zoh_map
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
                            infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
-                              hold_gradients, hold_values, keep_in_guard)
+                              hold_gradients, hold_values)
 
 SP = SafetyParams()
 DP = DynamicsParams()
-GUARD = keep_in_guard(SP)
 
 
 def lattice_search(u_des, C, b, u_max, n=51):
@@ -313,7 +312,7 @@ class TestFilter:
             u_des = rng.uniform(-1, 1, 3)
             C, b = cbf_rows(x, SP)
             hold = x + D @ x + S @ u_des
-            if np.all(C @ u_des + b >= 1e-9) and hold_values(hold, SP, GUARD).min() >= 0.0:
+            if np.all(C @ u_des + b >= 1e-9) and hold_values(hold, SP, guarded=True).min() >= 0.0:
                 res = filter_control(x, u_des, SP)
                 assert res.deviation == 0.0
                 checked += 1
@@ -374,7 +373,7 @@ class TestFilter:
         U = np.concatenate([rng.uniform(-1, 1, (25, 3)), [u for _, u in fixed]])
         order = rng.permutation(len(X))
         X, U = X[order], U[order]
-        outside = hold_values(X, SP, GUARD).min(axis=1) < 0.0
+        outside = hold_values(X, SP, guarded=True).min(axis=1) < 0.0
         batch = filter_control(X, U, SP)
         assert_rows_match(batch, X, U)
         intervened, feasible = batch.intervened, batch.feasible
@@ -479,7 +478,7 @@ class TestHold:
         p_hat = np.array([-0.912, 0.41, 0.0]) / np.linalg.norm([-0.912, 0.41, 0.0])
         x = np.concatenate([998.0 * p_hat, [-0.78, -0.999, 0.9]])
         u_des = np.array([-1.0, 0.0, 0.0])
-        assert hold_values(x, SP, GUARD).min() >= 0.0  # inside the guarded set
+        assert hold_values(x, SP, guarded=True).min() >= 0.0  # inside the guarded set
         C, b = cbf_rows(x, SP)
         assert np.all(C @ u_des + b >= 0.0)
         assert fly_hold(x, u_des)[:, 1].min() < 0.0
@@ -501,17 +500,49 @@ class TestHold:
 class TestHoldRows:
     def test_split_hold_rows_equal_the_full_product(self):
         # the filter multiplies only the gradients of k1..k3 with the hold
-        # map and takes the exact rows of k4..k9 from the cached plan: the
-        # rows equal those of the full product, bit for bit
-        _, _, S, axis_rows, _ = rta._hold_plan(SP)
+        # map and takes the exact rows of k4..k9 from the plan built at
+        # import: the rows equal those of the full product, bit for bit
+        S, axis_rows = rta._S, rta._AXIS_ROWS
         rng = np.random.default_rng(59)
         H = np.concatenate([rng.normal(0, 300, (5, len(S), 3)),
                             rng.normal(0, 0.5, (5, len(S), 3))], axis=2)
         H[0, :, 2:6:3] = 0.0  # motion in the orbital plane
-        G = hold_gradients(H, SP, GUARD)
+        G = hold_gradients(H, SP, guarded=True)
         full = np.einsum("njkd,jde->njke", G, S)
         assert np.array_equal(full[:, :, :3], np.einsum("njkd,jde->njke", G[:, :, :3], S))
         assert np.array_equal(full[:, :, 3:], np.broadcast_to(axis_rows, full[:, :, 3:].shape))
+
+    def test_the_plan_is_built_once_and_read_only(self):
+        # the one hold's maps, axis rows and ramped margins are built at
+        # import; a record builds its factors on first use and keeps them,
+        # and neither can be written
+        D, S = hold_maps(DEFAULT_PERIOD)
+        assert np.array_equal(rta._D, D) and np.array_equal(rta._S, S)
+        assert rta._RAMP.shape == (len(S), 9)
+        assert np.array_equal(rta._RAMP[-1], rta._MARGINS)
+        sp = SafetyParams()
+        factors = sp._barrier_terms + sp._hold_terms + sp._guarded_hold_terms
+        assert sp._guarded_hold_terms is sp._guarded_hold_terms
+        assert sp == SP and hash(sp) == hash(SP)  # the factors are not fields
+        for table in (rta._D, rta._S, rta._AXIS_ROWS, rta._RAMP, *factors):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+    def test_a_record_without_a_guard(self):
+        # v_max = 5 m/s leaves the box no braking at the keep-in sphere: the
+        # record still gives the barriers, their rows and the stated hold
+        # conditions, and only the guarded conditions and the filter refuse it
+        sp = SafetyParams(v_max=5.0)
+        x = np.array([100.0, 20.0, -5.0, 0.1, -0.2, 0.3])
+        assert np.array_equal(h_values_batch(x, sp)[0, :3], h_values_batch(x, SP)[0, :3])
+        assert np.array_equal(cbf_rows(x, sp)[1][:3], cbf_rows(x, SP)[1][:3])
+        k = hold_values(x, sp)
+        assert np.array_equal(k[:3], hold_values(x, SP)[:3]) and np.all(k[3:] > 4.0)
+        for call in (lambda: hold_values(x, sp, guarded=True),
+                     lambda: hold_gradients(x, sp, guarded=True),
+                     lambda: filter_control(x, np.zeros(3), sp)):
+            with pytest.raises(ValueError, match="cannot brake at the keep-in sphere"):
+                call()
 
 
 class TestKeepInGuardLooseEnd:
@@ -525,13 +556,13 @@ class TestKeepInGuardLooseEnd:
 
     def test_unguarded_stage_thrust_keeps_the_flown_hold_safe(self):
         assert 998.99 < np.linalg.norm(self.X[:3]) < 999.0
-        assert 0.0 < hold_values(self.X, SP, GUARD).min() < 1e-3
+        assert 0.0 < hold_values(self.X, SP, guarded=True).min() < 1e-3
         res = filter_control(self.X, self.U, SP)
         assert res.feasible and res.intervened
         D, S = hold_maps(DEFAULT_PERIOD)
         flown = _fly(D, S, self.X, res.u_act)
         assert h_values_batch(flown, SP).min() >= 4e-9
-        assert hold_values(flown, SP, GUARD).min() >= 2e-9
+        assert hold_values(flown, SP, guarded=True).min() >= 2e-9
 
     @pytest.mark.xfail(strict=True, reason="the guarded stages find no thrust for "
                        "this state, though the unguarded stage's thrust keeps "

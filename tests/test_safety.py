@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cwinspect.dynamics import DynamicsParams, cw_matrices
 from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, _barriers,
-                              _hold_jacobian, _hold_pass, _hold_terms,
+                              _hold_jacobian, _hold_pass,
                               cbf_rows, h_values, h_values_batch,
                               hold_gradients, hold_values, keep_in_guard)
 
@@ -305,7 +305,7 @@ class TestHoldConditions:
         rng = np.random.default_rng(13)
         X = np.concatenate([rng.uniform(900, 1000, (2000, 1)) * [[1.0, 0, 0]],
                             rng.uniform(-1.0, 1.0, (2000, 3))], axis=1)
-        inside = hold_values(X, SP, keep_in_guard(SP))[:, 1] >= 0.0
+        inside = hold_values(X, SP, guarded=True)[:, 1] >= 0.0
         assert inside.any()
         assert np.all(h_values_batch(X[inside], SP)[:, 1] >= 0.0)
 
@@ -318,20 +318,20 @@ class TestHoldConditions:
         C, b = cbf_rows(x, SP)  # c.u + b = dh2/dt since alpha(0) = 0
         best = b[1] + DP.u_max * np.abs(C[1]).sum()
         assert best == pytest.approx(-0.0019, abs=1e-4)
-        assert hold_values(x, SP, keep_in_guard(SP))[1] < 0.0  # outside the guard
+        assert hold_values(x, SP, guarded=True)[1] < 0.0  # outside the guard
 
     @pytest.mark.parametrize("guarded", [False, True])
     def test_gradients_match_finite_differences(self, guarded):
-        keep_in = keep_in_guard(SP) if guarded else None
         X = random_nonsingular_states(200, seed=14)
-        G = hold_gradients(X, SP, keep_in)
+        G = hold_gradients(X, SP, guarded=guarded)
         eps = 1e-6
         for j in range(6):
             Xp = X.copy()
             Xp[:, j] += eps
             Xm = X.copy()
             Xm[:, j] -= eps
-            fd = (hold_values(Xp, SP, keep_in) - hold_values(Xm, SP, keep_in)) / (2 * eps)
+            fd = (hold_values(Xp, SP, guarded=guarded)
+                  - hold_values(Xm, SP, guarded=guarded)) / (2 * eps)
             scale = np.maximum(np.linalg.norm(G, axis=2), 1e-8)
             assert np.all(np.abs(G[:, :, j] - fd) / scale < 1e-6)
 
@@ -540,7 +540,7 @@ class TestPassesMatchTheirFormulas:
         keep_in = keep_in_guard(SP) if guarded else None
         X = X[:, None] if layout == "row" else X[None]  # (N, 1, 6) or (1, N, 6)
         K_ref, T_ref = hold_pass_formula(X, SP, keep_in)
-        terms = _hold_terms(SP, keep_in)
+        terms = SP._guarded_hold_terms if guarded else SP._hold_terms
         K, T = _hold_pass(X, terms)
         assert same_bits(K, K_ref) and all(same_bits(t, r) for t, r in zip(T, T_ref))
         assert same_bits(_hold_jacobian(X, T, terms), hold_jacobian_formula(X, T_ref, SP, keep_in))
