@@ -14,7 +14,7 @@ bytes, with the cluster count and seed read at call time; a memo entry
 keeps each centre as Python floats with its unit direction, so only a step
 that inspected something new clusters again.  k-means++ (Arthur &
 Vassilvitskii, SODA 2007) draws its seeds from rows of the distance table,
-with one generator reset to the seed's state; each Lloyd step is a few
+with a generator of its own seeded anew; each Lloyd step is a few
 whole-array passes whose sums keep the order of a per-cluster mean, so the
 clustering is bit for bit the textbook loop the tests keep as oracle.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +110,14 @@ def generate_points() -> InspectionSphere:
 
 def _deputy_position(deputy_position) -> tuple[np.ndarray, float]:
     """The deputy position as a (3,) array and its norm, refused unless both
-    are finite (the norm overflows above ~1e154 m)."""
+    are finite.  The norm's square p.p overflows above ~1.3e154 m; there it
+    is formed without numpy's overflow warning, so the refusal is the one
+    error."""
     p = _vector(deputy_position, "deputy position", 3)
-    dist = math.sqrt(p.dot(p))
+    if math.hypot(*p.tolist()) < 1e154:  # Python floats do not warn
+        return p, math.sqrt(p.dot(p))
+    with np.errstate(over="ignore"):
+        dist = math.sqrt(p.dot(p))
     if not math.isfinite(dist):
         raise ValueError(f"deputy position must have a finite norm, not {p!r}")
     return p, dist
@@ -161,18 +165,6 @@ def _kmeans_pp_init(idx: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return _COORDS.take(idx.take(chosen), axis=1)
 
 
-@functools.lru_cache(maxsize=1)
-def _seeded(seed: int) -> tuple[np.random.Generator, dict]:
-    """One generator for ``seed`` and its freshly seeded state; resetting it
-    costs a sixth of building a generator.  Every fresh clustering shares
-    it, so its reset and draws hold ``_SEEDING``."""
-    rng = np.random.default_rng(seed)
-    return rng, rng.bit_generator.state
-
-
-_SEEDING = threading.Lock()
-
-
 @functools.lru_cache(maxsize=32)
 def _clusters(mask_key: bytes, count: int, seed: int) -> tuple:
     """k-means of the lattice points that the bool mask packed in
@@ -195,10 +187,7 @@ def _clusters(mask_key: bytes, count: int, seed: int) -> tuple:
         return (), ()
     coords = _COORDS.take(idx, axis=1)
     k = min(count, len(idx))
-    rng, state = _seeded(seed)
-    with _SEEDING:
-        rng.bit_generator.state = state
-        centers = _kmeans_pp_init(idx, k, rng)
+    centers = _kmeans_pp_init(idx, k, np.random.default_rng(seed))
     points, flat = coords[:, None, :], coords.ravel()
     # bin of coordinate c of a point in cluster j: c * k + j
     bins = k * np.arange(3)[:, None]

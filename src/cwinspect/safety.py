@@ -13,15 +13,15 @@ c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h; :func:`cbf_rows`
 returns the six rows of a state as arrays (C, b).  :func:`h_values` and
 :func:`cbf_rows` take one state (6,) or a batch (N, 6) and answer in the
 same form, without the leading axis for one state.  Values, gradients and
-rows come from one pass per state over the terms they share (range, speed,
-p.v, the braking-cone roots), as do the hold conditions below and the
-gradients the filter linearizes them with.  The rows of one state (6,),
-which the filter forms once per decision, come from a pass in Python
-floats, without numpy's per-call cost on six-element arrays; a batch
-(N, 6) takes the array pass.  The float pass adds its sums in the order
-of the array pass (p.v and each row's L_f h in the pairs numpy's einsum
-adds), so the two give the same bits and a batch row is its one-state
-call.
+rows come from one pass over the terms they share (range, speed, p.v, the
+braking-cone roots), written once over two sets of primitives: one
+state's six Python floats, which the filter forms once per decision
+without numpy's per-call cost on six-element arrays, and the six (N,)
+columns of a batch, so a batch row is its one-state call.  Its sums keep
+the order of the whole-array formulas the pass was cut down from (the
+norms as np.linalg.norm adds them, p.v and each row's L_f h in the pairs
+numpy's einsum adds), so both give those formulas' bits.  The hold
+conditions below and their gradients also come from one pass.
 
 Outside their nominal domains the square roots extend as odd functions,
 sign(s)*sqrt(2 a_max |s|), so a violated constraint reports a meaningful
@@ -91,12 +91,10 @@ DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
 
 _SMOOTH_FLOOR = 1e-6  # floor on norms/radicands at singular points
 _SIGNS = np.array([1.0, -1.0])  # keep-out and keep-in sides of a pair
-_SIGNS_COL = _SIGNS[:, None]
-# Scalars of the passes below as 0-d arrays, which numpy takes without the
+# Scalars of the hold passes as 0-d arrays, which numpy takes without the
 # conversion it makes of a Python float on every call: the same values.
 _FLOOR = np.array(_SMOOTH_FLOOR)
 _ZERO = np.array(0.0)
-_INF = np.array(math.inf)
 # Gradients of the axis-limit hold conditions k4..k9 = v_max -+ (xd, yd, zd),
 # the same at every state.
 _VELOCITY = np.arange(3, 6)
@@ -114,8 +112,8 @@ _KEEP_IN_RADIUS_MARGIN = 1.0
 @dataclass(frozen=True)
 class SafetyParams:
     """Constants of the six safety constraints (defaults per the mission).
-    A record builds its barrier and hold factors once, on first use, and
-    keeps them read-only; only the guarded ones need :func:`keep_in_guard`."""
+    A record builds its hold factors once, on first use, and keeps them
+    read-only; only the guarded ones need :func:`keep_in_guard`."""
 
     a_max: float = 0.078  # [m/s^2] max deceleration available for braking
     r_d: float = 5.0  # [m] deputy radius
@@ -134,18 +132,6 @@ class SafetyParams:
     @property
     def collision_radius(self) -> float:
         return self.r_d + self.r_c
-
-    @cached_property
-    def _barrier_terms(self) -> tuple:
-        """Factors of :func:`_barriers`: with rho the range, (s, o) form
-        (rho - (r_d + r_c), r_max - rho, nu0 + nu1 rho) as rho * s + o; then
-        2 a_max, a_max and v_max^2; w scales (p_hat, v_hat) into the gradient
-        of h3, and -2 v is that of h4..h6."""
-        return _read_only(np.array([1.0, -1.0, self.nu1]),
-                          np.array([-self.collision_radius, self.r_max, self.nu0]),
-                          np.array(2.0 * self.a_max), np.array(self.a_max),
-                          np.array(self.v_max**2), np.array([[self.nu1], [-1.0]]),
-                          np.array(-2.0))
 
     @cached_property
     def _hold_terms(self) -> tuple:
@@ -176,116 +162,90 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-# factors of cbf_rows: the transposed drift matrix A^T of cw_matrices and the mass
-_DRIFT_T, _MASS = _read_only(cw_matrices()[0].T, np.array(MASS))
-# the entries (3, 0), (3, 4), (4, 3) and (5, 2) of A, its nonzero entries
-# off the identity block, and the gains as floats
-_A30, _A34, _A43, _A52 = _DRIFT_T.T[(3, 3, 4, 5), (0, 4, 3, 2)].tolist()
+# the nonzero entries (3, 0), (3, 4), (4, 3) and (5, 2) of the drift matrix
+# A of cw_matrices off its identity block, and the gains, as floats
+_A30, _A34, _A43, _A52 = cw_matrices()[0][(3, 3, 4, 5), (0, 4, 3, 2)].tolist()
 _GAINS = DEFAULT_ALPHA_GAINS.tolist()
+# The primitives of _barrier_pass on one state's floats and on a batch's
+# columns: sqrt, copysign, the floors' max, the range-rate divisor (rho, or
+# inf at 0), and the packing of its results along an array's last axis.
+_FLOATS = (math.sqrt, math.copysign, max, lambda rho: rho if rho > 0.0 else math.inf, np.array)
+_COLUMNS = (np.sqrt, np.copysign, np.maximum, lambda rho: np.where(rho > 0.0, rho, math.inf),
+            lambda values: np.stack(np.broadcast_arrays(*values), axis=-1))
 
 
-def _barriers(X: np.ndarray, params: SafetyParams, grad: bool = True):
-    """Barrier values h (N, 6) of states X (N, 6) and, with ``grad``, their
-    gradients G (N, 6, 6), else None, from one pass over the shared terms:
-    range, speed, p.v and the two braking-cone roots.  The gradients floor
-    norms and roots at singular points."""
-    N = X.shape[0]
-    PV = X.reshape(N, 2, 3)
-    # range, speed: np.linalg.norm's arithmetic, whose sum of three squares
-    # adds them in order
-    sq = PV * PV
-    norms = sq[..., 0] + sq[..., 1]
-    norms += sq[..., 2]
-    np.sqrt(norms, out=norms)
-    rho = norms[:, 0]
-    v = X[:, 3:]
-    pv = np.einsum("ij,ij->i", X[:, :3], v)
-    s, o, two_a, a_max, v_max2, w, minus_two = params._barrier_terms
-    # the braking-cone distances rho - (r_d + r_c) and r_max - rho, then
-    # nu0 + nu1 rho
-    dev = rho[:, None] * s + o
-    root = np.sqrt(two_a * np.abs(dev[:, :2]))
-    rdot = pv / np.where(rho > _ZERO, rho, _INF)  # 0 at the origin
-    h = np.empty((N, NUM_CONSTRAINTS))
-    # sign(dev) root, the odd extension of the root
-    np.add(np.copysign(root, dev[:, :2]), rdot[:, None] * _SIGNS, out=h[:, :2])
-    np.subtract(dev[:, 2], norms[:, 1], out=h[:, 2])
-    np.subtract(v_max2, np.square(v), out=h[:, 3:])
-    if not grad:
-        return h, None
-    floored = np.maximum(norms, _FLOOR)
-    hats = PV / floored[:, :, None]  # p_hat, v_hat
-    p_hat = hats[:, :1]
-    rho_f = floored[:, :1]
-    # d(rdot)/dp = (v - rdot p_hat)/rho, d(rdot)/dv = p_hat
-    drdot_dp = (v - pv[:, None] / rho_f * hats[:, 0]) / rho_f
-    # d/d rho of the signed roots (the same on both sides of the boundary)
-    q = a_max / np.maximum(root, _FLOOR) * _SIGNS
-    G = np.zeros((N, NUM_CONSTRAINTS, 6))
-    np.add(q[:, :, None] * p_hat, _SIGNS_COL * drdot_dp[:, None], out=G[:, :2, :3])
-    np.multiply(_SIGNS_COL, p_hat, out=G[:, :2, 3:])
-    np.multiply(hats, w, out=G[:, 2].reshape(N, 2, 3))  # nu1 p_hat, -v_hat
-    np.multiply(v, minus_two, out=G.reshape(N, 36)[:, 21::7])  # -2 v on the diagonal
-    return h, G
-
-
-def _one_state_rows(x: list, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (C, b) of :func:`cbf_rows` for one state, six floats, in
-    Python floats: the arithmetic of :func:`_barriers` and of the drift and
-    L_f h lines of :func:`cbf_rows` for a batch of one, in the same order."""
-    if not all(map(math.isfinite, x)):
-        raise ValueError("states must be finite")
+def _barrier_pass(x, params: SafetyParams, ops, rows: bool = True):
+    """Barrier values h1..h6 of a state x = (p0, p1, p2, v0, v1, v2), six
+    Python floats with ``ops`` = _FLOATS or six (N,) columns with _COLUMNS.
+    With ``rows`` also their gradients G, six rows of six entries (0.0 off
+    the diagonal of h4..h6's), and b = L_f h + gain * h of :func:`cbf_rows`.
+    The gradients floor norms and roots at singular points."""
+    sqrt, copysign, floor, divisor, _ = ops
     p0, p1, p2, v0, v1, v2 = x
-    rho = math.sqrt((p0 * p0 + p1 * p1) + p2 * p2)
-    speed = math.sqrt((v0 * v0 + v1 * v1) + v2 * v2)
-    pv = (p0 * v0 + p2 * v2) + p1 * v1  # einsum's pair order
+    # range and speed add their squares in np.linalg.norm's order, and p.v
+    # adds its products in numpy einsum's pairs and from einsum's +0.0
+    rho = sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+    speed = sqrt((v0 * v0 + v1 * v1) + v2 * v2)
+    pv = 0.0 + ((p0 * v0 + p2 * v2) + p1 * v1)
     a_max, nu1 = params.a_max, params.nu1
     dev0 = rho - params.collision_radius
     dev1 = params.r_max - rho
-    root0 = math.sqrt(2.0 * a_max * abs(dev0))
-    root1 = math.sqrt(2.0 * a_max * abs(dev1))
-    rdot = pv / (rho if rho > 0.0 else math.inf)  # 0 at the origin
+    root0 = sqrt(2.0 * a_max * abs(dev0))
+    root1 = sqrt(2.0 * a_max * abs(dev1))
+    rdot = pv / divisor(rho)  # 0 at the origin
     v_max2 = params.v_max ** 2
-    h = (math.copysign(root0, dev0) + rdot, math.copysign(root1, dev1) - rdot,
+    # sign(dev) root, the odd extension of the root
+    h = (copysign(root0, dev0) + rdot, copysign(root1, dev1) - rdot,
          (rho * nu1 + params.nu0) - speed,
          v_max2 - v0 * v0, v_max2 - v1 * v1, v_max2 - v2 * v2)
-    rho_f = max(rho, _SMOOTH_FLOOR)
-    speed_f = max(speed, _SMOOTH_FLOOR)
+    if not rows:
+        return h
+    rho_f = floor(rho, _SMOOTH_FLOOR)
+    speed_f = floor(speed, _SMOOTH_FLOOR)
     p_hat = (p0 / rho_f, p1 / rho_f, p2 / rho_f)
     rdot_f = pv / rho_f
+    # d(rdot)/dp = (v - rdot p_hat)/rho, d(rdot)/dv = p_hat
     drdot_dp = [(v - rdot_f * e) / rho_f for v, e in zip((v0, v1, v2), p_hat)]
-    q0 = a_max / max(root0, _SMOOTH_FLOOR)
-    q1 = -(a_max / max(root1, _SMOOTH_FLOOR))
-    # the gradients of h1..h3; those of h4..h6 are -2 v on the diagonal
+    # d/d rho of the signed roots (the same on both sides of the boundary)
+    q0 = a_max / floor(root0, _SMOOTH_FLOOR)
+    q1 = -(a_max / floor(root1, _SMOOTH_FLOOR))
+    d0, d1, d2 = v0 * -2.0, v1 * -2.0, v2 * -2.0  # h4..h6's gradients, -2 v
     G = ([q0 * e + d for e, d in zip(p_hat, drdot_dp)] + list(p_hat),
          [q1 * e - d for e, d in zip(p_hat, drdot_dp)] + [-e for e in p_hat],
-         [e * nu1 for e in p_hat] + [-v0 / speed_f, -v1 / speed_f, -v2 / speed_f])
-    # the drift f = A x, the nonzero products of each row summed in order;
-    # the signed zeros that A's zero entries add to the array pass's sums,
-    # and einsum's start from +0.0 below, change no bit of the rows
+         [e * nu1 for e in p_hat] + [-v0 / speed_f, -v1 / speed_f, -v2 / speed_f],
+         (0.0, 0.0, 0.0, d0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, d1, 0.0),
+         (0.0, 0.0, 0.0, 0.0, 0.0, d2))
+    # the drift f = A x, the nonzero products of each row summed in order
     f0, f1, f2, f3, f4, f5 = (v0, v1, v2, p0 * _A30 + v1 * _A34, v0 * _A43, p2 * _A52)
-    # L_f h in einsum's pair order, plus gain * h
-    b = [(((g[0] * f0 + g[2] * f2) + g[4] * f4) + ((g[1] * f1 + g[3] * f3) + g[5] * f5))
-         + gain * hi for g, gain, hi in zip(G, _GAINS, h)]
-    diag = [v0 * -2.0, v1 * -2.0, v2 * -2.0]
-    b += [d * f + gain * hi for d, f, gain, hi in zip(diag, (f3, f4, f5), _GAINS[3:], h[3:])]
-    C = [g / MASS for g in G[0][3:] + G[1][3:] + G[2][3:]]  # L_g h
-    C += (diag[0] / MASS, 0.0, 0.0, 0.0, diag[1] / MASS, 0.0, 0.0, 0.0, diag[2] / MASS)
-    return np.array(C).reshape(6, 3), np.array(b)
+    # L_f h in einsum's pair order (one term for h4..h6), plus gain * h
+    lf = [((g[0] * f0 + g[2] * f2) + g[4] * f4) + ((g[1] * f1 + g[3] * f3) + g[5] * f5)
+          for g in G[:3]] + [d0 * f3, d1 * f4, d2 * f5]
+    return h, G, [lf_i + gain * hi for lf_i, gain, hi in zip(lf, _GAINS, h)]
+
+
+def _state_input(states) -> tuple:
+    """One state (6,) as six Python floats with _FLOATS, or finite states
+    (N, 6) as their six (N,) columns with _COLUMNS."""
+    arr = np.asarray(states, dtype=float)
+    if arr.shape != (6,):
+        return _as_state_matrix(arr)[0].T, _COLUMNS
+    x = arr.tolist()
+    if not all(map(math.isfinite, x)):
+        raise ValueError("states must be finite")
+    return x, _FLOATS
 
 
 def h_values(states, params: SafetyParams) -> np.ndarray:
     """Barrier values h1..h6 for one state (6,) or states (N, 6); returns
     (6,) or (N, 6)."""
-    X, single = _as_state_matrix(states)
-    h = _barriers(X, params, grad=False)[0]
-    return h[0] if single else h
+    x, ops = _state_input(states)
+    return ops[-1](_barrier_pass(x, params, ops, rows=False))
 
 
 def h_values_batch(states, params: SafetyParams) -> np.ndarray:
     """Barrier values for states of shape (N, 6); returns (N, 6)."""
     X, _ = _as_state_matrix(states)
-    return _barriers(X, params, grad=False)[0]
+    return _COLUMNS[-1](_barrier_pass(X.T, params, _COLUMNS, rows=False))
 
 
 def cbf_rows(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
@@ -296,17 +256,11 @@ def cbf_rows(states, params: SafetyParams) -> tuple[np.ndarray, np.ndarray]:
     shape (..., 6) with b_i = L_f h_i + gain_i * h_i, the gains of
     :data:`DEFAULT_ALPHA_GAINS`, without the leading axis for one state.
     """
-    arr = np.asarray(states, dtype=float)
-    if arr.shape == (6,):
-        return _one_state_rows(arr.tolist(), params)
-    X, _ = _as_state_matrix(arr)
-    h, G = _barriers(X, params)
-    # drift f(x) = A x, one row at a time: a batch row is its one-state call
-    # (one product over the batch rounds some rows differently)
-    f = (X[:, None] @ _DRIFT_T)[:, 0]
-    b = np.einsum("nij,nj->ni", G, f)  # L_f h
-    b += DEFAULT_ALPHA_GAINS * h
-    return G[:, :, 3:] / _MASS, b  # L_g h rows
+    x, ops = _state_input(states)
+    _, G, b = _barrier_pass(x, params, ops)
+    pack = ops[-1]
+    C = pack([c for g in G for c in g[3:]]) / MASS  # L_g h
+    return C.reshape(C.shape[:-1] + (6, 3)), pack(b)
 
 
 def keep_in_guard(params: SafetyParams) -> tuple[float, float]:

@@ -18,7 +18,7 @@ import cwinspect as cw
 from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step
 from cwinspect.harness import default_experiment, emit, run
 from cwinspect.rta import DEFAULT_PERIOD, filter_control
-from cwinspect.safety import _barriers, h_values_batch
+from cwinspect.safety import _COLUMNS, _barrier_pass, h_values_batch
 
 DP = cw.DynamicsParams()
 SP = cw.SafetyParams()
@@ -196,7 +196,10 @@ def test_criterion_4_gradients_match_finite_differences():
             continue
         X[got] = np.concatenate([p, v])
         got += 1
-    G = _barriers(X, SP)[1]  # the gradients cbf_rows takes its rows from
+    # the gradients cbf_rows takes its rows from, from the barrier pass on
+    # the batch's columns, as a dense (1000, 6, 6) array
+    G = _barrier_pass(X.T, SP, _COLUMNS)[1]
+    G = _COLUMNS[-1]([g for row in G for g in row]).reshape(-1, 6, 6)
     eps = 1e-5
     worst = 0.0
     for j in range(6):

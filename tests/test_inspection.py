@@ -442,8 +442,8 @@ class TestClusterMemo:
         self._assert_calls_match_oracle(sph, rng, calls=2)
 
     def test_threads_clustering_at_once_match_the_oracle(self):
-        # every fresh clustering resets and draws from one shared generator;
-        # threads switching every few bytecodes must not mix their draws
+        # every fresh clustering draws from a generator of its own; threads
+        # switching every few bytecodes must not mix their draws
         rng = np.random.default_rng(17)
         masks = [rng.random(SPHERE_POINT_COUNT) < 0.4 for _ in range(48)]
         pos = [30.0, -20.0, 10.0]

@@ -116,12 +116,18 @@ def _env_step(action):
      r"u_des must be finite and hold 3"),
     (lambda: cwinspect.nearest_uninspected_cluster(cwinspect.generate_points(), np.zeros(4)),
      r"deputy position must be finite and hold 3"),
+    # a norm whose square overflows: numpy's overflow warning came first
+    (lambda: cwinspect.update_inspected(cwinspect.generate_points(), [1e200, 0, 0], 0.0, False),
+     "finite norm"),
+    (lambda: cwinspect.nearest_uninspected_cluster(cwinspect.generate_points(), [1e200, 0, 0]),
+     "finite norm"),
 ], ids=["inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
         "update_inspected.string_illumination", "sun_vector.True", "sun_vector.np.True_",
         "cw_stm.bool_t", "step.wrong_size", "lqr_control.wrong_size",
         "scripted_orbit_control.wrong_size", "normalize_state.wrong_size",
         "inject_noise.wrong_size", "delta_v.wrong_size", "InspectionEnv.step.wrong_size",
-        "mlp_act.wrong_size", "solve_qp.wrong_size", "nearest_uninspected_cluster.wrong_size"])
+        "mlp_act.wrong_size", "solve_qp.wrong_size", "nearest_uninspected_cluster.wrong_size",
+        "update_inspected.overflowing_norm", "nearest_uninspected_cluster.overflowing_norm"])
 def test_bad_input_refused(call, match):
     # each returned NaN, took the value as a number or a truth value, or
     # raised an error that did not name the argument

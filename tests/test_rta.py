@@ -326,7 +326,12 @@ class TestFilter:
         batch = filter_control(X, U, SP)
         assert_rows_match(batch, X, U)
         assert batch.intervened[:20].any()
-        assert filter_control(X[:0], U[:0], SP).u_act.shape == (0, 3)
+        # no states: every field holds no entries
+        empty = filter_control(X[:0], U[:0], SP)
+        assert empty.u_act.shape == (0, 3) and empty.slack_used.shape == (0, 6)
+        assert empty.active_set == ()
+        for field in (empty.intervened, empty.deviation, empty.feasible, empty.stage):
+            assert field.shape == (0,)
 
     def test_batch_of_random_safe_states_matches_single(self):
         # states near the keep-out sphere or the speed limits, every h_i >= 0
@@ -521,7 +526,7 @@ class TestHoldRows:
         assert rta._RAMP.shape == (len(S), 9)
         assert np.array_equal(rta._RAMP[-1], rta._MARGINS)
         sp = SafetyParams()
-        factors = sp._barrier_terms + sp._hold_terms + sp._guarded_hold_terms
+        factors = sp._hold_terms + sp._guarded_hold_terms
         assert sp._guarded_hold_terms is sp._guarded_hold_terms
         assert sp == SP and hash(sp) == hash(SP)  # the factors are not fields
         for table in (rta._D, rta._S, rta._AXIS_ROWS, rta._RAMP, *factors):

@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwinspect.dynamics import DynamicsParams, cw_matrices
-from cwinspect.safety import (DEFAULT_ALPHA_GAINS, SafetyParams, _barriers,
-                              _hold_jacobian, _hold_pass,
+from cwinspect.safety import (_COLUMNS, _FLOATS, DEFAULT_ALPHA_GAINS, SafetyParams,
+                              _barrier_pass, _hold_jacobian, _hold_pass,
                               cbf_rows, h_values, h_values_batch,
                               hold_gradients, hold_values, keep_in_guard)
 
@@ -28,11 +28,20 @@ def is_safe(x, params):
     return h_values(x, params).min() >= 0
 
 
+def dense_pass(x, ops, params=SP):
+    """h (..., 6) and the dense gradients (..., 6, 6), indexed [state,
+    constraint, component], of the barrier pass that cbf_rows takes its
+    rows from: on one state's six floats with ``ops`` = _FLOATS, or on a
+    batch's six columns with _COLUMNS."""
+    h, G, _ = _barrier_pass(x, params, ops)
+    pack = ops[-1]
+    G = pack([g for row in G for g in row])
+    return pack(h), G.reshape(G.shape[:-1] + (6, 6))
+
+
 def grad_h(states, params):
-    """Barrier gradients (N, 6, 6), indexed [state, constraint, component],
-    of one state (6,) or states (N, 6): the pass cbf_rows takes its rows
-    from."""
-    return _barriers(np.atleast_2d(np.asarray(states, dtype=float)), params)[1]
+    """Barrier gradients (N, 6, 6) of one state (6,) or states (N, 6)."""
+    return dense_pass(np.atleast_2d(np.asarray(states, dtype=float)).T, _COLUMNS, params)[1]
 
 
 def random_nonsingular_states(count, seed):
@@ -123,6 +132,9 @@ class TestOneOrBatch:
 
     def test_empty_batch(self):
         assert h_values(np.zeros((0, 6)), SP).shape == (0, 6)
+        # the columns of no states stack into rows of no states
+        C, b = cbf_rows(np.zeros((0, 6)), SP)
+        assert C.shape == (0, 6, 3) and b.shape == (0, 6)
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (12,), (2, 6, 1), (6, 2)])
     def test_bad_shapes_rejected(self, shape):
@@ -227,6 +239,9 @@ class TestRows:
         X = random_nonsingular_states(20, seed=8)
         C, b = cbf_rows(X, SP)
         assert C.shape == (20, 6, 3) and b.shape == (20, 6)
+        # the filter's slack C @ u rounds a transposed view of the same
+        # values differently
+        assert C.flags.c_contiguous and b.flags.c_contiguous
         for k in range(20):
             Ck, bk = cbf_rows(X[k], SP)
             assert Ck.shape == (6, 3) and bk.shape == (6,)
@@ -505,11 +520,18 @@ class TestPassesMatchTheirFormulas:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(X=ORACLE_BATCH)
+    # p.v = -0.0 in the pass's pairs, +0.0 in einsum's sum
+    @example(X=np.array([[0.0, 0.0, -0.0, -0.0, -0.0, 0.0]]))
     def test_barrier_pass(self, X):
+        # the one pass on the batch's columns and on each state's floats
         h_ref, G_ref = barriers_formula(X, SP)
-        h, G = _barriers(X, SP)
+        h, G = dense_pass(X.T, _COLUMNS)
         assert same_bits(h, h_ref) and same_bits(G, G_ref)
-        assert same_bits(_barriers(X, SP, grad=False)[0], h_ref)
+        assert same_bits(_COLUMNS[-1](_barrier_pass(X.T, SP, _COLUMNS, rows=False)), h_ref)
+        for k, x in enumerate(X.tolist()):
+            h, G = dense_pass(x, _FLOATS)
+            assert same_bits(h, h_ref[k]) and same_bits(G, G_ref[k]), k
+            assert same_bits(np.array(_barrier_pass(x, SP, _FLOATS, rows=False)), h_ref[k]), k
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(X=ORACLE_BATCH)
@@ -570,12 +592,15 @@ class TestPassesMatchTheirFormulas:
             assert same_bits(h[k], h_values(x, SP)), k
 
     def test_norms_are_np_linalg_norm(self):
-        # the barrier pass adds the three squares in np.linalg.norm's order
+        # the barrier pass adds the three squares in np.linalg.norm's order,
+        # on the batch's columns and on each state's floats
         rng = np.random.default_rng(3)
         X = rng.normal(0, 300, (2000, 6)) * np.exp(rng.normal(0, 4, (2000, 6)))
-        h, _ = _barriers(X, SP, grad=False)
-        assert same_bits(h[:, 2], SP.nu0 + SP.nu1 * np.linalg.norm(X[:, :3], axis=1)
-                         - np.linalg.norm(X[:, 3:], axis=1))
+        h3_ref = (SP.nu0 + SP.nu1 * np.linalg.norm(X[:, :3], axis=1)
+                  - np.linalg.norm(X[:, 3:], axis=1))
+        assert same_bits(_barrier_pass(X.T, SP, _COLUMNS, rows=False)[2], h3_ref)
+        h3 = [_barrier_pass(x, SP, _FLOATS, rows=False)[2] for x in X.tolist()]
+        assert same_bits(np.array(h3), h3_ref)
 
 
 class TestHoldInputs:
