@@ -29,14 +29,14 @@ print(f"initial range {np.linalg.norm(state[:3]):.2f} m, "
 drift_rk4 = state
 for _ in range(180):
     drift_rk4 = step(drift_rk4, np.zeros(3), 10.0)
-drift_exact = cw_stm(n, 1800.0) @ state
+drift_exact = cw_stm(1800.0) @ state
 err = np.abs(drift_rk4 - drift_exact).max()
 print(f"\nafter 1800 s of free drift: range "
       f"{np.linalg.norm(drift_rk4[:3]):.2f} m")
 print(f"propagation vs closed form, worst component difference: {err:.2e}")
 
 # a radial offset is not an equilibrium: it drifts along-track
-one_orbit = cw_stm(n, 2 * math.pi / n)
+one_orbit = cw_stm(2 * math.pi / n)
 radial = one_orbit @ np.array([100.0, 0, 0, 0, 0, 0])
 print(f"\n100 m radial offset drifts {radial[1]:.0f} m in-track per orbit")
 # ... unless the in-track rate cancels the secular term (2:1 ellipse)

@@ -69,11 +69,12 @@ def _cmd_run(args) -> int:
 
     try:
         log, summary = run(cfg)
+        write_run(log, summary, args.out, formats)
     except (OSError, ValueError) as exc:
-        # a missing or unreadable weights file, or weights that do not fit
+        # a missing or unreadable weights file, weights that do not fit, or
+        # an --out that is a file or cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_run(log, summary, args.out, formats)
     print(f"controller={summary['controller_resolved']} steps={summary['steps']} "
           f"inspected={summary['inspected']}/99 delta_v={summary['delta_v']:.2f} m/s "
           f"reward={summary['reward']:.2f} min_distance={summary['min_distance']:.2f} m "

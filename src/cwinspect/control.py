@@ -95,10 +95,15 @@ def lqr_design() -> np.ndarray:
     return K
 
 
-def lqr_control(K: np.ndarray, x) -> np.ndarray:
-    """u = clamp(-K x) to the per-axis thrust box for the gain ``K`` of
+# the one LQR gain, built once, read-only
+_LQR_GAIN = lqr_design()
+_LQR_GAIN.setflags(write=False)
+
+
+def lqr_control(x) -> np.ndarray:
+    """u = clamp(-K x) to the per-axis thrust box for the gain K of
     :func:`lqr_design` and the finite 6-state ``x``."""
-    return _clamp(-K @ _vector(x, "state", 6), U_MAX)
+    return _clamp(-_LQR_GAIN @ _vector(x, "state", 6), U_MAX)
 
 
 @dataclass
@@ -112,7 +117,6 @@ class MlpLayer:
 class MlpPolicy:
     layers: list
     input_dim: int
-    output_dim: int = OUTPUT_DIM
 
 
 def _validate_policy(layers, input_dim: int) -> MlpPolicy:

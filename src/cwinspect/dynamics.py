@@ -6,7 +6,8 @@ closed-form free-motion state transition matrix (used as an oracle for the
 propagation).  A state is a (6,) array [x, y, z, xd, yd, zd], or (N, 6) for a
 batch.  The package flies one chief/deputy pair, whose constants
 :data:`MEAN_MOTION`, :data:`MASS` and :data:`U_MAX` no function takes as
-arguments; :class:`DynamicsParams` is their read-only record.
+arguments but ``mlp_act`` (its ``u_max``); :class:`DynamicsParams` is their
+read-only record.
 
 The system is linear, so a hold of constant thrust is one affine map of the
 state.  One RK4 substep of the linear system, written as its matrix
@@ -258,17 +259,16 @@ def _hold_maps(period: float) -> tuple[np.ndarray, np.ndarray]:
     return D, S
 
 
-def cw_stm(n: float, t: float) -> np.ndarray:
-    """Closed-form Clohessy-Wiltshire state transition matrix Phi(t).
+def cw_stm(t: float) -> np.ndarray:
+    """Closed-form Clohessy-Wiltshire transition matrix Phi(t) at MEAN_MOTION.
 
     Maps a free-motion (u = 0) state [x, y, z, xd, yd, zd] at time 0 to the
     state at time ``t``.  Exact to machine precision; serves as the oracle
-    for the propagation substep.  Raises ``ValueError`` unless ``n`` is
-    positive and finite and ``t`` is finite, neither a bool.
+    for the propagation substep.  Raises ``ValueError`` unless ``t`` is a
+    finite number, not a bool.
     """
-    _positive(n, "n")
-    _finite(t, "t")
-    nt = n * t
+    n = MEAN_MOTION
+    nt = n * _finite(t, "t")
     c = math.cos(nt)
     s = math.sin(nt)
     return np.array([

@@ -82,8 +82,9 @@ def normalize_state(vec6) -> np.ndarray:
 def build_observation(x, sun_angle: float, sphere, mode: str) -> np.ndarray:
     """Observation for ``mode`` of the 6-state ``x``, ``sun_angle`` wrapped to
     [0, 2pi).  The all-sensors observation is written into one (11,) array.
-    Its cluster direction is memoized on the sphere's points and inspected
-    mask (see :func:`cwinspect.inspection.nearest_uninspected_cluster`), so
+    Its cluster direction is memoized on the sphere's inspected mask, the
+    cluster count and the k-means seed (see
+    :func:`cwinspect.inspection.nearest_uninspected_cluster`), so
     only a call after newly inspected points clusters again; a call with the
     same mask only picks the centre nearest the deputy.  Raises ValueError
     for a non-finite state, or in all-sensors mode a sun angle that is not a

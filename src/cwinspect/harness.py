@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inspection
-from .control import (lqr_control, lqr_design, mlp_act, mlp_load,
-                      scripted_orbit_control)
+from .control import lqr_control, mlp_act, mlp_load, scripted_orbit_control
 from .dynamics import (MASS, MEAN_MOTION, _flag, _fly, _integer, _positive, _vector,
                        hold_maps)
 from .env import OBS_ALL_SENSORS, OBS_NO_SENSORS, PAPER_INITIAL_STATE, \
@@ -248,8 +247,7 @@ def _resolve_controller(cfg: ExperimentConfig):
     in the box, and its label."""
     name = cfg.controller
     if name == "lqr":
-        K = lqr_design()
-        return (lambda x, theta, sphere: lqr_control(K, x)), "lqr"
+        return (lambda x, theta, sphere: lqr_control(x)), "lqr"
     if name == "scripted" or not cfg.weights_path:
         # an NNC without trained weights flies the scripted circumnavigation
         label = "scripted" if name == "scripted" else f"scripted (stand-in for {name})"

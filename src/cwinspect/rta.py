@@ -6,23 +6,27 @@ in equal RK4 substeps.  The Clohessy-Wiltshire system is linear, so every
 substep state of the hold is affine in the held thrust,
 x_j = x + D_j x + S_j u, on the maps of :func:`cwinspect.dynamics.hold_maps`
 (which also set the substep count), flown as the simulator flies them, bit
-for bit.  The filter returns the thrust closest to u_des that
+for bit.  The filter returns the request when it meets the continuous rows
+below and its hold the exact check: every hold condition of
+:func:`cwinspect.safety.hold_values` (and with them every barrier h1..h6)
+at least min(0, k0), k0 its value at x, at every substep state x_1..x_J,
+with the keep-in cone guarded strictly inside the stated one
+(:func:`cwinspect.safety.keep_in_guard`).  Otherwise it returns the optimum
+of the linearized QP at the first iterate whose hold passes that check:
+the thrust closest to u_des that
 
   * satisfies the six continuous-time barrier rows c_i.u + b_i >= 0 at x
     (:func:`cwinspect.safety.cbf_rows`),
-  * keeps the nine hold conditions of :func:`cwinspect.safety.hold_values`,
-    and with them every barrier h1..h6, non-negative at every substep state
-    x_1..x_J, with the keep-in cone guarded strictly inside the stated one
-    (:func:`cwinspect.safety.keep_in_guard`),
-  * lies in the per-axis thrust box |u_k| <= u_max
-    (:data:`cwinspect.dynamics.U_MAX`).
+  * keeps k1..k3, linearized about the previous iterate's hold, at least
+    min(m, k0 + m j / J) + 2 _FEAS_TOL at substep j of J, m = _HOLD_MARGIN,
+    and the axis-limit conditions k4..k9, exact rows in u, at least
+    min(0, k0) + 2 _FEAS_TOL,
+  * lies in the per-axis thrust box |u_k| <= :data:`cwinspect.dynamics.U_MAX`.
 
-The axis-limit conditions are exact linear rows in u, the same for every
-state, built at import with the hold maps.  The others are linearized
-about the hold flown by the current iterate, starting from the optimum over
-the continuous rows alone, with the terms of the pass that evaluated that
-hold, and the QP is solved again (sequential linearization) until the exact
-substep values hold.  Each QP is solved exactly by a dual active-set method
+Served at the first iterate, the optimum over the continuous rows and the
+box alone, the thrust is the exact optimum; served later, held off the
+check's boundary by the margin, it need not be the closest thrust that
+passes the check.  Each QP is solved exactly by a dual active-set method
 (Goldfarb & Idnani 1983).  A batch (N, 6) screens its requests together in
 one hold pass and hands each state whose request fails that screen to the
 one stage walker that a single state (6,) takes, so a batch row is its one
@@ -48,8 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (U_MAX, _add_thrust, _clamp, _free_motion, _positive, _vector,
-                       hold_maps)
+from .dynamics import U_MAX, _add_thrust, _clamp, _free_motion, _vector, hold_maps
 from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
                      _hold_jacobian, _hold_pass, cbf_rows)
 
@@ -94,12 +97,6 @@ _MAX_QP_ITER = 100
 # it relaxes them when the linearized QP admits no thrust.
 _STAGES = ((True, True), (True, False), (False, False))
 _BOX = np.vstack([-np.eye(3), np.eye(3)])
-# Scalars as 0-d arrays, which numpy takes without converting a Python float
-# on every call: the same values.
-_ZERO = np.array(0.0)
-_NEG_FEAS_TOL = np.array(-_FEAS_TOL)
-_FEAS_TOL_0D = np.array(_FEAS_TOL)
-_TWICE_FEAS_TOL = np.array(2.0 * _FEAS_TOL)
 
 
 @dataclass
@@ -121,11 +118,10 @@ class FilterResult:
     stage: int
 
 
-def _checked_input(u_des, rows, u_max: float):
+def _checked_input(u_des, rows):
     """A finite request (3,), and finite rows (C, b) as (N, 3) and (N,)
-    arrays of one length, for a positive and finite ``u_max``."""
+    arrays of one length."""
     u_des = _vector(u_des, "u_des", 3)
-    _positive(u_max, "u_max")
     C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
     b = np.asarray(rows[1], dtype=float).reshape(-1)
     if len(C) != len(b):
@@ -218,8 +214,9 @@ def _dual_active_set(u0: np.ndarray, A: np.ndarray, d: np.ndarray):
     return None, (), False  # cycling under rounding: treat as no solution
 
 
-def solve_qp(u_des, rows, u_max: float):
-    """Exact minimizer of ||u - u_des|| over the rows and the thrust box.
+def solve_qp(u_des, rows):
+    """Exact minimizer of ||u - u_des|| over the rows and the thrust box
+    |u_k| <= :data:`cwinspect.dynamics.U_MAX`.
 
     ``rows`` is a tuple (C, b) with C (N, 3) and b (N,).  Returns
     (u, active_set, feasible); ``u`` is None when the intersection is
@@ -228,31 +225,32 @@ def solve_qp(u_des, rows, u_max: float):
     and N+3..N+5 for the lower faces.  A request that already satisfies
     every constraint is returned unchanged with an empty active set.
     """
-    u_des, C, b = _checked_input(u_des, rows, u_max)
+    u_des, C, b = _checked_input(u_des, rows)
     # constraints in the uniform form a_j . u >= d_j
     A = np.concatenate([C, _BOX])
     d = np.empty(len(b) + 6)
     np.negative(b, out=d[:len(b)])
-    d[len(b):] = -u_max
+    d[len(b):] = -U_MAX
     return _dual_active_set(u_des, A, d)
 
 
-def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
+def infeasible_fallback(u_des, rows) -> np.ndarray:
     """Least-violation control over the thrust box.
 
     Minimizes f(u) = sum_i max(0, -(c_i.u + b_i))^2 + 1e-6 ||u - u_des||^2
-    subject to |u_j| <= u_max by Newton steps from the clamped request: each
-    minimizes over the box the quadratic model of f on the rows violated at
-    the iterate and is halved until f descends; it stops when none does.
+    subject to |u_j| <= :data:`cwinspect.dynamics.U_MAX` by Newton steps
+    from the clamped request: each minimizes over the box the quadratic
+    model of f on the rows violated at the iterate and is halved until f
+    descends; it stops when none does.
     Coincides with :func:`solve_qp` to about 1e-6 when the rows are feasible.
     """
-    u_des, C, b = _checked_input(u_des, rows, u_max)
+    u_des, C, b = _checked_input(u_des, rows)
 
     def objective(U):  # of thrusts (k, 3)
         viol = np.minimum(0.0, U @ C.T + b)
         return (viol * viol).sum(axis=1) + _PENALTY_WEIGHT * ((U - u_des) ** 2).sum(axis=1)
 
-    u = _clamp(u_des, u_max)
+    u = _clamp(u_des, U_MAX)
     f = objective(u[None])[0]
     for _ in range(_MAX_QP_ITER):
         V = C @ u + b < 0.0
@@ -261,21 +259,21 @@ def infeasible_fallback(u_des, rows, u_max: float) -> np.ndarray:
         M = C[V].T @ C[V] + _PENALTY_WEIGHT * np.eye(3)
         q = C[V].T @ b[V] - _PENALTY_WEIGHT * u_des
         L_inv = np.linalg.inv(np.linalg.cholesky(M))
-        _, active, ok = _dual_active_set(-L_inv @ q, _BOX @ L_inv.T, np.full(6, -u_max))
+        _, active, ok = _dual_active_set(-L_inv @ q, _BOX @ L_inv.T, np.full(6, -U_MAX))
         if not ok:
             break
         # M can be ill-conditioned: w is put on the active faces exactly
         w, free = np.zeros(3), np.ones(3, dtype=bool)
         for a in active:
-            w[a % 3], free[a % 3] = (u_max if a < 3 else -u_max), False
+            w[a % 3], free[a % 3] = (U_MAX if a < 3 else -U_MAX), False
         w[free] = np.linalg.solve(M[free][:, free], -q[free] - M[free][:, ~free] @ w[~free])
-        trial = u + 0.5 ** np.arange(40)[:, None] * (_clamp(w, u_max) - u)
+        trial = u + 0.5 ** np.arange(40)[:, None] * (_clamp(w, U_MAX) - u)
         f_trial = objective(trial)
         descends = (f_trial < f).nonzero()[0]
         if not descends.size:
             break
         u, f = trial[descends[0]], f_trial[descends[0]]
-    return _clamp(u, u_max)
+    return _clamp(u, U_MAX)
 
 
 def _holds(X, U, terms):
@@ -288,7 +286,7 @@ def _holds(X, U, terms):
     H = _add_thrust(X, F, _S, U)
     K, (floored, rdot) = _hold_pass(np.concatenate([X[:, None], H], axis=1), terms)
     K0 = K[:, :1]
-    return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(_ZERO, K0), F
+    return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(0.0, K0), F
 
 
 def _row_numbers(act, rows, n_rows: int) -> tuple:
@@ -331,7 +329,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
         guarded, with_cont = _STAGES[stage]
         stage_terms = params._guarded_hold_terms if guarded else params._hold_terms
         H, K, T, K0, floors, F = hold if guarded else _holds(X, U, stage_terms)
-        targets = np.minimum(_MARGINS, K0 + _RAMP) + _TWICE_FEAS_TOL
+        targets = np.minimum(_MARGINS, K0 + _RAMP) + 2.0 * _FEAS_TOL
         u, active = U, ()
         # without the continuous rows: rows that never bind, keeping the row numbering
         C_cont, b_cont = (C6, b6) if with_cont else (np.zeros_like(C6), np.ones_like(b6))
@@ -341,7 +339,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
             # point to linearize at that is closer to the solution than the
             # request; an optimum with no active row is its request.
             C, b = C6[0], b6[0]
-            u_new, act, ok = solve_qp(u_des, (C, b), U_MAX)
+            u_new, act, ok = solve_qp(u_des, (C, b))
             if not ok:
                 continue
             if act:
@@ -357,7 +355,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
                 break
             rows = live[0].nonzero()[0]
             C, b = C[0, rows], b[0, rows]
-            u_new, act, ok = solve_qp(u_des, (C, b), U_MAX)
+            u_new, act, ok = solve_qp(u_des, (C, b))
             if not ok:
                 break
             u, active = u_new[None], _row_numbers(act, rows, n_rows)
@@ -365,7 +363,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
             K, T = _hold_pass(H, stage_terms)
     # no stage found a thrust: the least violation of the last stage's rows
     rows = (np.vstack([C6[0], C]), np.concatenate([b6[0], b]))
-    return infeasible_fallback(u_des, rows, U_MAX)[None], (), False, len(_STAGES)
+    return infeasible_fallback(u_des, rows)[None], (), False, len(_STAGES)
 
 
 def _filter_one(X, U, C6, b6, params: SafetyParams):
@@ -374,7 +372,7 @@ def _filter_one(X, U, C6, b6, params: SafetyParams):
     stage)."""
     hold = _holds(X, U, params._guarded_hold_terms)
     if ((hold[1] >= hold[4]).all()
-            and (np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all()):
+            and (np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all()):
         return U, (), True, 0  # the request is its own thrust
     return _stages(X, U, C6, b6, hold, params)
 
@@ -385,7 +383,7 @@ def _filter_states(X, U, C6, b6, params: SafetyParams):
     :func:`_stages` for each state that fails it, on its slice of the
     screen's holds.  Returns (U_act, active list, feasible, stage)."""
     H, K, (floored, rdot), K0, floors, F = _holds(X, U, params._guarded_hold_terms)
-    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= _NEG_FEAS_TOL).all(axis=1)
+    admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
                   & (K >= floors).all(axis=(1, 2)))
     U_act, active = U.copy(), [()] * len(X)
     feasible, stage = np.ones(len(X), dtype=bool), np.zeros(len(X), dtype=int)
@@ -426,8 +424,8 @@ def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
         X, U, C, b, params)
     # np.linalg.norm's arithmetic, one row at a time
     deviation = [math.sqrt(du.dot(du)) for du in U_act - U]
-    slack = np.maximum(_ZERO, -((C @ U_act[:, :, None])[..., 0] + b))
-    met = (slack <= _FEAS_TOL_0D).all(axis=1)  # the continuous rows too
+    slack = np.maximum(0.0, -((C @ U_act[:, :, None])[..., 0] + b))
+    met = (slack <= _FEAS_TOL).all(axis=1)  # the continuous rows too
     if single:
         return FilterResult(U_act[0], deviation[0] > _INTERVENTION_TOL, deviation[0],
                             active, feasible and bool(met[0]), slack[0], stage)

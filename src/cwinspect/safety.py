@@ -91,10 +91,6 @@ DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
 
 _SMOOTH_FLOOR = 1e-6  # floor on norms/radicands at singular points
 _SIGNS = np.array([1.0, -1.0])  # keep-out and keep-in sides of a pair
-# Scalars of the hold passes as 0-d arrays, which numpy takes without the
-# conversion it makes of a Python float on every call: the same values.
-_FLOOR = np.array(_SMOOTH_FLOOR)
-_ZERO = np.array(0.0)
 # Gradients of the axis-limit hold conditions k4..k9 = v_max -+ (xd, yd, zd),
 # the same at every state.
 _VELOCITY = np.arange(3, 6)
@@ -294,7 +290,7 @@ def _hold_pass(X: np.ndarray, terms):
     shape = X.shape[:-1]
     PV = X.reshape(shape + (2, 3))
     norms = np.sqrt(np.einsum("...i,...i->...", PV, PV))
-    floored = np.maximum(norms, _FLOOR)
+    floored = np.maximum(norms, _SMOOTH_FLOOR)
     v = X[..., 3:]
     rdot = np.einsum("...i,...i->...", X[..., :3], v) / floored[..., 0]
     s, o, c, _, _, v_max = terms
@@ -302,7 +298,7 @@ def _hold_pass(X: np.ndarray, terms):
     # 2 a_max (rho - (r_d + r_c)), 2 a (r - rho), nu0 + nu1 rho, less
     # min(rdot, 0)^2, max(rdot, 0)^2 = min(-rdot, 0)^2 and the speed
     lead = c * (norms[..., :1] * s + o)
-    np.subtract(lead[..., :2], np.square(np.minimum(rdot[..., None] * _SIGNS, _ZERO)),
+    np.subtract(lead[..., :2], np.square(np.minimum(rdot[..., None] * _SIGNS, 0.0)),
                 out=k[..., :2])
     np.subtract(lead[..., 2], norms[..., 1], out=k[..., 2])
     np.subtract(v_max, v, out=k[..., 3:6])
@@ -321,8 +317,8 @@ def _hold_jacobian(X: np.ndarray, T, terms) -> np.ndarray:
     drdot_dp = (X[..., None, 3:] - r * p_hat) / floored[..., None, :1]
     # d(-min(rdot, 0)^2)/d(rdot) and d(-max(rdot, 0)^2)/d(rdot)
     w = np.empty(rdot.shape + (2, 1))
-    np.minimum(r, _ZERO, out=w[..., :1, :])
-    np.maximum(r, _ZERO, out=w[..., 1:, :])
+    np.minimum(r, 0.0, out=w[..., :1, :])
+    np.maximum(r, 0.0, out=w[..., 1:, :])
     w *= -2.0
     _, _, _, c, w3, _ = terms
     G = np.empty(X.shape[:-1] + (3, 6))

@@ -19,6 +19,7 @@ from cwinspect.dynamics import DEFAULT_SUBSTEP, cw_stm, rk4_zoh_map, step
 from cwinspect.harness import default_experiment, emit, run
 from cwinspect.rta import DEFAULT_PERIOD, filter_control
 from cwinspect.safety import _COLUMNS, _barrier_pass, h_values_batch
+from test_rta import lattice_search
 
 DP = cw.DynamicsParams()
 SP = cw.SafetyParams()
@@ -130,16 +131,6 @@ def test_criterion_2_forward_invariance_suite():
 
 # -- criterion 3: QP correctness against a brute-force lattice ---------------
 
-def _lattice_best(u_des, C, b, u_max, n=51):
-    axis = np.linspace(-u_max, u_max, n)
-    U = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-    feas = np.all(U @ C.T + b >= -1e-9, axis=1)
-    if not np.any(feas):
-        return None
-    cand = U[feas]
-    return cand[np.argmin(np.sum((cand - u_des) ** 2, axis=1))]
-
-
 def test_criterion_3_qp_matches_lattice_search():
     rng = np.random.default_rng(314)
     resolution = 2.0 / 50.0  # 0.04 N per axis on the 51-point grid
@@ -159,8 +150,8 @@ def test_criterion_3_qp_matches_lattice_search():
         C, b = cw.cbf_rows(x, SP)
         u_des = rng.uniform(-1.0, 1.0, 3)
 
-        u_qp, _, qp_feasible = cw.solve_qp(u_des, (C, b), DP.u_max)
-        u_lat = _lattice_best(u_des, C, b, DP.u_max)
+        u_qp, _, qp_feasible = cw.solve_qp(u_des, (C, b))
+        u_lat = lattice_search(u_des, C, b)
         if np.all(C @ u_des + b >= 0.0):
             assert qp_feasible and np.linalg.norm(u_qp - u_des) == 0.0
             feasible_zero += 1
@@ -225,7 +216,7 @@ def test_criterion_5_rk4_matches_transition_matrix():
     X = X0.copy()
     for _ in range(6000):
         X = step(X, np.zeros(3), 1.0)
-    ref = X0 @ cw_stm(DP.mean_motion, 6000.0).T
+    ref = X0 @ cw_stm(6000.0).T
     pos_err = np.abs(X[:, :3] - ref[:, :3]).max()
     vel_err = np.abs(X[:, 3:] - ref[:, 3:]).max()
     with report(5, "RK4 vs closed-form free motion over 6000 s, 1000 states"):

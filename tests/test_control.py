@@ -53,12 +53,11 @@ class TestLqr:
             lqr_design(Q, R)
 
     def test_zero_state_zero_control(self):
-        K = lqr_design()
-        assert np.allclose(lqr_control(K, np.zeros(6)), 0.0)
+        assert np.allclose(lqr_control(np.zeros(6)), 0.0)
 
     def test_far_state_saturates(self):
         K = lqr_design()
-        u = lqr_control(K, np.array([100.0, 0, 0, 0, 0, 0]))
+        u = lqr_control(np.array([100.0, 0, 0, 0, 0, 0]))
         raw = -K @ np.array([100.0, 0, 0, 0, 0, 0])
         assert np.any(np.abs(raw) > DP.u_max)  # would exceed the box
         assert np.all(np.abs(u) <= DP.u_max)
@@ -71,24 +70,22 @@ class TestLqr:
             for _ in range(50):
                 x = rng.normal(0, scale, 6)
                 expected = np.clip(-K @ x, -DP.u_max, DP.u_max)
-                assert lqr_control(K, x).tobytes() == expected.tobytes()
+                assert lqr_control(x).tobytes() == expected.tobytes()
 
     def test_linear_before_saturation(self):
-        K = lqr_design()
         x = np.array([0.5, -0.2, 0.3, 0.001, 0, 0])
-        u1 = lqr_control(K, x)
-        u2 = lqr_control(K, 2 * x)
+        u1 = lqr_control(x)
+        u2 = lqr_control(2 * x)
         assert np.all(np.abs(u2) < DP.u_max)
         assert np.allclose(u2, 2 * u1)
 
     def test_unfiltered_lqr_reaches_collision(self):
         # from the mission initial state the raw LQR passes inside 10 m,
         # so any safe outcome is attributable to the filter
-        K = lqr_design()
         x = np.array([21.8, -11.3, 41.8, 0, 0, 0])
         min_dist = np.linalg.norm(x[:3])
         for _ in range(2000):
-            x = step(x, lqr_control(K, x), 2.0)
+            x = step(x, lqr_control(x), 2.0)
             min_dist = min(min_dist, np.linalg.norm(x[:3]))
             if min_dist < 10.0:
                 break

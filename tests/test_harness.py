@@ -663,6 +663,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "summary.json").exists()
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        # used to end in a FileExistsError traceback and exit 1
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli_main(["run", "--experiment", "1", "--out", str(out),
+                       "--max-duration", "20"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == ""
+
     def test_run_with_weights_flag(self, tmp_path):
         from cwinspect.control import mlp_save, random_policy
         weights = tmp_path / "w.json"

@@ -32,7 +32,7 @@ def test_runs_without_scipy():
         log, summary = cw.run(cfg)
         assert summary["steps"] == 100 and summary["interventions"] > 0
         C = np.array([[-1 / 6, 0, 0], [1 / 6, 0, 0]])
-        u = cw.infeasible_fallback([0.9, 0.0, 0.0], (C, np.array([-0.5, -0.5])), 1.0)
+        u = cw.infeasible_fallback([0.9, 0.0, 0.0], (C, np.array([-0.5, -0.5])))
         assert np.all(np.abs(u) <= 1.0)
         print(sys.modules["scipy"])
     """)
@@ -59,15 +59,14 @@ POSITIVE, FINITE = "and finite, not", "must be a finite number, not"
     (lambda v: cwinspect.ExperimentConfig(position_scale=v), POSITIVE),
     (lambda v: cwinspect.ExperimentConfig(max_duration=v), POSITIVE),
     (lambda v: cwinspect.SafetyParams(a_max=v), POSITIVE),
-    (lambda v: cwinspect.cw_stm(v, 1.0), POSITIVE),
-    (lambda v: cwinspect.cw_stm(0.001, v), FINITE),
+    (lambda v: cwinspect.cw_stm(v), FINITE),
     (lambda v: cwinspect.sun_vector(v), FINITE),
     (lambda v: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], v, True),
      FINITE),
     (lambda v: cwinspect.build_observation(np.full(6, 50.0), v, cwinspect.generate_points(),
                                            cwinspect.env.OBS_ALL_SENSORS), FINITE),
 ], ids=["step", "hold_maps", "delta_v", "mlp_act", "NoiseModel", "position_scale",
-        "max_duration", "SafetyParams", "cw_stm", "cw_stm.t", "sun_vector",
+        "max_duration", "SafetyParams", "cw_stm.t", "sun_vector",
         "update_inspected.sun_angle", "build_observation.sun_angle"])
 @pytest.mark.parametrize("value", [True, np.True_, "1.0", None, np.array([1.0, 2.0])],
                          ids=["True", "np.True_", "str", "None", "array"])
@@ -92,18 +91,17 @@ def _env_step(action):
 @pytest.mark.parametrize("call, match", [
     (lambda: cwinspect.inject_noise(NAN_STATE, cwinspect.NoiseModel(), np.random.default_rng(0)),
      "state must be finite"),
-    (lambda: cwinspect.lqr_control(cwinspect.lqr_design(), NAN_STATE), "state must be finite"),
+    (lambda: cwinspect.lqr_control(NAN_STATE), "state must be finite"),
     (lambda: cwinspect.scripted_orbit_control(NAN_STATE), "state must be finite"),
     (lambda: cwinspect.update_inspected(cwinspect.generate_points(), [100.0, 0.0, 0.0], 0.0, "no"),
      "illumination_enabled must be a bool"),
     (lambda: cwinspect.sun_vector(True), "sun angle must be a finite number"),
     (lambda: cwinspect.sun_vector(np.True_), "sun angle must be a finite number"),
-    (lambda: cwinspect.cw_stm(0.001, True), "t must be a finite number"),
+    (lambda: cwinspect.cw_stm(True), "t must be a finite number"),
     # a vector of the wrong size: numpy's "cannot reshape array of size 7
     # into shape (6,)" named no argument
     (lambda: cwinspect.step(np.zeros(6), np.zeros(4), 1.0), r"control must be finite and hold 3"),
-    (lambda: cwinspect.lqr_control(cwinspect.lqr_design(), np.zeros(7)),
-     r"state must be finite and hold 6"),
+    (lambda: cwinspect.lqr_control(np.zeros(7)), r"state must be finite and hold 6"),
     (lambda: cwinspect.scripted_orbit_control(np.zeros(5)), r"state must be finite and hold 6"),
     (lambda: cwinspect.normalize_state([1.0] * 7), r"state must be finite and hold 6"),
     (lambda: cwinspect.inject_noise(np.zeros(7), cwinspect.NoiseModel(), np.random.default_rng(0)),
@@ -112,7 +110,7 @@ def _env_step(action):
     (lambda: _env_step(np.zeros(2)), r"action must be finite and hold 3"),
     (lambda: cwinspect.mlp_act(cwinspect.random_policy(6, hidden=(4,)), np.zeros(7)),
      r"observation must be finite and hold 6"),
-    (lambda: cwinspect.solve_qp(np.zeros(2), (np.eye(3), np.zeros(3)), 1.0),
+    (lambda: cwinspect.solve_qp(np.zeros(2), (np.eye(3), np.zeros(3))),
      r"u_des must be finite and hold 3"),
     (lambda: cwinspect.nearest_uninspected_cluster(cwinspect.generate_points(), np.zeros(4)),
      r"deputy position must be finite and hold 3"),
@@ -170,6 +168,48 @@ def test_flag_refused(call, name, value):
     # one check and one message for every bool flag
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a bool, not {value!r}")):
         call(value)
+
+
+@pytest.mark.parametrize("call, params", [
+    (cwinspect.solve_qp, ["u_des", "rows"]),
+    (cwinspect.infeasible_fallback, ["u_des", "rows"]),
+    (cwinspect.lqr_control, ["x"]),
+    (cwinspect.cw_stm, ["t"]),
+    (cwinspect.MlpPolicy, ["layers", "input_dim"]),
+], ids=["solve_qp", "infeasible_fallback", "lqr_control", "cw_stm", "MlpPolicy"])
+def test_constant_signatures(call, params):
+    # the thrust box, the LQR gain, the mean motion and the output width are
+    # constants of the one design, not arguments
+    assert list(inspect.signature(call).parameters) == params
+
+
+def _public_callables():
+    """(name, callable) for each callable in a module's __all__ and each
+    public method of a class there."""
+    for m in pkgutil.iter_modules(cwinspect.__path__):
+        mod = importlib.import_module(f"cwinspect.{m.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if callable(obj):
+                yield f"{m.name}.{name}", obj
+            if inspect.isclass(obj):
+                yield from ((f"{m.name}.{name}.{attr}", meth) for attr, meth in vars(obj).items()
+                            if not attr.startswith("_") and callable(meth))
+
+
+def test_no_callable_takes_the_pair():
+    # MEAN_MOTION, MASS and U_MAX are constants; only mlp_act keeps its box
+    # half-width u_max
+    takes = [name for name, call in _public_callables()
+             if {"u_max", "mass", "mean_motion"} & set(inspect.signature(call).parameters)]
+    assert takes == ["control.mlp_act"]
+
+
+def test_lqr_gain_is_built_once_and_read_only():
+    K = cwinspect.control._LQR_GAIN
+    assert K.tobytes() == cwinspect.lqr_design().tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0] = 0.0
 
 
 def test_every_exported_name_resolves():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwinspect import harness, rta
-from cwinspect.dynamics import DynamicsParams, _fly, hold_maps, rk4_zoh_map
+from cwinspect.dynamics import U_MAX, DynamicsParams, _fly, hold_maps, rk4_zoh_map
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
                            infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
@@ -20,9 +20,10 @@ SP = SafetyParams()
 DP = DynamicsParams()
 
 
-def lattice_search(u_des, C, b, u_max, n=51):
-    """Brute-force projection: best feasible point of an n^3 grid over the box."""
-    axis = np.linspace(-u_max, u_max, n)
+def lattice_search(u_des, C, b, n=51):
+    """Brute-force projection: best feasible point of an n^3 grid over the
+    thrust box."""
+    axis = np.linspace(-U_MAX, U_MAX, n)
     U = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     feas = np.all(U @ C.T + b >= -1e-9, axis=1)
     if not np.any(feas):
@@ -69,13 +70,13 @@ def random_instance(rng):
 class TestSolveQp:
     def test_no_rows_clamps_to_box(self):
         u, active, feasible = solve_qp([2.0, -3.0, 0.2],
-                                       (np.zeros((0, 3)), np.zeros(0)), 1.0)
+                                       (np.zeros((0, 3)), np.zeros(0)))
         assert feasible
         assert np.allclose(u, [1.0, -1.0, 0.2])
 
     def test_halfspace_projection(self):
         u, active, feasible = solve_qp(
-            np.zeros(3), (np.array([[1.0, 0, 0]]), np.array([-0.5])), 1.0)
+            np.zeros(3), (np.array([[1.0, 0, 0]]), np.array([-0.5])))
         assert feasible
         assert np.allclose(u, [0.5, 0, 0])
         assert active == (0,)
@@ -83,7 +84,7 @@ class TestSolveQp:
     def test_contradictory_rows_infeasible(self):
         C = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         b = np.array([-0.5, -0.5])
-        u, active, feasible = solve_qp(np.zeros(3), (C, b), 1.0)
+        u, active, feasible = solve_qp(np.zeros(3), (C, b))
         assert not feasible and u is None
 
     def test_feasible_input_untouched(self):
@@ -97,7 +98,7 @@ class TestSolveQp:
                     break
             else:
                 continue
-            u, active, feasible = solve_qp(u_des, (C, b), 1.0)
+            u, active, feasible = solve_qp(u_des, (C, b))
             assert feasible
             assert np.array_equal(u, u_des)
             assert active == ()
@@ -106,8 +107,8 @@ class TestSolveQp:
         rng = np.random.default_rng(29)
         for _ in range(60):
             C, b, u_des = random_instance(rng)
-            u, active, feasible = solve_qp(u_des, (C, b), 1.0)
-            u_lat = lattice_search(u_des, C, b, 1.0)
+            u, active, feasible = solve_qp(u_des, (C, b))
+            u_lat = lattice_search(u_des, C, b)
             if u_lat is None:
                 continue
             assert feasible
@@ -120,7 +121,7 @@ class TestSolveQp:
         rng = np.random.default_rng(31)
         for _ in range(200):
             C, b, u_des = random_instance(rng)
-            u, active, feasible = solve_qp(u_des, (C, b), 1.0)
+            u, active, feasible = solve_qp(u_des, (C, b))
             if feasible:
                 assert np.all(C @ u + b >= -1e-8)
                 assert np.all(np.abs(u) <= 1.0 + 1e-12)
@@ -128,38 +129,22 @@ class TestSolveQp:
     def test_deterministic_active_set(self):
         rng = np.random.default_rng(37)
         C, b, u_des = random_instance(rng)
-        r1 = solve_qp(u_des, (C, b), 1.0)
-        r2 = solve_qp(u_des, (C, b), 1.0)
+        r1 = solve_qp(u_des, (C, b))
+        r2 = solve_qp(u_des, (C, b))
         assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            solve_qp([np.nan, 0, 0], (np.zeros((0, 3)), np.zeros(0)), 1.0)
+            solve_qp([np.nan, 0, 0], (np.zeros((0, 3)), np.zeros(0)))
         with pytest.raises(ValueError):
-            solve_qp(np.zeros(3), (np.array([[np.inf, 0, 0]]), np.array([0.0])), 1.0)
-
-
-@pytest.mark.parametrize("u_max", [np.nan, np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
-def test_bad_thrust_limit_rejected(solver, u_max):
-    rows = (np.array([[1.0, 0, 0]]), np.array([-0.5]))
-    with pytest.raises(ValueError, match="u_max"):
-        solver(np.zeros(3), rows, u_max)
-
-
-@pytest.mark.parametrize("u_max", [True, np.True_])
-@pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
-def test_bool_thrust_limit_rejected(solver, u_max):
-    # True used to pass as a thrust limit of 1
-    with pytest.raises(ValueError, match="u_max"):
-        solver(np.zeros(3), (np.array([[1.0, 0, 0]]), np.array([-0.5])), u_max)
+            solve_qp(np.zeros(3), (np.array([[np.inf, 0, 0]]), np.array([0.0])))
 
 
 @pytest.mark.parametrize("solver", [solve_qp, infeasible_fallback])
 def test_rows_of_different_lengths_rejected(solver):
     # used to fail inside numpy: "operands could not be broadcast together"
     with pytest.raises(ValueError, match="1 normals in C but 2 offsets in b"):
-        solver([0.0, 0.0, 0.0], (np.ones((1, 3)), np.zeros(2)), 1.0)
+        solver([0.0, 0.0, 0.0], (np.ones((1, 3)), np.zeros(2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -167,7 +152,7 @@ def test_fallback_rejects_a_nonfinite_request(bad):
     # NaN used to come back as the thrust and inf was clamped to the box
     rows = (np.array([[1.0, 0, 0]]), np.array([-0.5]))
     with pytest.raises(ValueError, match="u_des must be finite"):
-        infeasible_fallback([bad, 0.0, 0.0], rows, 1.0)
+        infeasible_fallback([bad, 0.0, 0.0], rows)
 
 
 class TestFallback:
@@ -175,9 +160,9 @@ class TestFallback:
         C = np.array([[1.0, 0.2, 0], [0, 1.0, -0.3]])
         b = np.array([-0.4, -0.2])
         u_des = np.array([-0.8, -0.9, 0.3])
-        u_qp, _, feasible = solve_qp(u_des, (C, b), 1.0)
+        u_qp, _, feasible = solve_qp(u_des, (C, b))
         assert feasible
-        u_fb = infeasible_fallback(u_des, (C, b), 1.0)
+        u_fb = infeasible_fallback(u_des, (C, b))
         assert np.all(np.abs(u_fb - u_qp) < 1e-6)
 
     def test_contradictory_velocity_rows_vs_grid(self):
@@ -185,7 +170,7 @@ class TestFallback:
         C = np.array([[-1 / 6, 0, 0], [1 / 6, 0, 0]])
         b = np.array([-0.5, -0.5])
         u_des = np.array([0.9, 0.0, 0.0])
-        u_fb = infeasible_fallback(u_des, (C, b), 1.0)
+        u_fb = infeasible_fallback(u_des, (C, b))
 
         axis = np.linspace(-1, 1, 21)
         U = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
@@ -199,11 +184,11 @@ class TestFallback:
 
     def test_zero_rows_clamps(self):
         u = infeasible_fallback([3.0, -0.2, -4.0],
-                                (np.zeros((0, 3)), np.zeros(0)), 1.0)
+                                (np.zeros((0, 3)), np.zeros(0)))
         assert np.allclose(u, [1.0, -0.2, -1.0], atol=1e-6)
 
 
-def lbfgsb_fallback(u_des, C, b, u_max):
+def lbfgsb_fallback(u_des, C, b):
     """Oracle: the least-violation objective minimized by SciPy's L-BFGS-B
     from the clamped request, to its tightest tolerances."""
     from scipy.optimize import minimize
@@ -214,15 +199,15 @@ def lbfgsb_fallback(u_des, C, b, u_max):
         return (viol @ viol + 1e-6 * du @ du,
                 -2.0 * (C.T @ viol) + 2e-6 * du)
 
-    return minimize(objective, np.clip(u_des, -u_max, u_max), jac=True,
-                    method="L-BFGS-B", bounds=[(-u_max, u_max)] * 3,
+    return minimize(objective, np.clip(u_des, -U_MAX, U_MAX), jac=True,
+                    method="L-BFGS-B", bounds=[(-U_MAX, U_MAX)] * 3,
                     options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500}).x
 
 
 @st.composite
 def fallback_problems(draw):
-    """Requests, row sets of scale 1e-2..10 with zero, duplicate and
-    parallel rows appended, and a box half-width."""
+    """Requests and row sets of scale 1e-2..10 with zero, duplicate and
+    parallel rows appended."""
     coord = st.floats(-1.0, 1.0, allow_subnormal=False)
     n = draw(st.integers(1, 10))
     C = np.array(draw(st.lists(st.lists(coord, min_size=3, max_size=3),
@@ -238,21 +223,21 @@ def fallback_problems(draw):
                       "parallel": (factor * C[i], offset)}[kind]
         C, b = np.vstack([C, row]), np.append(b, b_row)
     u_des = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
-    return u_des, C, b, draw(st.sampled_from((0.5, 1.0, 2.0)))
+    return u_des, C, b
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fallback_problems())
 def test_fallback_no_worse_than_lbfgsb(problem):
-    u_des, C, b, u_max = problem
-    u = infeasible_fallback(u_des, (C, b), u_max)
-    assert np.all(np.abs(u) <= u_max)
+    u_des, C, b = problem
+    u = infeasible_fallback(u_des, (C, b))
+    assert np.all(np.abs(u) <= U_MAX)
 
     def objective(u):
         viol = np.maximum(0.0, -(C @ u + b))
         return viol @ viol + 1e-6 * (u - u_des) @ (u - u_des)
 
-    f_oracle = objective(lbfgsb_fallback(u_des, C, b, u_max))
+    f_oracle = objective(lbfgsb_fallback(u_des, C, b))
     assert objective(u) <= f_oracle * (1.0 + 1e-9)
 
 
@@ -649,10 +634,10 @@ class TestRecordedRequests:
         qps = []
         solve = rta.solve_qp
 
-        def spy(u_des, rows, u_max):
+        def spy(u_des, rows):
             qps.append(b"".join(np.asarray(a, dtype=float).tobytes()
                                 for a in (u_des, *rows)))
-            return solve(u_des, rows, u_max)
+            return solve(u_des, rows)
 
         monkeypatch.setattr(rta, "solve_qp", spy)
         X, U = exp2_requests
@@ -664,7 +649,7 @@ class TestRecordedRequests:
 
     def test_qp_form(self, exp2_requests, monkeypatch):
         # solve_qp hands the dual active-set method the rows and box faces in
-        # the form a_j . u >= d_j, A = [C; -I; I], d = [-b; -u_max (6)], and
+        # the form a_j . u >= d_j, A = [C; -I; I], d = [-b; -U_MAX (6)], and
         # A.dot, which forms its slacks, gives the bits of A @ u
         seen = []
         dual = rta._dual_active_set
@@ -680,9 +665,9 @@ class TestRecordedRequests:
         calls = []
         solve = rta.solve_qp
 
-        def spy_solve(u_des, rows, u_max):
-            calls.append((np.array(u_des), np.array(rows[0]), np.array(rows[1]), u_max))
-            return solve(u_des, rows, u_max)
+        def spy_solve(u_des, rows):
+            calls.append((np.array(u_des), np.array(rows[0]), np.array(rows[1])))
+            return solve(u_des, rows)
 
         monkeypatch.setattr(rta, "_dual_active_set", spy)
         monkeypatch.setattr(rta, "solve_qp", spy_solve)
@@ -690,9 +675,9 @@ class TestRecordedRequests:
         for x, u in zip(X[::4], U[::4]):
             filter_control(x, u, SP)
         assert len(calls) == len(seen) > 50
-        for (u_des, C, b, u_max), (u0, A, d) in zip(calls, seen):
+        for (u_des, C, b), (u0, A, d) in zip(calls, seen):
             A_ref = np.concatenate([C, np.vstack([-np.eye(3), np.eye(3)])])
-            d_ref = np.concatenate([-b, np.full(6, -u_max)])
+            d_ref = np.concatenate([-b, np.full(6, -U_MAX)])
             assert A.tobytes() == A_ref.tobytes() and d.tobytes() == d_ref.tobytes()
             assert u0.tobytes() == u_des.tobytes()
 
@@ -703,19 +688,19 @@ class TestRecordedRequests:
         results = []
         solve = rta.solve_qp
 
-        def spy(u_des, rows, u_max):
-            out = solve(u_des, rows, u_max)
-            results.append((np.array(u_des), np.array(rows[0]), np.array(rows[1]), u_max, out))
+        def spy(u_des, rows):
+            out = solve(u_des, rows)
+            results.append((np.array(u_des), np.array(rows[0]), np.array(rows[1]), out))
             return out
 
         monkeypatch.setattr(rta, "solve_qp", spy)
         for x, u in zip(*exp2_requests):
             filter_control(x, u, SP)
-        solved = [r for r in results if r[4][2]]
-        assert len(solved) > 300 and sum(bool(r[4][1]) for r in solved) > 100
-        for u_des, C, b, u_max, (u, active, _) in solved:
+        solved = [r for r in results if r[3][2]]
+        assert len(solved) > 300 and sum(bool(r[3][1]) for r in solved) > 100
+        for u_des, C, b, (u, active, _) in solved:
             A = np.concatenate([C, np.vstack([-np.eye(3), np.eye(3)])])
-            d = np.concatenate([-b, np.full(6, -u_max)])
+            d = np.concatenate([-b, np.full(6, -U_MAX)])
             slack = A @ u - d
             assert slack.min() >= -rta._FEAS_TOL
             if not active:
