@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .control import mlp_load
-from .harness import default_experiment, load_config, run, run_batch, write_run
+from .harness import (_resolve_controller, default_experiment, load_config, run, run_batch,
+                      write_run)
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -68,6 +70,9 @@ def _cmd_run(args) -> int:
         return 2
 
     try:
+        # refuse the weights, then an --out that cannot be made, before flying
+        _resolve_controller(cfg)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         log, summary = run(cfg)
         write_run(log, summary, args.out, formats)
     except (OSError, ValueError) as exc:

@@ -82,7 +82,7 @@ _X, _STATES, _U_DES, _U_ACT, _H = (
         ("h1", "h6")))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Gaussian sensing noise and plant disturbance for closed-loop runs.
 

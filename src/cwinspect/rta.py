@@ -119,11 +119,14 @@ class FilterResult:
 
 
 def _checked_input(u_des, rows):
-    """A finite request (3,), and finite rows (C, b) as (N, 3) and (N,)
-    arrays of one length."""
+    """A finite request (3,), and finite rows (C, b) of shapes (N, 3) and
+    (N,)."""
     u_des = _vector(u_des, "u_des", 3)
-    C = np.asarray(rows[0], dtype=float).reshape(-1, 3)
-    b = np.asarray(rows[1], dtype=float).reshape(-1)
+    C = np.asarray(rows[0], dtype=float)
+    b = np.asarray(rows[1], dtype=float)
+    if C.shape[1:] != (3,) or b.ndim != 1:
+        raise ValueError(f"constraint rows: C must have shape (N, 3) and b shape (N,), "
+                         f"not {C.shape} and {b.shape}")
     if len(C) != len(b):
         raise ValueError(f"constraint rows: {len(C)} normals in C but {len(b)} offsets in b")
     if np.count_nonzero(np.isfinite(C)) + np.count_nonzero(np.isfinite(b)) != C.size + len(b):
@@ -276,15 +279,15 @@ def infeasible_fallback(u_des, rows) -> np.ndarray:
     return _clamp(u, U_MAX)
 
 
-def _holds(X, U, terms):
+def _holds(X, U, params: SafetyParams, cone):
     """Holds (k, J, 6) flown from states X (k, 6) under thrusts U (k, 3), their
-    conditions (k, J, 9) and terms (see :func:`cwinspect.safety._hold_pass`),
-    the conditions at the states (k, 1, 9) and their floors min(0, k0), and
-    the states' free motion (:func:`cwinspect.dynamics._free_motion`), which
-    every later iterate's hold reuses."""
+    conditions (k, J, 9) and terms on the keep-in cone ``cone`` (see
+    :func:`cwinspect.safety._hold_pass`), the conditions at the states (k, 1, 9)
+    and their floors min(0, k0), and the states' free motion
+    (:func:`cwinspect.dynamics._free_motion`), which every later iterate's hold reuses."""
     F = _free_motion(_D, X)
     H = _add_thrust(X, F, _S, U)
-    K, (floored, rdot) = _hold_pass(np.concatenate([X[:, None], H], axis=1), terms)
+    K, (floored, rdot) = _hold_pass(np.concatenate([X[:, None], H], axis=1), params, cone)
     K0 = K[:, :1]
     return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(0.0, K0), F
 
@@ -295,18 +298,18 @@ def _row_numbers(act, rows, n_rows: int) -> tuple:
     return tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows) for a in act)
 
 
-def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, terms):
+def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, params: SafetyParams, cone):
     """QP rows C (n, R, 3), b (n, R) for the holds H (n, J, 6) of iterates U
-    (n, 3), whose :func:`cwinspect.safety._hold_pass` gave K and T: the
-    continuous rows, those of k1..k3 linearized at the hold toward
-    ``targets``, the exact rows of k4..k9; and the mask of the rows that a
-    thrust in the box can violate (the others never bind)."""
+    (n, 3), whose :func:`cwinspect.safety._hold_pass` on ``cone`` gave K
+    and T: the continuous rows, those of k1..k3 linearized at the hold
+    toward ``targets``, the exact rows of k4..k9; and the mask of the rows
+    that a thrust in the box can violate (the others never bind)."""
     n, n_cont = C_cont.shape[:2]
     n_rows = n_cont + _J * NUM_HOLD_CONDITIONS
     C = np.empty((n, n_rows, 3))
     C[:, :n_cont] = C_cont
     C_hold = C[:, n_cont:].reshape(n, _J, NUM_HOLD_CONDITIONS, 3)
-    np.einsum("njkd,jde->njke", _hold_jacobian(H, T, terms), _S, out=C_hold[:, :, :3])
+    np.einsum("njkd,jde->njke", _hold_jacobian(H, T, params, cone), _S, out=C_hold[:, :, :3])
     C_hold[:, :, 3:] = _AXIS_ROWS
     b = np.empty((n, n_rows))
     b[:, :n_cont] = b_cont
@@ -327,8 +330,8 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
     # a state outside the guarded set (a floor min(0, k0) below 0) starts at the second stage
     for stage in range(int(hold[4].any()), len(_STAGES)):
         guarded, with_cont = _STAGES[stage]
-        stage_terms = params._guarded_hold_terms if guarded else params._hold_terms
-        H, K, T, K0, floors, F = hold if guarded else _holds(X, U, stage_terms)
+        cone = params._guard if guarded else (params.a_max, params.r_max)
+        H, K, T, K0, floors, F = hold if guarded else _holds(X, U, params, cone)
         targets = np.minimum(_MARGINS, K0 + _RAMP) + 2.0 * _FEAS_TOL
         u, active = U, ()
         # without the continuous rows: rows that never bind, keeping the row numbering
@@ -345,11 +348,11 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
             if act:
                 u, active = u_new[None], _row_numbers(act, range(len(b)), n_rows)
                 H = _add_thrust(X, F, _S, u)
-                K, T = _hold_pass(H, stage_terms)
+                K, T = _hold_pass(H, params, cone)
         for n_linearized in range(_MAX_LINEARIZATIONS + 1):
             if (K >= floors).all():
                 return u, active, True, stage
-            C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u, stage_terms)
+            C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u, params, cone)
             if n_linearized == _MAX_LINEARIZATIONS:
                 C, b = C[0, live[0]], b[0, live[0]]
                 break
@@ -360,7 +363,7 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
                 break
             u, active = u_new[None], _row_numbers(act, rows, n_rows)
             H = _add_thrust(X, F, _S, u)
-            K, T = _hold_pass(H, stage_terms)
+            K, T = _hold_pass(H, params, cone)
     # no stage found a thrust: the least violation of the last stage's rows
     rows = (np.vstack([C6[0], C]), np.concatenate([b6[0], b]))
     return infeasible_fallback(u_des, rows)[None], (), False, len(_STAGES)
@@ -370,7 +373,7 @@ def _filter_one(X, U, C6, b6, params: SafetyParams):
     """The filter for one state X (1, 6), request U (1, 3) and rows
     C6 (1, 6, 3), b6 (1, 6).  Returns (U_act (1, 3), active set, feasible,
     stage)."""
-    hold = _holds(X, U, params._guarded_hold_terms)
+    hold = _holds(X, U, params, params._guard)
     if ((hold[1] >= hold[4]).all()
             and (np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all()):
         return U, (), True, 0  # the request is its own thrust
@@ -382,7 +385,7 @@ def _filter_states(X, U, C6, b6, params: SafetyParams):
     C6 (n, 6, 3), b6 (n, 6): one screen of all the requests, then
     :func:`_stages` for each state that fails it, on its slice of the
     screen's holds.  Returns (U_act, active list, feasible, stage)."""
-    H, K, (floored, rdot), K0, floors, F = _holds(X, U, params._guarded_hold_terms)
+    H, K, (floored, rdot), K0, floors, F = _holds(X, U, params, params._guard)
     admissible = ((np.einsum("nij,nj->ni", C6, U) + b6 >= -_FEAS_TOL).all(axis=1)
                   & (K >= floors).all(axis=(1, 2)))
     U_act, active = U.copy(), [()] * len(X)

@@ -108,8 +108,8 @@ _KEEP_IN_RADIUS_MARGIN = 1.0
 @dataclass(frozen=True)
 class SafetyParams:
     """Constants of the six safety constraints (defaults per the mission).
-    A record builds its hold factors once, on first use, and keeps them
-    read-only; only the guarded ones need :func:`keep_in_guard`."""
+    A record keeps one derived value, its guarded keep-in cone
+    :func:`keep_in_guard`, computed on first use."""
 
     a_max: float = 0.078  # [m/s^2] max deceleration available for braking
     r_d: float = 5.0  # [m] deputy radius
@@ -130,32 +130,9 @@ class SafetyParams:
         return self.r_d + self.r_c
 
     @cached_property
-    def _hold_terms(self) -> tuple:
-        """Factors of :func:`_hold_pass` and :func:`_hold_jacobian` on the
-        stated keep-in cone (a, r) = (a_max, r_max): with rho the range,
-        c * (rho * s + o) is (2 a_max (rho - (r_d + r_c)), 2 a (r - rho),
-        nu0 + nu1 rho), the terms of k1..k3 without range rate and speed;
-        (2 a_max, -2 a) and w scale p_hat in the gradients of k1, k2 and
-        (p_hat, v_hat) in that of k3; then v_max."""
-        return self._cone_terms(self.a_max, self.r_max)
-
-    @cached_property
-    def _guarded_hold_terms(self) -> tuple:
-        """The same on the guarded keep-in cone of :func:`keep_in_guard`."""
-        return self._cone_terms(*keep_in_guard(self))
-
-    def _cone_terms(self, a_in: float, r_in: float) -> tuple:
-        return _read_only(np.array([1.0, -1.0, self.nu1]),
-                          np.array([-self.collision_radius, r_in, self.nu0]),
-                          np.array([2.0 * self.a_max, 2.0 * a_in, 1.0]),
-                          np.array([[2.0 * self.a_max], [-2.0 * a_in]]),
-                          np.array([[self.nu1], [-1.0]]), np.array(self.v_max))
-
-
-def _read_only(*arrays) -> tuple:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    def _guard(self) -> tuple[float, float]:
+        """The guarded keep-in cone (a, r) of :func:`keep_in_guard`."""
+        return keep_in_guard(self)
 
 
 # the nonzero entries (3, 0), (3, 4), (4, 3) and (5, 2) of the drift matrix
@@ -282,34 +259,34 @@ def keep_in_guard(params: SafetyParams) -> tuple[float, float]:
     return a_g, r_g
 
 
-def _hold_pass(X: np.ndarray, terms):
-    """Hold conditions K (..., 9) of states X (..., 6), with the hold
-    factors ``terms`` of a keep-in cone (:attr:`SafetyParams._hold_terms`
-    or :attr:`SafetyParams._guarded_hold_terms`), and the terms T that their
-    gradients reuse: floored range and speed (..., 2), range rate."""
+def _hold_pass(X: np.ndarray, params: SafetyParams, cone):
+    """Hold conditions K (..., 9) of states X (..., 6), k2 on the keep-in
+    cone ``cone`` = (a, r), and the terms T that their gradients reuse:
+    floored range and speed (..., 2), range rate."""
+    a, r = cone
     shape = X.shape[:-1]
     PV = X.reshape(shape + (2, 3))
     norms = np.sqrt(np.einsum("...i,...i->...", PV, PV))
     floored = np.maximum(norms, _SMOOTH_FLOOR)
     v = X[..., 3:]
     rdot = np.einsum("...i,...i->...", X[..., :3], v) / floored[..., 0]
-    s, o, c, _, _, v_max = terms
     k = np.empty(shape + (NUM_HOLD_CONDITIONS,))
     # 2 a_max (rho - (r_d + r_c)), 2 a (r - rho), nu0 + nu1 rho, less
     # min(rdot, 0)^2, max(rdot, 0)^2 = min(-rdot, 0)^2 and the speed
-    lead = c * (norms[..., :1] * s + o)
+    lead = (2.0 * params.a_max, 2.0 * a, 1.0) * (
+        norms[..., :1] * (1.0, -1.0, params.nu1) + (-params.collision_radius, r, params.nu0))
     np.subtract(lead[..., :2], np.square(np.minimum(rdot[..., None] * _SIGNS, 0.0)),
                 out=k[..., :2])
     np.subtract(lead[..., 2], norms[..., 1], out=k[..., 2])
-    np.subtract(v_max, v, out=k[..., 3:6])
-    np.add(v_max, v, out=k[..., 6:9])
+    np.subtract(params.v_max, v, out=k[..., 3:6])
+    np.add(params.v_max, v, out=k[..., 6:9])
     return k, (floored, rdot)
 
 
-def _hold_jacobian(X: np.ndarray, T, terms) -> np.ndarray:
+def _hold_jacobian(X: np.ndarray, T, params: SafetyParams, cone) -> np.ndarray:
     """Gradients (..., 3, 6) of k1..k3 at states X (..., 6) from the terms T
-    of their :func:`_hold_pass` with the same ``terms`` (those of k4..k9
-    are constant)."""
+    of their :func:`_hold_pass` on the same cone (those of k4..k9 are
+    constant)."""
     floored, rdot = T
     hats = X.reshape(X.shape[:-1] + (2, 3)) / floored[..., None]  # p_hat, v_hat
     p_hat = hats[..., :1, :]
@@ -320,22 +297,23 @@ def _hold_jacobian(X: np.ndarray, T, terms) -> np.ndarray:
     np.minimum(r, 0.0, out=w[..., :1, :])
     np.maximum(r, 0.0, out=w[..., 1:, :])
     w *= -2.0
-    _, _, _, c, w3, _ = terms
     G = np.empty(X.shape[:-1] + (3, 6))
-    np.add(c * p_hat, w * drdot_dp, out=G[..., :2, :3])
+    # d/d rho of 2 a_max (rho - (r_d + r_c)) and 2 a (r - rho) along p_hat
+    np.add(((2.0 * params.a_max,), (-2.0 * cone[0],)) * p_hat, w * drdot_dp,
+           out=G[..., :2, :3])
     np.multiply(w, p_hat, out=G[..., :2, 3:])
-    np.multiply(hats, w3, out=G[..., 2, :].reshape(X.shape[:-1] + (2, 3)))
+    np.multiply(hats, ((params.nu1,), (-1.0,)), out=G[..., 2, :].reshape(X.shape[:-1] + (2, 3)))
     return G
 
 
 def _checked_states(states, params: SafetyParams, guarded) -> tuple:
-    """Finite states X (..., 6) and the hold factors of their keep-in cone."""
+    """Finite states X (..., 6) and their keep-in cone (a, r)."""
     X = np.asarray(states, dtype=float)
     if X.shape[-1:] != (6,):
         raise ValueError(f"states must have shape (..., 6), not {X.shape}")
     if np.count_nonzero(np.isfinite(X)) != X.size:
         raise ValueError("states must be finite")
-    return X, params._guarded_hold_terms if _flag(guarded, "guarded") else params._hold_terms
+    return X, params._guard if _flag(guarded, "guarded") else (params.a_max, params.r_max)
 
 
 def hold_values(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
@@ -345,7 +323,8 @@ def hold_values(states, params: SafetyParams, guarded: bool = False) -> np.ndarr
     that the filter plans.  Raises ``ValueError`` on any other last axis, on
     non-finite states, on a ``guarded`` that is not a bool and, guarded, as
     :func:`keep_in_guard` does."""
-    return _hold_pass(*_checked_states(states, params, guarded))[0]
+    X, cone = _checked_states(states, params, guarded)
+    return _hold_pass(X, params, cone)[0]
 
 
 def hold_gradients(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
@@ -353,8 +332,8 @@ def hold_gradients(states, params: SafetyParams, guarded: bool = False) -> np.nd
     same cone; returns (..., 9, 6).  Norms are floored at singular points as
     in the barrier gradients of :func:`cbf_rows`.  Raises ``ValueError`` as
     :func:`hold_values` does."""
-    X, terms = _checked_states(states, params, guarded)
+    X, cone = _checked_states(states, params, guarded)
     G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
-    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, terms)[1], terms)
+    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, cone)[1], params, cone)
     G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS
     return G

@@ -249,6 +249,16 @@ class TestNoise:
         with pytest.raises(ValueError, match="NoiseModel"):
             ExperimentConfig(noise=[1, 2])
 
+    def test_record_is_frozen(self):
+        # a sigma set after the checks used to reach the flight: NaN failed
+        # one step in, a negative sigma inside numpy
+        noise = NoiseModel()
+        for name, value in (("disturbance_sigma", math.nan), ("position_sigma", -1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(noise, name, value)
+        with pytest.raises(ValueError, match="position_sigma"):
+            dataclasses.replace(noise, position_sigma=-1.0)
+
 
 class TestRun:
     def test_zero_noise_closed_loop_equals_open(self):
@@ -672,6 +682,17 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_text() == ""
+
+    def test_out_that_is_a_file_exits_before_flying(self, tmp_path, capsys, monkeypatch):
+        # used to fly the whole run and only then fail to write it
+        out = tmp_path / "taken"
+        out.write_text("")
+        flown = []
+        monkeypatch.setattr("cwinspect.cli.run", lambda cfg: flown.append(cfg))
+        rc = cli_main(["run", "--experiment", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not flown
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_run_with_weights_flag(self, tmp_path):
         from cwinspect.control import mlp_save, random_policy

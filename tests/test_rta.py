@@ -3,6 +3,7 @@ infeasible fallback, the filter result contract, and the hold guarantee at
 fixed states."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cwinspect.dynamics import U_MAX, DynamicsParams, _fly, hold_maps, rk4_zoh_m
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
                            infeasible_fallback, solve_qp)
 from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
-                              hold_gradients, hold_values)
+                              hold_gradients, hold_values, keep_in_guard)
 
 SP = SafetyParams()
 DP = DynamicsParams()
@@ -145,6 +146,12 @@ def test_rows_of_different_lengths_rejected(solver):
     # used to fail inside numpy: "operands could not be broadcast together"
     with pytest.raises(ValueError, match="1 normals in C but 2 offsets in b"):
         solver([0.0, 0.0, 0.0], (np.ones((1, 3)), np.zeros(2)))
+    # rows of the wrong shape used to be reshaped to (-1, 3) and (-1,)
+    for C, b in ((np.ones((2, 6)), -np.ones(4)), (np.ones(6), np.ones(2)),
+                 (np.ones((1, 3)), np.ones((1, 1)))):
+        with pytest.raises(ValueError, match=rf"shape.*{re.escape(str(C.shape))}"
+                                             rf" and {re.escape(str(b.shape))}"):
+            solver([0.0, 0.0, 0.0], (C, b))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -504,19 +511,23 @@ class TestHoldRows:
 
     def test_the_plan_is_built_once_and_read_only(self):
         # the one hold's maps, axis rows and ramped margins are built at
-        # import; a record builds its factors on first use and keeps them,
-        # and neither can be written
+        # import and cannot be written; a record holds no array and caches
+        # one derived value, its guarded cone, which is not a field
         D, S = hold_maps(DEFAULT_PERIOD)
         assert np.array_equal(rta._D, D) and np.array_equal(rta._S, S)
         assert rta._RAMP.shape == (len(S), 9)
         assert np.array_equal(rta._RAMP[-1], rta._MARGINS)
-        sp = SafetyParams()
-        factors = sp._hold_terms + sp._guarded_hold_terms
-        assert sp._guarded_hold_terms is sp._guarded_hold_terms
-        assert sp == SP and hash(sp) == hash(SP)  # the factors are not fields
-        for table in (rta._D, rta._S, rta._AXIS_ROWS, rta._RAMP, *factors):
+        for table in (rta._D, rta._S, rta._AXIS_ROWS, rta._RAMP):
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
+        sp = SafetyParams()
+        guard = sp._guard
+        assert sp._guard is guard and guard == keep_in_guard(sp)
+        assert not [name for name in dir(sp) if isinstance(getattr(sp, name), np.ndarray)]
+        assert vars(sp).keys() == {f.name for f in dataclasses.fields(sp)} | {"_guard"}
+        fresh = SafetyParams()
+        assert "_guard" not in vars(fresh)
+        assert sp == fresh and hash(sp) == hash(fresh)  # the guard is not a field
 
     def test_a_record_without_a_guard(self):
         # v_max = 5 m/s leaves the box no braking at the keep-in sphere: the

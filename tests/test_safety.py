@@ -562,10 +562,11 @@ class TestPassesMatchTheirFormulas:
         keep_in = keep_in_guard(SP) if guarded else None
         X = X[:, None] if layout == "row" else X[None]  # (N, 1, 6) or (1, N, 6)
         K_ref, T_ref = hold_pass_formula(X, SP, keep_in)
-        terms = SP._guarded_hold_terms if guarded else SP._hold_terms
-        K, T = _hold_pass(X, terms)
+        cone = keep_in if guarded else (SP.a_max, SP.r_max)
+        K, T = _hold_pass(X, SP, cone)
         assert same_bits(K, K_ref) and all(same_bits(t, r) for t, r in zip(T, T_ref))
-        assert same_bits(_hold_jacobian(X, T, terms), hold_jacobian_formula(X, T_ref, SP, keep_in))
+        assert same_bits(_hold_jacobian(X, T, SP, cone),
+                         hold_jacobian_formula(X, T_ref, SP, keep_in))
 
     @pytest.mark.parametrize("layout", ["fortran", "stride16"])
     def test_batch_layout_keeps_the_bits(self, layout):

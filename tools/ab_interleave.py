@@ -28,9 +28,10 @@ Workloads, one unit each:
   2, open and closed loop (3000 steps each unless ``--steps`` caps them),
   recorded once per tree with the arguments that tree's ``run`` passes and
   replayed one call at a time with them unchanged; the outputs
-  compared are every call's ``u_act``, ``active_set``, ``feasible`` and
-  ``slack_used``, and a step is one filter call.  It times the filter alone,
-  without the rest of the episode;
+  compared are every ``FilterResult`` field of every call (``u_act``,
+  ``intervened``, ``deviation``, ``active_set``, ``feasible``,
+  ``slack_used`` and ``stage``), and a step is one filter call.  It times
+  the filter alone, without the rest of the episode;
 - ``cluster``: the ``nearest_uninspected_cluster`` calls of the ``nnc``
   unit, each one's inspected mask and deputy position, recorded once per
   tree and replayed one call at a time on one sphere; the outputs compared
@@ -116,7 +117,7 @@ def exp2_unit(cw, steps: int, workdir: Path):
 
 def filter_unit(cw, steps: int, workdir: Path):
     """Replay the exp2 requests one filter call at a time; returns (calls,
-    digest of every call's u_act, active_set, feasible and slack_used).  The
+    digest of every field of every call's FilterResult).  The
     calls are recorded in the first call for each tree, each with the
     arguments that tree's ``run`` passed (its arrays copied), and replayed
     with those arguments unchanged, so trees whose ``filter_control`` takes
@@ -143,7 +144,8 @@ def filter_unit(cw, steps: int, workdir: Path):
         res = filter_control(*args, **kwargs)
         digest.update(res.u_act.tobytes())
         digest.update(res.slack_used.tobytes())
-        digest.update(repr((res.active_set, res.feasible)).encode())
+        digest.update(repr((res.intervened, res.deviation, res.active_set, res.feasible,
+                            res.stage)).encode())
     return len(calls), digest.hexdigest()
 
 
