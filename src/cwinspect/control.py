@@ -106,16 +106,16 @@ def lqr_control(x) -> np.ndarray:
     return _clamp(-_LQR_GAIN @ _vector(x, "state", 6), U_MAX)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpLayer:
     weights: np.ndarray  # (rows, cols), applied as y = W x + b
     bias: np.ndarray  # (rows,)
     activation: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpPolicy:
-    layers: list
+    layers: tuple
     input_dim: int
 
 
@@ -141,7 +141,7 @@ def _validate_policy(layers, input_dim: int) -> MlpPolicy:
         raise ValueError(f"final layer must have {OUTPUT_DIM} outputs, got {prev}")
     if layers[-1].activation != "linear":
         raise ValueError("final layer activation must be linear")
-    return MlpPolicy(list(layers), input_dim)
+    return MlpPolicy(tuple(layers), input_dim)
 
 
 def _layer_values(value, count: int, what: str) -> np.ndarray:

@@ -43,21 +43,13 @@ __all__ = [
     "run_batch",
 ]
 
-CONTROLLER_CHOICES = (
-    "nnc_no_sensors",
-    "nnc_all_sensors",
-    "best_nnc_no_sensors",
-    "best_nnc_all_sensors",
-    "lqr",
-    "scripted",
-)
-
 _NNC_MODES = {
     "nnc_no_sensors": OBS_NO_SENSORS,
-    "best_nnc_no_sensors": OBS_NO_SENSORS,
     "nnc_all_sensors": OBS_ALL_SENSORS,
+    "best_nnc_no_sensors": OBS_NO_SENSORS,
     "best_nnc_all_sensors": OBS_ALL_SENSORS,
 }
+CONTROLLER_CHOICES = (*_NNC_MODES, "lqr", "scripted")
 
 CSV_COLUMNS = (
     "t", "x", "y", "z", "xd", "yd", "zd", "sun_angle",
@@ -491,13 +483,12 @@ def write_run(log: TrajectoryLog, summary: dict, run_dir,
 
 
 def _run_one(args):
-    path, out_dir = args
-    log, summary = run(load_config(path))
-    stem = Path(path).stem
-    write_run(log, summary, Path(out_dir) / stem)
+    cfg, run_dir = args
+    log, summary = run(cfg)
+    write_run(log, summary, run_dir)
     brief = {k: summary[k] for k in
              ("inspected", "delta_v", "reward", "steps", "success")}
-    return stem, brief
+    return run_dir.name, brief
 
 
 def run_batch(config_dir, out_dir, jobs: int = 1) -> dict:
@@ -506,21 +497,23 @@ def run_batch(config_dir, out_dir, jobs: int = 1) -> dict:
 
     ``jobs=1`` runs the configs one after another in this process; a larger
     positive integer runs them in that many worker processes.  Each config
-    carries its own seed so streams stay isolated.  Returns the merged index,
+    carries its own seed so streams stay isolated.  Every config is loaded,
+    and ``out_dir`` made, before the first run, so a refused config or an
+    ``out_dir`` that is a file flies nothing.  Returns the merged index,
     also written to ``out_dir``/index.json.
     """
     _integer(jobs, "jobs", 1)
     paths = sorted(Path(config_dir).glob("*.json"))
     if not paths:
         raise ValueError(f"no *.json configs found in {config_dir}")
-    tasks = [(str(p), str(out_dir)) for p in paths]
+    out = Path(out_dir)
+    tasks = [(load_config(p), out / p.stem) for p in paths]
+    out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             results = pool.map(_run_one, tasks)
     else:
         results = [_run_one(t) for t in tasks]
     index = {name: brief for name, brief in results}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "index.json").write_text(json.dumps(index, indent=2))
     return index

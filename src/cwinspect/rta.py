@@ -53,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import U_MAX, _add_thrust, _clamp, _free_motion, _vector, hold_maps
-from .safety import (_AXIS_LIMIT_GRADIENTS, NUM_HOLD_CONDITIONS, SafetyParams,
-                     _hold_jacobian, _hold_pass, cbf_rows)
+from .safety import NUM_HOLD_CONDITIONS, SafetyParams, _hold_jacobian, _hold_pass, cbf_rows
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -82,12 +81,13 @@ _PENALTY_WEIGHT = 1e-6  # tie-break weight pulling the fallback toward u_des
 _HOLD_MARGIN = 1e-3
 _MARGINS = np.where(np.arange(NUM_HOLD_CONDITIONS) < 3, _HOLD_MARGIN, 0.0)
 # The plan of the one hold, read-only: the maps (D, S) of hold_maps, the
-# exact rows (J, 6, 3) of the axis-limit conditions k4..k9, the same for
-# every state and thrust, and the margins ramped over the hold (J, 9).
+# exact rows (J, 6, 3) of the axis-limit conditions k4..k9 = v_max -+ v,
+# minus and plus the velocity rows of S at every state and thrust (0.0 -
+# and 0.0 + give S's exact zeros the +0.0 of a gradient product), and the
+# margins ramped over the hold (J, 9).
 _D, _S = hold_maps(DEFAULT_PERIOD)
 _J = len(_S)
-_AXIS_ROWS = np.einsum("njkd,jde->njke",
-                       np.tile(_AXIS_LIMIT_GRADIENTS, (1, _J, 1, 1)), _S)[0]
+_AXIS_ROWS = np.concatenate([0.0 - _S[:, 3:], 0.0 + _S[:, 3:]], axis=1)
 _RAMP = _MARGINS * (np.arange(1, _J + 1)[:, None] / _J)
 _AXIS_ROWS.setflags(write=False)
 _RAMP.setflags(write=False)
@@ -353,11 +353,10 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
             if (K >= floors).all():
                 return u, active, True, stage
             C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u, params, cone)
-            if n_linearized == _MAX_LINEARIZATIONS:
-                C, b = C[0, live[0]], b[0, live[0]]
-                break
             rows = live[0].nonzero()[0]
             C, b = C[0, rows], b[0, rows]
+            if n_linearized == _MAX_LINEARIZATIONS:
+                break
             u_new, act, ok = solve_qp(u_des, (C, b))
             if not ok:
                 break
@@ -369,6 +368,10 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
     return infeasible_fallback(u_des, rows)[None], (), False, len(_STAGES)
 
 
+# One state keeps its own screen: a batch of one through _filter_states
+# measured 1.116 times the filter call's time (slower in 12 of 12 rounds on
+# a 2-vCPU host), about 4.5 us of it bookkeeping and 4.3 us more from
+# checking the continuous rows when the hold already fails.
 def _filter_one(X, U, C6, b6, params: SafetyParams):
     """The filter for one state X (1, 6), request U (1, 3) and rows
     C6 (1, 6, 3), b6 (1, 6).  Returns (U_act (1, 3), active set, feasible,

@@ -21,7 +21,7 @@ columns of a batch, so a batch row is its one-state call.  Its sums keep
 the order of the whole-array formulas the pass was cut down from (the
 norms as np.linalg.norm adds them, p.v and each row's L_f h in the pairs
 numpy's einsum adds), so both give those formulas' bits.  The hold
-conditions below and their gradients also come from one pass.
+conditions below come from one pass whose terms their gradients reuse.
 
 Outside their nominal domains the square roots extend as odd functions,
 sign(s)*sqrt(2 a_max |s|), so a violated constraint reports a meaningful
@@ -74,7 +74,6 @@ __all__ = [
     "cbf_rows",
     "keep_in_guard",
     "hold_values",
-    "hold_gradients",
 ]
 
 NUM_CONSTRAINTS = 6
@@ -91,12 +90,6 @@ DEFAULT_ALPHA_GAINS = np.array([1.0, 1.0, 0.4, 0.4, 0.4, 0.4])
 
 _SMOOTH_FLOOR = 1e-6  # floor on norms/radicands at singular points
 _SIGNS = np.array([1.0, -1.0])  # keep-out and keep-in sides of a pair
-# Gradients of the axis-limit hold conditions k4..k9 = v_max -+ (xd, yd, zd),
-# the same at every state.
-_VELOCITY = np.arange(3, 6)
-_AXIS_LIMIT_GRADIENTS = np.zeros((6, 6))
-_AXIS_LIMIT_GRADIENTS[np.arange(6), np.tile(_VELOCITY, 2)] = np.repeat([-1.0, 1.0], 3)
-_AXIS_LIMIT_GRADIENTS.setflags(write=False)
 # The guarded keep-in cone brakes this much below the braking bound of the
 # module docstring [m/s^2], so the linearized hold rows and the RK4
 # substeps plan with braking the box can deliver, and ends this far inside
@@ -325,15 +318,3 @@ def hold_values(states, params: SafetyParams, guarded: bool = False) -> np.ndarr
     :func:`keep_in_guard` does."""
     X, cone = _checked_states(states, params, guarded)
     return _hold_pass(X, params, cone)[0]
-
-
-def hold_gradients(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
-    """Gradients dk_i/dx of :func:`hold_values` for states (..., 6) on the
-    same cone; returns (..., 9, 6).  Norms are floored at singular points as
-    in the barrier gradients of :func:`cbf_rows`.  Raises ``ValueError`` as
-    :func:`hold_values` does."""
-    X, cone = _checked_states(states, params, guarded)
-    G = np.empty(X.shape[:-1] + (NUM_HOLD_CONDITIONS, 6))
-    G[..., :3, :] = _hold_jacobian(X, _hold_pass(X, params, cone)[1], params, cone)
-    G[..., 3:, :] = _AXIS_LIMIT_GRADIENTS
-    return G

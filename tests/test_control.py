@@ -2,6 +2,7 @@
 scripted circumnavigation stand-in."""
 
 import base64
+import dataclasses
 import json
 import math
 
@@ -113,6 +114,17 @@ class TestMlpLoading:
         assert policy.input_dim == 6
         assert [l.weights.shape[0] for l in policy.layers] == [256, 256, 6]
         assert [l.activation for l in policy.layers] == ["tanh", "tanh", "linear"]
+
+    def test_records_are_frozen(self):
+        # a layer's activation or the input size changed after validation
+        # used to run a tanh layer as linear, or fail inside numpy's matmul
+        policy = random_policy(6, hidden=(8, 8))
+        assert isinstance(policy.layers, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.layers[0].activation = "relu"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.input_dim = 11
+        assert policy.layers[0].activation == "tanh" and policy.input_dim == 6
 
     def test_eleven_input_variant_loads(self, tmp_path):
         path = tmp_path / "w11.json"

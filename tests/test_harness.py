@@ -13,7 +13,7 @@ from cwinspect.cli import main as cli_main
 from cwinspect.control import mlp_save, random_policy
 from cwinspect.dynamics import DynamicsParams, hold_maps, step
 from cwinspect.env import EnvConfig, delta_v
-from cwinspect.harness import (CSV_COLUMNS, ExperimentConfig, NoiseModel,
+from cwinspect.harness import (CONTROLLER_CHOICES, CSV_COLUMNS, ExperimentConfig, NoiseModel,
                                TrajectoryLog, default_experiment, emit,
                                inject_noise, load_config, run, run_batch)
 from cwinspect.rta import filter_control
@@ -43,6 +43,12 @@ class TestDefaults:
             assert cfg.illumination is illum
             assert cfg.position_scale == ps
             assert cfg.time_scale == ts
+
+    def test_controller_names_pinned(self):
+        # the NNC names are written once, as the keys of their observation modes
+        assert CONTROLLER_CHOICES == (
+            "nnc_no_sensors", "nnc_all_sensors", "best_nnc_no_sensors",
+            "best_nnc_all_sensors", "lqr", "scripted")
 
     def test_rates_default_to_lab_window(self):
         cfg = default_experiment(1)
@@ -633,6 +639,28 @@ class TestBatch:
         with pytest.raises(ValueError):
             run_batch(tmp_path, tmp_path / "out")
 
+    def test_out_dir_that_is_a_file_refused_before_flying(self, tmp_path, monkeypatch):
+        # used to fly the first config and only then fail to write it
+        for k in (1, 2):
+            (tmp_path / f"run{k}.json").write_text(json.dumps({"controller": "lqr"}))
+        out = tmp_path / "taken"
+        out.write_text("")
+        flown = []
+        monkeypatch.setattr(harness, "run", lambda cfg: flown.append(cfg))
+        with pytest.raises(OSError):
+            run_batch(tmp_path, out)
+        assert not flown and out.read_text() == ""
+
+    def test_a_refused_config_flies_nothing(self, tmp_path, monkeypatch):
+        # every config is loaded before the first flight, and out_dir made after
+        (tmp_path / "run1.json").write_text(json.dumps({"controller": "lqr"}))
+        (tmp_path / "run2.json").write_text(json.dumps({"controller": "pid"}))
+        flown = []
+        monkeypatch.setattr(harness, "run", lambda cfg: flown.append(cfg))
+        with pytest.raises(ValueError, match="unknown controller"):
+            run_batch(tmp_path, tmp_path / "out")
+        assert not flown and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", [0, -3, 1.0, 2.5, True, "2", None])
     def test_bad_jobs_rejected(self, tmp_path, jobs):
         (tmp_path / "one.json").write_text(json.dumps({"controller": "lqr"}))
@@ -690,6 +718,21 @@ class TestCli:
         flown = []
         monkeypatch.setattr("cwinspect.cli.run", lambda cfg: flown.append(cfg))
         rc = cli_main(["run", "--experiment", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not flown
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_batch_out_that_is_a_file_exits_before_flying(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        for k in (1, 2):
+            (cfg_dir / f"run{k}.json").write_text(json.dumps({"controller": "lqr"}))
+        out = tmp_path / "taken"
+        out.write_text("")
+        flown = []
+        monkeypatch.setattr(harness, "run", lambda cfg: flown.append(cfg))
+        rc = cli_main(["batch", "--configs", str(cfg_dir), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2 and not flown
         assert err.startswith("error: ") and "Traceback" not in err

@@ -14,8 +14,8 @@ from cwinspect import harness, rta
 from cwinspect.dynamics import U_MAX, DynamicsParams, _fly, hold_maps, rk4_zoh_map
 from cwinspect.rta import (DEFAULT_PERIOD, FilterResult, filter_control,
                            infeasible_fallback, solve_qp)
-from cwinspect.safety import (SafetyParams, cbf_rows, h_values_batch,
-                              hold_gradients, hold_values, keep_in_guard)
+from cwinspect.safety import (SafetyParams, _hold_jacobian, _hold_pass, cbf_rows,
+                              h_values_batch, hold_values, keep_in_guard)
 
 SP = SafetyParams()
 DP = DynamicsParams()
@@ -497,17 +497,22 @@ class TestHold:
 class TestHoldRows:
     def test_split_hold_rows_equal_the_full_product(self):
         # the filter multiplies only the gradients of k1..k3 with the hold
-        # map and takes the exact rows of k4..k9 from the plan built at
-        # import: the rows equal those of the full product, bit for bit
+        # map and takes the exact rows of k4..k9 = v_max -+ v from the plan
+        # built at import: the rows equal those of the full product of all
+        # nine gradients, byte for byte (signed zeros included)
         S, axis_rows = rta._S, rta._AXIS_ROWS
         rng = np.random.default_rng(59)
         H = np.concatenate([rng.normal(0, 300, (5, len(S), 3)),
                             rng.normal(0, 0.5, (5, len(S), 3))], axis=2)
         H[0, :, 2:6:3] = 0.0  # motion in the orbital plane
-        G = hold_gradients(H, SP, guarded=True)
+        cone = SP._guard
+        G = np.zeros(H.shape[:2] + (9, 6))
+        G[:, :, :3] = _hold_jacobian(H, _hold_pass(H, SP, cone)[1], SP, cone)
+        G[:, :, 3:, 3:] = np.vstack([-np.eye(3), np.eye(3)])
         full = np.einsum("njkd,jde->njke", G, S)
         assert np.array_equal(full[:, :, :3], np.einsum("njkd,jde->njke", G[:, :, :3], S))
-        assert np.array_equal(full[:, :, 3:], np.broadcast_to(axis_rows, full[:, :, 3:].shape))
+        expected = np.broadcast_to(axis_rows, full[:, :, 3:].shape)
+        assert full[:, :, 3:].tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_the_plan_is_built_once_and_read_only(self):
         # the one hold's maps, axis rows and ramped margins are built at
@@ -540,7 +545,6 @@ class TestHoldRows:
         k = hold_values(x, sp)
         assert np.array_equal(k[:3], hold_values(x, SP)[:3]) and np.all(k[3:] > 4.0)
         for call in (lambda: hold_values(x, sp, guarded=True),
-                     lambda: hold_gradients(x, sp, guarded=True),
                      lambda: filter_control(x, np.zeros(3), sp)):
             with pytest.raises(ValueError, match="cannot brake at the keep-in sphere"):
                 call()
