@@ -8,10 +8,8 @@ import sys
 from pathlib import Path
 
 from .control import mlp_load
-from .harness import (_resolve_controller, default_experiment, load_config, run, run_batch,
-                      write_run)
-
-_FORMATS = ("csv", "json", "svg")
+from .harness import (_EMITTERS, _resolve_controller, default_experiment, load_config, run,
+                      run_batch, write_run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,9 +61,9 @@ def _cmd_run(args) -> int:
         return 2
 
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    bad = [f for f in formats if f not in _FORMATS]
+    bad = [f for f in formats if f not in _EMITTERS]
     if bad:
-        print(f"error: unknown format(s) {bad}; choose from {_FORMATS}",
+        print(f"error: unknown format(s) {bad}; choose from {tuple(_EMITTERS)}",
               file=sys.stderr)
         return 2
 

@@ -451,20 +451,19 @@ def _emit_svg(log: TrajectoryLog, path: Path) -> None:
     path.write_text("\n".join(parts))
 
 
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "svg": _emit_svg}
+
+
 def emit(log: TrajectoryLog, fmt: str, path) -> Path:
     """Write ``log`` to ``path`` as one of csv, json or svg."""
     if len(log) == 0:
         raise ValueError("cannot emit an empty trajectory log")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        _emit_csv(log, path)
-    elif fmt == "json":
-        _emit_json(log, path)
-    elif fmt == "svg":
-        _emit_svg(log, path)
-    else:
+    emitter = _EMITTERS.get(fmt) if isinstance(fmt, str) else None
+    if emitter is None:
         raise ValueError(f"unknown format {fmt!r} (expected csv, json or svg)")
+    emitter(log, path)
     return path
 
 

@@ -88,19 +88,20 @@ class InspectionSphere:
     """Which of the chief's :data:`SPHERE_POINTS` the deputy has inspected.
     ``points`` and ``radius`` are the module's constants, read through the
     class; assigning either on a sphere raises ``AttributeError``.  A mask
-    that is not a (99,) bool array is refused with a ``ValueError``."""
+    that is not a (99,) bool array is refused with a ``ValueError``, when the
+    sphere is built and at every later assignment."""
 
     inspected: np.ndarray  # (99,) bool
     points = SPHERE_POINTS  # (99, 3) [m], on the sphere surface
     radius = SPHERE_RADIUS  # [m]
 
-    def __post_init__(self):
-        mask = self.inspected
-        if not (isinstance(mask, np.ndarray) and mask.shape == (SPHERE_POINT_COUNT,)
-                and mask.dtype == bool):
+    def __setattr__(self, name, value):
+        if name == "inspected" and not (isinstance(value, np.ndarray) and value.dtype == bool
+                                        and value.shape == (SPHERE_POINT_COUNT,)):
             raise ValueError(f"inspected must be a ({SPHERE_POINT_COUNT},) bool array, not a "
-                             f"{type(mask).__name__} of shape {np.shape(mask)}, "
-                             f"dtype {np.asarray(mask).dtype}")
+                             f"{type(value).__name__} of shape {np.shape(value)}, "
+                             f"dtype {np.asarray(value).dtype}")
+        object.__setattr__(self, name, value)
 
 
 def generate_points() -> InspectionSphere:
@@ -140,7 +141,7 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     if illumination_enabled:
         visible &= _UNIT @ sun_vector(sun_angle) > 0.0
     newly = visible > sphere.inspected
-    sphere.inspected |= newly
+    np.logical_or(sphere.inspected, newly, out=sphere.inspected)
     return int(np.count_nonzero(newly))
 
 

@@ -11,33 +11,33 @@ below and its hold the exact check: every hold condition of
 :func:`cwinspect.safety.hold_values` (and with them every barrier h1..h6)
 at least min(0, k0), k0 its value at x, at every substep state x_1..x_J,
 with the keep-in cone guarded strictly inside the stated one
-(:func:`cwinspect.safety.keep_in_guard`).  Otherwise it returns the optimum
-of the linearized QP at the first iterate whose hold passes that check:
-the thrust closest to u_des that
+(:func:`cwinspect.safety.keep_in_guard`).  Otherwise it walks one loop
+from the request; each pass solves a QP, the thrust closest to u_des over
+its rows and the per-axis thrust box |u_k| <= :data:`cwinspect.dynamics.U_MAX`,
+moves to its optimum and flies that hold, returns the optimum if the hold
+passes the check, and else linearizes at it.  The first QP's rows are the
+six continuous-time barrier rows c_i.u + b_i >= 0 at x
+(:func:`cwinspect.safety.cbf_rows`) alone; each later QP's are linearized
+at the last iterate: the continuous rows, k1..k3 linearized about its hold
+at least min(m, k0 + m j / J) + 2 _FEAS_TOL at substep j of J,
+m = _HOLD_MARGIN, and the axis-limit conditions k4..k9, exact rows in u,
+at least min(0, k0) + 2 _FEAS_TOL.
 
-  * satisfies the six continuous-time barrier rows c_i.u + b_i >= 0 at x
-    (:func:`cwinspect.safety.cbf_rows`),
-  * keeps k1..k3, linearized about the previous iterate's hold, at least
-    min(m, k0 + m j / J) + 2 _FEAS_TOL at substep j of J, m = _HOLD_MARGIN,
-    and the axis-limit conditions k4..k9, exact rows in u, at least
-    min(0, k0) + 2 _FEAS_TOL,
-  * lies in the per-axis thrust box |u_k| <= :data:`cwinspect.dynamics.U_MAX`.
-
-Served at the first iterate, the optimum over the continuous rows and the
-box alone, the thrust is the exact optimum; served later, held off the
-check's boundary by the margin, it need not be the closest thrust that
-passes the check.  Each QP is solved exactly by a dual active-set method
-(Goldfarb & Idnani 1983).  A batch (N, 6) screens its requests together in
-one hold pass and hands each state whose request fails that screen to the
-one stage walker that a single state (6,) takes, so a batch row is its one
-state's call, bit for bit.
+Served at the first QP, the thrust is the exact optimum; served later,
+held off the check's boundary by the margin, it need not be the closest
+thrust that passes the check.  Each QP is solved exactly by a dual
+active-set method (Goldfarb & Idnani 1983).  A batch (N, 6) screens its
+requests together in one hold pass and hands each state whose request
+fails that screen to the one stage walker that a single state (6,) takes,
+so a batch row is its one state's call, bit for bit.
 
 A condition already violated at x need only not get worse over the hold.
 When the linearized QP admits no thrust, or eight linearizations do not
 reach the exact hold conditions, the filter relaxes, in this order: the
 continuous rows (those of a state outside the guarded set can demand more
-recovery than the box allows, so such a state starts without them), then
-the keep-in guard, and last returns the least-violation thrust of
+recovery than the box allows, so such a state starts without them; with
+none, the first QP has no rows and its optimum is the request), then the
+keep-in guard, and last returns the least-violation thrust of
 :func:`infeasible_fallback`.  A result is reported feasible when its thrust
 meets the continuous rows and its hold the hold conditions; for a state
 inside the guarded set it then keeps every h_i >= 0 at every substep of the
@@ -292,12 +292,6 @@ def _holds(X, U, params: SafetyParams, cone):
     return H, K[:, 1:], (floored[:, 1:], rdot[:, 1:]), K0, np.minimum(0.0, K0), F
 
 
-def _row_numbers(act, rows, n_rows: int) -> tuple:
-    """The filter's numbers of the constraints ``act`` of :func:`solve_qp`
-    over the rows numbered ``rows``, of ``n_rows``: the box faces follow."""
-    return tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows) for a in act)
-
-
 def _linearized_rows(H, K, T, C_cont, b_cont, targets, U, params: SafetyParams, cone):
     """QP rows C (n, R, 3), b (n, R) for the holds H (n, J, 6) of iterates U
     (n, 3), whose :func:`cwinspect.safety._hold_pass` on ``cone`` gave K
@@ -333,36 +327,31 @@ def _stages(X, U, C6, b6, hold, params: SafetyParams):
         cone = params._guard if guarded else (params.a_max, params.r_max)
         H, K, T, K0, floors, F = hold if guarded else _holds(X, U, params, cone)
         targets = np.minimum(_MARGINS, K0 + _RAMP) + 2.0 * _FEAS_TOL
-        u, active = U, ()
         # without the continuous rows: rows that never bind, keeping the row numbering
         C_cont, b_cont = (C6, b6) if with_cont else (np.zeros_like(C6), np.ones_like(b6))
-        if with_cont:
-            # The optimum over the continuous rows alone is the optimum over
-            # all rows when its hold keeps the conditions, and otherwise a
-            # point to linearize at that is closer to the solution than the
-            # request; an optimum with no active row is its request.
-            C, b = C6[0], b6[0]
-            u_new, act, ok = solve_qp(u_des, (C, b))
+        # The first QP is over the continuous rows alone (no rows without
+        # them): its optimum is the optimum over all rows when its hold keeps
+        # the conditions, and otherwise a point to linearize at that is closer
+        # to the solution than the request.  Each later QP is over the rows
+        # linearized at the last iterate.
+        n_first = C6.shape[1] if with_cont else 0
+        C, b, rows = C6[0, :n_first], b6[0, :n_first], range(n_first)
+        u, active = U, ()
+        for n_qp in range(_MAX_LINEARIZATIONS + 1):
+            u_new, act, ok = solve_qp(u_des, (C, b)) if len(b) else (u_des, (), True)
             if not ok:
-                continue
-            if act:
-                u, active = u_new[None], _row_numbers(act, range(len(b)), n_rows)
+                break
+            if act or n_qp:  # a first optimum with no active row is the request, already flown
+                u = u_new[None]
+                active = tuple(int(rows[a]) if a < len(rows) else n_rows + a - len(rows)
+                               for a in act)
                 H = _add_thrust(X, F, _S, u)
                 K, T = _hold_pass(H, params, cone)
-        for n_linearized in range(_MAX_LINEARIZATIONS + 1):
             if (K >= floors).all():
                 return u, active, True, stage
             C, b, live = _linearized_rows(H, K, T, C_cont, b_cont, targets, u, params, cone)
             rows = live[0].nonzero()[0]
             C, b = C[0, rows], b[0, rows]
-            if n_linearized == _MAX_LINEARIZATIONS:
-                break
-            u_new, act, ok = solve_qp(u_des, (C, b))
-            if not ok:
-                break
-            u, active = u_new[None], _row_numbers(act, rows, n_rows)
-            H = _add_thrust(X, F, _S, u)
-            K, T = _hold_pass(H, params, cone)
     # no stage found a thrust: the least violation of the last stage's rows
     rows = (np.vstack([C6[0], C]), np.concatenate([b6[0], b]))
     return infeasible_fallback(u_des, rows)[None], (), False, len(_STAGES)

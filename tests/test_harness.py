@@ -305,9 +305,10 @@ class TestRun:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_plant_flies_step(self, n):
-        # the simulator, the filter and dynamics.step fly a hold through one
-        # function: each logged state is the step of the one before, bit
-        # for bit
+        # the plant and dynamics.step on one state take the one-state branch
+        # of _fly (the filter flies _free_motion plus _add_thrust, which
+        # agrees with it bit for bit): each logged state is the step of the
+        # one before, bit for bit
         cfg = default_experiment(n)
         cfg.max_steps = 200
         log, _ = run(cfg)
@@ -542,8 +543,9 @@ class TestEmission:
     def test_unknown_format_rejected(self, tmp_path):
         cfg = short_config(max_duration=50.0)
         log, _ = run(cfg)
-        with pytest.raises(ValueError):
-            emit(log, "parquet", tmp_path / "t.parquet")
+        for fmt in ("parquet", ["csv"], None):
+            with pytest.raises(ValueError, match="unknown format"):
+                emit(log, fmt, tmp_path / "t.out")
 
 
 def _format_value(v: float) -> str:

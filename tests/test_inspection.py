@@ -148,6 +148,20 @@ class TestLattice:
         with pytest.raises(ValueError, match=r"inspected must be a \(99,\) bool array"):
             inspection.InspectionSphere(mask)
 
+    def test_malformed_mask_refused_on_assignment(self):
+        # a (98,) mask assigned after construction was accepted, and the
+        # cluster direction then came from the first 98 points alone
+        sph = generate_points()
+        sph.inspected[::2] = True
+        mask = sph.inspected
+        for bad in (np.zeros(SPHERE_POINT_COUNT - 1, dtype=bool),
+                    np.zeros(SPHERE_POINT_COUNT, dtype=int), [False] * SPHERE_POINT_COUNT):
+            with pytest.raises(ValueError, match=r"inspected must be a \(99,\) bool array"):
+                sph.inspected = bad
+            assert sph.inspected is mask and inspected_count(sph) == 50
+        update_inspected(sph, [100.0, 0, 0], 0.0, False)
+        assert sph.inspected is mask  # marked in place
+
 
 class TestVisibility:
     def test_hemisphere_count_from_positive_x(self):

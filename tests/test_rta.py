@@ -577,6 +577,33 @@ class TestKeepInGuardLooseEnd:
         assert filter_control(self.X, self.U, SP).feasible
 
 
+class TestKeepOutBoundaryLooseEnd:
+    """A guarded state 10.006 m out, closing at 0.019 m/s, with every guarded
+    hold condition and every h_i at least 0 (k1 = 6.0e-4): no thrust keeps k1
+    at the 1e-3 the linearized rows ask of it from substep 4 on, so every
+    stage's QP admits no thrust, and the fallback's thrust breaks h3 by
+    about 0.087 within the hold."""
+
+    X = np.array([9.942912544210548, -0.9170927437639587, -0.6491781431518205,
+                  -0.01159127906393831, 0.1407570793735473, -0.08281666302174528])
+    U = np.array([-1.0, 1.0, 1.0])
+
+    @pytest.mark.xfail(strict=True, reason="every stage's linearized QP asks k1 to "
+                       "climb to the margin, which no thrust reaches, and the "
+                       "least-violation thrust breaks h3 during the hold")
+    def test_a_stage_serves_the_state_and_the_hold_stays_safe(self):
+        assert hold_values(self.X, SP, guarded=True).min() >= 0.0
+        assert h_values_batch(self.X, SP).min() >= 0.0
+        res = filter_control(self.X, self.U, SP)
+        M, N = rk4_zoh_map(DEFAULT_PERIOD / 100)
+        x, h = self.X, []
+        for _ in range(100):
+            x = M @ x + N @ (res.u_act / DP.mass)
+            h.append(h_values_batch(x, SP)[0])
+        assert res.stage < 3
+        assert np.min(h) >= -1e-3
+
+
 # (state, request, the stage that serves it) with every linearization allowed
 PINNED = [
     ([100.0, 0, 0, 0, 0, 0], [0.01, 0.0, -0.02], 0),  # the request as it is
@@ -608,6 +635,35 @@ def test_stage_served(monkeypatch, linearizations):
     # the first failed it (this used to fail inside numpy: the second stage
     # took the first stage's cut-down holds)
     assert_rows_match(filter_control(X[1:3], U[1:3], SP), X[1:3], U[1:3])
+
+
+def test_no_thrust_over_the_continuous_rows_moves_to_the_next_stage(monkeypatch):
+    # the keep-out corner, served at stage 0, with its first QP (over the six
+    # continuous rows alone) reported without a solution: the decision goes
+    # on to the guarded stage without those rows, starting from the screen's
+    # hold of the request (flown once), and no later QP gets them first
+    x, u_des = np.array(PINNED[1][0]), np.array(PINNED[1][1])
+    calls, flown = [], []
+    solve, add_thrust = rta.solve_qp, rta._add_thrust
+
+    def spy(u, rows):
+        calls.append((np.array(rows[0]), np.array(rows[1])))
+        return (None, (), False) if len(calls) == 1 else solve(u, rows)
+
+    def spy_fly(*args):
+        flown.append(args)
+        return add_thrust(*args)
+
+    monkeypatch.setattr(rta, "solve_qp", spy)
+    monkeypatch.setattr(rta, "_add_thrust", spy_fly)
+    res = filter_control(x, u_des, SP)
+    C6, b6 = cbf_rows(x, SP)
+    assert res.stage == 1 and res.feasible and res.intervened
+    assert len(calls) >= 2 and len(flown) == len(calls)  # the screen, then one per later QP
+    assert np.array_equal(calls[0][0], C6) and np.array_equal(calls[0][1], b6)
+    for C, b in calls[1:]:
+        assert not (len(b) >= 6 and np.array_equal(C[:6], C6) and np.array_equal(b[:6], b6))
+    assert fly_hold(x, res.u_act).min() >= 0.0
 
 
 @pytest.fixture(scope="module")
