@@ -95,15 +95,15 @@ def lqr_design() -> np.ndarray:
     return K
 
 
-# the one LQR gain, built once, read-only
-_LQR_GAIN = lqr_design()
-_LQR_GAIN.setflags(write=False)
+# the one LQR gain, built once and negated, read-only
+_MINUS_LQR_GAIN = -lqr_design()
+_MINUS_LQR_GAIN.setflags(write=False)
 
 
 def lqr_control(x) -> np.ndarray:
     """u = clamp(-K x) to the per-axis thrust box for the gain K of
     :func:`lqr_design` and the finite 6-state ``x``."""
-    return _clamp(-_LQR_GAIN @ _vector(x, "state", 6), U_MAX)
+    return _clamp(_MINUS_LQR_GAIN.dot(_vector(x, "state", 6)), U_MAX)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def mlp_act(policy: MlpPolicy, observation, u_max: float = U_MAX) -> np.ndarray:
     _positive(u_max, "u_max")
     x = _vector(observation, "observation", policy.input_dim)
     for layer in policy.layers:
-        x = layer.weights @ x + layer.bias
+        x = layer.weights.dot(x) + layer.bias
         if layer.activation == "tanh":
             np.tanh(x, out=x)
     return _clamp(x[:3], u_max)

@@ -147,13 +147,14 @@ def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
     returns (array, was_single).  Raises ``ValueError`` on any other shape
     and on non-finite entries."""
     arr = np.asarray(x, dtype=float, order="C")
-    single = arr.shape == (6,)
-    X = arr[None, :] if single else arr
-    if X.ndim != 2 or X.shape[1] != 6:
+    if arr.shape == (6,):  # one state: checked on Python floats, as _vector does
+        if all(map(math.isfinite, arr.tolist())):
+            return arr[None, :], True
+    elif arr.ndim != 2 or arr.shape[1] != 6:
         raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
-    if np.count_nonzero(np.isfinite(X)) != X.size:
-        raise ValueError("states must be finite")
-    return X, single
+    elif np.count_nonzero(np.isfinite(arr)) == arr.size:
+        return arr, False
+    raise ValueError("states must be finite")
 
 
 def _rk4_increment(h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +191,14 @@ def _fly(D, S, x, u) -> np.ndarray:
     """Every substep state x + (D_j x + S_j u) of a hold on the maps (J, 6, 6),
     (J, 6, 3) of :func:`hold_maps`: (J, 6) for one state, (N, J, 6) for
     states (N, 6) and thrusts (3,) or (N, 3), one matrix-vector product per
-    state and substep.  One state on one map (6, 6), (6, 3) flies to (6,)."""
+    state and substep.  One state on one map (6, 6), (6, 3) flies to (6,).
+
+    On one map, ``.dot`` reaches the BLAS product of ``@`` without the
+    matmul ufunc's dispatch, with the same bits.  On the (J, 6, 6) maps it
+    is a different sum and changes the bits, so one state's hold keeps ``@``."""
     if x.ndim == 1:
+        if D.ndim == 2:
+            return x + (D.dot(x) + S.dot(u))
         return x + (D @ x + S @ u)
     return _add_thrust(x, _free_motion(D, x), S, u)
 

@@ -402,7 +402,9 @@ def _emit_json(log: TrajectoryLog, path: Path) -> None:
         "columns": list(CSV_COLUMNS),
         "rows": log.row_matrix().tolist(),
     }
-    path.write_text(json.dumps(doc))
+    # no cycle to look for: rows fresh from tolist(), run's metadata flat (a
+    # cycle put into a log's metadata by hand raises RecursionError instead)
+    path.write_text(json.dumps(doc, check_circular=False))
 
 
 def _polyline(xs, ys, x0, y0, w, h, color) -> str:

@@ -137,9 +137,9 @@ def update_inspected(sphere: InspectionSphere, deputy_position, sun_angle: float
     p, dist = _deputy_position(deputy_position)
     if dist <= SPHERE_RADIUS:
         return 0
-    visible = _UNIT @ (p / dist) > 0.0
+    visible = _UNIT.dot(p / dist) > 0.0
     if illumination_enabled:
-        visible &= _UNIT @ sun_vector(sun_angle) > 0.0
+        visible &= _UNIT.dot(sun_vector(sun_angle)) > 0.0
     newly = visible > sphere.inspected
     np.logical_or(sphere.inspected, newly, out=sphere.inspected)
     return int(np.count_nonzero(newly))

@@ -252,6 +252,7 @@ def mlp_act_oracle(policy, observation, u_max=1.0):
 class TestMlpInference:
     @pytest.mark.parametrize("policy", [
         random_policy(6, seed=3),
+        random_policy(11),
         random_policy(11, hidden=(32, 16), seed=4, scale=2.0),
         mlp_loads(json.dumps({"input_dim": 6, "layers": [
             {"rows": 8, "cols": 6, "weights": list(np.linspace(-2, 2, 48)),
@@ -260,7 +261,7 @@ class TestMlpInference:
              "bias": [-0.2] * 8, "activation": "tanh"},
             {"rows": 6, "cols": 8, "weights": list(np.linspace(-1, 1, 48)),
              "bias": [0.0] * 6, "activation": "linear"}]})),
-    ], ids=["2x256", "2-layer-11", "linear-hidden"])
+    ], ids=["2x256", "2x256-11", "2-layer-11", "linear-hidden"])
     def test_matches_the_activation_loop_bit_for_bit(self, policy):
         rng = np.random.default_rng(12)
         for scale in (1e-3, 1.0, 1e3):

@@ -94,6 +94,20 @@ class TestDerivative:
         with pytest.raises(ValueError, match="finite"):
             step(np.full((2, 6), np.nan), np.zeros(3), 10.0)
 
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_state_rejected_in_every_slot(self, value, slot):
+        # one state is checked on its Python floats, a batch on its array
+        x = np.zeros(6)
+        x[slot] = value
+        for one in (x, x.tolist()):
+            with pytest.raises(ValueError, match="states must be finite"):
+                step(one, np.zeros(3), 10.0)
+        X = np.zeros((2, 6))
+        X[1, slot] = value
+        with pytest.raises(ValueError, match="states must be finite"):
+            step(X, np.zeros(3), 10.0)
+
 
 class TestStep:
     def test_tiny_step_is_continuous(self):
@@ -138,6 +152,19 @@ class TestStep:
         assert batch.shape == (8, 6)
         assert np.array_equal(batch, [step(x, u, 7.0) for x in X])
         assert step(X[:0], u, 7.0).shape == (0, 6)  # an empty batch
+
+    @pytest.mark.parametrize("dt", [2.0, 10.0])
+    def test_one_state_is_the_end_map_product_bit_for_bit(self, dt):
+        # one state flies the hold's end map with ndarray.dot, which must
+        # give the bits of the @ product
+        D, S = hold_maps(dt)
+        rng = np.random.default_rng(300 + int(dt))
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(100):
+                x, u = random_pair(rng)
+                x = scale * x
+                expected = x + (D[-1] @ x + S[-1] @ u)
+                assert step(x, u, dt).tobytes() == expected.tobytes()
 
     def test_six_states_are_six_rows(self):
         # a (6, 6) batch is six states, not six columns of states

@@ -206,8 +206,8 @@ def test_no_callable_takes_the_pair():
 
 
 def test_lqr_gain_is_built_once_and_read_only():
-    K = cwinspect.control._LQR_GAIN
-    assert K.tobytes() == cwinspect.lqr_design().tobytes()
+    K = cwinspect.control._MINUS_LQR_GAIN
+    assert (-K).tobytes() == cwinspect.lqr_design().tobytes()
     with pytest.raises(ValueError, match="read-only"):
         K[0, 0] = 0.0
 
