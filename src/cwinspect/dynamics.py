@@ -4,10 +4,11 @@ Implements the linearized Clohessy-Wiltshire equations with thrust forcing,
 sun-line kinematics, propagation under zero-order-hold control and the
 closed-form free-motion state transition matrix (used as an oracle for the
 propagation).  A state is a (6,) array [x, y, z, xd, yd, zd], or (N, 6) for a
-batch.  The package flies one chief/deputy pair, whose constants
-:data:`MEAN_MOTION`, :data:`MASS` and :data:`U_MAX` no function takes as
-arguments but ``mlp_act`` (its ``u_max``); :class:`DynamicsParams` is their
-read-only record.
+batch; ``_as_matrix`` is the one check of states and requests, and with
+``_vector`` it refuses bool and complex arrays.  The package flies one
+chief/deputy pair, whose constants :data:`MEAN_MOTION`, :data:`MASS` and
+:data:`U_MAX` no function takes as arguments but ``mlp_act`` (its
+``u_max``); :class:`DynamicsParams` is their read-only record.
 
 The system is linear, so a hold of constant thrust is one affine map of the
 state.  One RK4 substep of the linear system, written as its matrix
@@ -50,6 +51,7 @@ DEFAULT_SUBSTEP = 0.2
 
 # hold_maps stores 432 bytes per substep: at most 43 MB for one hold
 _MAX_SUBSTEPS = 100_000
+_FLOAT = np.dtype(float)
 
 
 #: The one chief/deputy pair: the mean motion of the chief's circular orbit
@@ -92,16 +94,24 @@ def _finite(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
+def _real(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a ``ValueError`` if it holds bools or complex numbers."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "bc":
+        raise ValueError(f"{name} must hold real numbers, not {arr.dtype}")
+    return arr if arr.dtype is _FLOAT else arr.astype(float)  # a float array is not cast again
+
+
 def _vector(value, name: str, size: int) -> np.ndarray:
     """``value`` as a float (size,) array; a ``ValueError`` unless it holds
-    ``size`` numbers, all finite."""
+    ``size`` real numbers, all finite."""
     try:
-        x = np.asarray(value, dtype=float).reshape(size)
+        x = _real(value, name).reshape(size)
         if all(map(math.isfinite, x.tolist())):
             return x
-    except (TypeError, ValueError):  # not numbers, or not ``size`` of them
+    except (TypeError, ValueError):  # not real numbers, or not ``size`` of them
         pass
-    raise ValueError(f"{name} must be finite and hold {size} numbers, not {value!r}")
+    raise ValueError(f"{name} must be finite and hold {size} real numbers, not {value!r}")
 
 
 def _integer(value, name: str, minimum: int) -> None:
@@ -142,19 +152,21 @@ def _clamp(u: np.ndarray, limit: float) -> np.ndarray:
     return np.minimum(np.maximum(u, -limit), limit)
 
 
-def _as_state_matrix(x) -> tuple[np.ndarray, bool]:
-    """Finite states of shape (6,) or (N, 6) as a C-contiguous (N, 6) array;
-    returns (array, was_single).  Raises ``ValueError`` on any other shape
-    and on non-finite entries."""
-    arr = np.asarray(x, dtype=float, order="C")
-    if arr.shape == (6,):  # one state: checked on Python floats, as _vector does
-        if all(map(math.isfinite, arr.tolist())):
-            return arr[None, :], True
-    elif arr.ndim != 2 or arr.shape[1] != 6:
-        raise ValueError(f"states must have shape (6,) or (N, 6), not {arr.shape}")
+def _as_matrix(value, name: str, width: int) -> tuple[np.ndarray, list | None]:
+    """The one check of states and requests: a finite real ``value`` (width,)
+    or (N, width) as a C-contiguous (N, width) array, with the Python floats
+    of one row (None for a batch).  A ``ValueError`` naming ``name`` refuses
+    any other shape, a bool or complex array and a non-finite entry."""
+    arr = np.asarray(_real(value, name), order="C")
+    if arr.shape == (width,):  # one row: checked on Python floats, as _vector does
+        row = arr.tolist()
+        if all(map(math.isfinite, row)):
+            return arr[None], row
+    elif arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must have shape ({width},) or (N, {width}), not {arr.shape}")
     elif np.count_nonzero(np.isfinite(arr)) == arr.size:
-        return arr, False
-    raise ValueError("states must be finite")
+        return arr, None
+    raise ValueError(f"{name} must be finite")
 
 
 def _rk4_increment(h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -219,13 +231,13 @@ def step(x, u, dt: float) -> np.ndarray:
     zero-order-hold thrust ``u`` (3,).
 
     Each row flies the end of the hold as the simulator and the filter do.
-    Raises ``ValueError`` on any other shape, on non-finite input and on
-    the ``dt`` that :func:`hold_maps` refuses.
+    Raises ``ValueError`` on any other shape, on non-finite, bool or complex
+    input and on the ``dt`` that :func:`hold_maps` refuses.
     """
     D, S = _hold_maps(_positive(dt, "dt"))
-    X, single = _as_state_matrix(x)
+    X, row = _as_matrix(x, "states", 6)
     u = _vector(u, "control", 3)
-    if single:
+    if row is not None:
         return _fly(D[-1], S[-1], X[0], u)
     return _fly(D[-1:], S[-1:], X, u)[:, -1]
 

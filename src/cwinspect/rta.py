@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import U_MAX, _add_thrust, _clamp, _free_motion, _vector, hold_maps
+from .dynamics import (U_MAX, _add_thrust, _as_matrix, _clamp, _free_motion, _real, _vector,
+                       hold_maps)
 from .safety import NUM_HOLD_CONDITIONS, SafetyParams, _hold_jacobian, _hold_pass, cbf_rows
 
 __all__ = [
@@ -119,11 +120,11 @@ class FilterResult:
 
 
 def _checked_input(u_des, rows):
-    """A finite request (3,), and finite rows (C, b) of shapes (N, 3) and
-    (N,)."""
+    """A finite request (3,), and finite real rows (C, b) of shapes (N, 3)
+    and (N,)."""
     u_des = _vector(u_des, "u_des", 3)
-    C = np.asarray(rows[0], dtype=float)
-    b = np.asarray(rows[1], dtype=float)
+    C = _real(rows[0], "constraint rows")
+    b = _real(rows[1], "constraint rows")
     if C.shape[1:] != (3,) or b.ndim != 1:
         raise ValueError(f"constraint rows: C must have shape (N, 3) and b shape (N,), "
                          f"not {C.shape} and {b.shape}")
@@ -406,13 +407,10 @@ def filter_control(states, u_des, params: SafetyParams) -> FilterResult:
     C, b = cbf_rows(states, params)  # refuses any other shape, non-finite states
     single = b.ndim == 1
     X = np.asarray(states, dtype=float, order="C").reshape(-1, 6)
-    U = np.asarray(u_des, dtype=float)
-    shape = (3,) if single else (len(X), 3)
-    if U.shape != shape:
-        raise ValueError(f"u_des must have shape {shape}, not {U.shape}")
-    if np.count_nonzero(np.isfinite(U)) != U.size:
-        raise ValueError("u_des must be finite")
-    U = _clamp(U, U_MAX).reshape(-1, 3)
+    U, u = _as_matrix(u_des, "u_des", 3)
+    if (u is None) == single or len(U) != len(X):
+        raise ValueError(f"u_des must be (3,) for one state, (N, 3) for N, not {np.shape(u_des)}")
+    U = _clamp(U, U_MAX)
     if single:
         C, b = C[None], b[None]
     U_act, active, feasible, stage = (_filter_one if single else _filter_states)(

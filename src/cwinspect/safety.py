@@ -12,12 +12,12 @@ Each constraint linearizes into a control-affine row c.u + b >= 0 with
 c = L_g h and b = L_f h + alpha(h), alpha(h) = gain*h; :func:`cbf_rows`
 returns the six rows of a state as arrays (C, b).  :func:`h_values` and
 :func:`cbf_rows` take one state (6,) or a batch (N, 6) and answer in the
-same form, without the leading axis for one state.  Values, gradients and
-rows come from one pass over the terms they share (range, speed, p.v, the
-braking-cone roots), written once over two sets of primitives: one
-state's six Python floats, which the filter forms once per decision
-without numpy's per-call cost on six-element arrays, and the six (N,)
-columns of a batch, so a batch row is its one-state call.  Its sums keep
+same form, without the leading axis for one state; every state is checked
+by dynamics._as_matrix.  Values, gradients and rows come from one pass over
+the terms they share (range, speed, p.v, the braking-cone roots), written
+once over two sets of primitives: one state's six Python floats, those its
+check read, without numpy's per-call cost on six-element arrays, and the
+six (N,) columns of a batch, so a batch row is its one-state call.  Its sums keep
 the order of the whole-array formulas the pass was cut down from (the
 norms as np.linalg.norm adds them, p.v and each row's L_f h in the pairs
 numpy's einsum adds), so both give those formulas' bits.  The hold
@@ -62,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import MASS, MEAN_MOTION, U_MAX, _as_state_matrix, _flag, _positive, cw_matrices
+from .dynamics import MASS, MEAN_MOTION, U_MAX, _as_matrix, _flag, _positive, cw_matrices
 
 __all__ = [
     "SafetyParams",
@@ -190,15 +190,10 @@ def _barrier_pass(x, params: SafetyParams, ops, rows: bool = True):
 
 
 def _state_input(states) -> tuple:
-    """One state (6,) as six Python floats with _FLOATS, or finite states
-    (N, 6) as their six (N,) columns with _COLUMNS."""
-    arr = np.asarray(states, dtype=float)
-    if arr.shape != (6,):
-        return _as_state_matrix(arr)[0].T, _COLUMNS
-    x = arr.tolist()
-    if not all(map(math.isfinite, x)):
-        raise ValueError("states must be finite")
-    return x, _FLOATS
+    """One state (6,) as the six Python floats that checked it, with
+    _FLOATS, or states (N, 6) as their six (N,) columns, with _COLUMNS."""
+    X, x = _as_matrix(states, "states", 6)
+    return (X.T, _COLUMNS) if x is None else (x, _FLOATS)
 
 
 def h_values(states, params: SafetyParams) -> np.ndarray:
@@ -209,8 +204,8 @@ def h_values(states, params: SafetyParams) -> np.ndarray:
 
 
 def h_values_batch(states, params: SafetyParams) -> np.ndarray:
-    """Barrier values for states of shape (N, 6); returns (N, 6)."""
-    X, _ = _as_state_matrix(states)
+    """Barrier values (N, 6) of states (N, 6), and (1, 6) of one state (6,)."""
+    X, _ = _as_matrix(states, "states", 6)
     return _COLUMNS[-1](_barrier_pass(X.T, params, _COLUMNS, rows=False))
 
 
@@ -299,22 +294,16 @@ def _hold_jacobian(X: np.ndarray, T, params: SafetyParams, cone) -> np.ndarray:
     return G
 
 
-def _checked_states(states, params: SafetyParams, guarded) -> tuple:
-    """Finite states X (..., 6) and their keep-in cone (a, r)."""
-    X = np.asarray(states, dtype=float)
-    if X.shape[-1:] != (6,):
-        raise ValueError(f"states must have shape (..., 6), not {X.shape}")
-    if np.count_nonzero(np.isfinite(X)) != X.size:
-        raise ValueError("states must be finite")
-    return X, params._guard if _flag(guarded, "guarded") else (params.a_max, params.r_max)
-
-
 def hold_values(states, params: SafetyParams, guarded: bool = False) -> np.ndarray:
     """Hold conditions k1..k9 (see the module docstring) for states of shape
     (..., 6); returns (..., 9).  k2 is evaluated on the stated keep-in cone
     (a_max, r_max), or with ``guarded`` on the cone of :func:`keep_in_guard`
     that the filter plans.  Raises ``ValueError`` on any other last axis, on
-    non-finite states, on a ``guarded`` that is not a bool and, guarded, as
-    :func:`keep_in_guard` does."""
-    X, cone = _checked_states(states, params, guarded)
-    return _hold_pass(X, params, cone)[0]
+    non-finite, bool or complex states, on a ``guarded`` that is not a bool
+    and, guarded, as :func:`keep_in_guard` does."""
+    X = np.asarray(states)
+    if X.shape[-1:] != (6,):
+        raise ValueError(f"states must have shape (..., 6), not {X.shape}")
+    rows, _ = _as_matrix(X.reshape(-1, 6), "states", 6)
+    cone = params._guard if _flag(guarded, "guarded") else (params.a_max, params.r_max)
+    return _hold_pass(rows.reshape(X.shape), params, cone)[0]

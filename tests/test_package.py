@@ -80,6 +80,9 @@ def test_bool_number_refused(call, match, value):
 
 
 NAN_STATE = np.array([100.0, 0.0, np.nan, 0.0, 0.0, 0.0])
+STATE = np.array([100.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+COMPLEX_STATE, BOOL_STATE = STATE + 0j, STATE.astype(bool)
+COMPLEX_REQUEST, BOOL_REQUEST = np.array([1 + 1j, 0, 0]), np.ones(3, dtype=bool)
 
 
 def _env_step(action):
@@ -119,13 +122,48 @@ def _env_step(action):
      "finite norm"),
     (lambda: cwinspect.nearest_uninspected_cluster(cwinspect.generate_points(), [1e200, 0, 0]),
      "finite norm"),
+    # a float cast flew a complex thrust's real part behind a ComplexWarning
+    # and a bool thrust as 1 N on each axis
+    (lambda: cwinspect.step(STATE, COMPLEX_REQUEST, 1.0),
+     "control must be finite and hold 3 real"),
+    (lambda: cwinspect.step(STATE, [np.complex128(1), np.complex128(0), np.complex128(0)], 1.0),
+     "control must be finite and hold 3 real"),
+    (lambda: cwinspect.step(STATE, BOOL_REQUEST, 1.0), "control must be finite and hold 3 real"),
+    (lambda: cwinspect.step(COMPLEX_STATE, np.zeros(3), 1.0), "states must hold real numbers"),
+    (lambda: cwinspect.step(BOOL_STATE[None], np.zeros(3), 1.0), "states must hold real numbers"),
+    (lambda: cwinspect.h_values(COMPLEX_STATE, cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.h_values(BOOL_STATE, cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.cbf_rows(COMPLEX_STATE, cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.cbf_rows(BOOL_STATE[None], cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.safety.hold_values(COMPLEX_STATE, cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.safety.hold_values(BOOL_STATE, cwinspect.SafetyParams()),
+     "states must hold real numbers"),
+    (lambda: cwinspect.filter_control(STATE, COMPLEX_REQUEST, cwinspect.SafetyParams()),
+     "u_des must hold real numbers"),
+    (lambda: cwinspect.filter_control(STATE, BOOL_REQUEST, cwinspect.SafetyParams()),
+     "u_des must hold real numbers"),
+    (lambda: cwinspect.solve_qp(np.zeros(3), (np.eye(3) + 0j, np.zeros(3))),
+     "constraint rows must hold real numbers"),
+    (lambda: cwinspect.solve_qp(np.zeros(3), (np.eye(3), np.ones(3, dtype=bool))),
+     "constraint rows must hold real numbers"),
 ], ids=["inject_noise.nan_state", "lqr_control.nan_state", "scripted_orbit_control.nan_state",
         "update_inspected.string_illumination", "sun_vector.True", "sun_vector.np.True_",
         "cw_stm.bool_t", "step.wrong_size", "lqr_control.wrong_size",
         "scripted_orbit_control.wrong_size", "normalize_state.wrong_size",
         "inject_noise.wrong_size", "delta_v.wrong_size", "InspectionEnv.step.wrong_size",
         "mlp_act.wrong_size", "solve_qp.wrong_size", "nearest_uninspected_cluster.wrong_size",
-        "update_inspected.overflowing_norm", "nearest_uninspected_cluster.overflowing_norm"])
+        "update_inspected.overflowing_norm", "nearest_uninspected_cluster.overflowing_norm",
+        "step.complex_control", "step.complex128_list_control", "step.bool_control",
+        "step.complex_state", "step.bool_states", "h_values.complex_state",
+        "h_values.bool_state", "cbf_rows.complex_state", "cbf_rows.bool_states",
+        "hold_values.complex_state", "hold_values.bool_state",
+        "filter_control.complex_request", "filter_control.bool_request",
+        "solve_qp.complex_rows", "solve_qp.bool_offsets"])
 def test_bad_input_refused(call, match):
     # each returned NaN, took the value as a number or a truth value, or
     # raised an error that did not name the argument

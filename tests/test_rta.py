@@ -396,22 +396,25 @@ class TestFilter:
         with pytest.raises(ValueError, match="u_des"):
             filter_control(X, np.zeros(u_shape), SP)
 
-    @pytest.mark.parametrize("layout", ["fortran", "stride16"])
+    @pytest.mark.parametrize("layout", ["fortran", "stride16", "u_des-fortran",
+                                        "u_des-stride16"])
     def test_batch_layout_keeps_the_bits(self, layout):
-        # a batch that is not C-contiguous gets the results of its C-ordered
-        # copy, and so of its one-state calls
+        # a batch of states or requests that is not C-contiguous gets the
+        # results of its C-ordered copy, and so of its one-state calls
         rng = np.random.default_rng(61)
         X = np.concatenate([rng.normal(0, 60, (30, 3)), rng.normal(0, 0.3, (30, 3))], axis=1)
         X[:15, :3] *= 10.6 / np.linalg.norm(X[:15, :3], axis=1, keepdims=True)
         U = rng.uniform(-1, 1, (30, 3))
-        if layout == "fortran":
-            view = np.asfortranarray(X)
+        A = U if layout.startswith("u_des") else X
+        if layout.endswith("fortran"):
+            view = np.asfortranarray(A)
         else:
-            wide = np.zeros((30, 12))
-            wide[:, ::2] = X
+            wide = np.zeros((30, 2 * A.shape[1]))
+            wide[:, ::2] = A
             view = wide[:, ::2]
-        assert not view.flags.c_contiguous
-        batch, ref = filter_control(view, U, SP), filter_control(X, U, SP)
+        assert not view.flags.c_contiguous and np.array_equal(view, A)
+        states, requests = (X, view) if A is U else (view, U)
+        batch, ref = filter_control(states, requests, SP), filter_control(X, U, SP)
         for field in ("u_act", "deviation", "slack_used", "feasible", "stage"):
             assert getattr(batch, field).tobytes() == getattr(ref, field).tobytes()
         assert batch.active_set == ref.active_set and batch.intervened[:15].any()

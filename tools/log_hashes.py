@@ -1,6 +1,6 @@
 """Print the SHA-256 identity table of the fixed-seed logs.
 
-Four tables, for comparing the logs of two commits byte for byte:
+Five tables, for comparing the logs of two commits byte for byte:
 
 - reference experiments 1-6 at their default seeds, open and closed loop:
   SHA-256 of the emitted CSV / of the emitted JSON / first 16 hex of the
@@ -22,7 +22,10 @@ Four tables, for comparing the logs of two commits byte for byte:
   ``u_act``, ``active_set``, ``feasible``, ``slack_used`` or ``stage``
   raises.  Both shapes walk the stages with the same function, so this
   guards the batch's screen (one hold pass over all its states) against
-  the one-state screen.
+  the one-state screen;
+- the summary of every run of the first two tables: SHA-256 of its
+  ``json.dumps(..., sort_keys=True)`` without ``controller_resolved``,
+  which names the temporary weights file.
 
 Run from a checkout with ``PYTHONPATH=src python tools/log_hashes.py``.
 The hashes depend on the BLAS build and the CPU, so compare tables made on
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -60,6 +64,11 @@ FILTER_ALONE_EVERY = 8
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _summary_sha(summary: dict) -> str:
+    kept = {k: v for k, v in summary.items() if k != "controller_resolved"}
+    return _sha(json.dumps(kept, sort_keys=True).encode())
 
 
 def _env_rollout(mode: str, inputs: int, seed: int, illumination: bool):
@@ -132,13 +141,15 @@ def _filter_batch(family: str):
 
 
 def main() -> None:
+    summaries = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         print("exp / loop / CSV / JSON / row_matrix()[:16] / rows")
         for n in range(1, 7):
             for name, closed in LOOPS:
                 cfg = dataclasses.replace(default_experiment(n), closed_loop=closed)
-                log, _ = run(cfg)
+                log, summary = run(cfg)
+                summaries.append(f"exp{n} {name:<6} {_summary_sha(summary)}")
                 files = [emit(log, fmt, tmp / f"log.{fmt}").read_bytes()
                          for fmt in ("csv", "json")]
                 print(f"exp{n} {name:<6} {_sha(files[0])} / {_sha(files[1])} / "
@@ -150,9 +161,10 @@ def main() -> None:
                 weights = tmp / f"policy_{inputs}_{s}.json"
                 mlp_save(random_policy(inputs, seed=s), weights)
                 for name, closed in LOOPS:
-                    log, _ = run(dataclasses.replace(
+                    log, summary = run(dataclasses.replace(
                         cfg, weights_path=str(weights), max_steps=NNC_STEPS,
                         closed_loop=closed))
+                    summaries.append(f"nnc exp{n} seed{s} {name:<6} {_summary_sha(summary)}")
                     print(f"nnc exp{n} seed{s} {name:<6} "
                           f"{_sha(log.row_matrix().tobytes())} {len(log)}")
     print("env mode / policy seed / illumination / per-step records / steps")
@@ -166,6 +178,9 @@ def main() -> None:
     for family in ("zero", "lqr", "random"):
         digest, intervened, infeasible = _filter_batch(family)
         print(f"filter batch {family:<6} {digest} {intervened} {infeasible} {FILTER_HOLDS}")
+    print("summary of run / summary without controller_resolved")
+    for line in summaries:
+        print(f"summary {line}")
 
 
 if __name__ == "__main__":
